@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import CatalogStore, catalog_to_json_dict, enumerate_clique_structures
+from .catalog import MAX_CATALOG_N, CatalogStore, catalog_to_json_dict, enumerate_clique_structures
 from .errors import (
     ChiOutOfRange,
     CollapsedCrossingPair,
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_output(sub.add_parser("x", help="exact geochromatic number via catalogs"))
     p.add_argument("graph")
-    p.add_argument("--max-n", type=int, default=7, dest="max_n")
+    p.add_argument("--max-n", type=int, default=MAX_CATALOG_N, dest="max_n")
     p.add_argument("--catalog", default=None, help="directory with k<n>.catalog.json files")
     p.add_argument("--no-build", action="store_true", help="fail instead of building missing catalogs")
     p.set_defaults(fn=_cmd_x)

@@ -21,8 +21,10 @@ from .geometry import Point, is_general_position, regular_polygon_points
 from .graphs import (
     Crossing,
     GeometricGraph,
+    _crossings_too_close,
     crossings_of,
     min_pairwise_crossing_distance,
+    sorted_crossings,
 )
 from .homomorphism import Coloring, VertexMap, is_geometric_hom, is_pseudo_coloring
 
@@ -233,7 +235,7 @@ def random_geometric_graph(
             if rng.random() < edge_probability
         ]
         g = GeometricGraph.build(pts, edges)
-        if min_pairwise_crossing_distance(g) >= min_crossing_distance:
+        if _crossings_too_close(g, sorted_crossings(g), min_crossing_distance) is None:
             return g
     raise Exhausted(
         f"no drawing with min crossing distance {min_crossing_distance} found "

@@ -18,7 +18,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError
@@ -61,12 +61,30 @@ class GeometricGraph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+    @cached_property
+    def _crossings(self) -> frozenset["Crossing"]:
+        # Memoized on the instance, so it lives exactly as long as the graph.
+        out = set()
+        es = self.sorted_edges
+        pts = self.points
+        for i in range(len(es)):
+            u1, v1 = es[i]
+            for j in range(i + 1, len(es)):
+                u2, v2 = es[j]
+                if u2 in (u1, v1) or v2 in (u1, v1):
+                    continue
+                if segments_cross(pts[u1], pts[v1], pts[u2], pts[v2]):
+                    out.add(Crossing(es[i], es[j]))
+        return frozenset(out)
+
+
+def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
+    """Neighbour sets of vertices 0..n-1 under an undirected edge list."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 @dataclass(frozen=True, order=True)
@@ -89,21 +107,9 @@ class Crossing:
         return (self.e1, self.e2)
 
 
-@lru_cache(maxsize=None)
 def crossings_of(G: GeometricGraph) -> frozenset[Crossing]:
-    """All properly crossing disjoint edge pairs of the drawing."""
-    out = set()
-    es = G.sorted_edges
-    pts = G.points
-    for i in range(len(es)):
-        u1, v1 = es[i]
-        for j in range(i + 1, len(es)):
-            u2, v2 = es[j]
-            if u2 in (u1, v1) or v2 in (u1, v1):
-                continue
-            if segments_cross(pts[u1], pts[v1], pts[u2], pts[v2]):
-                out.add(Crossing(es[i], es[j]))
-    return frozenset(out)
+    """All properly crossing disjoint edge pairs of the drawing, computed once per graph."""
+    return G._crossings
 
 
 def sorted_crossings(G: GeometricGraph) -> list[Crossing]:
@@ -124,7 +130,7 @@ def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | fl
     dst = c2.vertices
     if src & dst:
         return 0
-    adj = G.adjacency()
+    adj = _adj_lists(G.n, G.edges)
     dist = {v: 0 for v in src}
     queue = deque(src)
     while queue:
@@ -150,6 +156,29 @@ def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:
                 if best == 0:
                     return 0
     return best
+
+
+def _crossings_too_close(G: GeometricGraph, crossings: list[Crossing], minimum: int) -> str | None:
+    """Why `crossings` are not pairwise at graph distance >= minimum (0..2), or None.
+
+    Linear, where min_pairwise_crossing_distance runs a BFS per pair:
+    distance >= 1 is vertex-disjointness, and distance >= 2 also forbids an
+    edge between two different crossings.
+    """
+    if minimum < 1:
+        return None
+    seen: dict[int, int] = {}
+    for idx, cr in enumerate(crossings):
+        for v in cr.vertices:
+            if v in seen and seen[v] != idx:
+                return f"crossings {crossings[seen[v]]} and {cr} share vertex {v}"
+            seen[v] = idx
+    if minimum >= 2:
+        for u, v in G.edges:
+            iu, iv = seen.get(u), seen.get(v)
+            if iu is not None and iv is not None and iu != iv:
+                return f"edge ({u},{v}) joins two different crossings (distance 1)"
+    return None
 
 
 CrossingPair = tuple[Edge, Edge]
@@ -252,10 +281,7 @@ def _refine_partition(n: int, adj: list[set[int]], incid: list[list[tuple[int, t
 
 
 def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[CrossingPair]) -> bytes:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in adjacency:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adj_lists(n, adjacency)
     incid: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(n)]
     for (a, b), (c, d) in crossings:
         incid[a].append((b, (c, d)))

@@ -1,23 +1,38 @@
 """Homomorphism verifiers and exact solvers for chi, X and X'.
 
 Vertex maps are verified, never trusted: every solver result can be replayed
-through the verifiers here. The chromatic solver is exact branch-and-bound
-(DSATUR ordering, greedy-clique lower bound, first-fresh-color symmetry
-breaking), which is plenty for the instance sizes this package targets.
+through the verifiers here.
+
+Every exact search in the package runs on one depth-first core, `_backtrack`:
+it maps vertices into 0..k-1 one at a time, in an order the caller picks, and
+a check built by `_fits` rejects a value that breaks the caller's edge rule
+or, once a crossing's four ends are mapped, its crossing rule. The callers:
+
+  chromatic_number        DSATUR order, a greedy clique precolored, the ends
+                          of an edge differ, first-fresh-color symmetry
+                          breaking; X' is chi of the graph plus the six
+                          vertex pairs of every crossing
+  find_geometric_hom      decreasing crossing degree; an edge lands on a
+                          target edge, a crossing on a target crossing, and
+                          pairs the obstruction rules force apart differ
+  find_noncollapsing_hom  (lifts.py) decreasing degree plus crossing degree;
+                          the ends of an edge differ, no crossing lands on a
+                          single color pair, symmetry breaking as for chi
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
-from .catalog import CatalogStore, CliqueCatalog
+from .catalog import MAX_CATALOG_N, CatalogStore, CliqueCatalog
 from .graphs import (
     CrossingStructure,
     Edge,
     GeometricGraph,
+    _adj_lists,
     crossings_of,
-    sorted_crossings,
 )
 
 
@@ -129,15 +144,70 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
     return True
 
 
+# --- the search core --------------------------------------------------------
+
+
+def _crossings_at(G: GeometricGraph) -> list[list[tuple[Edge, Edge]]]:
+    """For each vertex, the edge pairs of the crossings it lies on."""
+    at: list[list[tuple[Edge, Edge]]] = [[] for _ in range(G.n)]
+    for c in crossings_of(G):
+        for v in c.vertices:
+            at[v].append(c.edges())
+    return at
+
+
+def _fits(images: list[int], adj: Sequence[set[int]], crossings_at: Sequence[Sequence[tuple[Edge, Edge]]],
+          edge_ok: Callable[[int, int], bool], cross_ok: Callable[..., bool] | None) -> Callable[[int], bool]:
+    """The fits(v) check of _backtrack for an edge rule and a crossing rule.
+
+    Each mapped neighbour w of v must pass edge_ok(images[v], images[w]); each
+    crossing ab x cd at v whose four ends are mapped must pass
+    cross_ok(images[a], images[b], images[c], images[d]).
+    """
+
+    def fits(v: int) -> bool:
+        t = images[v]
+        for w in adj[v]:
+            s = images[w]
+            if s >= 0 and not edge_ok(t, s):
+                return False
+        for (a, b), (c, d) in crossings_at[v]:
+            quad = images[a], images[b], images[c], images[d]
+            if -1 not in quad and not cross_ok(*quad):
+                return False
+        return True
+
+    return fits
+
+
+def _backtrack(images: list[int], k: int, pick: Callable[[int], int], fits: Callable[[int], bool],
+               symmetric: bool) -> bool:
+    """Fill every -1 entry of images with a value in 0..k-1 so that fits accepts each.
+
+    pick(depth) names the vertex to map at that depth of the search; fits(v)
+    judges the value just written to images[v] against the vertices already
+    mapped. With `symmetric` the values are interchangeable, so a vertex tries
+    at most one value that no vertex holds yet (the values preset in images
+    must then be 0..m-1). Returns True with images filled, or False with
+    images as given.
+    """
+    todo = images.count(-1)
+
+    def extend(depth: int, used: int) -> bool:
+        if depth == todo:
+            return True
+        v = pick(depth)
+        for t in range(min(k, used + 1) if symmetric else k):
+            images[v] = t
+            if fits(v) and extend(depth + 1, max(used, t + 1)):
+                return True
+        images[v] = -1
+        return False
+
+    return extend(0, max(images, default=-1) + 1)
+
+
 # --- exact chromatic number -------------------------------------------------
-
-
-def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
 
 
 def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
@@ -168,43 +238,6 @@ def _dsatur_greedy(adj: Sequence[set[int]]) -> list[int]:
     return colors
 
 
-def _exact_k_coloring(adj: Sequence[set[int]], k: int, clique: Sequence[int]) -> list[int] | None:
-    """Backtracking k-colorability with the clique precolored 1..len(clique)."""
-    n = len(adj)
-    if len(clique) > k:
-        return None
-    colors = [0] * n
-    for i, v in enumerate(clique):
-        colors[v] = i + 1
-
-    def pick() -> int:
-        best, best_key = -1, None
-        for v in range(n):
-            if colors[v]:
-                continue
-            sat = len({colors[w] for w in adj[v] if colors[w]})
-            key = (-sat, -len(adj[v]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
-
-    def bt(used: int) -> bool:
-        v = pick()
-        if v < 0:
-            return True
-        forbidden = {colors[w] for w in adj[v]}
-        for c in range(1, min(k, used + 1) + 1):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            if bt(max(used, c)):
-                return True
-            colors[v] = 0
-        return False
-
-    return colors if bt(len(clique)) else None
-
-
 def chromatic_number(G) -> tuple[int, Coloring]:
     """Exact chi with a proper witness coloring using exactly chi colors."""
     n, edges = _as_abstract(G)
@@ -216,10 +249,21 @@ def chromatic_number(G) -> tuple[int, Coloring]:
     clique = _greedy_clique(adj)
     greedy = _dsatur_greedy(adj)
     ub = max(greedy)
+    images = [-1] * n
+
+    def pick(depth: int) -> int:
+        return min(
+            (v for v in range(n) if images[v] < 0),
+            key=lambda v: (-len({images[w] for w in adj[v] if images[w] >= 0}), -len(adj[v]), v),
+        )
+
+    fits = _fits(images, adj, [()] * n, operator.ne, None)
     for k in range(len(clique), ub):
-        col = _exact_k_coloring(adj, k, clique)
-        if col is not None:
-            return k, Coloring(tuple(col), k)
+        images[:] = [-1] * n
+        for i, v in enumerate(clique):
+            images[v] = i
+        if _backtrack(images, k, pick, fits, symmetric=True):
+            return k, Coloring(tuple(c + 1 for c in images), k)
     return ub, Coloring(tuple(greedy), ub)
 
 
@@ -229,77 +273,34 @@ def chromatic_number(G) -> tuple[int, Coloring]:
 def find_geometric_hom(G: GeometricGraph, target) -> VertexMap | None:
     """First verified geometric homomorphism G -> target, or None.
 
-    Backtracks over source vertices in decreasing crossing-degree order.
-    Prunes on adjacency, on every fully-mapped crossing, and on pairs that
-    the obstruction rules force to stay distinct.
+    Searches source vertices in decreasing crossing-degree order. Every edge
+    must land on a target edge, every crossing on a target crossing, and the
+    pairs that the obstruction rules force apart on distinct vertices.
     """
     from .obstructions import non_identifiable_pairs  # cycle-breaking import
 
     t_n, t_adj = _as_abstract(target)
     t_cross = _crossing_pairs(target)
     n = G.n
-    adj = _adj_lists(n, G.edges)
-    crossings = sorted_crossings(G)
-    forced = non_identifiable_pairs(G).forced_pairs
-
-    cross_deg = [0] * n
-    per_vertex: list[list[int]] = [[] for _ in range(n)]
-    for idx, c in enumerate(crossings):
-        for v in c.vertices:
-            cross_deg[v] += 1
-            per_vertex[v].append(idx)
-
-    order = sorted(range(n), key=lambda v: (-cross_deg[v], v))
-    rank = {v: i for i, v in enumerate(order)}
+    crossings_at = _crossings_at(G)
+    apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # edge_ok covers edges
+    order = sorted(range(n), key=lambda v: (-len(crossings_at[v]), v))
     images = [-1] * n
 
-    cross_quads = [tuple(c.vertices) for c in crossings]
-    cross_edges = [(c.e1, c.e2) for c in crossings]
+    def edge_ok(t: int, s: int) -> bool:
+        return ((t, s) if t < s else (s, t)) in t_adj
 
-    def consistent(v: int, t: int) -> bool:
-        for u in range(n):
-            tu = images[u]
-            if tu < 0 or u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in forced and tu == t:
-                return False
-            if v in adj[u]:
-                pair = (tu, t) if tu < t else (t, tu)
-                if tu == t or pair not in t_adj:
-                    return False
-        images[v] = t
-        try:
-            for idx in per_vertex[v]:
-                if any(images[w] < 0 for w in cross_quads[idx]):
-                    continue
-                e1, e2 = cross_edges[idx]
-                a, b = images[e1[0]], images[e1[1]]
-                c, d = images[e2[0]], images[e2[1]]
-                if len({a, b, c, d}) != 4:
-                    return False
-                f1 = (a, b) if a < b else (b, a)
-                f2 = (c, d) if c < d else (d, c)
-                pair = (f1, f2) if f1 < f2 else (f2, f1)
-                if pair not in t_cross:
-                    return False
-            return True
-        finally:
-            images[v] = -1
+    def cross_ok(a: int, b: int, c: int, d: int) -> bool:
+        f1 = (a, b) if a < b else (b, a)
+        f2 = (c, d) if c < d else (d, c)
+        return ((f1, f2) if f1 < f2 else (f2, f1)) in t_cross
 
-    def bt(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for t in range(t_n):
-            if consistent(v, t):
-                images[v] = t
-                if bt(i + 1):
-                    return True
-                images[v] = -1
-        return False
+    maps_graph = _fits(images, _adj_lists(n, G.edges), crossings_at, edge_ok, cross_ok)
 
-    if bt(0):
+    def fits(v: int) -> bool:
+        return images[v] not in map(images.__getitem__, apart[v]) and maps_graph(v)
+
+    if _backtrack(images, t_n, order.__getitem__, fits, symmetric=False):
         vm = VertexMap(tuple(images), t_n)
         assert is_geometric_hom(G, target, vm)
         return vm
@@ -315,7 +316,7 @@ class XResult:
     witness: VertexMap
 
 
-def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = 7) -> XResult | None:
+def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = MAX_CATALOG_N) -> XResult | None:
     """Smallest n <= max_n with a geometric homomorphism into some K_n structure.
 
     Returns None (unresolved) when no cataloged target up to max_n admits one;
@@ -324,8 +325,8 @@ def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = 
     """
     from .obstructions import geochromatic_lower_bound  # cycle-breaking import
 
-    if not 1 <= max_n <= 7:
-        raise ValueError(f"max_n must be in 1..7, got {max_n}")
+    if not 1 <= max_n <= MAX_CATALOG_N:
+        raise ValueError(f"max_n must be in 1..{MAX_CATALOG_N}, got {max_n}")
     low = max(1, geochromatic_lower_bound(G))
     for n in range(low, max_n + 1):
         cat: CliqueCatalog = catalogs.get(n)

@@ -18,6 +18,7 @@ bug in this module, not a property of the input, and raises loudly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .catalog import convex_clique
@@ -31,8 +32,8 @@ from .errors import (
     SharedEndpoint,
 )
 from .geometry import convex_crossing_rule
-from .graphs import Crossing, GeometricGraph, sorted_crossings
-from .homomorphism import Coloring, VertexMap, is_geometric_hom, is_proper
+from .graphs import Crossing, GeometricGraph, _adj_lists, _crossings_too_close, sorted_crossings
+from .homomorphism import Coloring, VertexMap, _backtrack, _crossings_at, _fits, is_geometric_hom, is_proper
 
 Mod = tuple[int, int]  # (vertex id, new hull label)
 
@@ -171,10 +172,10 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
 
     crossings = sorted(sorted_crossings(G), key=lambda c: (min(c.vertices), c))
 
-    if method == "dist2":
-        _require_min_distance(G, crossings, 2, DistanceTooSmall)
-    else:
-        _require_min_distance(G, crossings, 1, CrossingsNotIndependent)
+    minimum, exc = (2, DistanceTooSmall) if method == "dist2" else (1, CrossingsNotIndependent)
+    reason = _crossings_too_close(G, crossings, minimum)
+    if reason is not None:
+        raise exc(reason)
     if method == "indep2n":
         for cr in crossings:
             lab_pairs = [
@@ -222,22 +223,6 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
     )
 
 
-def _require_min_distance(G, crossings, minimum, exc) -> None:
-    # Pairwise BFS is overkill here: distance >= 1 is vertex-disjointness and
-    # distance >= 2 additionally forbids edges between different crossings.
-    seen: dict[int, int] = {}
-    for idx, cr in enumerate(crossings):
-        for v in cr.vertices:
-            if v in seen and seen[v] != idx:
-                raise exc(f"crossings {crossings[seen[v]]} and {cr} share vertex {v}")
-            seen[v] = idx
-    if minimum >= 2:
-        for u, v in G.edges:
-            iu, iv = seen.get(u), seen.get(v)
-            if iu is not None and iv is not None and iu != iv:
-                raise exc(f"edge ({u},{v}) joins two different crossings (distance 1)")
-
-
 def lift_dist2(G: GeometricGraph, alpha: Coloring) -> LiftReport:
     """Crossings pairwise at distance >= 2: beta into convex K_{n+2}.
 
@@ -277,43 +262,11 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
     """
     if n < 1:
         return None
-    verts = G.n
-    adj = [set() for _ in range(verts)]
-    for u, v in G.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    crossings = sorted_crossings(G)
-    per_vertex: list[list[int]] = [[] for _ in range(verts)]
-    for idx, c in enumerate(crossings):
-        for v in c.vertices:
-            per_vertex[v].append(idx)
-
-    order = sorted(range(verts), key=lambda v: (-(len(adj[v]) + len(per_vertex[v])), v))
-    colors = [0] * verts
-
-    def crossing_ok(idx: int) -> bool:
-        c = crossings[idx]
-        quad = c.vertices
-        if any(colors[v] == 0 for v in quad):
-            return True
-        pair1 = frozenset((colors[c.e1[0]], colors[c.e1[1]]))
-        pair2 = frozenset((colors[c.e2[0]], colors[c.e2[1]]))
-        return pair1 != pair2
-
-    def bt(i: int, used: int) -> bool:
-        if i == verts:
-            return True
-        v = order[i]
-        forbidden = {colors[w] for w in adj[v]}
-        for c in range(1, min(n, used + 1) + 1):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            if all(crossing_ok(idx) for idx in per_vertex[v]) and bt(i + 1, max(used, c)):
-                return True
-            colors[v] = 0
-        return False
-
-    if bt(0, 0):
-        return Coloring(tuple(colors), n)
+    adj = _adj_lists(G.n, G.edges)
+    crossings_at = _crossings_at(G)
+    order = sorted(range(G.n), key=lambda v: (-(len(adj[v]) + len(crossings_at[v])), v))
+    images = [-1] * G.n
+    fits = _fits(images, adj, crossings_at, operator.ne, lambda a, b, c, d: {a, b} != {c, d})
+    if _backtrack(images, n, order.__getitem__, fits, symmetric=True):
+        return Coloring(tuple(c + 1 for c in images), n)
     return None

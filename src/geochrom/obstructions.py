@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .graphs import Edge, GeometricGraph, crossings_of
+from .graphs import Edge, GeometricGraph, _adj_lists, crossings_of
 from .homomorphism import chromatic_number
 
 
@@ -103,7 +103,7 @@ def non_identifiable_pairs(G: GeometricGraph, path_cap: int = 7) -> Distinctness
         for pair in _odd_path_endpoints(frozenset(crossed), path_cap):
             add(pair, "C")
 
-    adj = G.adjacency()
+    adj = _adj_lists(G.n, G.edges)
     for w in range(G.n):
         for u, v in combinations(sorted(adj[w]), 2):
             q = crossed_by.get((min(u, w), max(u, w)), set()) | crossed_by.get(

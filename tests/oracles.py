@@ -130,3 +130,16 @@ def brute_force_chromatic(n: int, edges, kmax: int = 9) -> int:
         if colorable(k):
             return k
     raise AssertionError(f"no coloring with <= {kmax} colors")
+
+
+def brute_force_noncollapsing_exists(n: int, edges, crossings, colors: int) -> bool:
+    """Is some map V -> {1..colors} proper with no crossing on one color pair?
+
+    Scans all colors**n maps; meant for n <= 7.
+    """
+    for col in itertools.product(range(1, colors + 1), repeat=n):
+        if any(col[u] == col[v] for u, v in edges):
+            continue
+        if all({col[a], col[b]} != {col[c], col[d]} for (a, b), (c, d) in crossings):
+            return True
+    return False

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import random
+import weakref
 
 import pytest
 
@@ -7,16 +10,20 @@ from geochrom import (
     Crossing,
     GeometricGraph,
     GraphFormatError,
+    Point,
     convex_clique,
     crossing_distance,
     crossing_structure,
     crossings_of,
     dump_graph,
     figure_graphs,
+    is_general_position,
     load_graph,
     min_pairwise_crossing_distance,
+    random_geometric_graph,
     sorted_crossings,
 )
+from geochrom.graphs import _crossings_too_close
 from oracles import crossing_pairs_raw, graph_distance
 
 
@@ -100,6 +107,42 @@ def test_crossing_distance_infinite_across_components():
 
 def test_min_distance_single_crossing_is_infinite():
     assert min_pairwise_crossing_distance(convex_clique(4)) == math.inf
+
+
+def two_crossings(seed, length, extra):
+    """Two X crossings joined by a path of `length` edges, plus `extra` random edges."""
+    rng = random.Random(seed)
+    while True:
+        pts = []
+        for cx in (0, 1000):
+            pts += [(cx + rng.randint(-9, 0), rng.randint(-9, 0)), (cx + rng.randint(40, 49), rng.randint(40, 49)),
+                    (cx + rng.randint(-9, 0), rng.randint(40, 49)), (cx + rng.randint(40, 49), rng.randint(-9, 0))]
+        pts += [(rng.randint(100, 900), rng.randint(200, 900)) for _ in range(max(length - 1, 0))]
+        path = [1, *range(8, len(pts)), 6] if length else []
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7), *zip(path, path[1:])]
+        edges += [tuple(rng.sample(range(len(pts)), 2)) for _ in range(extra)]
+        if is_general_position([Point(*q) for q in pts]):
+            return GeometricGraph.build(pts, edges)
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_linear_distance_rule_matches_pairwise_bfs(seed):
+    if seed % 2:
+        g = two_crossings(seed, (seed // 2) % 4, (seed // 8) % 3)
+    else:
+        g = random_geometric_graph(5 + seed % 8, 0.3, seed=9000 + seed)
+    for k in (0, 1, 2):
+        far_enough = _crossings_too_close(g, sorted_crossings(g), k) is None
+        assert far_enough == (min_pairwise_crossing_distance(g) >= k)
+
+
+def test_crossings_memo_does_not_keep_graph_alive():
+    g = x_gadget(shift=12345)
+    assert len(crossings_of(g)) == 1
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_crossing_distance_rejects_foreign_crossing():

@@ -15,12 +15,14 @@ from geochrom import (
     figure_graphs,
     find_noncollapsing_hom,
     is_geometric_hom,
+    is_proper,
     lift_dist2,
     lift_independent,
     lift_independent_noncollapsing,
     lift_small_chi,
     random_geometric_graph,
 )
+from oracles import brute_force_chromatic, brute_force_noncollapsing_exists
 
 
 def x_gadget():
@@ -199,6 +201,21 @@ def test_find_noncollapsing_hom_figure3_right():
     rep = lift_independent_noncollapsing(g, witness)
     assert rep.target_size == 6
     assert_report_ok(g, rep)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_find_noncollapsing_hom_matches_exhaustive_oracle(seed):
+    v = 4 + seed % 4
+    g = random_geometric_graph(v, 0.3 + 0.1 * (seed % 5), seed=7000 + seed)
+    crossings = [c.edges() for c in crossings_of(g)]
+    chi = brute_force_chromatic(g.n, g.edges)
+    for n in (chi, chi + 1):
+        found = find_noncollapsing_hom(g, n)
+        assert (found is not None) == brute_force_noncollapsing_exists(g.n, g.edges, crossings, n)
+        if found is not None:
+            assert found.n == n and is_proper(g, found)
+            assert all({found.colors[a], found.colors[b]} != {found.colors[c], found.colors[d]}
+                       for (a, b), (c, d) in crossings)
 
 
 def test_find_noncollapsing_hom_trivial_bipartite():

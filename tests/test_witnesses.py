@@ -1,0 +1,124 @@
+"""Solver witnesses pinned to the values the package has always returned.
+
+The CLI prints these colorings and maps, so a change to any search order,
+value order or tie-break shows here even when the answers stay correct.
+Each entry: chi coloring, X' coloring, (X, target canonical hex, X map),
+and find_noncollapsing_hom for chi and chi + 1 colors.
+"""
+
+import pytest
+
+from geochrom import (
+    FIGURE_TAGS,
+    chromatic_number,
+    figure_graphs,
+    find_noncollapsing_hom,
+    geochromatic_number,
+    pseudo_geochromatic_number,
+    star_crossing,
+)
+
+CONVEX_K4 = "0004000600010002000300060007000b00010000001b"
+CONVEX_K6 = (
+    "0006000f0001000200030004000500080009000a000b000f0010001100160017001d000f"
+    "00000033000000340000003500000076000000770000007c0000007d0000009b000000a1"
+    "000000a7000001770000017f0000019b0000019c00000257"
+)
+FIGURE1_LEFT_K6 = (
+    "0006000f0001000200030004000500080009000a000b000f0010001100160017001d000a"
+    "000000330000005200000077000000a1000000ca00000177000001790000019b000001a2"
+    "0000027a"
+)
+
+PINNED = {
+    "figure1_left": (
+        (1, 2, 3, 4, 5, 6),
+        (1, 2, 3, 4, 5, 6),
+        (6, FIGURE1_LEFT_K6, (3, 0, 1, 2, 5, 4)),
+        ((6, 1, 2, 3, 4, 5), (6, 1, 2, 3, 4, 5)),
+    ),
+    "figure1_right": (
+        (1, 2, 3, 4, 5, 6),
+        (1, 2, 3, 4, 5, 6),
+        (6, CONVEX_K6, (0, 1, 3, 5, 4, 2)),
+        ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)),
+    ),
+    "figure2_left": (
+        (1, 2, 3, 2, 2, 1),
+        (1, 2, 3, 5, 5, 4),
+        (6, CONVEX_K6, (1, 2, 5, 3, 4, 0)),
+        ((2, 3, 1, 3, 2, 1), (1, 2, 3, 4, 3, 1)),
+    ),
+    "figure2_right": (
+        (2, 1, 2, 1, 1, 2),
+        (4, 3, 4, 3, 1, 2),
+        (4, CONVEX_K4, (2, 1, 2, 1, 0, 3)),
+        (None, (2, 1, 2, 1, 1, 3)),
+    ),
+    "figure3_left": (
+        (2, 1, 2, 1, 2, 1, 1, 2, 2),
+        (2, 3, 4, 1, 2, 1, 2, 3, 4),
+        (4, CONVEX_K4, (0, 1, 2, 3, 1, 0, 1, 2, 3)),
+        (None, (2, 1, 3, 1, 2, 1, 1, 2, 3)),
+    ),
+    "figure3_right": (
+        (2, 1, 1, 1, 2, 1, 2, 2),
+        (2, 3, 1, 3, 4, 1, 2, 4),
+        (4, CONVEX_K4, (0, 1, 0, 1, 2, 3, 2, 3)),
+        (None, (2, 1, 1, 1, 3, 1, 2, 3)),
+    ),
+    "figure6": (
+        (1, 2, 3, 2, 2, 1),
+        (1, 2, 3, 5, 5, 4),
+        (6, CONVEX_K6, (1, 2, 5, 3, 4, 0)),
+        ((2, 3, 1, 3, 2, 1), (1, 2, 3, 4, 3, 1)),
+    ),
+    "star2": (
+        (1, 2, 2, 1, 2),
+        (1, 4, 4, 2, 3),
+        (4, CONVEX_K4, (0, 3, 3, 1, 2)),
+        (None, (1, 3, 3, 1, 2)),
+    ),
+    "star3": (
+        (1, 2, 2, 2, 1, 2),
+        (1, 4, 4, 4, 2, 3),
+        (4, CONVEX_K4, (0, 3, 3, 3, 1, 2)),
+        (None, (1, 3, 3, 3, 1, 2)),
+    ),
+    "star4": (
+        (1, 2, 2, 2, 2, 1, 2),
+        (1, 4, 4, 4, 4, 2, 3),
+        (4, CONVEX_K4, (0, 3, 3, 3, 3, 1, 2)),
+        (None, (1, 3, 3, 3, 3, 1, 2)),
+    ),
+    "star5": (
+        (1, 2, 2, 2, 2, 2, 1, 2),
+        (1, 4, 4, 4, 4, 4, 2, 3),
+        (4, CONVEX_K4, (0, 3, 3, 3, 3, 3, 1, 2)),
+        (None, (1, 3, 3, 3, 3, 3, 1, 2)),
+    ),
+}
+
+
+def drawing(name):
+    if name.startswith("star"):
+        return star_crossing(int(name[len("star"):]))[0]
+    return figure_graphs(name)
+
+
+def test_pinned_cases_cover_figures_and_stars():
+    assert set(PINNED) == set(FIGURE_TAGS) | {f"star{k}" for k in range(2, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_witnesses_are_pinned(name, store):
+    col, pcol, (x, target_hex, x_map), noncollapsing = PINNED[name]
+    g = drawing(name)
+    chi, coloring = chromatic_number(g)
+    assert (chi, coloring.colors) == (max(col), col)
+    px, pseudo = pseudo_geochromatic_number(g)
+    assert (px, pseudo.colors) == (max(pcol), pcol)
+    result = geochromatic_number(g, store, max_n=6)
+    assert (result.n, result.target.hex, result.witness.images) == (x, target_hex, x_map)
+    found = tuple(find_noncollapsing_hom(g, k) for k in (chi, chi + 1))
+    assert tuple(None if c is None else c.colors for c in found) == noncollapsing
