@@ -1,12 +1,25 @@
 """Catalogs of crossing structures realizable by geometric n-cliques.
 
 The geochromatic number quantifies over *some* geometric clique, so solvers
-need the collection of all crossing structures a straight-line K_n can have.
-These are enumerated exhaustively over n-point subsets of growing integer
-grids (translation-normalized; reflections collapse later via canonical
-forms), deduplicated by canonical form, until two consecutive grid sizes
-produce the same structure count. That is a convergence heuristic, not a
-completeness proof; the acceptance suite cross-checks with random sampling.
+need every crossing structure a straight-line K_n can have. Disjoint edges ab
+and cd cross exactly when c, d lie on opposite sides of line ab and a, b on
+opposite sides of line cd, so the crossings of K_n on a point set are fixed by
+its order type (the orientation of every point triple). A catalog is therefore
+complete once it holds a K_n on every order type of n points in general
+position.
+
+Order types are enumerated by point-set extension (Aichholzer, Aurenhammer
+and Krasser, "Enumerating order types for small point sets with
+applications", Order 19, 2002): starting from one triangle, one realization
+of every order type of n-1 points receives a new point in each face of the
+arrangement of the lines through two of its points, and the results are
+deduplicated by canonical order type. The number of distinct order types
+reached is then compared with the published totals (1, 2, 3, 16 and 135 for
+n = 3..7, a set and its mirror image counted once). Every type reached is
+realized and distinct from the others, so equal counts mean every order
+type, and hence every crossing structure, is in the catalog; completeness
+rests on that count, not on the extension alone. A different count raises
+instead of returning a partial catalog.
 """
 
 from __future__ import annotations
@@ -14,12 +27,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cmp_to_key, lru_cache
+from math import lcm
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import CatalogMissing, GraphFormatError, SizeUnsupported
-from .geometry import Point, regular_polygon_points
+from .geometry import Point, cross_sign, regular_polygon_points
 from .graphs import (
     CrossingStructure,
     GeometricGraph,
@@ -29,6 +44,12 @@ from .graphs import (
 )
 
 MAX_CATALOG_N = 7
+
+# Order types of n points in general position, a set and its mirror image
+# counted once (Aichholzer, Aurenhammer and Krasser 2002).
+_ORDER_TYPE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 16, 7: 135}
+
+_ORIGIN = Point(0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -48,175 +69,111 @@ class CatalogEntry:
 class CliqueCatalog:
     n: int
     entries: tuple[CatalogEntry, ...]
-    grid_bound: int
-    converged: bool
 
     def canonical_forms(self) -> frozenset[bytes]:
         return frozenset(e.structure.canonical_form for e in self.entries)
 
 
-# --- grid machinery ---------------------------------------------------------
+# --- order types ------------------------------------------------------------
 
 
-def _edge_pairs(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, int]]]:
-    edges = list(itertools.combinations(range(n), 2))
-    pairs = []
-    for (i, j), (k, l) in itertools.combinations(edges, 2):
-        if len({i, j, k, l}) == 4:
-            pairs.append((i, j, k, l))
-    return edges, pairs
+def _order_type(pts: Sequence[Point]) -> tuple[int, ...]:
+    """Canonical order type: the least chirotope over hull starts and mirror images.
 
-
-@lru_cache(maxsize=8)
-def _grid_tables(g: int) -> tuple[list[int], set[int], set[int]]:
-    """Per-grid lookup tables: y coordinate, collinear triples, crossing pairs.
-
-    Point index is x*g + y (so ascending index means ascending x). Triples are
-    coded (a*g2 + b)*g2 + c with a < b < c; segment pairs are coded
-    ((a*g2 + b)*g2 + c)*g2 + d with a < b, c < d, (a,b) < (c,d).
+    Seen from a hull vertex p the other points lie in a half-plane, so their
+    orientations about p sort them by angle; sign s = -1 reads the mirror
+    image. The chirotope lists s times the orientation of every triple in the
+    resulting labelling, so the minimum depends on the order type alone.
     """
-    g2 = g * g
-    px = [i // g for i in range(g2)]
-    py = [i % g for i in range(g2)]
-    collinear: set[int] = set()
-    for a, b, c in itertools.combinations(range(g2), 3):
-        if (px[b] - px[a]) * (py[c] - py[a]) == (py[b] - py[a]) * (px[c] - px[a]):
-            collinear.add((a * g2 + b) * g2 + c)
-    crossing: set[int] = set()
-    segs = list(itertools.combinations(range(g2), 2))
-    for s in range(len(segs)):
-        a, b = segs[s]
-        ax, ay = px[a], py[a]
-        bx, by = px[b], py[b]
-        abx, aby = bx - ax, by - ay
-        for t in range(s + 1, len(segs)):
-            c, d = segs[t]
-            if c == a or c == b or d == a or d == b:
-                continue
-            cx, cy = px[c], py[c]
-            dx, dy = px[d], py[d]
-            d1 = abx * (cy - ay) - aby * (cx - ax)
-            d2 = abx * (dy - ay) - aby * (dx - ax)
-            if d1 * d2 >= 0:
-                continue
-            cdx, cdy = dx - cx, dy - cy
-            d3 = cdx * (ay - cy) - cdy * (ax - cx)
-            d4 = cdx * (by - cy) - cdy * (bx - cx)
-            if d3 * d4 < 0:
-                crossing.add(((a * g2 + b) * g2 + c) * g2 + d)
-    return py, collinear, crossing
+    best = None
+    for p in pts:
+        rest = [q for q in pts if q != p]
+        if any(cross_sign(a, b, p) == cross_sign(b, c, p) == cross_sign(c, a, p)
+               for a, b, c in itertools.combinations(rest, 3)):
+            continue  # p lies inside a triangle of the others
+        for s in (1, -1):
+            order = [p, *sorted(rest, key=cmp_to_key(lambda a, b: -s * cross_sign(p, a, b)))]
+            chirotope = tuple(s * cross_sign(a, b, c) for a, b, c in itertools.combinations(order, 3))
+            if best is None or chirotope < best:
+                best = chirotope
+    return best
 
 
-def _scan_grid(n: int, g: int, shell_only: bool, consume) -> None:
-    """Feed (crossing mask, point tuple) for each general-position subset.
+def _by_angle(r: Point, q: Point) -> int:
+    """Order directions by their angle from the positive x axis, in [0, 2 pi)."""
+    return ((q.y, q.x) > (0, 0)) - ((r.y, r.x) > (0, 0)) or -cross_sign(_ORIGIN, r, q)
 
-    Only translation-normalized subsets (min x = min y = 0) are visited.
-    With shell_only, subsets that fit the (g-1)-grid are skipped; unioning
-    shells over growing g therefore covers every normalized subset once.
+
+def _face_points(pts: Sequence[Point]) -> list[tuple[Fraction, Fraction]]:
+    """A point inside every face of the arrangement of the lines through two of pts.
+
+    Every face has an arrangement vertex v on its boundary, and near v it is
+    one wedge between consecutive lines through v. For each wedge, with
+    bounding rays r1 and r2, v moves along r1 + r2 half-way to the first
+    other line in that direction.
     """
-    g2 = g * g
-    py, collinear, crossing = _grid_tables(g)
-    triples = list(itertools.combinations(range(n), 3))
-    _, pairs = _edge_pairs(n)
-    xmax_floor = g2 - g  # indices with x == g-1
-    getter = py.__getitem__
-    for sub in itertools.combinations(range(g2), n):
-        if sub[0] >= g:  # min x > 0
-            continue
-        yvals = list(map(getter, sub))
-        if min(yvals) != 0:
-            continue
-        if shell_only and sub[-1] < xmax_floor and max(yvals) < g - 1:
-            continue
-        ok = True
-        for a, b, c in triples:
-            if (sub[a] * g2 + sub[b]) * g2 + sub[c] in collinear:
-                ok = False
-                break
-        if not ok:
-            continue
-        mask = 0
-        bit = 1
-        for i, j, k, l in pairs:
-            if ((sub[i] * g2 + sub[j]) * g2 + sub[k]) * g2 + sub[l] in crossing:
-                mask |= bit
-            bit <<= 1
-        consume(mask, sub, g)
-    return None
-
-
-def _decode_mask(n: int, mask: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    _, pairs = _edge_pairs(n)
+    lines = [(a.y - b.y, b.x - a.x, a.x * b.y - a.y * b.x) for a, b in itertools.combinations(pts, 2)]
+    through: dict[tuple[Fraction, Fraction], set[int]] = {}
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
+        det = a1 * b2 - a2 * b1
+        if det:
+            v = (Fraction(b1 * c2 - b2 * c1, det), Fraction(a2 * c1 - a1 * c2, det))
+            through.setdefault(v, set()).update((i, j))
     out = []
-    bit = 1
-    for i, j, k, l in pairs:
-        if mask & bit:
-            out.append(((i, j), (k, l)))
-        bit <<= 1
+    for (vx, vy), on in through.items():
+        rays = sorted((r for a, b, _ in map(lines.__getitem__, on) for r in (Point(b, -a), Point(-b, a))),
+                      key=cmp_to_key(_by_angle))
+        for r1, r2 in zip(rays, rays[1:] + rays[:1]):
+            dx, dy = r1.x + r2.x, r1.y + r2.y
+            along = [(a * vx + b * vy + c, a * dx + b * dy) for a, b, c in lines]
+            t = min((-value / rate for value, rate in along if value * rate < 0), default=Fraction(2)) / 2
+            out.append((vx + t * dx, vy + t * dy))
     return out
 
 
-def _structure_from_mask(n: int, mask: int, canonical: bytes) -> CrossingStructure:
-    cs = CrossingStructure(n, itertools.combinations(range(n), 2), _decode_mask(n, mask))
-    object.__setattr__(cs, "_canonical", canonical)
-    return cs
+@lru_cache(maxsize=None)
+def _order_types(n: int) -> tuple[tuple[Point, ...], ...]:
+    """One integer point set per order type of n points, in canonical order.
+
+    Each type keeps the realization with the smallest coordinates that the
+    extension reached, so coordinates stay small level after level (8 bits
+    at n = 7). Raises RuntimeError unless the number of order types reached
+    is the published total for n.
+    """
+    if n == 3:
+        return ((Point(0, 0), Point(1, 0), Point(0, 1)),)
+    found: dict[tuple[int, ...], tuple[int, tuple[Point, ...]]] = {}
+    for pts in _order_types(n - 1):
+        for x, y in _face_points(pts):
+            scale = lcm(x.denominator, y.denominator)
+            ext = tuple(Point(p.x * scale, p.y * scale) for p in pts) + (Point(int(x * scale), int(y * scale)),)
+            candidate = (max(abs(c) for p in ext for c in (p.x, p.y)), ext)
+            key = _order_type(ext)
+            found[key] = min(found.get(key, candidate), candidate)
+    if len(found) != _ORDER_TYPE_COUNTS[n]:
+        raise RuntimeError(
+            f"point-set extension reached {len(found)} order types of {n} points, "
+            f"not the published {_ORDER_TYPE_COUNTS[n]}"
+        )
+    return tuple(found[key][1] for key in sorted(found))
 
 
-class _Collector:
-    """Dedupes subsets by canonical form, memoizing per labeled crossing mask."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.edges, _ = _edge_pairs(n)
-        self.mask_canon: dict[int, bytes] = {}
-        self.found: dict[bytes, tuple[int, tuple[tuple[int, int], ...]]] = {}
-
-    def __call__(self, mask: int, sub: tuple[int, ...], g: int) -> None:
-        canon = self.mask_canon.get(mask)
-        if canon is None:
-            canon = _structure_from_mask_canonical(self.n, mask)
-            self.mask_canon[mask] = canon
-        if canon not in self.found:
-            pts = tuple((i // g, i % g) for i in sub)
-            self.found[canon] = (mask, pts)
-
-
-def _structure_from_mask_canonical(n: int, mask: int) -> bytes:
-    cs = CrossingStructure(n, itertools.combinations(range(n), 2), _decode_mask(n, mask))
-    return cs.canonical_form
-
-
-def enumerate_clique_structures(n: int, grid_start: int = 3) -> CliqueCatalog:
+def enumerate_clique_structures(n: int) -> CliqueCatalog:
     """All crossing structures of straight-line K_n drawings, with witnesses.
 
-    Grows the grid until two consecutive sizes yield the same (nonzero)
-    structure count, then reports converged=True and the final grid size.
+    One K_n per order type of n points (see the module docstring for why that
+    is complete); the witness of a structure is the K_n on the first order
+    type, in canonical order, that realizes it.
     """
     if not 3 <= n <= MAX_CATALOG_N:
         raise SizeUnsupported(f"clique structure enumeration supports n in 3..{MAX_CATALOG_N}, got {n}")
-    if grid_start < 2:
-        grid_start = 2
-    collector = _Collector(n)
-    g = grid_start
-    prev_count: int | None = None
-    first = True
-    while True:
-        _scan_grid(n, g, shell_only=not first, consume=collector)
-        first = False
-        count = len(collector.found)
-        if prev_count is not None and count == prev_count and count > 0:
-            break
-        prev_count = count
-        g += 1
-    entries = []
-    for canon in sorted(collector.found):
-        mask, pts = collector.found[canon]
-        witness = GeometricGraph.build(
-            [Point(x, y) for x, y in pts], itertools.combinations(range(n), 2)
-        )
-        entries.append(CatalogEntry(_structure_from_mask(n, mask, canon), witness))
-    entries = _convex_first(n, entries)
-    return CliqueCatalog(n=n, entries=tuple(entries), grid_bound=g, converged=True)
+    found: dict[bytes, CatalogEntry] = {}
+    for pts in _order_types(n):
+        witness = GeometricGraph.build(pts, itertools.combinations(range(n), 2))
+        structure = crossing_structure(witness)
+        found.setdefault(structure.canonical_form, CatalogEntry(structure, witness))
+    return CliqueCatalog(n=n, entries=tuple(_convex_first(n, list(found.values()))))
 
 
 def _convex_first(n: int, entries: list[CatalogEntry]) -> list[CatalogEntry]:
@@ -226,21 +183,12 @@ def _convex_first(n: int, entries: list[CatalogEntry]) -> list[CatalogEntry]:
     return sorted(entries, key=lambda e: (e.structure.canonical_form != convex, e.structure.canonical_form))
 
 
-def structures_on_grid(n: int, g: int) -> frozenset[bytes]:
-    """Canonical forms realizable on one g x g grid (full scan, for testing)."""
-    collector = _Collector(n)
-    _scan_grid(n, g, shell_only=False, consume=collector)
-    return frozenset(collector.found)
-
-
 # --- persistence ------------------------------------------------------------
 
 
 def catalog_to_json_dict(cat: CliqueCatalog) -> dict:
     return {
         "n": cat.n,
-        "grid_bound": cat.grid_bound,
-        "converged": cat.converged,
         "entries": [
             {"witness": graph_to_json_dict(e.witness), "canonical": e.structure.hex}
             for e in cat.entries
@@ -251,8 +199,6 @@ def catalog_to_json_dict(cat: CliqueCatalog) -> dict:
 def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
     try:
         n = doc["n"]
-        grid_bound = doc["grid_bound"]
-        converged = doc["converged"]
         raw_entries = doc["entries"]
     except (TypeError, KeyError) as exc:
         raise GraphFormatError("catalog JSON missing required keys") from exc
@@ -266,7 +212,7 @@ def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
             )
         entries.append(CatalogEntry(structure, witness))
     entries = _convex_first(n, entries)
-    return CliqueCatalog(n=n, entries=tuple(entries), grid_bound=grid_bound, converged=converged)
+    return CliqueCatalog(n=n, entries=tuple(entries))
 
 
 def _trivial_catalog(n: int) -> CliqueCatalog:
@@ -274,12 +220,7 @@ def _trivial_catalog(n: int) -> CliqueCatalog:
         witness = GeometricGraph.build([(0, 0)], [])
     else:
         witness = GeometricGraph.build([(0, 0), (1, 0)], [(0, 1)])
-    return CliqueCatalog(
-        n=n,
-        entries=(CatalogEntry(crossing_structure(witness), witness),),
-        grid_bound=n,
-        converged=True,
-    )
+    return CliqueCatalog(n=n, entries=(CatalogEntry(crossing_structure(witness), witness),))
 
 
 class CatalogStore:
@@ -290,11 +231,9 @@ class CatalogStore:
     trivial single structures and never touch disk.
     """
 
-    def __init__(self, directory: str | Path | None = None, build_missing: bool = True,
-                 grid_start: int = 3):
+    def __init__(self, directory: str | Path | None = None, build_missing: bool = True):
         self.directory = Path(directory) if directory is not None else None
         self.build_missing = build_missing
-        self.grid_start = grid_start
         self._cache: dict[int, CliqueCatalog] = {}
 
     def path_for(self, n: int) -> Path | None:
@@ -316,7 +255,7 @@ class CatalogStore:
             if cat is None:
                 if not self.build_missing:
                     raise CatalogMissing(f"catalog for n={n} not found and building is disabled")
-                cat = enumerate_clique_structures(n, self.grid_start)
+                cat = enumerate_clique_structures(n)
                 self._persist(cat)
         self._cache[n] = cat
         return cat

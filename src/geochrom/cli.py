@@ -164,12 +164,11 @@ def _cmd_verify(args) -> int:
 def _cmd_bound(args) -> int:
     g = _load_graph(args.graph)
     dg = non_identifiable_pairs(g, path_cap=args.path_cap)
-    value, _ = chromatic_number((dg.n, dg.forced_pairs))
     pairs = [
         {"pair": list(p), "rules": sorted(dg.provenance[p])}
         for p in sorted(dg.forced_pairs)
     ]
-    _emit({"lower_bound": value, "pairs": pairs}, args.output)
+    _emit({"lower_bound": dg.lower_bound(), "pairs": pairs}, args.output)
     return 0
 
 
@@ -195,14 +194,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.out:
-        store = CatalogStore(args.out, grid_start=args.grid_start)
+        store = CatalogStore(args.out)
         cat = store.get(args.n)
-        path = store.path_for(args.n)
-        summary = {"n": cat.n, "entries": len(cat.entries), "grid_bound": cat.grid_bound,
-                   "converged": cat.converged, "path": str(path)}
+        summary = {"n": cat.n, "entries": len(cat.entries), "path": str(store.path_for(args.n))}
         print(json.dumps(summary, separators=(",", ":")))
     else:
-        cat = enumerate_clique_structures(args.n, grid_start=args.grid_start)
+        cat = enumerate_clique_structures(args.n)
         print(json.dumps(catalog_to_json_dict(cat), separators=(",", ":")))
     return 0
 
@@ -328,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="enumerate clique crossing structures")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None, help="directory to persist k<n>.catalog.json")
-    p.add_argument("--grid-start", type=int, default=3, dest="grid_start")
     p.set_defaults(fn=_cmd_catalog)
 
     p = with_output(sub.add_parser("render", help="draw the graph as SVG"))

@@ -279,11 +279,16 @@ def find_geometric_hom(G: GeometricGraph, target) -> VertexMap | None:
     """
     from .obstructions import non_identifiable_pairs  # cycle-breaking import
 
+    return _find_hom(G, target, non_identifiable_pairs(G).forced_pairs)
+
+
+def _find_hom(G: GeometricGraph, target, forced_pairs: frozenset[Edge]) -> VertexMap | None:
+    """find_geometric_hom with the forced pairs of G already computed."""
     t_n, t_adj = _as_abstract(target)
     t_cross = _crossing_pairs(target)
     n = G.n
     crossings_at = _crossings_at(G)
-    apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # edge_ok covers edges
+    apart = _adj_lists(n, forced_pairs - G.edges)  # edge_ok covers edges
     order = sorted(range(n), key=lambda v: (-len(crossings_at[v]), v))
     images = [-1] * n
 
@@ -322,16 +327,19 @@ def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = 
     Returns None (unresolved) when no cataloged target up to max_n admits one;
     never guesses. Search ascends n starting from the obstruction lower bound
     (sound: the bound never exceeds X), convex structure first within each n.
+    The forced pairs behind the bound are computed once and reused by every
+    search.
     """
-    from .obstructions import geochromatic_lower_bound  # cycle-breaking import
+    from .obstructions import non_identifiable_pairs  # cycle-breaking import
 
     if not 1 <= max_n <= MAX_CATALOG_N:
         raise ValueError(f"max_n must be in 1..{MAX_CATALOG_N}, got {max_n}")
-    low = max(1, geochromatic_lower_bound(G))
+    dg = non_identifiable_pairs(G)
+    low = max(1, dg.lower_bound())
     for n in range(low, max_n + 1):
         cat: CliqueCatalog = catalogs.get(n)
         for entry in cat.entries:
-            f = find_geometric_hom(G, entry.structure)
+            f = _find_hom(G, entry.structure, dg.forced_pairs)
             if f is not None:
                 return XResult(n=n, target=entry.structure, witness=f)
     return None

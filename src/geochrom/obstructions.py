@@ -34,6 +34,11 @@ class DistinctnessGraph:
     forced_pairs: frozenset[Edge]
     provenance: Mapping[Edge, frozenset[str]]
 
+    def lower_bound(self) -> int:
+        """Chromatic number of the forced-pair graph; always <= X(G-bar)."""
+        value, _ = chromatic_number((self.n, self.forced_pairs))
+        return value
+
 
 def _subgraph_has_odd_cycle(edges: set[Edge]) -> bool:
     adj: dict[int, list[int]] = {}
@@ -121,6 +126,4 @@ def non_identifiable_pairs(G: GeometricGraph, path_cap: int = 7) -> Distinctness
 
 def geochromatic_lower_bound(G: GeometricGraph, path_cap: int = 7) -> int:
     """Chromatic number of the forced-pair graph; always <= X(G-bar)."""
-    dg = non_identifiable_pairs(G, path_cap)
-    value, _ = chromatic_number((dg.n, dg.forced_pairs))
-    return value
+    return non_identifiable_pairs(G, path_cap).lower_bound()

@@ -143,3 +143,26 @@ def brute_force_noncollapsing_exists(n: int, edges, crossings, colors: int) -> b
         if all({col[a], col[b]} != {col[c], col[d]} for (a, b), (c, d) in crossings):
             return True
     return False
+
+
+def grid_structures(n: int, g: int) -> frozenset:
+    """Canonical forms of K_n on every general-position n-subset of the g x g grid.
+
+    A plain scan with `orient`: no lookup tables, no translation shells. The
+    package only canonicalizes each distinct crossing set found.
+    """
+    from geochrom import CrossingStructure
+
+    grid = [(x, y) for x in range(g) for y in range(g)]
+    edges = list(itertools.combinations(range(n), 2))
+    pairs = [(e1, e2) for e1, e2 in itertools.combinations(edges, 2) if not set(e1) & set(e2)]
+    seen = set()
+    for pts in itertools.combinations(grid, n):
+        if any(orient(a, b, c) == 0 for a, b, c in itertools.combinations(pts, 3)):
+            continue
+        seen.add(frozenset(
+            ((i, j), (k, l)) for (i, j), (k, l) in pairs
+            if orient(pts[i], pts[j], pts[k]) != orient(pts[i], pts[j], pts[l])
+            and orient(pts[k], pts[l], pts[i]) != orient(pts[k], pts[l], pts[j])
+        ))
+    return frozenset(CrossingStructure(n, edges, crossings).canonical_form for crossings in seen)

@@ -7,6 +7,7 @@ criterion fails honestly rather than being weakened.
 """
 
 import itertools
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -38,8 +39,8 @@ from geochrom import (
     separation_family,
     star_crossing,
 )
-from geochrom.catalog import structures_on_grid
-from oracles import orient, point_in_triangle_strict, rational_segments_cross
+from conftest import CACHE_DIR
+from oracles import grid_structures, orient, point_in_triangle_strict, rational_segments_cross
 
 
 @contextmanager
@@ -304,21 +305,21 @@ def _sample_structures(n, samples, seed):
 
 
 def test_c13_catalog_sanity():
-    with criterion(13, "catalog counts, stability, memberships, sampling cross-check", budget=900.0):
-        c3 = enumerate_clique_structures(3)
-        assert len(c3.entries) == 1
-        c4 = enumerate_clique_structures(4)
-        assert len(c4.entries) == 2
+    with criterion(13, "catalog counts, grid oracle, committed catalogs, memberships, sampling cross-check",
+                   budget=900.0):
+        cats = {n: enumerate_clique_structures(n) for n in range(3, 7)}
+        assert [len(cats[n].entries) for n in range(3, 7)] == [1, 2, 3, 15]
+        assert cats[4].canonical_forms() == grid_structures(4, 4)
+        assert cats[5].canonical_forms() == grid_structures(5, 5)
+        for n, cat in cats.items():
+            committed = json.loads((CACHE_DIR / f"k{n}.catalog.json").read_text())
+            assert {e.structure.hex for e in cat.entries} == {item["canonical"] for item in committed["entries"]}
 
-        c5 = enumerate_clique_structures(5)
-        assert c5.converged
-        g5 = c5.grid_bound
-        assert structures_on_grid(5, g5 - 1) == structures_on_grid(5, g5)
+        c5 = cats[5]
         convex5 = crossing_structure(convex_clique(5)).canonical_form
         assert convex5 in c5.canonical_forms()
 
-        c6 = enumerate_clique_structures(6)
-        assert c6.converged
+        c6 = cats[6]
         convex6 = crossing_structure(convex_clique(6)).canonical_form
         forms6 = c6.canonical_forms()
         assert convex6 in forms6

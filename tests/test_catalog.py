@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -7,14 +11,18 @@ from geochrom import (
     CatalogMissing,
     CatalogStore,
     GeometricGraph,
+    Point,
     SizeUnsupported,
     convex_clique,
     crossing_structure,
     crossings_of,
     enumerate_clique_structures,
     figure_graphs,
+    is_general_position,
 )
-from geochrom.catalog import catalog_from_json_dict, catalog_to_json_dict, structures_on_grid
+from conftest import CACHE_DIR
+from geochrom.catalog import _order_type, _order_types, catalog_from_json_dict, catalog_to_json_dict
+from oracles import crossing_pairs_raw, grid_structures
 
 
 def test_convex_clique_crossing_counts():
@@ -26,9 +34,9 @@ def test_convex_clique_crossing_counts():
 
 def test_enumerate_small_sizes():
     c3 = enumerate_clique_structures(3)
-    assert len(c3.entries) == 1 and c3.converged
+    assert len(c3.entries) == 1
     c4 = enumerate_clique_structures(4)
-    assert len(c4.entries) == 2 and c4.converged
+    assert len(c4.entries) == 2
     counts = sorted(len(e.structure.crossings) for e in c4.entries)
     assert counts == [0, 1]
 
@@ -55,11 +63,51 @@ def test_witnesses_realize_their_structures(store):
             assert len(entry.witness.edges) == n * (n - 1) // 2
 
 
-def test_structure_sets_monotone_in_grid_size():
-    small = structures_on_grid(4, 3)
-    large = structures_on_grid(4, 4)
-    assert small <= large
-    assert len(large) == 2
+def test_enumeration_matches_grid_oracle_and_committed_catalogs():
+    forms = {n: enumerate_clique_structures(n).canonical_forms() for n in range(3, 7)}
+    assert [len(forms[n]) for n in range(3, 7)] == [1, 2, 3, 15]
+    assert forms[4] == grid_structures(4, 4)
+    assert forms[5] == grid_structures(5, 5)
+    for n in range(3, 7):
+        doc = json.loads((CACHE_DIR / f"k{n}.catalog.json").read_text())
+        assert {bytes.fromhex(item["canonical"]) for item in doc["entries"]} == forms[n]
+
+
+def test_order_type_key_is_invariant_and_covers_random_point_sets():
+    keys = {n: {_order_type(pts) for pts in _order_types(n)} for n in (5, 6)}
+    assert [len(keys[n]) for n in (5, 6)] == [3, 16]
+    rng = random.Random(7)
+    for trial in range(400):
+        n = 5 + trial % 2
+        pts = [Point(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(n)]
+        if not is_general_position(pts):
+            continue
+        key = _order_type(pts)
+        assert key in keys[n]
+        turned = [Point(3 - p.y, p.x - 7) for p in pts]
+        mirrored = [Point(-p.x, p.y) for p in pts]
+        assert _order_type(turned) == _order_type(mirrored) == _order_type(rng.sample(pts, n)) == key
+
+
+def test_k7_builds_and_every_witness_realizes_its_structure(tmp_path):
+    cat = CatalogStore(tmp_path).get(7)
+    assert len(cat.entries) == 122
+    for entry in cat.entries:
+        pts = [(p.x, p.y) for p in entry.witness.points]
+        assert crossing_pairs_raw(pts, entry.witness.edges) == entry.structure.crossings
+    reloaded = CatalogStore(tmp_path, build_missing=False).get(7)
+    assert reloaded.canonical_forms() == cat.canonical_forms()
+
+
+def test_k6_build_is_identical_across_hash_seeds():
+    script = ("import json; from geochrom.catalog import catalog_to_json_dict, enumerate_clique_structures; "
+              "print(json.dumps(catalog_to_json_dict(enumerate_clique_structures(6)), sort_keys=True))")
+    outs = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0] == outs[1] and len(outs[0]) > 1000
 
 
 def test_k5_count_and_projection_spot_check(store):
@@ -80,7 +128,6 @@ def test_catalog_json_round_trip(store):
     doc = catalog_to_json_dict(cat)
     again = catalog_from_json_dict(json.loads(json.dumps(doc)))
     assert again.n == cat.n
-    assert again.grid_bound == cat.grid_bound
     assert again.canonical_forms() == cat.canonical_forms()
 
 

@@ -120,10 +120,13 @@ def test_lift_command(capsys, tmp_path):
 def test_catalog_command(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "--n", "4", "--out", str(tmp_path))
     assert code == 0
-    doc = json.loads(out)
-    assert doc["entries"] == 2 and doc["converged"]
-    on_disk = json.loads((tmp_path / "k4.catalog.json").read_text())
+    path = tmp_path / "k4.catalog.json"
+    assert json.loads(out) == {"n": 4, "entries": 2, "path": str(path)}
+    on_disk = json.loads(path.read_text())
     assert on_disk["n"] == 4 and len(on_disk["entries"]) == 2
+    code, out, _ = run(capsys, "catalog", "--n", "4")
+    assert code == 0
+    assert json.loads(out) == on_disk
 
 
 def test_render_command(capsys, tmp_path, fig6):
