@@ -21,7 +21,6 @@ from .errors import (
     CollapsedCrossingPair,
     CrossingsNotIndependent,
     DistanceTooSmall,
-    Exhausted,
     GeochromError,
     GraphFormatError,
 )
@@ -57,7 +56,7 @@ from .lifts import (
 from .obstructions import non_identifiable_pairs
 
 NEGATIVE_ERRORS = (DistanceTooSmall, CrossingsNotIndependent, CollapsedCrossingPair,
-                   ChiOutOfRange, Exhausted)
+                   ChiOutOfRange)
 
 
 def _read_json(path: str):
@@ -163,7 +162,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = _load_graph(args.graph)
-    dg = non_identifiable_pairs(g, path_cap=args.path_cap)
+    dg = non_identifiable_pairs(g)
     pairs = [
         {"pair": list(p), "rules": sorted(dg.provenance[p])}
         for p in sorted(dg.forced_pairs)
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = bound.add_subparsers(dest="kind", required=True)
     p = with_output(bsub.add_parser("lower", help="non-identifiability lower bound for X"))
     p.add_argument("graph")
-    p.add_argument("--path-cap", type=int, default=7, dest="path_cap")
     p.set_defaults(fn=_cmd_bound)
 
     p = with_output(sub.add_parser("gen", help="generate a named graph family"))

@@ -45,10 +45,6 @@ class UnknownFigure(GeochromError):
     """Unrecognized figure tag passed to the figure generator."""
 
 
-class Exhausted(GeochromError):
-    """Rejection sampling gave up; the requested parameters look infeasible."""
-
-
 class LiftInternalError(GeochromError):
     """A lift produced a map that fails verification.
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .catalog import convex_clique
-from .errors import Exhausted, UnknownFigure
+from .errors import UnknownFigure
 from .geometry import Point, is_general_position, regular_polygon_points
 from .graphs import (
     Crossing,
@@ -201,14 +201,15 @@ def random_geometric_graph(
     edge_probability: float,
     min_crossing_distance: int = 0,
     seed: int = 0,
-    max_attempts: int = 5000,
 ) -> GeometricGraph:
-    """Seeded rejection sampling of a general-position drawing.
+    """Seeded random general-position drawing with spaced crossings.
 
-    Points are uniform integer coordinates, edges independent coin flips;
-    whole draws are rejected until the pairwise crossing distance reaches the
-    requested threshold (no crossings counts as satisfied). Deterministic for
-    a fixed seed.
+    Points are uniform integer coordinates, edges independent coin flips,
+    drawn once. While two crossings are closer than the requested threshold,
+    the second edge of the later crossing in the first conflict is deleted;
+    deleting edges never brings crossings closer, so this always ends, and a
+    draw that already meets the threshold is returned as drawn (no crossings
+    counts as satisfied). Deterministic for a fixed seed.
     """
     if vertex_count < 1 or vertex_count > 14:
         raise ValueError("vertex_count must be 1..14")
@@ -216,28 +217,23 @@ def random_geometric_graph(
         raise ValueError("min_crossing_distance must be 0, 1 or 2")
     rng = random.Random(seed)
     span = 10**6
-    for _ in range(max_attempts):
-        pts: list[Point] = []
-        tries = 0
-        while len(pts) < vertex_count:
-            cand = Point(rng.randint(-span, span), rng.randint(-span, span))
-            if is_general_position(pts + [cand]):
-                pts.append(cand)
-            else:
-                tries += 1
-                if tries > 100:
-                    break
-        if len(pts) < vertex_count:
-            continue
-        edges = [
-            (u, v)
-            for u, v in combinations(range(vertex_count), 2)
-            if rng.random() < edge_probability
-        ]
-        g = GeometricGraph.build(pts, edges)
-        if _crossings_too_close(g, sorted_crossings(g), min_crossing_distance) is None:
-            return g
-    raise Exhausted(
-        f"no drawing with min crossing distance {min_crossing_distance} found "
-        f"in {max_attempts} draws (v={vertex_count}, p={edge_probability})"
-    )
+    pts: list[Point] = []
+    while len(pts) < vertex_count:
+        cand = Point(rng.randint(-span, span), rng.randint(-span, span))
+        if is_general_position(pts + [cand]):
+            pts.append(cand)
+    edges = [
+        (u, v)
+        for u, v in combinations(range(vertex_count), 2)
+        if rng.random() < edge_probability
+    ]
+    g = GeometricGraph.build(pts, edges)
+    crossings = sorted_crossings(g)
+    kept = set(g.edges)
+    while (conflict := _crossings_too_close(sorted(kept), crossings, min_crossing_distance)) is not None:
+        gone = conflict[0].e2
+        kept.discard(gone)
+        crossings = [c for c in crossings if gone not in c.edges()]
+    if len(kept) < len(g.edges):
+        g = GeometricGraph(g.points, frozenset(kept))
+    return g

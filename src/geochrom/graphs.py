@@ -158,8 +158,10 @@ def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:
     return best
 
 
-def _crossings_too_close(G: GeometricGraph, crossings: list[Crossing], minimum: int) -> str | None:
-    """Why `crossings` are not pairwise at graph distance >= minimum (0..2), or None.
+def _crossings_too_close(
+    edges: Iterable[Edge], crossings: list[Crossing], minimum: int
+) -> tuple[Crossing, str] | None:
+    """The first crossing closer than `minimum` (0..2) to an earlier one, and why; or None.
 
     Linear, where min_pairwise_crossing_distance runs a BFS per pair:
     distance >= 1 is vertex-disjointness, and distance >= 2 also forbids an
@@ -171,13 +173,13 @@ def _crossings_too_close(G: GeometricGraph, crossings: list[Crossing], minimum: 
     for idx, cr in enumerate(crossings):
         for v in cr.vertices:
             if v in seen and seen[v] != idx:
-                return f"crossings {crossings[seen[v]]} and {cr} share vertex {v}"
+                return cr, f"crossings {crossings[seen[v]]} and {cr} share vertex {v}"
             seen[v] = idx
     if minimum >= 2:
-        for u, v in G.edges:
+        for u, v in edges:
             iu, iv = seen.get(u), seen.get(v)
             if iu is not None and iv is not None and iu != iv:
-                return f"edge ({u},{v}) joins two different crossings (distance 1)"
+                return crossings[max(iu, iv)], f"edge ({u},{v}) joins two different crossings (distance 1)"
     return None
 
 

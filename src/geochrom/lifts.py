@@ -87,7 +87,8 @@ def _dispatch(method: str, n: int, lab: list[int], cr: Crossing) -> tuple[str, l
             return "3", [(v, n + 1), (y, n + 2)]
         if method == "indep2n":
             raise CollapsedCrossingPair(
-                f"crossing {e1}x{e2} has both edges colored {sorted(s1)}"
+                f"crossing {e1}x{e2} has both edges colored {sorted(s1)}; "
+                "try find_noncollapsing_hom or lift_independent"
             )
         if method == "indep3n":
             return "3", [(x, p2 + n), (u, p1 + 2 * n)]
@@ -173,20 +174,9 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
     crossings = sorted(sorted_crossings(G), key=lambda c: (min(c.vertices), c))
 
     minimum, exc = (2, DistanceTooSmall) if method == "dist2" else (1, CrossingsNotIndependent)
-    reason = _crossings_too_close(G, crossings, minimum)
-    if reason is not None:
-        raise exc(reason)
-    if method == "indep2n":
-        for cr in crossings:
-            lab_pairs = [
-                {alpha.colors[cr.e1[0]], alpha.colors[cr.e1[1]]},
-                {alpha.colors[cr.e2[0]], alpha.colors[cr.e2[1]]},
-            ]
-            if lab_pairs[0] == lab_pairs[1]:
-                raise CollapsedCrossingPair(
-                    f"crossing {cr.e1}x{cr.e2} maps onto one edge; "
-                    "try find_noncollapsing_hom or lift_independent"
-                )
+    conflict = _crossings_too_close(G.edges, crossings, minimum)
+    if conflict is not None:
+        raise exc(conflict[1])
 
     beta = list(base)
     log: list[tuple[Crossing, str]] = []

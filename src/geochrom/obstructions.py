@@ -11,10 +11,15 @@ homomorphism:
      odd cycle.
 
 Any geometric homomorphism therefore induces a proper coloring of the graph
-on these forced pairs, so its chromatic number lower-bounds X. Rule C uses
-bounded simple-path enumeration (exact up to the cap; missing pairs only
-weaken the bound, never break it). Rule D is exact: an odd cycle inside the
-covered edge set exists iff that subgraph is non-bipartite.
+on these forced pairs, so its chromatic number lower-bounds X.
+
+C and D rest on one side-of-line fact, so both are exact at any length: an
+edge that crosses e has one endpoint strictly on each side of e's line, so the
+edges crossed by e form a bipartite graph whose sides are the sides of that
+line. Two of its vertices are joined by an odd path exactly when they lie in
+one component on opposite sides (a shortest path between them is simple).
+For D, the edges crossed by a 2-path contain an odd cycle exactly when that
+union is not bipartite, which needs both of its edges crossed.
 """
 
 from __future__ import annotations
@@ -40,54 +45,33 @@ class DistinctnessGraph:
         return value
 
 
-def _subgraph_has_odd_cycle(edges: set[Edge]) -> bool:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    side: dict[int, int] = {}
-    for start in adj:
-        if start in side:
+def _two_coloring(n: int, edges: set[Edge]) -> tuple[list[tuple[int, int] | None], bool]:
+    """BFS two-coloring of `edges` on vertices 0..n-1.
+
+    Returns (component, side) for each vertex on an edge (None elsewhere) and
+    whether some edge joins two vertices of one side, i.e. an odd cycle.
+    """
+    adj = _adj_lists(n, edges)
+    label: list[tuple[int, int] | None] = [None] * n
+    odd = False
+    for start in range(n):
+        if label[start] is not None or not adj[start]:
             continue
-        side[start] = 0
+        label[start] = (start, 0)
         queue = deque([start])
         while queue:
             v = queue.popleft()
+            side = label[v][1]
             for w in adj[v]:
-                if w not in side:
-                    side[w] = side[v] ^ 1
+                if label[w] is None:
+                    label[w] = (start, side ^ 1)
                     queue.append(w)
-                elif side[w] == side[v]:
-                    return True
-    return False
+                elif label[w][1] == side:
+                    odd = True
+    return label, odd
 
 
-def _odd_path_endpoints(edges: frozenset[Edge], cap: int) -> set[Edge]:
-    """Endpoint pairs of simple paths of odd length <= cap inside `edges`."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    found: set[Edge] = set()
-
-    def extend(start: int, v: int, visited: set[int], length: int) -> None:
-        for w in adj[v]:
-            if w in visited:
-                continue
-            nxt = length + 1
-            if nxt % 2 == 1 and w != start:
-                found.add((start, w) if start < w else (w, start))
-            if nxt < cap:
-                visited.add(w)
-                extend(start, w, visited, nxt)
-                visited.remove(w)
-
-    for start in adj:
-        extend(start, start, {start}, 0)
-    return found
-
-
-def non_identifiable_pairs(G: GeometricGraph, path_cap: int = 7) -> DistinctnessGraph:
+def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
     """All vertex pairs rules A-D force apart, with per-pair rule provenance."""
     tags: dict[Edge, set[str]] = {}
 
@@ -104,17 +88,19 @@ def non_identifiable_pairs(G: GeometricGraph, path_cap: int = 7) -> Distinctness
         crossed_by.setdefault(c.e1, set()).add(c.e2)
         crossed_by.setdefault(c.e2, set()).add(c.e1)
 
-    for e, crossed in crossed_by.items():
-        for pair in _odd_path_endpoints(frozenset(crossed), path_cap):
-            add(pair, "C")
+    for crossed in crossed_by.values():
+        label, _ = _two_coloring(G.n, crossed)  # bipartite by the side-of-line fact
+        on = [v for v in range(G.n) if label[v] is not None]
+        for u, v in combinations(on, 2):
+            if label[u][0] == label[v][0] and label[u][1] != label[v][1]:
+                add((u, v), "C")
 
     adj = _adj_lists(G.n, G.edges)
     for w in range(G.n):
         for u, v in combinations(sorted(adj[w]), 2):
-            q = crossed_by.get((min(u, w), max(u, w)), set()) | crossed_by.get(
-                (min(v, w), max(v, w)), set()
-            )
-            if q and _subgraph_has_odd_cycle(set(q)):
+            q1 = crossed_by.get((min(u, w), max(u, w)))
+            q2 = crossed_by.get((min(v, w), max(v, w)))
+            if q1 and q2 and _two_coloring(G.n, q1 | q2)[1]:
                 add((u, v), "D")
 
     return DistinctnessGraph(
@@ -124,6 +110,6 @@ def non_identifiable_pairs(G: GeometricGraph, path_cap: int = 7) -> Distinctness
     )
 
 
-def geochromatic_lower_bound(G: GeometricGraph, path_cap: int = 7) -> int:
+def geochromatic_lower_bound(G: GeometricGraph) -> int:
     """Chromatic number of the forced-pair graph; always <= X(G-bar)."""
-    return non_identifiable_pairs(G, path_cap).lower_bound()
+    return non_identifiable_pairs(G).lower_bound()

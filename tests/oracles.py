@@ -166,3 +166,36 @@ def grid_structures(n: int, g: int) -> frozenset:
             and orient(pts[k], pts[l], pts[i]) != orient(pts[k], pts[l], pts[j])
         ))
     return frozenset(CrossingStructure(n, edges, crossings).canonical_form for crossings in seen)
+
+
+def odd_path_pairs(n: int, edges, crossings) -> set:
+    """Rule C by brute force: endpoint pairs of odd simple paths, any length,
+    whose edges are all crossed by one common edge.
+
+    `crossings` holds ((a, b), (c, d)) edge pairs. Plain DFS over every
+    simple path of each crossed-edge set; exponential, meant for small drawings.
+    """
+    crossed = {tuple(sorted(e)): set() for e in edges}
+    for e1, e2 in crossings:
+        crossed[tuple(sorted(e1))].add(tuple(sorted(e2)))
+        crossed[tuple(sorted(e2))].add(tuple(sorted(e1)))
+    found = set()
+    for path_edges in crossed.values():
+        adj = {v: [] for v in range(n)}
+        for u, v in path_edges:
+            adj[u].append(v)
+            adj[v].append(u)
+
+        def dfs(start, v, visited, length):
+            for w in adj[v]:
+                if w in visited:
+                    continue
+                if length % 2 == 0:  # the path to w has odd length
+                    found.add((min(start, w), max(start, w)))
+                visited.add(w)
+                dfs(start, w, visited, length + 1)
+                visited.remove(w)
+
+        for start in range(n):
+            dfs(start, start, {start}, 0)
+    return found

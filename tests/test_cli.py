@@ -100,6 +100,17 @@ def test_bound_lower_command(capsys, fig6):
     assert by_pair[(3, 4)] == ["D"]
 
 
+def test_bound_lower_reports_long_odd_path_pair(capsys, tmp_path):
+    from test_obstructions import accordion
+
+    path = tmp_path / "accordion.json"
+    path.write_text(dump_graph(accordion()))
+    code, out, _ = run(capsys, "bound", "lower", str(path))
+    assert code == 0
+    by_pair = {tuple(p["pair"]): p["rules"] for p in json.loads(out)["pairs"]}
+    assert by_pair[(0, 9)] == ["C"]
+
+
 def test_lift_command(capsys, tmp_path):
     path = tmp_path / "f3l.json"
     path.write_text(dump_graph(figure_graphs("figure3_left")))

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from geochrom import (
-    Exhausted,
     UnknownFigure,
     chromatic_number,
     convex_clique,
@@ -115,6 +114,16 @@ def test_random_graph_rejects_bad_parameters():
         random_geometric_graph(15, 0.2)
     with pytest.raises(ValueError):
         random_geometric_graph(8, 0.2, min_crossing_distance=3)
-    with pytest.raises(Exhausted):
-        # a dense 12-vertex graph essentially never has independent crossings
-        random_geometric_graph(12, 0.9, min_crossing_distance=1, seed=0, max_attempts=25)
+
+
+@pytest.mark.parametrize("args", [(13, 0.3, 1, 9007), (12, 0.9, 1, 0), (12, 0.9, 2, 0), (14, 0.5, 2, 3)])
+def test_random_graph_meets_rare_distance_constraints(args):
+    # random draws of these sizes almost never meet the constraint as drawn
+    v, p, k, seed = args
+    g = random_geometric_graph(v, p, min_crossing_distance=k, seed=seed)
+    assert g.n == v
+    assert min_pairwise_crossing_distance(g) >= k
+    assert dump_graph(g) == dump_graph(random_geometric_graph(v, p, min_crossing_distance=k, seed=seed))
+    # only edges were deleted: the points and a subset of the edges of the free draw
+    free = random_geometric_graph(v, p, seed=seed)
+    assert g.points == free.points and g.edges <= free.edges

@@ -132,7 +132,7 @@ def test_linear_distance_rule_matches_pairwise_bfs(seed):
     else:
         g = random_geometric_graph(5 + seed % 8, 0.3, seed=9000 + seed)
     for k in (0, 1, 2):
-        far_enough = _crossings_too_close(g, sorted_crossings(g), k) is None
+        far_enough = _crossings_too_close(g.edges, sorted_crossings(g), k) is None
         assert far_enough == (min_pairwise_crossing_distance(g) >= k)
 
 

@@ -47,7 +47,7 @@ def test_case3_identical_images_all_methods():
         assert rep.target_size == target
         assert [t for _, t in rep.case_log] == ["3"]
         assert_report_ok(g, rep)
-    with pytest.raises(CollapsedCrossingPair):
+    with pytest.raises(CollapsedCrossingPair, match="try find_noncollapsing_hom or lift_independent"):
         lift_independent_noncollapsing(g, alpha)
 
 

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from geochrom import (
     GeometricGraph,
     chromatic_number,
@@ -7,7 +9,15 @@ from geochrom import (
     figure_graphs,
     geochromatic_lower_bound,
     non_identifiable_pairs,
+    random_geometric_graph,
 )
+from oracles import crossing_pairs_raw, odd_path_pairs
+
+
+def accordion() -> GeometricGraph:
+    """Zigzag path p0..p9 whose 9 edges all cross the one segment {10, 11}."""
+    pts = [(10 * i, (-1) ** i * (10 + 2 * i * i)) for i in range(10)] + [(-5, 1), (95, -2)]
+    return GeometricGraph.build(pts, [(i, i + 1) for i in range(9)] + [(10, 11)])
 
 
 def test_rule_a_covers_edges_on_plane_graph():
@@ -52,11 +62,27 @@ def test_figure6_all_pairs_forced_with_xy_via_rule_d():
     assert "B" not in dg.provenance[(3, 4)]
 
 
-def test_rule_c_respects_path_cap_monotonicity():
-    g = figure_graphs("figure6")
-    small = non_identifiable_pairs(g, path_cap=1).forced_pairs
-    large = non_identifiable_pairs(g, path_cap=7).forced_pairs
-    assert small <= large
+def crossings_of_raw(g):
+    return crossing_pairs_raw([(p.x, p.y) for p in g.points], g.edges)
+
+
+def test_rule_c_has_no_length_cap():
+    g = accordion()
+    assert crossings_of_raw(g) == {((i, i + 1), (10, 11)) for i in range(9)}
+    dg = non_identifiable_pairs(g)
+    # the only path joining p0 and p9 has length 9
+    assert dg.provenance[(0, 9)] == frozenset({"C"})
+    odd = {(i, j) for i, j in itertools.combinations(range(10), 2) if (j - i) % 2}
+    # the segment itself is a 1-path crossed by each path edge
+    assert {p for p in dg.forced_pairs if "C" in dg.provenance[p]} == odd | {(10, 11)}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rule_c_matches_unbounded_odd_path_oracle(seed):
+    g = random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed)
+    dg = non_identifiable_pairs(g)
+    tagged = {p for p in dg.forced_pairs if "C" in dg.provenance[p]}
+    assert tagged == odd_path_pairs(g.n, g.edges, crossings_of_raw(g))
 
 
 def test_lower_bound_examples():
