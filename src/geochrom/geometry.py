@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import SharedEndpoint
@@ -70,11 +69,23 @@ def segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
 
 
 def is_general_position(points: Sequence[Point]) -> bool:
-    """True iff all points are distinct and no three are collinear."""
+    """True iff all points are distinct and no three are collinear.
+
+    O(n^2): the directions from each point to the later ones, reduced by
+    their gcd and signed so that opposite directions agree, repeat exactly
+    when that point is collinear with two of them.
+    """
     if len(set(points)) != len(points):
         return False
-    for p, q, r in combinations(points, 3):
-        if cross_sign(p, q, r) == 0:
+    for i, p in enumerate(points):
+        directions = set()
+        for q in points[i + 1:]:
+            dx, dy = q.x - p.x, q.y - p.y
+            g = math.gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            directions.add((dx // g, dy // g))
+        if len(directions) < len(points) - i - 1:
             return False
     return True
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping
 
 from .graphs import Edge, GeometricGraph, _adj_lists, crossings_of
@@ -40,9 +42,12 @@ class DistinctnessGraph:
     provenance: Mapping[Edge, frozenset[str]]
 
     def lower_bound(self) -> int:
-        """Chromatic number of the forced-pair graph; always <= X(G-bar)."""
-        value, _ = chromatic_number((self.n, self.forced_pairs))
-        return value
+        """Chromatic number of the forced-pair graph; always <= X(G-bar). Computed once."""
+        return self._chi
+
+    @cached_property
+    def _chi(self) -> int:
+        return chromatic_number((self.n, self.forced_pairs))[0]
 
 
 def _two_coloring(n: int, edges: set[Edge]) -> tuple[list[tuple[int, int] | None], bool]:
@@ -71,8 +76,23 @@ def _two_coloring(n: int, edges: set[Edge]) -> tuple[list[tuple[int, int] | None
     return label, odd
 
 
+_MEMO_KEY = "_distinctness"
+
+
 def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
-    """All vertex pairs rules A-D force apart, with per-pair rule provenance."""
+    """All vertex pairs rules A-D force apart, with per-pair rule provenance.
+
+    Computed once per graph and kept in the graph's own __dict__, where
+    cached_property keeps its crossings, so it lives exactly as long as the
+    graph and every caller shares one read-only result.
+    """
+    memo = vars(G)
+    if _MEMO_KEY not in memo:
+        memo[_MEMO_KEY] = _distinctness_graph(G)
+    return memo[_MEMO_KEY]
+
+
+def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
     tags: dict[Edge, set[str]] = {}
 
     def add(pair: Edge, tag: str) -> None:
@@ -106,7 +126,7 @@ def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
     return DistinctnessGraph(
         n=G.n,
         forced_pairs=frozenset(tags),
-        provenance={pair: frozenset(ts) for pair, ts in tags.items()},
+        provenance=MappingProxyType({pair: frozenset(ts) for pair, ts in tags.items()}),
     )
 
 

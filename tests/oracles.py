@@ -37,6 +37,12 @@ def orient(a, b, c) -> int:
     return (d > 0) - (d < 0)
 
 
+def general_position(points) -> bool:
+    """Distinct points, no triple with orientation 0: the plain O(n^3) scan."""
+    return len(set(points)) == len(points) and all(
+        orient(a, b, c) != 0 for a, b, c in itertools.combinations(points, 3))
+
+
 def point_in_triangle_strict(p, a, b, c) -> bool:
     s1, s2, s3 = orient(a, b, p), orient(b, c, p), orient(c, a, p)
     return s1 == s2 == s3 != 0

@@ -10,19 +10,29 @@ import pytest
 from geochrom import (
     CatalogMissing,
     CatalogStore,
+    CrossingStructure,
     GeometricGraph,
     Point,
     SizeUnsupported,
+    VertexMap,
     convex_clique,
     crossing_structure,
     crossings_of,
     enumerate_clique_structures,
     figure_graphs,
     is_general_position,
+    is_geometric_hom,
 )
 from conftest import CACHE_DIR
-from geochrom.catalog import _order_type, _order_types, catalog_from_json_dict, catalog_to_json_dict
-from oracles import crossing_pairs_raw, grid_structures
+from geochrom.catalog import (
+    _CrossingTable,
+    _maps_into,
+    _order_type,
+    _order_types,
+    catalog_from_json_dict,
+    catalog_to_json_dict,
+)
+from oracles import brute_force_geometric_hom_exists, crossing_pairs_raw, grid_structures
 
 
 def test_convex_clique_crossing_counts():
@@ -53,6 +63,45 @@ def test_entries_start_with_convex_structure(store):
         cat = store.get(n)
         convex = crossing_structure(convex_clique(n))
         assert cat.entries[0].structure == convex
+
+
+def _bijection_into(entry, target):
+    """A bijection that is_geometric_hom accepts from entry's witness onto target, or None."""
+    n = entry.witness.n
+    for perm in itertools.permutations(range(n)):
+        if is_geometric_hom(entry.witness, target.structure, VertexMap(perm, n)):
+            return perm
+    return None
+
+
+def test_maximal_entries_dominate_the_rest(store):
+    for n, kept in ((4, 1), (5, 1), (6, 3)):
+        cat = store.get(n)
+        assert len(cat.maximal) == kept
+        assert cat.maximal[0] is cat.entries[0]
+        assert cat.maximal[0].structure == crossing_structure(convex_clique(n))
+        assert [e for e in cat.entries if e in cat.maximal] == list(cat.maximal)  # catalog order
+        for entry in cat.entries:
+            if entry not in cat.maximal:
+                assert any(_bijection_into(entry, k) is not None for k in cat.maximal)
+        for a, b in itertools.permutations(cat.maximal, 2):
+            assert _bijection_into(a, b) is None
+
+
+def test_dominance_search_matches_brute_force_on_random_structures():
+    # Random crossing sets on K5, realizable or not, so that every pruning
+    # rule of the search meets cases where it alone decides.
+    rng = random.Random(3)
+    edges = list(itertools.combinations(range(5), 2))
+    disjoint = [(e, f) for e, f in itertools.combinations(edges, 2) if not set(e) & set(f)]
+    answers = set()
+    for _ in range(300):
+        source, target = (sorted(rng.sample(disjoint, rng.randint(1, 4))) for _ in range(2))
+        expected = brute_force_geometric_hom_exists(5, edges, source, 5, edges, target)
+        tables = [_CrossingTable(CrossingStructure(5, edges, c)) for c in (source, target)]
+        assert _maps_into(*tables) == expected, (source, target)
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_witnesses_realize_their_structures(store):
@@ -92,6 +141,7 @@ def test_order_type_key_is_invariant_and_covers_random_point_sets():
 def test_k7_builds_and_every_witness_realizes_its_structure(tmp_path):
     cat = CatalogStore(tmp_path).get(7)
     assert len(cat.entries) == 122
+    assert len(cat.maximal) == 17 and cat.maximal[0] is cat.entries[0]
     for entry in cat.entries:
         pts = [(p.x, p.y) for p in entry.witness.points]
         assert crossing_pairs_raw(pts, entry.witness.edges) == entry.structure.crossings

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from geochrom import (
     regular_polygon_points,
     segments_cross,
 )
-from oracles import rational_segments_cross
+from oracles import general_position, rational_segments_cross
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.builds(Point, coords, coords)
@@ -85,6 +86,19 @@ def test_general_position_examples():
     assert is_general_position([Point(0, 0), Point(1, 0), Point(0, 1)])
     assert not is_general_position([Point(0, 0), Point(1, 1), Point(2, 2)])
     assert not is_general_position([Point(0, 0), Point(0, 0), Point(1, 2)])
+
+
+def test_general_position_matches_triple_oracle_on_small_grids():
+    # On a 5 x 5 to 9 x 9 grid collinear triples are common, so both answers occur.
+    rng = random.Random(5)
+    answers = set()
+    for trial in range(3000):
+        g = 5 + trial % 5
+        pts = [(rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(0, 9))]
+        expected = general_position(pts)
+        assert is_general_position([Point(x, y) for x, y in pts]) == expected
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_figure1_left_points_are_general_position():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from geochrom import (
+    CatalogStore,
     Coloring,
     GeometricGraph,
     VertexMap,
@@ -13,6 +14,7 @@ from geochrom import (
     figure6_coloring,
     figure_graphs,
     find_geometric_hom,
+    geochromatic_lower_bound,
     geochromatic_number,
     is_geometric_hom,
     is_graph_hom,
@@ -23,6 +25,7 @@ from geochrom import (
     separation_family,
     star_crossing,
 )
+from conftest import CACHE_DIR
 from oracles import brute_force_chromatic, brute_force_geometric_hom_exists
 
 
@@ -177,6 +180,32 @@ def test_geochromatic_number_unresolved(store):
     # force unresolved by capping the search below the known answer
     res = geochromatic_number(figure_graphs("figure6"), store, max_n=5)
     assert res is None
+
+
+def test_geochromatic_number_over_maximal_targets_matches_every_entry(store):
+    def x_over_every_entry(g, max_n):
+        for n in range(max(1, geochromatic_lower_bound(g)), max_n + 1):
+            if any(find_geometric_hom(g, e.structure) is not None for e in store.get(n).entries):
+                return n
+        return None
+
+    outcomes = set()
+    for seed in range(60):
+        g = random_geometric_graph(10, 0.35, 0, seed=seed)
+        res = geochromatic_number(g, store, max_n=6)
+        expected = x_over_every_entry(g, 6)
+        assert (res.n if res else None) == expected
+        if res:
+            assert res.target in {e.structure for e in store.get(res.n).maximal}
+        outcomes.add(res is None)
+    assert outcomes == {True, False}
+
+
+def test_convex_target_is_tried_before_the_maximal_view_is_computed(store):
+    fresh = CatalogStore(CACHE_DIR, build_missing=False)
+    res = geochromatic_number(convex_clique(5), fresh, max_n=5)
+    assert res.n == 5 and res.target == crossing_structure(convex_clique(5))
+    assert "maximal" not in vars(fresh.get(5))  # no dominance test was paid for
 
 
 def test_geochromatic_number_invariant_under_relabel_and_scale(store):

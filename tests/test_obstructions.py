@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -90,3 +92,17 @@ def test_lower_bound_examples():
     assert geochromatic_lower_bound(convex_clique(4)) == 4
     plane = GeometricGraph.build([(0, 0), (10, 1), (20, 5), (6, 9)], [(0, 1), (1, 2), (2, 3)])
     assert geochromatic_lower_bound(plane) == chromatic_number(plane)[0]
+
+
+def test_forced_pairs_memo_is_reused_and_does_not_keep_graph_alive():
+    g = random_geometric_graph(10, 0.35, 0, seed=4)
+    dg = non_identifiable_pairs(g)
+    assert non_identifiable_pairs(g) is dg
+    assert geochromatic_lower_bound(g) == dg.lower_bound() == chromatic_number((g.n, dg.forced_pairs))[0]
+    assert "_chi" in vars(dg)  # the bound is kept on the pairs object
+    with pytest.raises(TypeError):
+        dg.provenance[(0, 1)] = frozenset()  # shared by every caller, so read-only
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
