@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
@@ -48,10 +49,12 @@ from .geometry import Point, cross_sign, regular_polygon_points
 from .graphs import (
     CrossingStructure,
     GeometricGraph,
+    _adj_lists,
     crossing_structure,
     graph_from_json_dict,
     graph_to_json_dict,
 )
+from .search import _backtrack, _crossings_at, _fits
 
 MAX_CATALOG_N = 7
 
@@ -107,13 +110,16 @@ class _CrossingTable:
     """A K_n structure's crossings, indexed for _maps_into."""
 
     def __init__(self, s: CrossingStructure):
-        self.crossings = s.crossings
+        self.adj = _adj_lists(s.n, s.adjacency)
+        self.crossings_at = _crossings_at(s)
         # per_edge[u][v]: how many crossings the edge uv takes part in.
         self.per_edge = [[0] * s.n for _ in range(s.n)]
         for (a, b), (c, d) in s.crossings:
             for u, v in ((a, b), (b, a), (c, d), (d, c)):
                 self.per_edge[u][v] += 1
         self.sorted_rows = [sorted(row) for row in self.per_edge]
+        # counted[u]: the pairs (v, per_edge[u][v]) with a nonzero count.
+        self.counted = [[(v, count) for v, count in enumerate(row) if count] for row in self.per_edge]
         # Every crossing in all 8 orders of its ends, so an image needs no normalizing.
         self.quads = {quad for (a, b), (c, d) in s.crossings
                       for quad in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
@@ -127,43 +133,29 @@ def _maps_into(source: _CrossingTable, target: _CrossingTable) -> bool:
     crossings need checking. The crossings on an edge go to distinct crossings
     on its image, so an edge can only go to an edge with at least as many, and
     a vertex only to one whose sorted per-edge counts dominate its own. The
-    search maps the vertices with fewest such candidates first, checks each
-    new pair of ends against those counts, and each crossing once its four
-    ends are mapped. The whole K7 view takes about 0.1 s this way on a
-    2-core host, against 1.8 s for a scan of all n! bijections and 5 s for
-    homomorphism._find_hom, which uses no counts.
+    search (search._backtrack) maps the vertices with fewest such candidates
+    first; a new image must be a candidate, differ from the images already
+    placed, carry at least the counts of the edges to the vertices already
+    mapped, and send each crossing whose four ends are mapped onto a crossing.
     """
     n = len(source.per_edge)
-    candidates = [[w for w in range(n) if all(map(int.__le__, row, target.sorted_rows[w]))]
+    candidates = [{w for w in range(n) if all(map(int.__le__, row, target.sorted_rows[w]))}
                   for row in source.sorted_rows]
     order = sorted(range(n), key=lambda v: (len(candidates[v]), -sum(source.per_edge[v])))
-    rank = {v: i for i, v in enumerate(order)}
-    closes: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for (a, b), (c, d) in source.crossings:
-        closes[max((a, b, c, d), key=rank.__getitem__)].append((a, b, c, d))
-    counted = [[(u, source.per_edge[v][u]) for u in order[:i] if source.per_edge[v][u]]
-               for i, v in enumerate(order)]
     images = [-1] * n
-    free = [True] * n
+    maps_crossings = _fits(images, source.adj, source.crossings_at, operator.ne,
+                           lambda *quad: quad in target.quads)
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            row = target.per_edge[w]
-            if not free[w] or any(count > row[images[u]] for u, count in counted[i]):
-                continue
-            images[v] = w
-            if all((images[a], images[b], images[c], images[d]) in target.quads for a, b, c, d in closes[v]):
-                free[w] = False
-                if extend(i + 1):
-                    return True
-                free[w] = True
-        images[v] = -1
-        return False
+    def fits(v: int) -> bool:
+        if images[v] not in candidates[v]:
+            return False
+        row = target.per_edge[images[v]]
+        for u, count in source.counted[v]:
+            if images[u] >= 0 and count > row[images[u]]:
+                return False
+        return maps_crossings(v)
 
-    return extend(0)
+    return _backtrack(images, n, order.__getitem__, fits, symmetric=False)
 
 
 # --- order types ------------------------------------------------------------
@@ -290,23 +282,33 @@ def catalog_to_json_dict(cat: CliqueCatalog) -> dict:
     }
 
 
+def _field(doc, key: str, kind: type):
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise GraphFormatError(f"catalog JSON needs a {kind.__name__} '{key}'")
+    return value
+
+
 def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
-    try:
-        n = doc["n"]
-        raw_entries = doc["entries"]
-    except (TypeError, KeyError) as exc:
-        raise GraphFormatError("catalog JSON missing required keys") from exc
+    """A catalog from its JSON form, each entry checked against its witness.
+
+    Raises GraphFormatError unless `n` is an int and `entries` a non-empty
+    list of objects whose `witness` is the complete graph on n vertices and
+    whose `canonical` is the hex of that witness's crossing structure.
+    """
+    n = _field(doc, "n", int)
     entries = []
-    for item in raw_entries:
-        witness = graph_from_json_dict(item["witness"])
+    for item in _field(doc, "entries", list):
+        witness = graph_from_json_dict(_field(item, "witness", dict))
+        if witness.n != n or len(witness.edges) != comb(n, 2):
+            raise GraphFormatError(f"catalog entry for n={n} is not a complete graph on {n} vertices")
         structure = crossing_structure(witness)
-        if structure.hex != item["canonical"]:
-            raise GraphFormatError(
-                f"catalog entry for n={n} does not realize its recorded canonical form"
-            )
+        if structure.hex != _field(item, "canonical", str):
+            raise GraphFormatError(f"catalog entry for n={n} does not realize its recorded canonical form")
         entries.append(CatalogEntry(structure, witness))
-    entries = _convex_first(n, entries)
-    return CliqueCatalog(n=n, entries=tuple(entries))
+    if not entries:
+        raise GraphFormatError(f"catalog for n={n} has no entries")
+    return CliqueCatalog(n=n, entries=tuple(_convex_first(n, entries)))
 
 
 def _trivial_catalog(n: int) -> CliqueCatalog:
@@ -359,7 +361,10 @@ class CatalogStore:
         if path is None or not path.exists():
             return None
         with open(path, "r", encoding="utf-8") as fh:
-            return catalog_from_json_dict(json.load(fh))
+            cat = catalog_from_json_dict(json.load(fh))
+        if cat.n != n:
+            raise GraphFormatError(f"{path} holds the catalog for n={cat.n}, not n={n}")
+        return cat
 
     def _persist(self, cat: CliqueCatalog) -> None:
         path = self.path_for(cat.n)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import MAX_CATALOG_N, CatalogStore, catalog_to_json_dict, enumerate_clique_structures
+from .catalog import MAX_CATALOG_N, CatalogStore, catalog_to_json_dict, convex_clique, enumerate_clique_structures
 from .errors import (
     ChiOutOfRange,
     CollapsedCrossingPair,
@@ -31,7 +31,6 @@ from .generators import (
     separation_family,
     star_crossing,
 )
-from .catalog import convex_clique
 from .graphs import (
     GeometricGraph,
     crossings_of,
@@ -211,13 +210,13 @@ def _segment_intersection_point(p1, p2, q1, q2) -> tuple[float, float]:
     return (float(p1.x + t * rx), float(p1.y + t * ry))
 
 
-def render_svg(g: GeometricGraph, size: int = 640) -> str:
+def render_svg(g: GeometricGraph) -> str:
     """Plain SVG drawing: vertices as labeled circles, crossings marked red."""
     xs = [p.x for p in g.points] or [0]
     ys = [p.y for p in g.points] or [0]
     minx, maxx, miny, maxy = min(xs), max(xs), min(ys), max(ys)
     spanx, spany = max(maxx - minx, 1), max(maxy - miny, 1)
-    pad = 30
+    size, pad = 640, 30
     scale = (size - 2 * pad) / max(spanx, spany)
 
     def sx(x):

@@ -111,7 +111,7 @@ def convex_crossing_rule(n: int, e1: Iterable[int], e2: Iterable[int]) -> bool:
     return a1 < b1 < a2 < b2
 
 
-def regular_polygon_points(n: int, radius: int = 10**6) -> tuple[Point, ...]:
+def regular_polygon_points(n: int) -> tuple[Point, ...]:
     """Integer-rounded regular n-gon in counterclockwise hull order.
 
     Vertex i sits at angle 2*pi*i/n. If rounding ever breaks general
@@ -120,7 +120,7 @@ def regular_polygon_points(n: int, radius: int = 10**6) -> tuple[Point, ...]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    r = radius
+    r = 10**6
     while True:
         pts = tuple(
             Point(round(r * math.cos(2 * math.pi * i / n)), round(r * math.sin(2 * math.pi * i / n)))

@@ -1,39 +1,21 @@
 """Homomorphism verifiers and exact solvers for chi, X and X'.
 
 Vertex maps are verified, never trusted: every solver result can be replayed
-through the verifiers here.
-
-Every exact search in the package runs on one depth-first core, `_backtrack`:
-it maps vertices into 0..k-1 one at a time, in an order the caller picks, and
-a check built by `_fits` rejects a value that breaks the caller's edge rule
-or, once a crossing's four ends are mapped, its crossing rule. The callers:
-
-  chromatic_number        DSATUR order, a greedy clique precolored, the ends
-                          of an edge differ, first-fresh-color symmetry
-                          breaking; X' is chi of the graph plus the six
-                          vertex pairs of every crossing
-  find_geometric_hom      decreasing crossing degree; an edge lands on a
-                          target edge, a crossing on a target crossing, and
-                          pairs the obstruction rules force apart differ
-  find_noncollapsing_hom  (lifts.py) decreasing degree plus crossing degree;
-                          the ends of an edge differ, no crossing lands on a
-                          single color pair, symmetry breaking as for chi
+through the verifiers here. The searches run on the core in search.py:
+chi (X' is chi of an augmented graph) and find_geometric_hom are two of its
+callers, and X is the least n at which find_geometric_hom succeeds into a
+cataloged K_n.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
-from .graphs import (
-    CrossingStructure,
-    Edge,
-    GeometricGraph,
-    _adj_lists,
-    crossings_of,
-)
+from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, crossings_of
+from .obstructions import non_identifiable_pairs
+from .search import Coloring, _as_abstract, _backtrack, _crossing_pairs, _crossings_at, _fits, chromatic_number
 
 
 @dataclass(frozen=True)
@@ -64,36 +46,6 @@ class VertexMap:
         if outer.source_size != self.target_size:
             raise ValueError("composition size mismatch")
         return VertexMap(tuple(outer.images[i] for i in self.images), outer.target_size)
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """A map V -> {1..n}; doubles as the alpha input of the lifting methods."""
-
-    colors: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        for c in self.colors:
-            if not 1 <= c <= self.n:
-                raise ValueError(f"color {c} outside 1..{self.n}")
-
-
-def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
-    if isinstance(g, GeometricGraph):
-        return g.n, g.edges
-    if isinstance(g, CrossingStructure):
-        return g.n, g.adjacency
-    n, edges = g
-    return n, frozenset(tuple(sorted(e)) for e in edges)
-
-
-def _crossing_pairs(h) -> frozenset[tuple[Edge, Edge]]:
-    if isinstance(h, GeometricGraph):
-        return frozenset(c.edges() for c in crossings_of(h))
-    if isinstance(h, CrossingStructure):
-        return h.crossings
-    raise TypeError(f"no crossing relation on {type(h).__name__}")
 
 
 def is_graph_hom(G, H, f: VertexMap) -> bool:
@@ -144,129 +96,6 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
     return True
 
 
-# --- the search core --------------------------------------------------------
-
-
-def _crossings_at(G: GeometricGraph) -> list[list[tuple[Edge, Edge]]]:
-    """For each vertex, the edge pairs of the crossings it lies on."""
-    at: list[list[tuple[Edge, Edge]]] = [[] for _ in range(G.n)]
-    for c in crossings_of(G):
-        for v in c.vertices:
-            at[v].append(c.edges())
-    return at
-
-
-def _fits(images: list[int], adj: Sequence[set[int]], crossings_at: Sequence[Sequence[tuple[Edge, Edge]]],
-          edge_ok: Callable[[int, int], bool], cross_ok: Callable[..., bool] | None) -> Callable[[int], bool]:
-    """The fits(v) check of _backtrack for an edge rule and a crossing rule.
-
-    Each mapped neighbour w of v must pass edge_ok(images[v], images[w]); each
-    crossing ab x cd at v whose four ends are mapped must pass
-    cross_ok(images[a], images[b], images[c], images[d]).
-    """
-
-    def fits(v: int) -> bool:
-        t = images[v]
-        for w in adj[v]:
-            s = images[w]
-            if s >= 0 and not edge_ok(t, s):
-                return False
-        for (a, b), (c, d) in crossings_at[v]:
-            quad = images[a], images[b], images[c], images[d]
-            if -1 not in quad and not cross_ok(*quad):
-                return False
-        return True
-
-    return fits
-
-
-def _backtrack(images: list[int], k: int, pick: Callable[[int], int], fits: Callable[[int], bool],
-               symmetric: bool) -> bool:
-    """Fill every -1 entry of images with a value in 0..k-1 so that fits accepts each.
-
-    pick(depth) names the vertex to map at that depth of the search; fits(v)
-    judges the value just written to images[v] against the vertices already
-    mapped. With `symmetric` the values are interchangeable, so a vertex tries
-    at most one value that no vertex holds yet (the values preset in images
-    must then be 0..m-1). Returns True with images filled, or False with
-    images as given.
-    """
-    todo = images.count(-1)
-
-    def extend(depth: int, used: int) -> bool:
-        if depth == todo:
-            return True
-        v = pick(depth)
-        for t in range(min(k, used + 1) if symmetric else k):
-            images[v] = t
-            if fits(v) and extend(depth + 1, max(used, t + 1)):
-                return True
-        images[v] = -1
-        return False
-
-    return extend(0, max(images, default=-1) + 1)
-
-
-# --- exact chromatic number -------------------------------------------------
-
-
-def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    clique: list[int] = []
-    for v in order:
-        if all(v in adj[u] for u in clique):
-            clique.append(v)
-    return clique
-
-
-def _dsatur_greedy(adj: Sequence[set[int]]) -> list[int]:
-    n = len(adj)
-    colors = [0] * n
-    saturation: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == 0),
-            key=lambda u: (len(saturation[u]), len(adj[u]), -u),
-        )
-        c = 1
-        while c in saturation[v]:
-            c += 1
-        colors[v] = c
-        for w in adj[v]:
-            saturation[w].add(c)
-    return colors
-
-
-def chromatic_number(G) -> tuple[int, Coloring]:
-    """Exact chi with a proper witness coloring using exactly chi colors."""
-    n, edges = _as_abstract(G)
-    if n == 0:
-        return 0, Coloring((), 0)
-    if not edges:
-        return 1, Coloring((1,) * n, 1)
-    adj = _adj_lists(n, edges)
-    clique = _greedy_clique(adj)
-    greedy = _dsatur_greedy(adj)
-    ub = max(greedy)
-    images = [-1] * n
-
-    def pick(depth: int) -> int:
-        return min(
-            (v for v in range(n) if images[v] < 0),
-            key=lambda v: (-len({images[w] for w in adj[v] if images[w] >= 0}), -len(adj[v]), v),
-        )
-
-    fits = _fits(images, adj, [()] * n, operator.ne, None)
-    for k in range(len(clique), ub):
-        images[:] = [-1] * n
-        for i, v in enumerate(clique):
-            images[v] = i
-        if _backtrack(images, k, pick, fits, symmetric=True):
-            return k, Coloring(tuple(c + 1 for c in images), k)
-    return ub, Coloring(tuple(greedy), ub)
-
-
 # --- geometric homomorphism search ------------------------------------------
 
 
@@ -275,20 +104,15 @@ def find_geometric_hom(G: GeometricGraph, target) -> VertexMap | None:
 
     Searches source vertices in decreasing crossing-degree order. Every edge
     must land on a target edge, every crossing on a target crossing, and the
-    pairs that the obstruction rules force apart on distinct vertices.
+    pairs that the obstruction rules force apart on distinct vertices. The
+    forced pairs are computed once per graph (non_identifiable_pairs keeps
+    them on G), so repeated searches from one drawing share them.
     """
-    from .obstructions import non_identifiable_pairs  # cycle-breaking import
-
-    return _find_hom(G, target, non_identifiable_pairs(G).forced_pairs)
-
-
-def _find_hom(G: GeometricGraph, target, forced_pairs: frozenset[Edge]) -> VertexMap | None:
-    """find_geometric_hom with the forced pairs of G already computed."""
     t_n, t_adj = _as_abstract(target)
     t_cross = _crossing_pairs(target)
     n = G.n
     crossings_at = _crossings_at(G)
-    apart = _adj_lists(n, forced_pairs - G.edges)  # edge_ok covers edges
+    apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # edge_ok covers edges
     order = sorted(range(n), key=lambda v: (-len(crossings_at[v]), v))
     images = [-1] * n
 
@@ -345,15 +169,12 @@ def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = 
     target may be a dominating structure. The forced pairs behind the bound
     are computed once per graph and reused by every search.
     """
-    from .obstructions import non_identifiable_pairs  # cycle-breaking import
-
     if not 1 <= max_n <= MAX_CATALOG_N:
         raise ValueError(f"max_n must be in 1..{MAX_CATALOG_N}, got {max_n}")
-    dg = non_identifiable_pairs(G)
-    low = max(1, dg.lower_bound())
+    low = max(1, non_identifiable_pairs(G).lower_bound())
     for n in range(low, max_n + 1):
         for entry in _targets(catalogs.get(n)):
-            f = _find_hom(G, entry.structure, dg.forced_pairs)
+            f = find_geometric_hom(G, entry.structure)
             if f is not None:
                 return XResult(n=n, target=entry.structure, witness=f)
     return None

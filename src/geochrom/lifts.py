@@ -33,7 +33,8 @@ from .errors import (
 )
 from .geometry import convex_crossing_rule
 from .graphs import Crossing, GeometricGraph, _adj_lists, _crossings_too_close, sorted_crossings
-from .homomorphism import Coloring, VertexMap, _backtrack, _crossings_at, _fits, is_geometric_hom, is_proper
+from .homomorphism import VertexMap, is_geometric_hom, is_proper
+from .search import Coloring, _backtrack, _crossings_at, _fits
 
 Mod = tuple[int, int]  # (vertex id, new hull label)
 
@@ -146,9 +147,6 @@ def _dispatch(method: str, n: int, lab: list[int], cr: Crossing) -> tuple[str, l
     return "1b", [(v, p3 + n)]
 
 
-_TARGET_FACTORS = {"dist2": None, "indep2n": 2, "indep3n": 3, "smallchi": 2}
-
-
 def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
     if len(alpha.colors) != G.n:
         raise ValueError("coloring size does not match vertex count")
@@ -156,20 +154,13 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
         raise NotProperColoring(f"coloring is not proper for the {method} lift")
 
     n = alpha.n
+    target_size = {"dist2": n + 2, "indep2n": 2 * n, "indep3n": 3 * n, "smallchi": 2 * n}[method]
+    base, room = list(alpha.colors), n
     if method == "smallchi":
         if n not in (2, 3):
             raise ChiOutOfRange(f"the 2*chi lift needs 2 or 3 colors, got {n}")
         base = [2 * c - 1 for c in alpha.colors]
-        target_size = 2 * n
         room = 2 * n - 1  # recoded labels occupy odd positions 1..2n-1
-    elif method == "dist2":
-        base = list(alpha.colors)
-        target_size = n + 2
-        room = n
-    else:
-        base = list(alpha.colors)
-        target_size = _TARGET_FACTORS[method] * n
-        room = n
 
     crossings = sorted(sorted_crossings(G), key=lambda c: (min(c.vertices), c))
 

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .graphs import Edge, GeometricGraph, _adj_lists, crossings_of
-from .homomorphism import chromatic_number
+from .search import chromatic_number
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from geochrom import (
     CatalogStore,
     CrossingStructure,
     GeometricGraph,
+    GraphFormatError,
     Point,
     SizeUnsupported,
     VertexMap,
@@ -20,6 +21,7 @@ from geochrom import (
     crossings_of,
     enumerate_clique_structures,
     figure_graphs,
+    graph_to_json_dict,
     is_general_position,
     is_geometric_hom,
 )
@@ -179,6 +181,43 @@ def test_catalog_json_round_trip(store):
     again = catalog_from_json_dict(json.loads(json.dumps(doc)))
     assert again.n == cat.n
     assert again.canonical_forms() == cat.canonical_forms()
+
+
+def test_store_rejects_a_catalog_saved_under_another_size(tmp_path, store):
+    (tmp_path / "k5.catalog.json").write_text(json.dumps(catalog_to_json_dict(store.get(4))))
+    with pytest.raises(GraphFormatError, match="n=4, not n=5"):
+        CatalogStore(tmp_path, build_missing=False).get(5)
+
+
+def test_catalog_rejects_a_witness_that_is_not_the_complete_graph(store):
+    doc = catalog_to_json_dict(store.get(5))
+    k5 = convex_clique(5)
+    for witness in (GeometricGraph.build(k5.points, sorted(k5.edges)[1:]), convex_clique(4)):
+        entry = {"witness": graph_to_json_dict(witness), "canonical": crossing_structure(witness).hex}
+        with pytest.raises(GraphFormatError, match="not a complete graph on 5 vertices"):
+            catalog_from_json_dict(dict(doc, entries=doc["entries"] + [entry]))
+
+
+_K4_ENTRY = {"witness": graph_to_json_dict(convex_clique(4)), "canonical": crossing_structure(convex_clique(4)).hex}
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 6, "entries": [{"canonical": "00"}]},
+    {"n": 4, "entries": [{"witness": _K4_ENTRY["witness"]}]},
+    {"n": 4, "entries": [dict(_K4_ENTRY, canonical=7)]},
+    {"n": 4, "entries": [dict(_K4_ENTRY, witness="k4")]},
+    {"n": 4, "entries": ["k4"]},
+    {"n": 4, "entries": {"0": _K4_ENTRY}},
+    {"n": 4, "entries": []},
+    {"n": 4},
+    {"n": "4", "entries": [_K4_ENTRY]},
+    {"n": True, "entries": [_K4_ENTRY]},
+    {"entries": [_K4_ENTRY]},
+    [4, [_K4_ENTRY]],
+])
+def test_catalog_rejects_missing_or_ill_typed_fields(doc):
+    with pytest.raises(GraphFormatError):
+        catalog_from_json_dict(doc)
 
 
 def test_store_trivial_sizes_and_missing(tmp_path):

@@ -140,6 +140,13 @@ def test_catalog_command(capsys, tmp_path):
     assert json.loads(out) == on_disk
 
 
+def test_x_command_rejects_a_malformed_catalog(capsys, tmp_path, fig6):
+    (tmp_path / "k6.catalog.json").write_text('{"n": 6, "entries": [{"canonical": "00"}]}')
+    code, out, err = run(capsys, "x", fig6, "--catalog", str(tmp_path), "--no-build", "--max-n", "6")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["kind"] == "GraphFormatError"
+
+
 def test_render_command(capsys, tmp_path, fig6):
     out_path = tmp_path / "fig6.svg"
     code, _, _ = run(capsys, "render", fig6, "-o", str(out_path))

@@ -25,6 +25,7 @@ from geochrom import (
     separation_family,
     star_crossing,
 )
+import geochrom.homomorphism as homomorphism
 from conftest import CACHE_DIR
 from oracles import brute_force_chromatic, brute_force_geometric_hom_exists
 
@@ -206,6 +207,23 @@ def test_convex_target_is_tried_before_the_maximal_view_is_computed(store):
     res = geochromatic_number(convex_clique(5), fresh, max_n=5)
     assert res.n == 5 and res.target == crossing_structure(convex_clique(5))
     assert "maximal" not in vars(fresh.get(5))  # no dominance test was paid for
+
+
+def test_geochromatic_number_searches_through_find_geometric_hom(store, monkeypatch):
+    calls = []
+
+    def counting(G, target):
+        calls.append(target)
+        return find_geometric_hom(G, target)
+
+    monkeypatch.setattr(homomorphism, "find_geometric_hom", counting)
+    convex6 = crossing_structure(convex_clique(6))
+    res = geochromatic_number(figure_graphs("figure6"), store, max_n=6)
+    assert calls == [convex6] and res.target is calls[-1]  # lower bound 6, resolved by the convex K6
+    calls.clear()
+    res = geochromatic_number(figure_graphs("figure1_left"), store, max_n=6)
+    assert res.n == 6 and res.target != convex6 and res.target is calls[-1]
+    assert convex6 in calls[:-1]
 
 
 def test_geochromatic_number_invariant_under_relabel_and_scale(store):

@@ -1,0 +1,86 @@
+"""Module layering of the package, read from the source with ast.
+
+Every import sits at the top of its module, and the imports between the
+package's modules form no cycle, so each module can be read and loaded after
+the ones it names.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geochrom"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(node: ast.AST) -> set[str]:
+    """The package modules one import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".") for alias in node.names]
+        return {parts[1] for parts in names if parts[0] == "geochrom" and len(parts) > 1}
+    if node.level == 0:
+        parts = (node.module or "").split(".")
+        if parts[0] != "geochrom":
+            return set()
+        return {parts[1]} if len(parts) > 1 else {alias.name for alias in node.names}
+    if node.module:
+        return {node.module.split(".")[0]}
+    return {alias.name for alias in node.names}
+
+
+def _import_graph() -> dict[str, set[str]]:
+    graph = {}
+    for name, tree in MODULES.items():
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                targets |= _imported_modules(node) & MODULES.keys()
+        graph[name] = targets - {name}
+    return graph
+
+
+def _find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    state: dict[str, str] = {}  # "open" while on the DFS stack, then "done"
+    stack: list[str] = []
+
+    def visit(v: str) -> list[str] | None:
+        state[v] = "open"
+        stack.append(v)
+        for w in sorted(graph[v]):
+            if state.get(w) == "open":
+                return stack[stack.index(w):] + [w]
+            if w not in state:
+                cycle = visit(w)
+                if cycle:
+                    return cycle
+        stack.pop()
+        state[v] = "done"
+        return None
+
+    for v in sorted(graph):
+        if v not in state:
+            cycle = visit(v)
+            if cycle:
+                return cycle
+    return None
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{name}.py:{node.lineno} in {getattr(fn, 'name', 'lambda')}"
+                          for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_package_imports_form_no_cycle():
+    graph = _import_graph()
+    assert graph["homomorphism"] >= {"catalog", "graphs"}  # the imports are read at all
+    assert _find_cycle(graph) is None, " -> ".join(_find_cycle(graph))
+
+
+def test_cycle_finder_reports_a_cycle():
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
