@@ -62,6 +62,10 @@ MAX_CATALOG_N = 7
 # counted once (Aichholzer, Aurenhammer and Krasser 2002).
 _ORDER_TYPE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 16, 7: 135}
 
+# Crossing structures of straight-line K_n: distinct order types may share
+# one. A catalog with fewer, or with repeats, is incomplete.
+_STRUCTURE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 15, 7: 122}
+
 _ORIGIN = Point(0, 0)
 
 
@@ -250,14 +254,20 @@ def enumerate_clique_structures(n: int) -> CliqueCatalog:
     is complete); the witness of a structure is the K_n on the first order
     type, in canonical order, that realizes it.
     """
-    if not 3 <= n <= MAX_CATALOG_N:
-        raise SizeUnsupported(f"clique structure enumeration supports n in 3..{MAX_CATALOG_N}, got {n}")
+    _check_enumerable(n)
     found: dict[bytes, CatalogEntry] = {}
     for pts in _order_types(n):
         witness = GeometricGraph.build(pts, itertools.combinations(range(n), 2))
         structure = crossing_structure(witness)
         found.setdefault(structure.canonical_form, CatalogEntry(structure, witness))
+    if len(found) != _STRUCTURE_COUNTS[n]:
+        raise RuntimeError(f"{len(found)} crossing structures of K_{n}, not the {_STRUCTURE_COUNTS[n]} known")
     return CliqueCatalog(n=n, entries=tuple(_convex_first(n, list(found.values()))))
+
+
+def _check_enumerable(n: int) -> None:
+    if not 3 <= n <= MAX_CATALOG_N:
+        raise SizeUnsupported(f"clique structure enumeration supports n in 3..{MAX_CATALOG_N}, got {n}")
 
 
 def _convex_first(n: int, entries: list[CatalogEntry]) -> list[CatalogEntry]:
@@ -290,13 +300,18 @@ def _field(doc, key: str, kind: type):
 
 
 def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
-    """A catalog from its JSON form, each entry checked against its witness.
+    """A complete catalog from its JSON form, each entry checked against its witness.
 
-    Raises GraphFormatError unless `n` is an int and `entries` a non-empty
-    list of objects whose `witness` is the complete graph on n vertices and
-    whose `canonical` is the hex of that witness's crossing structure.
+    Raises GraphFormatError unless `n` is an int in 3..MAX_CATALOG_N and
+    `entries` a list of objects whose `witness` is the complete graph on n
+    vertices and whose `canonical` is the hex of that witness's crossing
+    structure, with every K_n structure there exactly once. Each entry is
+    realized by its own witness, so distinct forms in the known number
+    (_STRUCTURE_COUNTS) prove the catalog complete.
     """
     n = _field(doc, "n", int)
+    if n not in _STRUCTURE_COUNTS:
+        raise GraphFormatError(f"catalog JSON has n={n}; catalogs exist for n in 3..{MAX_CATALOG_N}")
     entries = []
     for item in _field(doc, "entries", list):
         witness = graph_from_json_dict(_field(item, "witness", dict))
@@ -306,8 +321,10 @@ def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
         if structure.hex != _field(item, "canonical", str):
             raise GraphFormatError(f"catalog entry for n={n} does not realize its recorded canonical form")
         entries.append(CatalogEntry(structure, witness))
-    if not entries:
-        raise GraphFormatError(f"catalog for n={n} has no entries")
+    distinct = len({e.structure.canonical_form for e in entries})
+    if not distinct == len(entries) == _STRUCTURE_COUNTS[n]:
+        raise GraphFormatError(f"catalog for n={n} holds {distinct} distinct structures in {len(entries)} "
+                               f"entries, not the {_STRUCTURE_COUNTS[n]} structures of K_{n}")
     return CliqueCatalog(n=n, entries=tuple(_convex_first(n, entries)))
 
 

@@ -15,7 +15,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import MAX_CATALOG_N, CatalogStore, catalog_to_json_dict, convex_clique, enumerate_clique_structures
+from .catalog import (
+    MAX_CATALOG_N,
+    CatalogStore,
+    _check_enumerable,
+    catalog_to_json_dict,
+    convex_clique,
+    enumerate_clique_structures,
+)
 from .errors import (
     ChiOutOfRange,
     CollapsedCrossingPair,
@@ -191,6 +198,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    _check_enumerable(args.n)
     if args.out:
         store = CatalogStore(args.out)
         cat = store.get(args.n)
@@ -284,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_output(sub.add_parser("x", help="exact geochromatic number via catalogs"))
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=MAX_CATALOG_N, dest="max_n")
-    p.add_argument("--catalog", default=None, help="directory with k<n>.catalog.json files")
+    p.add_argument("--catalog", default=None,
+                   help="directory with k<n>.catalog.json files; without it each run rebuilds "
+                        "every catalog it reaches (K7 takes seconds)")
     p.add_argument("--no-build", action="store_true", help="fail instead of building missing catalogs")
     p.set_defaults(fn=_cmd_x)
 

@@ -156,10 +156,7 @@ def figure_graphs(which: str) -> GeometricGraph:
 
 
 def _vertex_has_all_edges_crossed(g: GeometricGraph) -> bool:
-    crossed = set()
-    for c in crossings_of(g):
-        crossed.add(c.e1)
-        crossed.add(c.e2)
+    crossed = set().union(*crossings_of(g))
     for v in range(g.n):
         incident = [e for e in g.edges if v in e]
         if incident and all(e in crossed for e in incident):
@@ -177,14 +174,10 @@ def _validate_figure(which: str, g: GeometricGraph) -> None:
                "right K6 must out-cross the left one")
     elif which in ("figure2_left", "figure6"):
         # the 2-path {3,5},{4,5} must cross all three triangle edges
-        covered = set()
-        for c in cs:
-            for e in c.edges():
-                covered.add(e)
-        _check({(0, 1), (0, 2), (1, 2)} <= covered, f"{which}: 2-path must cross the triangle")
+        _check({(0, 1), (0, 2), (1, 2)} <= set().union(*cs), f"{which}: 2-path must cross the triangle")
     elif which == "figure2_right":
         path_edges = {(0, 1), (1, 2), (2, 3)}
-        crossed_by_ef = {c.e1 if c.e2 == (4, 5) else c.e2 for c in cs if (4, 5) in c.edges()}
+        crossed_by_ef = {c.e1 if c.e2 == (4, 5) else c.e2 for c in cs if (4, 5) in c}
         _check(path_edges <= crossed_by_ef, "edge {e,f} must cross all three path edges")
     elif which == "figure3_left":
         _check(len(cs) == 2 and min_pairwise_crossing_distance(g) == 2,
@@ -233,7 +226,7 @@ def random_geometric_graph(
     while (conflict := _crossings_too_close(sorted(kept), crossings, min_crossing_distance)) is not None:
         gone = conflict[0].e2
         kept.discard(gone)
-        crossings = [c for c in crossings if gone not in c.edges()]
+        crossings = [c for c in crossings if gone not in c]
     if len(kept) < len(g.edges):
         g = GeometricGraph(g.points, frozenset(kept))
     return g

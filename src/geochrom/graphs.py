@@ -9,6 +9,10 @@ homomorphisms care about: the adjacency relation and which disjoint edge
 pairs cross. Its canonical form is a byte string that two structures share
 exactly when some relabeling preserves adjacency, non-adjacency, crossings
 and non-crossings.
+
+There is one crossing type. Both classes hold their crossings in
+`crossings`, a frozenset of Crossing: a pair of edges, lesser edge first,
+that is a plain tuple and so equals and hashes like its edge pair.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphFormatError
 from .geometry import Point, is_general_position, segments_cross
@@ -62,7 +66,7 @@ class GeometricGraph:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def _crossings(self) -> frozenset["Crossing"]:
+    def crossings(self) -> frozenset["Crossing"]:
         # Memoized on the instance, so it lives exactly as long as the graph.
         out = set()
         es = self.sorted_edges
@@ -87,17 +91,16 @@ def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
     return adj
 
 
-@dataclass(frozen=True, order=True)
-class Crossing:
-    """An unordered pair of disjoint edges whose segments cross."""
+class Crossing(NamedTuple):
+    """An unordered pair of disjoint edges whose segments cross, lesser edge first."""
 
     e1: Edge
     e2: Edge
 
     @classmethod
     def make(cls, e1: Iterable[int], e2: Iterable[int]) -> "Crossing":
-        a, b = sorted((_norm_edge(e1), _norm_edge(e2)))
-        return cls(a, b)
+        a, b = _norm_edge(e1), _norm_edge(e2)
+        return cls(a, b) if a < b else cls(b, a)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -109,7 +112,7 @@ class Crossing:
 
 def crossings_of(G: GeometricGraph) -> frozenset[Crossing]:
     """All properly crossing disjoint edge pairs of the drawing, computed once per graph."""
-    return G._crossings
+    return G.crossings
 
 
 def sorted_crossings(G: GeometricGraph) -> list[Crossing]:
@@ -183,13 +186,6 @@ def _crossings_too_close(
     return None
 
 
-CrossingPair = tuple[Edge, Edge]
-
-
-def _norm_crossing_pair(e1: Edge, e2: Edge) -> CrossingPair:
-    return (e1, e2) if e1 < e2 else (e2, e1)
-
-
 class CrossingStructure:
     """Coordinate-free record of a drawing: adjacency plus crossing pairs.
 
@@ -199,9 +195,9 @@ class CrossingStructure:
 
     __slots__ = ("n", "adjacency", "crossings", "_canonical")
 
-    def __init__(self, n: int, adjacency: Iterable[Edge], crossings: Iterable[CrossingPair]):
+    def __init__(self, n: int, adjacency: Iterable[Edge], crossings: Iterable[tuple[Edge, Edge]]):
         adj = frozenset(_norm_edge(e) for e in adjacency)
-        crs = frozenset(_norm_crossing_pair(_norm_edge(a), _norm_edge(b)) for a, b in crossings)
+        crs = frozenset(Crossing.make(*pair) for pair in crossings)
         for u, v in adj:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -241,7 +237,7 @@ class CrossingStructure:
 
 
 def crossing_structure(G: GeometricGraph) -> CrossingStructure:
-    return CrossingStructure(G.n, G.edges, [c.edges() for c in crossings_of(G)])
+    return CrossingStructure(G.n, G.edges, crossings_of(G))
 
 
 # --- canonicalization -------------------------------------------------------
@@ -282,7 +278,7 @@ def _refine_partition(n: int, adj: list[set[int]], incid: list[list[tuple[int, t
     return [groups[c] for c in sorted(groups)]
 
 
-def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[CrossingPair]) -> bytes:
+def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Crossing]) -> bytes:
     adj = _adj_lists(n, adjacency)
     incid: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(n)]
     for (a, b), (c, d) in crossings:
@@ -299,7 +295,9 @@ def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Cr
             raise RuntimeError(f"canonicalization too symmetric for n={n} ({total} candidates)")
 
     edge_list = sorted(adjacency)
-    cross_list = sorted(crossings)
+    # Flat exact tuples: unpacking a Crossing, a tuple subclass, in the loop
+    # over candidates below costs about three times as much.
+    cross_list = [(*e1, *e2) for e1, e2 in crossings]
     best: tuple | None = None
     pos_blocks = []
     start = 0
@@ -318,7 +316,7 @@ def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Cr
         )
         n2 = n * n
         cs = []
-        for (u, v), (x, y) in cross_list:
+        for u, v, x, y in cross_list:
             e1 = (perm[u] * n + perm[v]) if perm[u] < perm[v] else (perm[v] * n + perm[u])
             e2 = (perm[x] * n + perm[y]) if perm[x] < perm[y] else (perm[y] * n + perm[x])
             cs.append(e1 * n2 + e2 if e1 < e2 else e2 * n2 + e1)
@@ -368,7 +366,10 @@ def graph_from_json_dict(doc: Mapping) -> GeometricGraph:
             raise GraphFormatError(f"vertex entry {item!r} must be all-integer")
         if vid in seen:
             raise GraphFormatError(f"duplicate vertex id {vid}")
-        seen[vid] = Point(x, y)
+        try:
+            seen[vid] = Point(x, y)
+        except ValueError as exc:
+            raise GraphFormatError(f"vertex {vid}: {exc}") from exc
     n = len(seen)
     if set(seen) != set(range(n)):
         raise GraphFormatError("vertex ids must be exactly 0..n-1")

@@ -15,7 +15,7 @@ from typing import Iterator
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
 from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, crossings_of
 from .obstructions import non_identifiable_pairs
-from .search import Coloring, _as_abstract, _backtrack, _crossing_pairs, _crossings_at, _fits, chromatic_number
+from .search import Coloring, _as_abstract, _backtrack, _crossings_at, _fits, chromatic_number
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ def is_graph_hom(G, H, f: VertexMap) -> bool:
     return True
 
 
-def is_geometric_hom(G: GeometricGraph, H, f: VertexMap) -> bool:
+def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f: VertexMap) -> bool:
     """True iff f preserves adjacency and maps every crossing onto a crossing."""
     if not is_graph_hom(G, H, f):
         return False
-    target_crossings = _crossing_pairs(H)
+    target_crossings = H.crossings
     for c in crossings_of(G):
         img1 = f.edge_image(c.e1)
         img2 = f.edge_image(c.e2)
@@ -99,7 +99,7 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
 # --- geometric homomorphism search ------------------------------------------
 
 
-def find_geometric_hom(G: GeometricGraph, target) -> VertexMap | None:
+def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStructure) -> VertexMap | None:
     """First verified geometric homomorphism G -> target, or None.
 
     Searches source vertices in decreasing crossing-degree order. Every edge
@@ -109,7 +109,7 @@ def find_geometric_hom(G: GeometricGraph, target) -> VertexMap | None:
     them on G), so repeated searches from one drawing share them.
     """
     t_n, t_adj = _as_abstract(target)
-    t_cross = _crossing_pairs(target)
+    t_cross = target.crossings
     n = G.n
     crossings_at = _crossings_at(G)
     apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # edge_ok covers edges

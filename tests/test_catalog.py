@@ -21,10 +21,12 @@ from geochrom import (
     crossings_of,
     enumerate_clique_structures,
     figure_graphs,
+    geochromatic_number,
     graph_to_json_dict,
     is_general_position,
     is_geometric_hom,
 )
+import geochrom.catalog as catalog
 from conftest import CACHE_DIR
 from geochrom.catalog import (
     _CrossingTable,
@@ -198,25 +200,58 @@ def test_catalog_rejects_a_witness_that_is_not_the_complete_graph(store):
             catalog_from_json_dict(dict(doc, entries=doc["entries"] + [entry]))
 
 
-_K4_ENTRY = {"witness": graph_to_json_dict(convex_clique(4)), "canonical": crossing_structure(convex_clique(4)).hex}
+# The complete K4 catalog (convex entry first): each document below breaks
+# one field of it, so each fails for its own reason, not for being incomplete.
+_K4_ENTRY, _K4_OTHER = catalog_to_json_dict(enumerate_clique_structures(4))["entries"]
+
+
+def test_the_k4_document_the_field_cases_break_loads():
+    assert len(catalog_from_json_dict({"n": 4, "entries": [_K4_ENTRY, _K4_OTHER]}).entries) == 2
 
 
 @pytest.mark.parametrize("doc", [
     {"n": 6, "entries": [{"canonical": "00"}]},
-    {"n": 4, "entries": [{"witness": _K4_ENTRY["witness"]}]},
-    {"n": 4, "entries": [dict(_K4_ENTRY, canonical=7)]},
-    {"n": 4, "entries": [dict(_K4_ENTRY, witness="k4")]},
-    {"n": 4, "entries": ["k4"]},
-    {"n": 4, "entries": {"0": _K4_ENTRY}},
+    {"n": 4, "entries": [{"witness": _K4_ENTRY["witness"]}, _K4_OTHER]},
+    {"n": 4, "entries": [dict(_K4_ENTRY, canonical=7), _K4_OTHER]},
+    {"n": 4, "entries": [dict(_K4_ENTRY, witness="k4"), _K4_OTHER]},
+    {"n": 4, "entries": ["k4", _K4_OTHER]},
+    {"n": 4, "entries": {"0": _K4_ENTRY, "1": _K4_OTHER}},
     {"n": 4, "entries": []},
     {"n": 4},
-    {"n": "4", "entries": [_K4_ENTRY]},
-    {"n": True, "entries": [_K4_ENTRY]},
-    {"entries": [_K4_ENTRY]},
-    [4, [_K4_ENTRY]],
+    {"n": "4", "entries": [_K4_ENTRY, _K4_OTHER]},
+    {"n": True, "entries": [_K4_ENTRY, _K4_OTHER]},
+    {"entries": [_K4_ENTRY, _K4_OTHER]},
+    [4, [_K4_ENTRY, _K4_OTHER]],
 ])
 def test_catalog_rejects_missing_or_ill_typed_fields(doc):
     with pytest.raises(GraphFormatError):
+        catalog_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("damage", ["convex_entry_duplicated", "convex_entry_deleted"])
+def test_store_rejects_an_incomplete_k6_catalog(tmp_path, store, damage):
+    # Either file loaded silently before, and X of the convex K6 came out None, not 6.
+    entries = catalog_to_json_dict(store.get(6))["entries"]
+    damaged = [entries[1], *entries[1:]] if damage == "convex_entry_duplicated" else entries[1:]
+    (tmp_path / "k6.catalog.json").write_text(json.dumps({"n": 6, "entries": damaged}))
+    with pytest.raises(GraphFormatError, match="not the 15 structures of K_6"):
+        geochromatic_number(convex_clique(6), CatalogStore(tmp_path, build_missing=False), max_n=6)
+
+
+def test_catalog_rejects_sizes_without_a_structure_count(store):
+    for n in (1, 2):
+        with pytest.raises(GraphFormatError, match="catalogs exist for n in 3..7"):
+            catalog_from_json_dict(catalog_to_json_dict(store.get(n)))
+    with pytest.raises(GraphFormatError, match="catalogs exist for n in 3..7"):
+        catalog_from_json_dict({"n": 8, "entries": []})
+
+
+def test_enumeration_and_loader_check_one_structure_count_table(store, monkeypatch):
+    doc = catalog_to_json_dict(store.get(4))
+    monkeypatch.setitem(catalog._STRUCTURE_COUNTS, 4, 3)
+    with pytest.raises(RuntimeError, match="2 crossing structures of K_4, not the 3 known"):
+        enumerate_clique_structures(4)
+    with pytest.raises(GraphFormatError, match="2 distinct structures in 2 entries, not the 3"):
         catalog_from_json_dict(doc)
 
 

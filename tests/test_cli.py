@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from geochrom import dump_graph, figure_graphs, load_graph, star_crossing
+from geochrom import GraphFormatError, dump_graph, figure_graphs, load_graph, star_crossing
 from geochrom.cli import main
 
 
@@ -138,6 +138,27 @@ def test_catalog_command(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "--n", "4")
     assert code == 0
     assert json.loads(out) == on_disk
+
+
+@pytest.mark.parametrize("n", ["1", "2", "8"])
+def test_catalog_command_accepts_only_cataloged_sizes(capsys, tmp_path, n):
+    out_dir = tmp_path / "cats"
+    for extra in ([], ["--out", str(out_dir)]):
+        code, out, err = run(capsys, "catalog", "--n", n, *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "SizeUnsupported"
+    assert not out_dir.exists()
+
+
+def test_coordinate_beyond_the_bound_is_a_format_error(capsys, tmp_path):
+    text = '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1073741825, "y": 0}], "edges": [[0, 1]]}'
+    with pytest.raises(GraphFormatError, match="exceeds the"):
+        load_graph(text)
+    path = tmp_path / "far.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "chi", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "GraphFormatError"
 
 
 def test_x_command_rejects_a_malformed_catalog(capsys, tmp_path, fig6):

@@ -7,7 +7,9 @@ import weakref
 import pytest
 
 from geochrom import (
+    FIGURE_TAGS,
     Crossing,
+    CrossingStructure,
     GeometricGraph,
     GraphFormatError,
     Point,
@@ -17,6 +19,7 @@ from geochrom import (
     crossings_of,
     dump_graph,
     figure_graphs,
+    find_geometric_hom,
     is_general_position,
     load_graph,
     min_pairwise_crossing_distance,
@@ -224,6 +227,42 @@ def test_structure_validation():
         from geochrom import CrossingStructure
 
         CrossingStructure(4, [(0, 1)], [((0, 1), (2, 3))])
+
+
+def _drawings():
+    yield from (figure_graphs(tag) for tag in FIGURE_TAGS)
+    yield from (random_geometric_graph(9, 0.4, seed=seed) for seed in range(20))
+
+
+def test_drawings_and_structures_hold_one_crossing_type():
+    for g in _drawings():
+        structure = crossing_structure(g)
+        assert crossings_of(g) == structure.crossings
+        assert all(type(c) is Crossing for c in structure.crossings)
+    c = Crossing.make((2, 4), (1, 5))
+    assert c == ((1, 5), (2, 4)) and hash(c) == hash(((1, 5), (2, 4)))
+    assert repr(c) == "Crossing(e1=(1, 5), e2=(2, 4))"
+    assert sorted([Crossing.make((0, 2), (1, 3)), c]) == [Crossing((0, 2), (1, 3)), c]
+
+
+def test_structure_from_plain_pairs_holds_crossings():
+    edges = list(itertools.combinations(range(5), 2))
+    plain = CrossingStructure(5, edges, [((3, 2), (1, 0)), ((1, 4), (0, 2))])
+    typed = CrossingStructure(5, edges, [Crossing.make((0, 1), (2, 3)), Crossing.make((0, 2), (1, 4))])
+    assert plain == typed
+    assert plain.crossings == typed.crossings == {((0, 1), (2, 3)), ((0, 2), (1, 4))}
+    assert all(type(c) is Crossing for c in plain.crossings)
+
+
+def test_hom_search_reads_drawing_and_structure_targets_alike(store):
+    targets = [e.witness for e in (*store.get(4).entries, *store.get(5).entries, *store.get(6).maximal)]
+    found = 0
+    for g in _drawings():
+        for h in targets:
+            f = find_geometric_hom(g, h)
+            assert f == find_geometric_hom(g, crossing_structure(h))
+            found += f is not None
+    assert found > 0
 
 
 # --- JSON round trip --------------------------------------------------------

@@ -6,6 +6,8 @@ Each entry: chi coloring, X' coloring, (X, target canonical hex, X map),
 and find_noncollapsing_hom for chi and chi + 1 colors.
 """
 
+import hashlib
+
 import pytest
 
 from geochrom import (
@@ -14,7 +16,9 @@ from geochrom import (
     figure_graphs,
     find_noncollapsing_hom,
     geochromatic_number,
+    non_identifiable_pairs,
     pseudo_geochromatic_number,
+    random_geometric_graph,
     star_crossing,
 )
 
@@ -122,3 +126,28 @@ def test_witnesses_are_pinned(name, store):
     assert (result.n, result.target.hex, result.witness.images) == (x, target_hex, x_map)
     found = tuple(find_noncollapsing_hom(g, k) for k in (chi, chi + 1))
     assert tuple(None if c is None else c.colors for c in found) == noncollapsing
+
+
+def _answer_line(g, store):
+    chi, coloring = chromatic_number(g)
+    px, pseudo = pseudo_geochromatic_number(g)
+    pairs = non_identifiable_pairs(g)
+    provenance = tuple((pair, "".join(sorted(pairs.provenance[pair]))) for pair in sorted(pairs.forced_pairs))
+    result = geochromatic_number(g, store, max_n=6)
+    x = None if result is None else (result.n, result.target.hex, result.witness.images)
+    noncollapsing = find_noncollapsing_hom(g, chi)
+    return repr((chi, coloring.colors, px, pseudo.colors, provenance, pairs.lower_bound(), x,
+                 None if noncollapsing is None else noncollapsing.colors))
+
+
+# sha256 of every answer below on 300 seeded random drawings; any change to a
+# value, a witness, a search order or a tie-break changes it.
+ANSWER_DIGEST = "98e3a2ce5f7d6161f616fd098a386f0c62f1bed424bf4681c607baff33af7d6c"
+
+
+def test_answers_on_random_drawings_match_the_pinned_digest(store):
+    lines = []
+    for i in range(300):
+        g = random_geometric_graph(8 + i % 5, (0.3, 0.4)[i // 5 % 2], min_crossing_distance=i // 10 % 3, seed=i)
+        lines.append(_answer_line(g, store))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ANSWER_DIGEST
