@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
@@ -49,12 +48,11 @@ from .geometry import Point, cross_sign, regular_polygon_points
 from .graphs import (
     CrossingStructure,
     GeometricGraph,
-    _adj_lists,
     crossing_structure,
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from .search import _backtrack, _crossings_at, _fits
+from .search import _backtrack, _crossing_partners
 
 MAX_CATALOG_N = 7
 
@@ -103,63 +101,61 @@ class CliqueCatalog:
         kept: list[CatalogEntry] = []
         for entry in sorted(self.entries, key=lambda e: -len(e.structure.crossings)):
             size = len(entry.structure.crossings)
-            if not any(len(k.structure.crossings) > size and _maps_into(tables[id(entry)], tables[id(k)])
-                       for k in kept):
+            if not any(len(k.structure.crossings) > size
+                       and _maps_into(tables[id(entry)], tables[id(k)]) is not None for k in kept):
                 kept.append(entry)
         kept_ids = {id(e) for e in kept}
         return tuple(e for e in self.entries if id(e) in kept_ids)
 
 
 class _CrossingTable:
-    """A K_n structure's crossings, indexed for _maps_into."""
+    """A K_n structure's per-edge crossing counts, indexed for _maps_into."""
 
     def __init__(self, s: CrossingStructure):
-        self.adj = _adj_lists(s.n, s.adjacency)
-        self.crossings_at = _crossings_at(s)
+        self.structure = s
+        self.crossings_at = _crossing_partners(s)
         # per_edge[u][v]: how many crossings the edge uv takes part in.
         self.per_edge = [[0] * s.n for _ in range(s.n)]
         for (a, b), (c, d) in s.crossings:
             for u, v in ((a, b), (b, a), (c, d), (d, c)):
                 self.per_edge[u][v] += 1
         self.sorted_rows = [sorted(row) for row in self.per_edge]
-        # counted[u]: the pairs (v, per_edge[u][v]) with a nonzero count.
-        self.counted = [[(v, count) for v, count in enumerate(row) if count] for row in self.per_edge]
-        # Every crossing in all 8 orders of its ends, so an image needs no normalizing.
-        self.quads = {quad for (a, b), (c, d) in s.crossings
-                      for quad in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-                                   (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a))}
+        # by_count[v]: the other vertices grouped by the crossing count of their edge to v.
+        self.by_count: list[dict[int, list[int]]] = [{} for _ in range(s.n)]
+        for v, row in enumerate(self.per_edge):
+            for w, count in enumerate(row):
+                if w != v:
+                    self.by_count[v].setdefault(count, []).append(w)
+        # at_least[count][t]: the vertices other than t whose edge to t is in at least
+        # count crossings; an edge of K_n crosses at most the C(n - 2, 2) edges disjoint from it.
+        self.at_least = [[sum(1 << w for w, have in enumerate(row) if have >= count and w != t)
+                          for t, row in enumerate(self.per_edge)]
+                         for count in range(comb(max(s.n - 2, 0), 2) + 1)]
 
 
-def _maps_into(source: _CrossingTable, target: _CrossingTable) -> bool:
-    """Whether some bijection sends every crossing of one K_n onto a crossing of another.
+def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...] | None:
+    """The first bijection that sends every crossing of one K_n onto a crossing of another, or None.
 
     Edges of a complete graph map onto edges under any bijection, so only the
     crossings need checking. The crossings on an edge go to distinct crossings
     on its image, so an edge can only go to an edge with at least as many, and
-    a vertex only to one whose sorted per-edge counts dominate its own. The
-    search (search._backtrack) maps the vertices with fewest such candidates
-    first; a new image must be a candidate, differ from the images already
-    placed, carry at least the counts of the edges to the vertices already
-    mapped, and send each crossing whose four ends are mapped onto a crossing.
+    a vertex only to one whose sorted per-edge counts dominate its own: those
+    candidates are each vertex's initial mask. The search (search._backtrack)
+    maps the vertices with fewest candidates first. Mapping v to t narrows
+    every other vertex w to the images other than t whose edge to t is in at
+    least as many crossings as vw, which keeps the map a bijection, and the
+    ends of each crossing at v as the target's crossing index allows.
     """
     n = len(source.per_edge)
-    candidates = [{w for w in range(n) if all(map(int.__le__, row, target.sorted_rows[w]))}
+    candidates = [sum(1 << w for w in range(n) if all(map(int.__le__, row, target.sorted_rows[w])))
                   for row in source.sorted_rows]
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), -sum(source.per_edge[v])))
+    order = sorted(range(n), key=lambda v: (candidates[v].bit_count(), -sum(source.per_edge[v])))
+    links = [[(target.at_least[count], ws) for count, ws in groups.items()] for groups in source.by_count]
     images = [-1] * n
-    maps_crossings = _fits(images, source.adj, source.crossings_at, operator.ne,
-                           lambda *quad: quad in target.quads)
-
-    def fits(v: int) -> bool:
-        if images[v] not in candidates[v]:
-            return False
-        row = target.per_edge[images[v]]
-        for u, count in source.counted[v]:
-            if images[u] >= 0 and count > row[images[u]]:
-                return False
-        return maps_crossings(v)
-
-    return _backtrack(images, n, order.__getitem__, fits, symmetric=False)
+    if _backtrack(images, candidates, order.__getitem__, links, source.crossings_at,
+                  target.structure.crossing_index, symmetric=False):
+        return tuple(images)
+    return None
 
 
 # --- order types ------------------------------------------------------------

@@ -206,6 +206,8 @@ def random_geometric_graph(
     """
     if vertex_count < 1 or vertex_count > 14:
         raise ValueError("vertex_count must be 1..14")
+    if not 0 <= edge_probability <= 1:  # also rejects NaN
+        raise ValueError(f"edge_probability must be in [0, 1], got {edge_probability}")
     if min_crossing_distance not in (0, 1, 2):
         raise ValueError("min_crossing_distance must be 0, 1 or 2")
     rng = random.Random(seed)

@@ -12,7 +12,9 @@ and non-crossings.
 
 There is one crossing type. Both classes hold their crossings in
 `crossings`, a frozenset of Crossing: a pair of edges, lesser edge first,
-that is a plain tuple and so equals and hashes like its edge pair.
+that is a plain tuple and so equals and hashes like its edge pair. Both also
+keep a `crossing_index`, built once per object the first time a search maps
+into it (see CrossingIndex).
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ class GeometricGraph:
                     out.add(Crossing(es[i], es[j]))
         return frozenset(out)
 
+    @cached_property
+    def crossing_index(self) -> "CrossingIndex":
+        return _crossing_index(self.n, self.edges, self.crossings)
+
 
 def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
     """Neighbour sets of vertices 0..n-1 under an undirected edge list."""
@@ -108,6 +114,42 @@ class Crossing(NamedTuple):
 
     def edges(self) -> tuple[Edge, Edge]:
         return (self.e1, self.e2)
+
+
+class CrossingIndex(NamedTuple):
+    """Adjacency and crossings of a drawing or structure as bitmasks of vertex ids.
+
+    A search mapping into the structure reads its rules from here: where s
+    and t are adjacent,
+      neighbours[s]       the vertices adjacent to s;
+      ends[s][t]          the vertices on an edge that crosses st;
+      completions[s][t]   row[u] holds each x for which st crosses ux.
+    Rows of completions are shared between st and ts, and every (s, t) on no
+    crossing shares one row of zeros.
+    """
+
+    neighbours: list[int]
+    ends: list[list[int]]
+    completions: list[list[list[int]]]
+
+
+def _crossing_index(n: int, adjacency: Iterable[Edge], crossings: Iterable[Crossing]) -> CrossingIndex:
+    neighbours = [0] * n
+    for u, v in adjacency:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    ends = [[0] * n for _ in range(n)]
+    zeros = [0] * n
+    completions = [[zeros] * n for _ in range(n)]
+    for e1, e2 in crossings:
+        for (s, t), (u, x) in ((e1, e2), (e2, e1)):
+            ends[s][t] = ends[t][s] = ends[s][t] | 1 << u | 1 << x
+            row = completions[s][t]
+            if row is zeros:
+                row = completions[s][t] = completions[t][s] = [0] * n
+            row[u] |= 1 << x
+            row[x] |= 1 << u
+    return CrossingIndex(neighbours, ends, completions)
 
 
 def crossings_of(G: GeometricGraph) -> frozenset[Crossing]:
@@ -193,7 +235,7 @@ class CrossingStructure:
     compare equal exactly when they are geometrically isomorphic.
     """
 
-    __slots__ = ("n", "adjacency", "crossings", "_canonical")
+    __slots__ = ("n", "adjacency", "crossings", "_canonical", "_index")
 
     def __init__(self, n: int, adjacency: Iterable[Edge], crossings: Iterable[tuple[Edge, Edge]]):
         adj = frozenset(_norm_edge(e) for e in adjacency)
@@ -210,6 +252,7 @@ class CrossingStructure:
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "crossings", crs)
         object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("CrossingStructure is immutable")
@@ -219,6 +262,12 @@ class CrossingStructure:
         if self._canonical is None:
             object.__setattr__(self, "_canonical", _canonical_bytes(self.n, self.adjacency, self.crossings))
         return self._canonical
+
+    @property
+    def crossing_index(self) -> CrossingIndex:
+        if self._index is None:
+            object.__setattr__(self, "_index", _crossing_index(self.n, self.adjacency, self.crossings))
+        return self._index
 
     @property
     def hex(self) -> str:

@@ -15,7 +15,7 @@ from typing import Iterator
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
 from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, crossings_of
 from .obstructions import non_identifiable_pairs
-from .search import Coloring, _as_abstract, _backtrack, _crossings_at, _fits, chromatic_number
+from .search import Coloring, _as_abstract, _backtrack, _crossing_partners, chromatic_number
 
 
 @dataclass(frozen=True)
@@ -102,34 +102,26 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
 def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStructure) -> VertexMap | None:
     """First verified geometric homomorphism G -> target, or None.
 
-    Searches source vertices in decreasing crossing-degree order. Every edge
-    must land on a target edge, every crossing on a target crossing, and the
-    pairs that the obstruction rules force apart on distinct vertices. The
-    forced pairs are computed once per graph (non_identifiable_pairs keeps
-    them on G), so repeated searches from one drawing share them.
+    Searches source vertices in decreasing crossing-degree order, each over
+    its target vertices in ascending order. Mapping v to t narrows each
+    unmapped neighbour of v to the target neighbours of t, each vertex that
+    the obstruction rules force apart from v to the target vertices other
+    than t, and the ends of the crossings at v as the target's crossing
+    index allows: every crossing must land on a target crossing. The forced
+    pairs are computed once per graph (non_identifiable_pairs keeps them on
+    G) and the index once per target, so repeated searches share both.
     """
-    t_n, t_adj = _as_abstract(target)
-    t_cross = target.crossings
-    n = G.n
-    crossings_at = _crossings_at(G)
-    apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # edge_ok covers edges
+    index = target.crossing_index
+    t_n, n = target.n, G.n
+    full = (1 << t_n) - 1
+    apart_rows = [full ^ 1 << t for t in range(t_n)]
+    adj = _adj_lists(n, G.edges)
+    apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # an edge's rule keeps its ends apart
+    links = [[(index.neighbours, adj[v]), (apart_rows, apart[v])] for v in range(n)]
+    crossings_at = _crossing_partners(G)
     order = sorted(range(n), key=lambda v: (-len(crossings_at[v]), v))
     images = [-1] * n
-
-    def edge_ok(t: int, s: int) -> bool:
-        return ((t, s) if t < s else (s, t)) in t_adj
-
-    def cross_ok(a: int, b: int, c: int, d: int) -> bool:
-        f1 = (a, b) if a < b else (b, a)
-        f2 = (c, d) if c < d else (d, c)
-        return ((f1, f2) if f1 < f2 else (f2, f1)) in t_cross
-
-    maps_graph = _fits(images, _adj_lists(n, G.edges), crossings_at, edge_ok, cross_ok)
-
-    def fits(v: int) -> bool:
-        return images[v] not in map(images.__getitem__, apart[v]) and maps_graph(v)
-
-    if _backtrack(images, t_n, order.__getitem__, fits, symmetric=False):
+    if _backtrack(images, [full] * n, order.__getitem__, links, crossings_at, index, symmetric=False):
         vm = VertexMap(tuple(images), t_n)
         assert is_geometric_hom(G, target, vm)
         return vm

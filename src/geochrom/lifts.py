@@ -18,8 +18,8 @@ bug in this module, not a property of the input, and raises loudly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from itertools import permutations
 
 from .catalog import convex_clique
 from .errors import (
@@ -32,9 +32,9 @@ from .errors import (
     SharedEndpoint,
 )
 from .geometry import convex_crossing_rule
-from .graphs import Crossing, GeometricGraph, _adj_lists, _crossings_too_close, sorted_crossings
+from .graphs import Crossing, CrossingIndex, GeometricGraph, _adj_lists, _crossings_too_close, sorted_crossings
 from .homomorphism import VertexMap, is_geometric_hom, is_proper
-from .search import Coloring, _backtrack, _crossings_at, _fits
+from .search import Coloring, _backtrack, _crossing_partners
 
 Mod = tuple[int, int]  # (vertex id, new hull label)
 
@@ -239,15 +239,27 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
     """Proper n-coloring where no crossing has both edges on one color pair.
 
     Exhaustive backtracking (complete up to color permutation, which both
-    constraints respect); None when no such coloring exists.
+    constraints respect); None when no such coloring exists. Symmetry
+    breaking never opens more colors than vertices, so the search runs over
+    min(n, G.n) of them.
     """
     if n < 1:
         return None
+    k = min(n, G.n)
+    full = (1 << k) - 1
+    differ = [full ^ 1 << t for t in range(k)]
+    # The rule in a CrossingIndex's shape: the neighbours of K_k, no narrowing by ends, and
+    # completions[s][t][u] without the value that would put both edges on {s, t}.
+    completions = [[[full] * k for _ in range(k)] for _ in range(k)]
+    for s, t in permutations(range(k), 2):
+        completions[s][t][s] = full ^ 1 << t
+        completions[s][t][t] = full ^ 1 << s
+    rule = CrossingIndex(differ, [[full] * k] * k, completions)
     adj = _adj_lists(G.n, G.edges)
-    crossings_at = _crossings_at(G)
+    crossings_at = _crossing_partners(G)
     order = sorted(range(G.n), key=lambda v: (-(len(adj[v]) + len(crossings_at[v])), v))
     images = [-1] * G.n
-    fits = _fits(images, adj, crossings_at, operator.ne, lambda a, b, c, d: {a, b} != {c, d})
-    if _backtrack(images, n, order.__getitem__, fits, symmetric=True):
+    if _backtrack(images, [full] * G.n, order.__getitem__, [[(differ, adj[v])] for v in range(G.n)],
+                  crossings_at, rule, symmetric=True):
         return Coloring(tuple(c + 1 for c in images), n)
     return None

@@ -1,29 +1,49 @@
-"""The search core: one depth-first backtracker behind every exact search.
+"""The search core: one forward-checking backtracker behind every exact search.
 
-`_backtrack` maps vertices into 0..k-1 one at a time, in an order the caller
-picks, and a check built by `_fits` rejects a value that breaks the caller's
-edge rule or, once a crossing's four ends are mapped, its crossing rule. The
-module sits below catalog, obstructions and homomorphism. The callers:
+`_backtrack` maps vertices to values 0..k-1 one at a time, in an order the
+caller picks, trying each vertex's values in ascending order. Every unmapped
+vertex keeps an int bitmask of the values it may still take (forward
+checking; Haralick and Elliott, "Increasing tree search efficiency for
+constraint satisfaction problems", Artificial Intelligence 14, 1980).
+Mapping v to t narrows:
 
-  chromatic_number        DSATUR order, a greedy clique precolored, edge ends
+  - each vertex the caller links to v, to the row its rule gives for t;
+  - on a crossing vp x cd, once v and p are both mapped, c and d to the ends
+    of the target edges that cross the image of vp, and once three of the
+    four ends are mapped, the fourth to its exact completions.
+
+A mask that empties backtracks at once. Narrowing removes only values that
+no completion of the current partial map can take, so the search visits
+the surviving branches in the same order and finds the same first map as
+one that checks each value after writing it. The module sits below
+catalog, obstructions and homomorphism. The callers and their rules:
+
+  chromatic_number        DSATUR order (saturation is k minus the mask's
+                          popcount), a greedy clique mapped first, edge ends
                           differ, first-fresh-color symmetry breaking (X' is
                           chi of the graph plus every crossing's six pairs)
-  find_geometric_hom      decreasing crossing degree; edges onto target edges,
-                          crossings onto target crossings, forced pairs apart
-  find_noncollapsing_hom  degree plus crossing degree; edge ends differ, no
-                          crossing onto a single color pair, symmetry breaking
+  find_geometric_hom      decreasing crossing degree; a neighbour narrows to
+                          the target neighbours of t, a forced-apart vertex
+                          (rules A-D) to everything but t, crossings by the
+                          target's CrossingIndex
+  find_noncollapsing_hom  degree plus crossing degree; a neighbour narrows to
+                          everything but t, and the fourth end of a crossing
+                          to any value that does not put both edges on one
+                          color pair; symmetry breaking
   catalog._maps_into      the dominance test between two K_n: fewest candidate
-                          images first, a bijection, each edge onto one in at
-                          least as many crossings, crossings onto crossings
+                          images first, the candidates as initial masks; each
+                          vertex narrows to the images other than t whose
+                          edge to t is in at least as many crossings (so the
+                          map is a bijection), crossings by the target's
+                          CrossingIndex
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists
+from .graphs import CrossingIndex, CrossingStructure, Edge, GeometricGraph, _adj_lists
 
 
 @dataclass(frozen=True)
@@ -48,72 +68,93 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
     return n, frozenset(tuple(sorted(e)) for e in edges)
 
 
-Quad = tuple[int, int, int, int]
+# links[v]: pairs (rows, ws); once v maps to t, each w in ws narrows to rows[t].
+Links = Sequence[Sequence[tuple[Sequence[int], Sequence[int]]]]
 
 
-def _crossings_at(g: GeometricGraph | CrossingStructure) -> list[list[Quad]]:
-    """For each vertex, the ends (a, b, c, d) of each crossing ab x cd it lies on.
-
-    Flat exact tuples: _fits unpacks them in every search's innermost loop,
-    where a Crossing, a tuple subclass, unpacks about three times slower.
-    """
-    at: list[list[Quad]] = [[] for _ in range(g.n)]
-    for e1, e2 in g.crossings:
-        quad = (*e1, *e2)
-        for v in quad:
-            at[v].append(quad)
+def _crossing_partners(g: GeometricGraph | CrossingStructure) -> list[list[tuple[int, int, int]]]:
+    """For each vertex v, a triple (p, c, d) for each crossing vp x cd that v lies on."""
+    at: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for (a, b), (c, d) in g.crossings:
+        at[a].append((b, c, d))
+        at[b].append((a, c, d))
+        at[c].append((d, a, b))
+        at[d].append((c, a, b))
     return at
 
 
-def _fits(images: list[int], adj: Sequence[set[int]], crossings_at: Sequence[Sequence[Quad]],
-          edge_ok: Callable[[int, int], bool], cross_ok: Callable[..., bool] | None) -> Callable[[int], bool]:
-    """The fits(v) check of _backtrack for an edge rule and a crossing rule.
-
-    Each mapped neighbour w of v must pass edge_ok(images[v], images[w]); each
-    crossing ab x cd at v whose four ends are mapped must pass
-    cross_ok(images[a], images[b], images[c], images[d]).
-    """
-
-    def fits(v: int) -> bool:
-        t = images[v]
-        for w in adj[v]:
-            s = images[w]
-            if s >= 0 and not edge_ok(t, s):
-                return False
-        for a, b, c, d in crossings_at[v]:
-            quad = images[a], images[b], images[c], images[d]
-            if -1 not in quad and not cross_ok(*quad):
-                return False
-        return True
-
-    return fits
-
-
-def _backtrack(images: list[int], k: int, pick: Callable[[int], int], fits: Callable[[int], bool],
+def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], links: Links,
+               crossings_at: Sequence[Sequence[tuple[int, int, int]]], rule: CrossingIndex | None,
                symmetric: bool) -> bool:
-    """Fill every -1 entry of images with a value in 0..k-1 so that fits accepts each.
+    """Fill images, all -1 on entry, with values from domains[v], narrowing as the module says.
 
-    pick(depth) names the vertex to map at that depth of the search; fits(v)
-    judges the value just written to images[v] against the vertices already
-    mapped. With `symmetric` the values are interchangeable, so a vertex tries
-    at most one value that no vertex holds yet (the values preset in images
-    must then be 0..m-1). Returns True with images filled, or False with
-    images as given.
+    pick(depth) names the vertex to map at that depth of the search, and may
+    read images and domains, which hold the current state. With `symmetric`
+    the values are interchangeable, so a vertex tries at most one value that
+    no vertex holds yet. `rule` supplies the crossing narrowing for the
+    triples of crossings_at (None when there are no crossings to keep).
+    Returns True with images filled, or False with images and domains as
+    given.
     """
-    todo = images.count(-1)
+    todo = len(images)
+    ends, completions = (rule.ends, rule.completions) if rule is not None else ((), ())
+
+    def narrow(v: int, t: int) -> bool:
+        for rows, ws in links[v]:
+            row = rows[t]
+            for w in ws:
+                if images[w] < 0:
+                    m = domains[w] & row
+                    if not m:
+                        return False
+                    domains[w] = m
+        for p, c, d in crossings_at[v]:
+            s = images[p]
+            if s >= 0:  # vp is mapped onto ts
+                u, x = images[c], images[d]
+                if u < 0 and x < 0:
+                    m = ends[t][s]
+                    mc, md = domains[c] & m, domains[d] & m
+                    if not (mc and md):
+                        return False
+                    domains[c], domains[d] = mc, md
+                elif x < 0:
+                    m = domains[d] & completions[t][s][u]
+                    if not m:
+                        return False
+                    domains[d] = m
+                elif u < 0:
+                    m = domains[c] & completions[t][s][x]
+                    if not m:
+                        return False
+                    domains[c] = m
+            else:
+                u, x = images[c], images[d]
+                if u >= 0 and x >= 0:  # cd is mapped onto ux
+                    m = domains[p] & completions[u][x][t]
+                    if not m:
+                        return False
+                    domains[p] = m
+        return True
 
     def extend(depth: int, used: int) -> bool:
         if depth == todo:
             return True
         v = pick(depth)
-        for t in range(min(k, used + 1) if symmetric else k):
+        options = domains[v] & ((2 << used) - 1) if symmetric else domains[v]
+        saved = domains[:]
+        while options:
+            low = options & -options
+            options ^= low
+            t = low.bit_length() - 1
             images[v] = t
-            if fits(v) and extend(depth + 1, max(used, t + 1)):
+            if narrow(v, t) and extend(depth + 1, max(used, t + 1)):
                 return True
+            domains[:] = saved
         images[v] = -1
         return False
 
-    return extend(0, max(images, default=-1) + 1)
+    return extend(0, 0)
 
 
 # --- exact chromatic number -------------------------------------------------
@@ -159,18 +200,21 @@ def chromatic_number(G) -> tuple[int, Coloring]:
     greedy = _dsatur_greedy(adj)
     ub = max(greedy)
     images = [-1] * n
+    domains = [0] * n
 
     def pick(depth: int) -> int:
-        return min(
-            (v for v in range(n) if images[v] < 0),
-            key=lambda v: (-len({images[w] for w in adj[v] if images[w] >= 0}), -len(adj[v]), v),
-        )
+        if depth < len(clique):
+            return clique[depth]
+        return min((v for v in range(n) if images[v] < 0),
+                   key=lambda v: (domains[v].bit_count(), -len(adj[v]), v))
 
-    fits = _fits(images, adj, [()] * n, operator.ne, None)
     for k in range(len(clique), ub):
-        images[:] = [-1] * n
+        full = (1 << k) - 1
+        differ = [full ^ 1 << t for t in range(k)]
+        links = [[(differ, adj[v])] for v in range(n)]
+        domains[:] = [full] * n
         for i, v in enumerate(clique):
-            images[v] = i
-        if _backtrack(images, k, pick, fits, symmetric=True):
+            domains[v] = 1 << i
+        if _backtrack(images, domains, pick, links, [()] * n, None, symmetric=True):
             return k, Coloring(tuple(c + 1 for c in images), k)
     return ub, Coloring(tuple(greedy), ub)

@@ -205,3 +205,171 @@ def odd_path_pairs(n: int, edges, crossings) -> set:
         for start in range(n):
             dfs(start, start, {start}, 0)
     return found
+
+
+# --- reference searches -------------------------------------------------------
+#
+# The check-after-assign depth-first search that the package's search core
+# replaced with forward checking. Each reference below takes the same vertex
+# order and ascending value order as its package counterpart and checks a
+# value only after writing it, so it finds the first map of that order by
+# direct search; the package must return exactly the same map.
+
+
+def check_after_assign(images, k, pick, fits, symmetric) -> bool:
+    """Fill every -1 entry of images with a value in 0..k-1 that fits(v) accepts.
+
+    pick(depth) names the vertex to map at that depth; fits(v) judges the
+    value just written to images[v] against the vertices already mapped.
+    With `symmetric` a vertex tries at most one value that no vertex holds
+    yet (preset values must be 0..m-1). Returns True with images filled, or
+    False with images as given.
+    """
+    todo = images.count(-1)
+
+    def extend(depth, used):
+        if depth == todo:
+            return True
+        v = pick(depth)
+        for t in range(min(k, used + 1) if symmetric else k):
+            images[v] = t
+            if fits(v) and extend(depth + 1, max(used, t + 1)):
+                return True
+        images[v] = -1
+        return False
+
+    return extend(0, max(images, default=-1) + 1)
+
+
+def _neighbours(n, pairs):
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _quads_at(n, crossings):
+    at = [[] for _ in range(n)]
+    for (a, b), (c, d) in crossings:
+        for v in (a, b, c, d):
+            at[v].append((a, b, c, d))
+    return at
+
+
+def _fits(images, adj, quads_at, edge_ok, cross_ok):
+    def fits(v):
+        t = images[v]
+        if any(images[w] >= 0 and not edge_ok(v, w, t, images[w]) for w in adj[v]):
+            return False
+        for quad in quads_at[v]:
+            imgs = [images[u] for u in quad]
+            if -1 not in imgs and not cross_ok(*imgs):
+                return False
+        return True
+
+    return fits
+
+
+def reference_chromatic(n, edges, clique, greedy):
+    """(k, colors) by the DSATUR-ordered search from the clique precolored 0..m-1.
+
+    `clique` and `greedy` (a proper coloring with colors 1..ub) are the
+    starting clique and the fallback; chi is the first k below ub that
+    admits a coloring, else ub with `greedy`.
+    """
+    adj = _neighbours(n, edges)
+    images = [-1] * n
+
+    def pick(depth):
+        return min((v for v in range(n) if images[v] < 0),
+                   key=lambda v: (-len({images[w] for w in adj[v] if images[w] >= 0}), -len(adj[v]), v))
+
+    fits = _fits(images, adj, [()] * n, lambda v, w, t, s: t != s, None)
+    ub = max(greedy)
+    for k in range(len(clique), ub):
+        images[:] = [-1] * n
+        for i, v in enumerate(clique):
+            images[v] = i
+        if check_after_assign(images, k, pick, fits, True):
+            return k, tuple(c + 1 for c in images)
+    return ub, tuple(greedy)
+
+
+def reference_geometric_hom(n, edges, crossings, apart, t_n, t_edges, t_crossings):
+    """First map in decreasing crossing-degree order onto a target structure, or None.
+
+    Edges go onto target edges, crossings onto target crossings, and the
+    pairs in `apart` onto distinct vertices.
+    """
+    t_adj = {tuple(sorted(e)) for e in t_edges}
+    t_cross = {tuple(sorted((tuple(sorted(e1)), tuple(sorted(e2))))) for e1, e2 in t_crossings}
+    adj = _neighbours(n, edges)
+    forced = _neighbours(n, apart)
+    quads_at = _quads_at(n, crossings)
+    order = sorted(range(n), key=lambda v: (-len(quads_at[v]), v))
+    images = [-1] * n
+
+    def cross_ok(a, b, c, d):
+        return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d)))))) in t_cross
+
+    maps_graph = _fits(images, adj, quads_at, lambda v, w, t, s: tuple(sorted((t, s))) in t_adj, cross_ok)
+
+    def fits(v):
+        return all(images[w] != images[v] for w in forced[v]) and maps_graph(v)
+
+    if check_after_assign(images, t_n, order.__getitem__, fits, False):
+        return tuple(images)
+    return None
+
+
+def reference_noncollapsing(n, edges, crossings, colors):
+    """First proper coloring, symmetry broken, with no crossing on one color pair, or None.
+
+    Colors are 1..colors; vertices go in decreasing degree plus crossing degree.
+    """
+    adj = _neighbours(n, edges)
+    quads_at = _quads_at(n, crossings)
+    order = sorted(range(n), key=lambda v: (-(len(adj[v]) + len(quads_at[v])), v))
+    images = [-1] * n
+    fits = _fits(images, adj, quads_at, lambda v, w, t, s: t != s, lambda a, b, c, d: {a, b} != {c, d})
+    if check_after_assign(images, colors, order.__getitem__, fits, True):
+        return tuple(c + 1 for c in images)
+    return None
+
+
+def reference_maps_into(n, source_crossings, target_crossings):
+    """First bijection of K_n sending every source crossing onto a target crossing, or None.
+
+    A vertex may only go to a vertex whose sorted per-edge crossing counts
+    dominate its own, and each edge only onto an edge in at least as many
+    crossings; vertices with fewest such candidates go first.
+    """
+
+    def per_edge(crossings):
+        count = [[0] * n for _ in range(n)]
+        for (a, b), (c, d) in crossings:
+            for u, v in ((a, b), (b, a), (c, d), (d, c)):
+                count[u][v] += 1
+        return count
+
+    source, target = per_edge(source_crossings), per_edge(target_crossings)
+    target_rows = [sorted(row) for row in target]
+    candidates = [{w for w in range(n) if all(a <= b for a, b in zip(sorted(row), target_rows[w]))}
+                  for row in source]
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), -sum(source[v])))
+    t_quads = {quad for (a, b), (c, d) in target_crossings
+               for quad in itertools.permutations((a, b, c, d))
+               if {quad[0], quad[1]} in ({a, b}, {c, d})}
+    images = [-1] * n
+    everyone = [set(range(n)) - {v} for v in range(n)]
+    maps_crossings = _fits(images, everyone, _quads_at(n, source_crossings),
+                           lambda v, w, t, s: t != s and source[v][w] <= target[t][s],
+                           lambda *quad: quad in t_quads)
+
+    def fits(v):
+        return images[v] in candidates[v] and maps_crossings(v)
+
+    if check_after_assign(images, n, order.__getitem__, fits, False):
+        return tuple(images)
+    return None

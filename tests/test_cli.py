@@ -70,6 +70,13 @@ def test_gen_deterministic_random(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("prob", ["2", "-0.5", "nan"])
+def test_gen_random_rejects_probability_outside_unit_interval(capsys, prob):
+    code, out, err = run(capsys, "gen", "random", "--vertices", "7", "--prob", prob)
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "ValueError"
+
+
 def test_verify_command(capsys, tmp_path):
     g, beta = star_crossing(3)
     g_path = tmp_path / "g.json"

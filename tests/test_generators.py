@@ -116,6 +116,17 @@ def test_random_graph_rejects_bad_parameters():
         random_geometric_graph(8, 0.2, min_crossing_distance=3)
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, 2.0, float("nan"), float("inf")])
+def test_random_graph_rejects_edge_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="edge_probability"):
+        random_geometric_graph(8, p)
+
+
+def test_random_graph_accepts_edge_probability_bounds():
+    assert not random_geometric_graph(6, 0.0, seed=1).edges
+    assert len(random_geometric_graph(6, 1.0, seed=1).edges) == 15
+
+
 @pytest.mark.parametrize("args", [(13, 0.3, 1, 9007), (12, 0.9, 1, 0), (12, 0.9, 2, 0), (14, 0.5, 2, 3)])
 def test_random_graph_meets_rare_distance_constraints(args):
     # random draws of these sizes almost never meet the constraint as drawn
