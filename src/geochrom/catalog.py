@@ -66,6 +66,11 @@ _STRUCTURE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 15, 7: 122}
 
 _ORIGIN = Point(0, 0)
 
+# Version of the catalog JSON layout. Format 1, which had no "format" field,
+# recorded canonical forms from the exhaustive relabelling search that
+# individualization-refinement replaced; they differ for symmetric structures.
+_CATALOG_FORMAT = 2
+
 
 @lru_cache(maxsize=None)
 def convex_clique(n: int) -> GeometricGraph:
@@ -280,6 +285,7 @@ def _convex_first(n: int, entries: list[CatalogEntry]) -> list[CatalogEntry]:
 
 def catalog_to_json_dict(cat: CliqueCatalog) -> dict:
     return {
+        "format": _CATALOG_FORMAT,
         "n": cat.n,
         "entries": [
             {"witness": graph_to_json_dict(e.witness), "canonical": e.structure.hex}
@@ -298,16 +304,22 @@ def _field(doc, key: str, kind: type):
 def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
     """A complete catalog from its JSON form, each entry checked against its witness.
 
-    Raises GraphFormatError unless `n` is an int in 3..MAX_CATALOG_N and
-    `entries` a list of objects whose `witness` is the complete graph on n
-    vertices and whose `canonical` is the hex of that witness's crossing
-    structure, with every K_n structure there exactly once. Each entry is
-    realized by its own witness, so distinct forms in the known number
-    (_STRUCTURE_COUNTS) prove the catalog complete.
+    Raises GraphFormatError unless `n` is an int in 3..MAX_CATALOG_N,
+    `format` is _CATALOG_FORMAT (the message for an older file names the
+    command that rebuilds it) and `entries` a list of objects whose
+    `witness` is the complete graph on n vertices and whose `canonical` is
+    the hex of that witness's crossing structure, with every K_n structure
+    there exactly once. Each entry is realized by its own witness, so
+    distinct forms in the known number (_STRUCTURE_COUNTS) prove the
+    catalog complete.
     """
     n = _field(doc, "n", int)
     if n not in _STRUCTURE_COUNTS:
         raise GraphFormatError(f"catalog JSON has n={n}; catalogs exist for n in 3..{MAX_CATALOG_N}")
+    version = doc.get("format", 1)
+    if version != _CATALOG_FORMAT:
+        raise GraphFormatError(f"catalog JSON for n={n} is in format {version!r}, not {_CATALOG_FORMAT}, and its "
+                               f"canonical forms are stale; rebuild it with `geochrom catalog --n {n} --out DIR`")
     entries = []
     for item in _field(doc, "entries", list):
         witness = graph_from_json_dict(_field(item, "witness", dict))

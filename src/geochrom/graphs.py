@@ -19,7 +19,6 @@ into it (see CrossingIndex).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import deque
@@ -291,40 +290,62 @@ def crossing_structure(G: GeometricGraph) -> CrossingStructure:
 
 # --- canonicalization -------------------------------------------------------
 #
-# Vertices are first partitioned by label-independent invariants (degree,
-# crossing degree, then iterated refinement over neighbor / crossing-partner
-# class multisets). Any isomorphism must respect the ordered partition, so
-# the canonical form is the lexicographically least serialization over all
-# partition-respecting relabelings. For highly symmetric structures this
-# degrades to trying all permutations, which is fine at catalog sizes.
+# Individualization-refinement (McKay and Piperno, "Practical graph
+# isomorphism, II", J. Symb. Comput. 60, 2014). An ordered vertex colouring is
+# refined until all vertices of a class agree on degree, crossing degree and
+# the multisets of classes among their neighbours and crossing partners. New
+# classes are ranked by these signatures, never by vertex id, so refinement
+# commutes with relabelling. While some class holds several vertices, each
+# vertex of the first such class in turn gets a class of its own, just ahead
+# of the rest, and the colouring is refined again. Each branch ends in a
+# colouring with one vertex per class: a relabelling, whose serialization is
+# a leaf. The set of leaves depends only on the isomorphism class, and the
+# canonical form is its least element.
+#
+# Two leaves with equal serializations differ by an automorphism. A branch is
+# skipped when the automorphisms found so far that fix every vertex chosen
+# above it map an earlier sibling onto its vertex: its subtree is the image of
+# the sibling's and holds the same leaves. So symmetric structures visit few
+# leaves (the convex K_12 visits 4), and most drawings, whose first
+# refinement already separates every vertex, visit one.
 
-_CANDIDATE_CAP = 10_000_000
 
+def _refine_partition(
+    classes: list[int], adj: list[set[int]], incid: list[list[tuple[int, tuple[int, int]]]]
+) -> list[int]:
+    """The coarsest stable refinement of an ordered colouring, as ranks 0..k-1.
 
-def _refine_partition(n: int, adj: list[set[int]], incid: list[list[tuple[int, tuple[int, int]]]]) -> list[list[int]]:
-    # incid[v]: list of (partner, (a, b)) per crossing where v's edge partner
-    # is `partner` and the opposite edge is {a, b}.
-    classes = [0] * n
+    incid[v] lists (partner, (a, b)) per crossing where v's edge partner is
+    `partner` and the opposite edge is {a, b}. A vertex's signature begins
+    with its class, so every class splits in place and the order of classes
+    is kept.
+    """
+    count = len(set(classes))
     while True:
         sigs = []
-        for v in range(n):
-            nbr = tuple(sorted(classes[u] for u in adj[v]))
-            crs = tuple(
-                sorted(
-                    (classes[p], tuple(sorted((classes[a], classes[b]))))
-                    for p, (a, b) in incid[v]
-                )
-            )
-            sigs.append((classes[v], len(adj[v]), len(incid[v]), nbr, crs))
-        order = sorted(set(sigs))
-        new = [order.index(s) for s in sigs]
-        if new == classes:
-            break
-        classes = new
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(classes[v], []).append(v)
-    return [groups[c] for c in sorted(groups)]
+        for v, nbrs in enumerate(adj):
+            crs = []
+            for p, (a, b) in incid[v]:
+                ca, cb = classes[a], classes[b]
+                crs.append((classes[p], (ca, cb) if ca <= cb else (cb, ca)))
+            crs.sort()
+            sigs.append((classes[v], len(nbrs), len(crs), tuple(sorted([classes[u] for u in nbrs])), tuple(crs)))
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        classes = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return classes
+        count = len(rank)
+
+
+def _orbit(v: int, generators: list[list[int]]) -> set[int]:
+    orbit, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for g in generators:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                stack.append(g[u])
+    return orbit
 
 
 def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Crossing]) -> bytes:
@@ -335,52 +356,58 @@ def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Cr
         incid[b].append((a, (c, d)))
         incid[c].append((d, (a, b)))
         incid[d].append((c, (a, b)))
-
-    partition = _refine_partition(n, adj, incid)
-    total = 1
-    for block in partition:
-        total *= math.factorial(len(block))
-        if total > _CANDIDATE_CAP:
-            raise RuntimeError(f"canonicalization too symmetric for n={n} ({total} candidates)")
-
     edge_list = sorted(adjacency)
     # Flat exact tuples: unpacking a Crossing, a tuple subclass, in the loop
-    # over candidates below costs about three times as much.
+    # in serialize costs about three times as much.
     cross_list = [(*e1, *e2) for e1, e2 in crossings]
-    best: tuple | None = None
-    pos_blocks = []
-    start = 0
-    for block in partition:
-        pos_blocks.append(list(range(start, start + len(block))))
-        start += len(block)
+    n2 = n * n
 
-    perm = [0] * n
-    for assignment in itertools.product(*(itertools.permutations(b) for b in pos_blocks)):
-        for block, positions in zip(partition, assignment):
-            for v, pos in zip(block, positions):
-                perm[v] = pos
-        es = sorted(
-            (perm[u] * n + perm[v]) if perm[u] < perm[v] else (perm[v] * n + perm[u])
-            for u, v in edge_list
-        )
-        n2 = n * n
+    def serialize(perm: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        es = sorted((perm[u] * n + perm[v]) if perm[u] < perm[v] else (perm[v] * n + perm[u])
+                    for u, v in edge_list)
         cs = []
         for u, v, x, y in cross_list:
             e1 = (perm[u] * n + perm[v]) if perm[u] < perm[v] else (perm[v] * n + perm[u])
             e2 = (perm[x] * n + perm[y]) if perm[x] < perm[y] else (perm[y] * n + perm[x])
             cs.append(e1 * n2 + e2 if e1 < e2 else e2 * n2 + e1)
         cs.sort()
-        key = (tuple(es), tuple(cs))
-        if best is None or key < best:
-            best = key
-    assert best is not None
+        return tuple(es), tuple(cs)
+
+    leaves: dict[tuple, list[int]] = {}
+    automorphisms: list[list[int]] = []
+
+    def search(classes: list[int], chosen: list[int]) -> None:
+        classes = _refine_partition(classes, adj, incid)
+        sizes = [0] * n
+        for c in classes:
+            sizes[c] += 1
+        target = next((c for c, size in enumerate(sizes) if size > 1), None)
+        if target is None:
+            first = leaves.setdefault(serialize(classes), classes)
+            if first is not classes:
+                vertex_at = [0] * n
+                for v, pos in enumerate(first):
+                    vertex_at[pos] = v
+                automorphisms.append([vertex_at[pos] for pos in classes])
+            return
+        tried: list[int] = []
+        for v in (u for u, c in enumerate(classes) if c == target):
+            if tried:
+                fixing = [g for g in automorphisms if all(g[u] == u for u in chosen)]
+                if not _orbit(v, fixing).isdisjoint(tried):
+                    continue
+            tried.append(v)
+            search([2 * c + (c == target and u != v) for u, c in enumerate(classes)], chosen + [v])
+
+    search([0] * n, [])
+    es, cs = min(leaves)
     out = bytearray()
     out += n.to_bytes(2, "big")
-    out += len(best[0]).to_bytes(2, "big")
-    for code in best[0]:
+    out += len(es).to_bytes(2, "big")
+    for code in es:
         out += code.to_bytes(2, "big")
-    out += len(best[1]).to_bytes(2, "big")
-    for code in best[1]:
+    out += len(cs).to_bytes(2, "big")
+    for code in cs:
         out += code.to_bytes(4, "big")
     return bytes(out)
 

@@ -373,3 +373,58 @@ def reference_maps_into(n, source_crossings, target_crossings):
     if check_after_assign(images, n, order.__getitem__, fits, False):
         return tuple(images)
     return None
+
+
+# --- reference canonical form -------------------------------------------------
+#
+# The package's former canonicalization, kept as the reference for its
+# individualization-refinement search: refine the all-zero colouring once,
+# then try every relabelling that respects the refined classes and keep the
+# least serialization, in the package's byte format. Exponential in the class
+# sizes (the convex K_8 tries 8! relabellings), so only for small inputs.
+
+
+def _reference_classes(n, adj, incid):
+    classes = [0] * n
+    while True:
+        sigs = []
+        for v in range(n):
+            nbr = tuple(sorted(classes[u] for u in adj[v]))
+            crs = tuple(sorted((classes[p], tuple(sorted((classes[a], classes[b])))) for p, (a, b) in incid[v]))
+            sigs.append((classes[v], len(adj[v]), len(incid[v]), nbr, crs))
+        order = sorted(set(sigs))
+        new = [order.index(s) for s in sigs]
+        if new == classes:
+            return classes
+        classes = new
+
+
+def reference_canonical_form(n: int, edges, crossings) -> bytes:
+    """Least serialization over every relabelling that keeps the refined classes in order."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    adj = _neighbours(n, edges)
+    incid = [[] for _ in range(n)]
+    for (a, b), (c, d) in crossings:
+        incid[a].append((b, (c, d)))
+        incid[b].append((a, (c, d)))
+        incid[c].append((d, (a, b)))
+        incid[d].append((c, (a, b)))
+    classes = _reference_classes(n, adj, incid)
+    blocks = [[v for v in range(n) if classes[v] == c] for c in range(max(classes, default=-1) + 1)]
+
+    def code(perm, u, v):
+        return min(perm[u], perm[v]) * n + max(perm[u], perm[v])
+
+    best = None
+    perm = [0] * n
+    for assignment in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        for pos, v in enumerate(itertools.chain.from_iterable(assignment)):
+            perm[v] = pos
+        es = tuple(sorted(code(perm, u, v) for u, v in edges))
+        cs = tuple(sorted(min(code(perm, a, b), code(perm, c, d)) * n * n + max(code(perm, a, b), code(perm, c, d))
+                          for (a, b), (c, d) in crossings))
+        if best is None or (es, cs) < best:
+            best = (es, cs)
+    es, cs = best
+    return b"".join([n.to_bytes(2, "big"), len(es).to_bytes(2, "big"), *(c.to_bytes(2, "big") for c in es),
+                     len(cs).to_bytes(2, "big"), *(c.to_bytes(4, "big") for c in cs)])

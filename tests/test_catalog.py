@@ -36,7 +36,7 @@ from geochrom.catalog import (
     catalog_from_json_dict,
     catalog_to_json_dict,
 )
-from oracles import brute_force_geometric_hom_exists, crossing_pairs_raw, grid_structures
+from oracles import brute_force_geometric_hom_exists, crossing_pairs_raw, grid_structures, reference_canonical_form
 
 
 def test_convex_clique_crossing_counts():
@@ -153,6 +153,18 @@ def test_k7_builds_and_every_witness_realizes_its_structure(tmp_path):
     assert reloaded.canonical_forms() == cat.canonical_forms()
 
 
+def test_k7_forms_agree_with_the_reference_on_every_order_type():
+    # 135 order types of 7 points give 122 crossing structures: the forms must
+    # merge exactly the K7 drawings the reference merges, and no others.
+    structures = [crossing_structure(GeometricGraph.build(pts, itertools.combinations(range(7), 2)))
+                  for pts in _order_types(7)]
+    forms = [s.canonical_form for s in structures]
+    reference = [reference_canonical_form(7, s.adjacency, s.crossings) for s in structures]
+    assert len(structures) == 135 and len(set(forms)) == len(set(reference)) == 122
+    for i, j in itertools.combinations(range(len(structures)), 2):
+        assert (forms[i] == forms[j]) == (reference[i] == reference[j])
+
+
 def test_k6_build_is_identical_across_hash_seeds():
     script = ("import json; from geochrom.catalog import catalog_to_json_dict, enumerate_clique_structures; "
               "print(json.dumps(catalog_to_json_dict(enumerate_clique_structures(6)), sort_keys=True))")
@@ -201,26 +213,29 @@ def test_catalog_rejects_a_witness_that_is_not_the_complete_graph(store):
 
 
 # The complete K4 catalog (convex entry first): each document below breaks
-# one field of it, so each fails for its own reason, not for being incomplete.
-_K4_ENTRY, _K4_OTHER = catalog_to_json_dict(enumerate_clique_structures(4))["entries"]
+# one field of it, so each fails for its own reason, not for being incomplete
+# or for being in an older format.
+_K4_DOC = catalog_to_json_dict(enumerate_clique_structures(4))
+_K4_ENTRY, _K4_OTHER = _K4_DOC["entries"]
+_FORMAT = _K4_DOC["format"]
 
 
 def test_the_k4_document_the_field_cases_break_loads():
-    assert len(catalog_from_json_dict({"n": 4, "entries": [_K4_ENTRY, _K4_OTHER]}).entries) == 2
+    assert len(catalog_from_json_dict(_K4_DOC).entries) == 2
 
 
 @pytest.mark.parametrize("doc", [
-    {"n": 6, "entries": [{"canonical": "00"}]},
-    {"n": 4, "entries": [{"witness": _K4_ENTRY["witness"]}, _K4_OTHER]},
-    {"n": 4, "entries": [dict(_K4_ENTRY, canonical=7), _K4_OTHER]},
-    {"n": 4, "entries": [dict(_K4_ENTRY, witness="k4"), _K4_OTHER]},
-    {"n": 4, "entries": ["k4", _K4_OTHER]},
-    {"n": 4, "entries": {"0": _K4_ENTRY, "1": _K4_OTHER}},
-    {"n": 4, "entries": []},
-    {"n": 4},
-    {"n": "4", "entries": [_K4_ENTRY, _K4_OTHER]},
-    {"n": True, "entries": [_K4_ENTRY, _K4_OTHER]},
-    {"entries": [_K4_ENTRY, _K4_OTHER]},
+    {"format": _FORMAT, "n": 6, "entries": [{"canonical": "00"}]},
+    dict(_K4_DOC, entries=[{"witness": _K4_ENTRY["witness"]}, _K4_OTHER]),
+    dict(_K4_DOC, entries=[dict(_K4_ENTRY, canonical=7), _K4_OTHER]),
+    dict(_K4_DOC, entries=[dict(_K4_ENTRY, witness="k4"), _K4_OTHER]),
+    dict(_K4_DOC, entries=["k4", _K4_OTHER]),
+    dict(_K4_DOC, entries={"0": _K4_ENTRY, "1": _K4_OTHER}),
+    dict(_K4_DOC, entries=[]),
+    {"format": _FORMAT, "n": 4},
+    dict(_K4_DOC, n="4"),
+    dict(_K4_DOC, n=True),
+    {"format": _FORMAT, "entries": [_K4_ENTRY, _K4_OTHER]},
     [4, [_K4_ENTRY, _K4_OTHER]],
 ])
 def test_catalog_rejects_missing_or_ill_typed_fields(doc):
@@ -228,12 +243,27 @@ def test_catalog_rejects_missing_or_ill_typed_fields(doc):
         catalog_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("version", [None, 1, "2", 3])
+def test_catalog_in_another_format_names_the_command_that_rebuilds_it(tmp_path, version):
+    # Format 1 had no "format" field. The K4 canonical forms did not change,
+    # so this document differs from a loadable one in its format alone.
+    doc = {"n": 4, "entries": [_K4_ENTRY, _K4_OTHER]}
+    if version is not None:
+        doc["format"] = version
+    with pytest.raises(GraphFormatError, match="rebuild it with `geochrom catalog --n 4 --out DIR`"):
+        catalog_from_json_dict(doc)
+    (tmp_path / "k4.catalog.json").write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match="geochrom catalog --n 4"):
+        CatalogStore(tmp_path, build_missing=False).get(4)
+
+
 @pytest.mark.parametrize("damage", ["convex_entry_duplicated", "convex_entry_deleted"])
 def test_store_rejects_an_incomplete_k6_catalog(tmp_path, store, damage):
     # Either file loaded silently before, and X of the convex K6 came out None, not 6.
-    entries = catalog_to_json_dict(store.get(6))["entries"]
+    doc = catalog_to_json_dict(store.get(6))
+    entries = doc["entries"]
     damaged = [entries[1], *entries[1:]] if damage == "convex_entry_duplicated" else entries[1:]
-    (tmp_path / "k6.catalog.json").write_text(json.dumps({"n": 6, "entries": damaged}))
+    (tmp_path / "k6.catalog.json").write_text(json.dumps(dict(doc, entries=damaged)))
     with pytest.raises(GraphFormatError, match="not the 15 structures of K_6"):
         geochromatic_number(convex_clique(6), CatalogStore(tmp_path, build_missing=False), max_n=6)
 

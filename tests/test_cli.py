@@ -169,7 +169,7 @@ def test_coordinate_beyond_the_bound_is_a_format_error(capsys, tmp_path):
 
 
 def test_x_command_rejects_a_malformed_catalog(capsys, tmp_path, fig6):
-    (tmp_path / "k6.catalog.json").write_text('{"n": 6, "entries": [{"canonical": "00"}]}')
+    (tmp_path / "k6.catalog.json").write_text('{"format": 2, "n": 6, "entries": [{"canonical": "00"}]}')
     code, out, err = run(capsys, "x", fig6, "--catalog", str(tmp_path), "--no-build", "--max-n", "6")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and json.loads(err)["kind"] == "GraphFormatError"

@@ -25,9 +25,10 @@ from geochrom import (
     min_pairwise_crossing_distance,
     random_geometric_graph,
     sorted_crossings,
+    star_crossing,
 )
 from geochrom.graphs import _crossings_too_close
-from oracles import crossing_pairs_raw, graph_distance
+from oracles import crossing_pairs_raw, graph_distance, reference_canonical_form
 
 
 def x_gadget(shift=0):
@@ -219,6 +220,93 @@ def test_canonical_form_invariant_under_random_relabeling():
         edges = [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges]
         relabeled = GeometricGraph.build(pts, edges)
         assert crossing_structure(g) == crossing_structure(relabeled)
+
+
+def _relabeled(s, perm):
+    return CrossingStructure(
+        s.n,
+        [(perm[u], perm[v]) for u, v in s.adjacency],
+        [((perm[a], perm[b]), (perm[c], perm[d])) for (a, b), (c, d) in s.crossings],
+    )
+
+
+def _relabelings(s, rng, copies):
+    for _ in range(copies):
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        yield _relabeled(s, perm)
+
+
+def _assert_same_equality_as_reference(structures, rng, copies=2):
+    """Two forms agree exactly when their reference forms do, over the structures and relabelled copies.
+
+    A copy is isomorphic to its original, so its reference form is the original's.
+    """
+    forms, reference = [], []
+    for s in structures:
+        ref = reference_canonical_form(s.n, s.adjacency, s.crossings)
+        for copy in (s, *_relabelings(s, rng, copies)):
+            forms.append(copy.canonical_form)
+            reference.append(ref)
+    for i, j in itertools.combinations(range(len(forms)), 2):
+        assert (forms[i] == forms[j]) == (reference[i] == reference[j]), (i, j)
+
+
+def _random_structure(rng, n):
+    # Any crossing set on disjoint edge pairs, realizable or not.
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    disjoint = [(e, f) for e, f in itertools.combinations(edges, 2) if not set(e) & set(f)]
+    return CrossingStructure(n, edges, [pair for pair in disjoint if rng.random() < 0.3])
+
+
+def _cycles(*lengths, crossed=False):
+    """Disjoint cycles on consecutive ids; with `crossed`, each edge crosses the opposite one."""
+    edges, crossings, start = [], [], 0
+    for k in lengths:
+        ring = [(start + i, start + (i + 1) % k) for i in range(k)]
+        edges += ring
+        if crossed:
+            crossings += [(ring[i], ring[i + k // 2]) for i in range(k // 2)]
+        start += k
+    return CrossingStructure(start, edges, crossings)
+
+
+def test_canonical_form_matches_reference_on_catalog_structures(store):
+    rng = random.Random(5)
+    for n in (5, 6):
+        _assert_same_equality_as_reference([e.structure for e in store.get(n).entries], rng)
+
+
+def test_canonical_form_matches_reference_on_random_structures():
+    rng = random.Random(11)
+    structures = [_random_structure(rng, 3 + i % 6) for i in range(60)]
+    structures += [crossing_structure(random_geometric_graph(6 + i % 3, 0.5, seed=i)) for i in range(20)]
+    _assert_same_equality_as_reference(structures, rng)
+
+
+def test_canonical_form_matches_reference_on_symmetric_structures():
+    # Every vertex of each of these looks alike to refinement, so the search
+    # must individualize, and the automorphism pruning decides what it skips.
+    # C8 against C4 + C4 and C3 + C5 is the classic case refinement alone merges.
+    structures = [_cycles(8), _cycles(4, 4), _cycles(3, 5), _cycles(8, crossed=True), _cycles(4, 4, crossed=True),
+                  CrossingStructure(8, [], []),
+                  CrossingStructure(8, [(u, v) for u in range(4) for v in range(4, 8)], []),
+                  CrossingStructure(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b], [])]
+    structures += [crossing_structure(convex_clique(n)) for n in range(4, 8)]
+    structures += [crossing_structure(star_crossing(k)[0]) for k in range(2, 6)]
+    k4 = crossing_structure(convex_clique(4))
+    structures.append(CrossingStructure(8, [*k4.adjacency, *((u + 4, v + 4) for u, v in k4.adjacency)],
+                                        [*k4.crossings, ((4, 6), (5, 7))]))
+    _assert_same_equality_as_reference(structures, random.Random(12))
+
+
+@pytest.mark.parametrize("name", ["convex K11", "convex K12", "star_crossing(11)"])
+def test_canonical_form_is_invariant_on_large_symmetric_inputs(name):
+    # The exhaustive search these replaced gave up on each with RuntimeError.
+    g = star_crossing(11)[0] if name.startswith("star") else convex_clique(int(name[len("convex K"):]))
+    s = crossing_structure(g)
+    for copy in _relabelings(s, random.Random(13), copies=3):
+        assert copy.canonical_form == s.canonical_form
 
 
 def test_structure_validation():

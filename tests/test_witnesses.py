@@ -25,8 +25,8 @@ from geochrom import (
 CONVEX_K4 = "0004000600010002000300060007000b00010000001b"
 CONVEX_K6 = (
     "0006000f0001000200030004000500080009000a000b000f0010001100160017001d000f"
-    "00000033000000340000003500000076000000770000007c0000007d0000009b000000a1"
-    "000000a7000001770000017f0000019b0000019c00000257"
+    "00000033000000350000003a00000041000000520000005e00000065000000770000007d"
+    "0000008900000177000001790000019b000001a20000027a"
 )
 FIGURE1_LEFT_K6 = (
     "0006000f0001000200030004000500080009000a000b000f0010001100160017001d000a"
@@ -142,7 +142,7 @@ def _answer_line(g, store):
 
 # sha256 of every answer below on 300 seeded random drawings; any change to a
 # value, a witness, a search order or a tie-break changes it.
-ANSWER_DIGEST = "98e3a2ce5f7d6161f616fd098a386f0c62f1bed424bf4681c607baff33af7d6c"
+ANSWER_DIGEST = "9f5444825695c5bc1623cdddf81c80d211df8c0a9ea7c6cefe67a88ca675e651"
 
 
 def test_answers_on_random_drawings_match_the_pinned_digest(store):
