@@ -37,14 +37,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
-from math import comb, lcm
+from functools import cached_property, lru_cache
+from math import comb, gcd
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import CatalogMissing, GraphFormatError, SizeUnsupported
-from .geometry import Point, cross_sign, regular_polygon_points
+from .geometry import Point, regular_polygon_points
 from .graphs import (
     CrossingStructure,
     GeometricGraph,
@@ -63,8 +62,6 @@ _ORDER_TYPE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 16, 7: 135}
 # Crossing structures of straight-line K_n: distinct order types may share
 # one. A catalog with fewer, or with repeats, is incomplete.
 _STRUCTURE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 15, 7: 122}
-
-_ORIGIN = Point(0, 0)
 
 # Version of the catalog JSON layout. Format 1, which had no "format" field,
 # recorded canonical forms from the exhaustive relabelling search that
@@ -166,6 +163,28 @@ def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...
 # --- order types ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(itertools.combinations(range(n), 3))
+
+
+def _orientations(pts: Sequence[Point]) -> list[list[list[int]]]:
+    """o[i][j][k]: the sign of the turn pts[i], pts[j], pts[k] (0 when two indices are equal).
+
+    This is geometry.cross_sign, inlined and computed once per index triple:
+    every extension point set of the enumeration builds one table.
+    """
+    n = len(pts)
+    o = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in _triples(n):
+        p, q, r = pts[i], pts[j], pts[k]
+        d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+        s = (d > 0) - (d < 0)
+        o[i][j][k] = o[j][k][i] = o[k][i][j] = s
+        o[j][i][k] = o[i][k][j] = o[k][j][i] = -s
+    return o
+
+
 def _order_type(pts: Sequence[Point]) -> tuple[int, ...]:
     """Canonical order type: the least chirotope over hull starts and mirror images.
 
@@ -173,51 +192,78 @@ def _order_type(pts: Sequence[Point]) -> tuple[int, ...]:
     orientations about p sort them by angle; sign s = -1 reads the mirror
     image. The chirotope lists s times the orientation of every triple in the
     resulting labelling, so the minimum depends on the order type alone.
+
+    Every test reads one orientation table. With total = the sum of o[p][a],
+    a has (n - 2 - total) / 2 points clockwise of it about p: that is its
+    place in the angular order. p is a hull vertex iff, for some a, line pa
+    has all n - 2 other points on one side, i.e. |total| = n - 2.
     """
+    n = len(pts)
+    o = _orientations(pts)
     best = None
-    for p in pts:
-        rest = [q for q in pts if q != p]
-        if any(cross_sign(a, b, p) == cross_sign(b, c, p) == cross_sign(c, a, p)
-               for a, b, c in itertools.combinations(rest, 3)):
-            continue  # p lies inside a triangle of the others
+    for p in range(n):
+        totals = [sum(row) for row in o[p]]
+        if n - 2 not in map(abs, totals):
+            continue  # p is not a hull vertex
         for s in (1, -1):
-            order = [p, *sorted(rest, key=cmp_to_key(lambda a, b: -s * cross_sign(p, a, b)))]
-            chirotope = tuple(s * cross_sign(a, b, c) for a, b, c in itertools.combinations(order, 3))
+            order = [p] * n
+            for a, total in enumerate(totals):
+                if a != p:
+                    order[1 + (n - 2 - s * total) // 2] = a
+            chirotope = tuple(s * o[order[a]][order[b]][order[c]] for a, b, c in _triples(n))
             if best is None or chirotope < best:
                 best = chirotope
     return best
 
 
-def _by_angle(r: Point, q: Point) -> int:
-    """Order directions by their angle from the positive x axis, in [0, 2 pi)."""
-    return ((q.y, q.x) > (0, 0)) - ((r.y, r.x) > (0, 0)) or -cross_sign(_ORIGIN, r, q)
-
-
-def _face_points(pts: Sequence[Point]) -> list[tuple[Fraction, Fraction]]:
+def _face_points(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
     """A point inside every face of the arrangement of the lines through two of pts.
 
     Every face has an arrangement vertex v on its boundary, and near v it is
     one wedge between consecutive lines through v. For each wedge, with
-    bounding rays r1 and r2, v moves along r1 + r2 half-way to the first
-    other line in that direction.
+    bounding rays r1 and r2, v moves along d = r1 + r2 half-way to the first
+    other line in that direction, or by d itself when no line is ahead.
+
+    Points are exact integer triples (x, y, w), w > 0, standing for
+    (x / w, y / w) in lowest terms, so w is the least common denominator.
+    Line k, a x + b y + c = 0, meets v + t d at t = -value / (w rate), with
+    value = a x + b y + c w and rate = a d.x + b d.y; it lies ahead when
+    value and rate have opposite signs, and the nearest such line has the
+    least |value| / |rate|.
     """
     lines = [(a.y - b.y, b.x - a.x, a.x * b.y - a.y * b.x) for a, b in itertools.combinations(pts, 2)]
-    through: dict[tuple[Fraction, Fraction], set[int]] = {}
+    through: dict[tuple[int, int, int], set[int]] = {}
     for i, j in itertools.combinations(range(len(lines)), 2):
         (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
-        det = a1 * b2 - a2 * b1
-        if det:
-            v = (Fraction(b1 * c2 - b2 * c1, det), Fraction(a2 * c1 - a1 * c2, det))
-            through.setdefault(v, set()).update((i, j))
+        w = a1 * b2 - a2 * b1
+        if w:
+            x, y = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = gcd(x, y, w)
+            through.setdefault((x // g, y // g, w // g), set()).update((i, j))
     out = []
-    for (vx, vy), on in through.items():
-        rays = sorted((r for a, b, _ in map(lines.__getitem__, on) for r in (Point(b, -a), Point(-b, a))),
-                      key=cmp_to_key(_by_angle))
-        for r1, r2 in zip(rays, rays[1:] + rays[:1]):
-            dx, dy = r1.x + r2.x, r1.y + r2.y
-            along = [(a * vx + b * vy + c, a * dx + b * dy) for a, b, c in lines]
-            t = min((-value / rate for value, rate in along if value * rate < 0), default=Fraction(2)) / 2
-            out.append((vx + t * dx, vy + t * dy))
+    for (x, y, w), on in through.items():
+        # Each line through v gives one ray in the upper half-plane [0, pi) and its opposite;
+        # a ray's place counterclockwise from angle 0 is the number of rays clockwise of it.
+        ups = [(b, -a) if (-a, b) > (0, 0) else (-b, a) for a, b, _ in map(lines.__getitem__, on)]
+        ups = sorted(ups, key=lambda r: sum(ux * r[1] - uy * r[0] > 0 for ux, uy in ups))
+        rays = ups + [(-rx, -ry) for rx, ry in ups]
+        values = [a * x + b * y + c * w for a, b, c in lines]
+        for (x1, y1), (x2, y2) in zip(rays, rays[1:] + rays[:1]):
+            dx, dy = x1 + x2, y1 + y2
+            near = None  # (|value|, |rate|) of the nearest line ahead so far
+            for (a, b, _), value in zip(lines, values):
+                rate = a * dx + b * dy
+                if value * rate < 0 and (near is None or abs(value) * near[1] < near[0] * abs(rate)):
+                    near = (abs(value), abs(rate))
+            if near is None:  # no line ahead: t = 1
+                fx, fy, fw = x + w * dx, y + w * dy, w
+            else:  # half-way to the nearest: t = |value| / (2 w |rate|)
+                v, r = near
+                fx, fy, fw = 2 * r * x + v * dx, 2 * r * y + v * dy, 2 * r * w
+            g = gcd(fx, fy, fw)
+            out.append((fx // g, fy // g, fw // g))
     return out
 
 
@@ -234,9 +280,8 @@ def _order_types(n: int) -> tuple[tuple[Point, ...], ...]:
         return ((Point(0, 0), Point(1, 0), Point(0, 1)),)
     found: dict[tuple[int, ...], tuple[int, tuple[Point, ...]]] = {}
     for pts in _order_types(n - 1):
-        for x, y in _face_points(pts):
-            scale = lcm(x.denominator, y.denominator)
-            ext = tuple(Point(p.x * scale, p.y * scale) for p in pts) + (Point(int(x * scale), int(y * scale)),)
+        for x, y, w in _face_points(pts):
+            ext = tuple(Point(p.x * w, p.y * w) for p in pts) + (Point(x, y),)
             candidate = (max(abs(c) for p in ext for c in (p.x, p.y)), ext)
             key = _order_type(ext)
             found[key] = min(found.get(key, candidate), candidate)
@@ -305,8 +350,8 @@ def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
     """A complete catalog from its JSON form, each entry checked against its witness.
 
     Raises GraphFormatError unless `n` is an int in 3..MAX_CATALOG_N,
-    `format` is _CATALOG_FORMAT (the message for an older file names the
-    command that rebuilds it) and `entries` a list of objects whose
+    `format` is the int _CATALOG_FORMAT (the message for an older file names
+    the command that rebuilds it) and `entries` a list of objects whose
     `witness` is the complete graph on n vertices and whose `canonical` is
     the hex of that witness's crossing structure, with every K_n structure
     there exactly once. Each entry is realized by its own witness, so
@@ -317,7 +362,7 @@ def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
     if n not in _STRUCTURE_COUNTS:
         raise GraphFormatError(f"catalog JSON has n={n}; catalogs exist for n in 3..{MAX_CATALOG_N}")
     version = doc.get("format", 1)
-    if version != _CATALOG_FORMAT:
+    if type(version) is not int or version != _CATALOG_FORMAT:
         raise GraphFormatError(f"catalog JSON for n={n} is in format {version!r}, not {_CATALOG_FORMAT}, and its "
                                f"canonical forms are stale; rebuild it with `geochrom catalog --n {n} --out DIR`")
     entries = []

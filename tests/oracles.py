@@ -7,6 +7,7 @@ package when the package is wrong.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -428,3 +429,62 @@ def reference_canonical_form(n: int, edges, crossings) -> bytes:
     es, cs = best
     return b"".join([n.to_bytes(2, "big"), len(es).to_bytes(2, "big"), *(c.to_bytes(2, "big") for c in es),
                      len(cs).to_bytes(2, "big"), *(c.to_bytes(4, "big") for c in cs)])
+
+
+# --- order types: the enumeration's former pure-predicate forms --------------
+# catalog._order_type and catalog._face_points read one orientation table and
+# do integer arithmetic; these call the orientation predicate afresh for every
+# test and compute with Fractions, and must give the same keys and points.
+
+
+def reference_order_type(points) -> tuple:
+    """The least chirotope over hull starts and mirror images, of (x, y) tuples.
+
+    A hull vertex p is one inside no triangle of the others; seen from it the
+    others sort by angle under the orientation predicate, and s = -1 reads
+    the mirror image.
+    """
+    best = None
+    for p in points:
+        rest = [q for q in points if q != p]
+        if any(orient(a, b, p) == orient(b, c, p) == orient(c, a, p)
+               for a, b, c in itertools.combinations(rest, 3)):
+            continue
+        for s in (1, -1):
+            order = [p, *sorted(rest, key=functools.cmp_to_key(lambda a, b: -s * orient(p, a, b)))]
+            chirotope = tuple(s * orient(a, b, c) for a, b, c in itertools.combinations(order, 3))
+            if best is None or chirotope < best:
+                best = chirotope
+    return best
+
+
+def _by_angle(r, q) -> int:
+    """Order directions by their angle from the positive x axis, in [0, 2 pi)."""
+    return ((q[1], q[0]) > (0, 0)) - ((r[1], r[0]) > (0, 0)) or -orient((0, 0), r, q)
+
+
+def reference_face_points(points) -> list:
+    """Fraction points inside every face of the arrangement of the lines through two of the (x, y) tuples.
+
+    One point per wedge at each arrangement vertex: the vertex moved along the
+    sum of the wedge's rays half-way to the first other line in that
+    direction, or by that sum when no line is ahead.
+    """
+    lines = [(a[1] - b[1], b[0] - a[0], a[0] * b[1] - a[1] * b[0]) for a, b in itertools.combinations(points, 2)]
+    through: dict = {}
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
+        det = a1 * b2 - a2 * b1
+        if det:
+            v = (Fraction(b1 * c2 - b2 * c1, det), Fraction(a2 * c1 - a1 * c2, det))
+            through.setdefault(v, set()).update((i, j))
+    out = []
+    for (vx, vy), on in through.items():
+        rays = sorted((r for a, b, _ in map(lines.__getitem__, on) for r in ((b, -a), (-b, a))),
+                      key=functools.cmp_to_key(_by_angle))
+        for r1, r2 in zip(rays, rays[1:] + rays[:1]):
+            dx, dy = r1[0] + r2[0], r1[1] + r2[1]
+            along = [(a * vx + b * vy + c, a * dx + b * dy) for a, b, c in lines]
+            t = min((-value / rate for value, rate in along if value * rate < 0), default=Fraction(2)) / 2
+            out.append((vx + t * dx, vy + t * dy))
+    return out

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -30,13 +32,21 @@ import geochrom.catalog as catalog
 from conftest import CACHE_DIR
 from geochrom.catalog import (
     _CrossingTable,
+    _face_points,
     _maps_into,
     _order_type,
     _order_types,
     catalog_from_json_dict,
     catalog_to_json_dict,
 )
-from oracles import brute_force_geometric_hom_exists, crossing_pairs_raw, grid_structures, reference_canonical_form
+from oracles import (
+    brute_force_geometric_hom_exists,
+    crossing_pairs_raw,
+    grid_structures,
+    reference_canonical_form,
+    reference_face_points,
+    reference_order_type,
+)
 
 
 def test_convex_clique_crossing_counts():
@@ -142,6 +152,40 @@ def test_order_type_key_is_invariant_and_covers_random_point_sets():
         assert _order_type(turned) == _order_type(mirrored) == _order_type(rng.sample(pts, n)) == key
 
 
+def test_face_points_and_order_types_equal_the_reference_on_every_extension():
+    # The integer, table-driven forms must return exactly what the Fraction and
+    # predicate forms return: the same face points in the same order, and the
+    # same key for every extension they produce.
+    extensions = 0
+    for n in range(3, 7):
+        for pts in _order_types(n):
+            faces = _face_points(pts)
+            assert [(Fraction(x, w), Fraction(y, w)) for x, y, w in faces] == reference_face_points(
+                [(p.x, p.y) for p in pts])
+            for x, y, w in faces:
+                ext = [Point(p.x * w, p.y * w) for p in pts] + [Point(x, y)]
+                assert _order_type(ext) == reference_order_type([(p.x, p.y) for p in ext])
+                extensions += 1
+    assert extensions == 12 + 64 + 268 + 3470
+
+
+# sha256 of json.dumps(catalog_to_json_dict(enumerate_clique_structures(n)), sort_keys=True):
+# which realization becomes each witness, and the entry order, are pinned with the forms.
+_CATALOG_DIGESTS = {
+    3: "c97bae8fb2a732510f94019e2133d18dffd64908f36884a153f44469bafaef8a",
+    4: "b08f33d39b477c000d6ada8f1b0419fa42ec569d4ff1e3696b7898370fe897c9",
+    5: "c0a0e984dc99ee8bca3447113fd02934445b821dba55552f846744083bcba2cd",
+    6: "02b277461661fcb84322d6c86c1b7a91f4ad830644965ac05b170bd75903dbfd",
+    7: "7469dd47184c975727f179ec434b69d0635da467f172d5450fbf57130a3631ac",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CATALOG_DIGESTS))
+def test_enumerated_catalog_is_pinned(n):
+    doc = json.dumps(catalog_to_json_dict(enumerate_clique_structures(n)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == _CATALOG_DIGESTS[n]
+
+
 def test_k7_builds_and_every_witness_realizes_its_structure(tmp_path):
     cat = CatalogStore(tmp_path).get(7)
     assert len(cat.entries) == 122
@@ -243,7 +287,7 @@ def test_catalog_rejects_missing_or_ill_typed_fields(doc):
         catalog_from_json_dict(doc)
 
 
-@pytest.mark.parametrize("version", [None, 1, "2", 3])
+@pytest.mark.parametrize("version", [None, 1, "2", 2.0, 3])
 def test_catalog_in_another_format_names_the_command_that_rebuilds_it(tmp_path, version):
     # Format 1 had no "format" field. The K4 canonical forms did not change,
     # so this document differs from a loadable one in its format alone.
@@ -257,12 +301,18 @@ def test_catalog_in_another_format_names_the_command_that_rebuilds_it(tmp_path, 
         CatalogStore(tmp_path, build_missing=False).get(4)
 
 
-@pytest.mark.parametrize("damage", ["convex_entry_duplicated", "convex_entry_deleted"])
+@pytest.mark.parametrize("damage", ["convex_entry_duplicated", "convex_entry_deleted", "entry_repeated_all_kept"])
 def test_store_rejects_an_incomplete_k6_catalog(tmp_path, store, damage):
-    # Either file loaded silently before, and X of the convex K6 came out None, not 6.
+    # The first two files loaded silently before, and X of the convex K6 came out
+    # None, not 6. Both lack the convex entry: "duplicated" puts a copy of entry 1
+    # in its place. The third keeps all 15 structures and repeats one (16 entries).
     doc = catalog_to_json_dict(store.get(6))
     entries = doc["entries"]
-    damaged = [entries[1], *entries[1:]] if damage == "convex_entry_duplicated" else entries[1:]
+    damaged = {
+        "convex_entry_duplicated": [entries[1], *entries[1:]],
+        "convex_entry_deleted": entries[1:],
+        "entry_repeated_all_kept": [*entries, entries[0]],
+    }[damage]
     (tmp_path / "k6.catalog.json").write_text(json.dumps(dict(doc, entries=damaged)))
     with pytest.raises(GraphFormatError, match="not the 15 structures of K_6"):
         geochromatic_number(convex_clique(6), CatalogStore(tmp_path, build_missing=False), max_n=6)
