@@ -199,13 +199,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_catalog(args) -> int:
     _check_enumerable(args.n)
+    cat = enumerate_clique_structures(args.n)  # always built: the fix for a stale file is this verb
     if args.out:
         store = CatalogStore(args.out)
-        cat = store.get(args.n)
+        store._persist(cat)
         summary = {"n": cat.n, "entries": len(cat.entries), "path": str(store.path_for(args.n))}
         print(json.dumps(summary, separators=(",", ":")))
     else:
-        cat = enumerate_clique_structures(args.n)
         print(json.dumps(catalog_to_json_dict(cat), separators=(",", ":")))
     return 0
 

@@ -9,11 +9,17 @@ geometric homomorphism beta into a convex clique:
   lift_independent              independent crossings, target 3n
   lift_small_chi                independent crossings and n in {2,3}, target 2n
 
-Every crossing is classified by the pattern of its alpha-images (disjoint /
-incident / identical, plus where the spare hull labels sit) and reassigned by
-the matching proof case. Each reassignment is re-checked with the convex
-crossing rule and the final map is verified end to end; a failure there is a
-bug in this module, not a property of the input, and raises loudly.
+All four share one case analysis. A crossing's base labels are identical
+(case 3), share one value that lies between the leaves (2a) or beyond both
+(2b), or are four values that alternate (1), separate (1a) or nest (1b). The
+case picks the vertices that move, each with its base label p; the method
+says where they land: dist2 on the spare labels n+1, n+2 in turn, indep2n
+and indep3n on the copy p+n, smallchi one step on, p+1. Only case 3 (indep2n
+refuses, indep3n uses p2+n and p1+2n) and smallchi's vertex in 2a and in 2b
+below both leaves depend on the method. Each reassignment is re-checked with
+the convex crossing rule and the final map is verified end to end; a failure
+there is a bug in this module, not a property of the input, and raises
+loudly.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from .errors import (
     SharedEndpoint,
 )
 from .geometry import convex_crossing_rule
-from .graphs import Crossing, CrossingIndex, GeometricGraph, _adj_lists, _crossings_too_close, sorted_crossings
+from .graphs import Crossing, CrossingIndex, GeometricGraph, _adj_lists, _crossings_too_close, crossings_of
 from .homomorphism import VertexMap, is_geometric_hom, is_proper
 from .search import Coloring, _backtrack, _crossing_partners
 
-Mod = tuple[int, int]  # (vertex id, new hull label)
+Mod = tuple[int, int]  # (vertex id, hull label)
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,14 @@ def _vertex_with(lab: list[int], edge: tuple[int, int], value: int) -> int:
     return v
 
 
+def _land(method: str, n: int, moves: list[Mod]) -> list[Mod]:
+    """Where each moved (vertex, base label p) lands, past the n labels in use."""
+    if method == "dist2":
+        return [(v, n + 1 + i) for i, (v, _) in enumerate(moves)]  # the spare labels, in turn
+    step = 1 if method == "smallchi" else n  # one step on, or the label's copy
+    return [(v, p + step) for v, p in moves]
+
+
 def _dispatch(method: str, n: int, lab: list[int], cr: Crossing) -> tuple[str, list[Mod]]:
     """Case tag and label reassignments for one crossing.
 
@@ -84,8 +98,6 @@ def _dispatch(method: str, n: int, lab: list[int], cr: Crossing) -> tuple[str, l
         v = _vertex_with(lab, e1, p2)
         y = _vertex_with(lab, e2, p1)
         x = _vertex_with(lab, e2, p2)
-        if method == "dist2":
-            return "3", [(v, n + 1), (y, n + 2)]
         if method == "indep2n":
             raise CollapsedCrossingPair(
                 f"crossing {e1}x{e2} has both edges colored {sorted(s1)}; "
@@ -93,9 +105,8 @@ def _dispatch(method: str, n: int, lab: list[int], cr: Crossing) -> tuple[str, l
             )
         if method == "indep3n":
             return "3", [(x, p2 + n), (u, p1 + 2 * n)]
-        return "3", [(y, p1 + 1), (x, p2 + 1)]  # smallchi
-
-    if len(shared) == 1:
+        tag, moves = "3", ([(v, p2), (y, p1)] if method == "dist2" else [(y, p1), (x, p2)])
+    elif len(shared) == 1:
         s = next(iter(shared))
         leaf1 = next(iter(s1 - shared))
         leaf2 = next(iter(s2 - shared))
@@ -103,48 +114,27 @@ def _dispatch(method: str, n: int, lab: list[int], cr: Crossing) -> tuple[str, l
         hi_edge, hi_leaf = (e2, leaf2) if leaf1 < leaf2 else (e1, leaf1)
         a_shared = _vertex_with(lab, lo_edge, s)
         b_shared = _vertex_with(lab, hi_edge, s)
-        b_leaf = _vertex_with(lab, hi_edge, hi_leaf)
         if lo_leaf < s < hi_leaf:
-            if method == "dist2":
-                return "2a", [(a_shared, n + 1), (b_leaf, n + 2)]
-            if method in ("indep2n", "indep3n"):
-                return "2a", [(a_shared, s + n), (b_leaf, hi_leaf + n)]
-            return "2a", [(a_shared, s + 1)]  # smallchi
-        if s > hi_leaf:
-            if method == "dist2":
-                return "2b", [(b_shared, n + 1)]
-            if method in ("indep2n", "indep3n"):
-                return "2b", [(b_shared, s + n)]
-            return "2b", [(b_shared, s + 1)]  # smallchi
-        # shared value below both leaves
-        if method == "dist2":
-            return "2b", [(a_shared, n + 1)]
-        if method in ("indep2n", "indep3n"):
-            return "2b", [(a_shared, s + n)]
-        return "2b", [(b_shared, s + 1)]  # smallchi
-
-    # disjoint images: four distinct labels
-    p1, p2, p3, p4 = sorted(s1 | s2)
-    lo_pair = s1 if p1 in s1 else s2
-    if p3 in lo_pair:
-        return "1", []  # labels alternate: the images already cross
-    if method == "smallchi":
-        raise LiftInternalError("disjoint images cannot occur with at most 3 colors")
-    if p2 in lo_pair:
-        # separated: {p1,p2} then {p3,p4}
-        lo_edge = e1 if s1 == {p1, p2} else e2
-        hi_edge = e2 if lo_edge is e1 else e1
-        v = _vertex_with(lab, lo_edge, p2)
-        x = _vertex_with(lab, hi_edge, p3)
-        if method == "dist2":
-            return "1a", [(v, n + 1), (x, n + 2)]
-        return "1a", [(v, p2 + n), (x, p3 + n)]
-    # nested: {p1,p4} around {p2,p3}
-    inner_edge = e1 if s1 == {p2, p3} else e2
-    v = _vertex_with(lab, inner_edge, p3)
-    if method == "dist2":
-        return "1b", [(v, n + 1)]
-    return "1b", [(v, p3 + n)]
+            b_leaf = _vertex_with(lab, hi_edge, hi_leaf)
+            tag, moves = "2a", ([(a_shared, s)] if method == "smallchi" else [(a_shared, s), (b_leaf, hi_leaf)])
+        else:  # shared value above both leaves, or below both
+            tag, moves = "2b", [(b_shared if s > hi_leaf or method == "smallchi" else a_shared, s)]
+    else:  # disjoint images: four distinct labels
+        p1, p2, p3, p4 = sorted(s1 | s2)
+        lo_pair = s1 if p1 in s1 else s2
+        if p3 in lo_pair:
+            return "1", []  # labels alternate: the images already cross
+        if method == "smallchi":
+            raise LiftInternalError("disjoint images cannot occur with at most 3 colors")
+        if p2 in lo_pair:
+            # separated: {p1,p2} then {p3,p4}
+            lo_edge, hi_edge = (e1, e2) if s1 == {p1, p2} else (e2, e1)
+            tag, moves = "1a", [(_vertex_with(lab, lo_edge, p2), p2), (_vertex_with(lab, hi_edge, p3), p3)]
+        else:
+            # nested: {p1,p4} around {p2,p3}
+            inner_edge = e1 if s1 == {p2, p3} else e2
+            tag, moves = "1b", [(_vertex_with(lab, inner_edge, p3), p3)]
+    return tag, _land(method, n, moves)
 
 
 def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
@@ -162,7 +152,7 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
         base = [2 * c - 1 for c in alpha.colors]
         room = 2 * n - 1  # recoded labels occupy odd positions 1..2n-1
 
-    crossings = sorted(sorted_crossings(G), key=lambda c: (min(c.vertices), c))
+    crossings = sorted(crossings_of(G), key=lambda c: (min(c.vertices), c))
 
     minimum, exc = (2, DistanceTooSmall) if method == "dist2" else (1, CrossingsNotIndependent)
     conflict = _crossings_too_close(G.edges, crossings, minimum)

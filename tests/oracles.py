@@ -2,7 +2,9 @@
 
 Deliberately self-contained: these re-derive answers with different methods
 (exact rationals, exhaustive enumeration) so they can disagree with the
-package when the package is wrong.
+package when the package is wrong. The one import from the package is the
+pair of exception types that reference_dispatch raises, so that a refusal
+compares by type.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+
+from geochrom.errors import CollapsedCrossingPair, LiftInternalError
 
 
 def rational_segments_cross(a1, a2, b1, b2) -> bool:
@@ -488,3 +492,97 @@ def reference_face_points(points) -> list:
             t = min((-value / rate for value, rate in along if value * rate < 0), default=Fraction(2)) / 2
             out.append((vx + t * dx, vy + t * dy))
     return out
+
+
+# --- lifts: the case analysis with one branch per method in every case -------
+# lifts._dispatch picks the case and the moved vertices once and then lands
+# them by the method's rule; this is the form it replaced, and both must
+# give the same tag and moves, or raise the same refusal, on every pattern.
+
+
+def _reference_vertex_with(lab: list[int], edge: tuple[int, int], value: int) -> int:
+    u, v = edge
+    if lab[u] == value:
+        return u
+    assert lab[v] == value
+    return v
+
+
+def reference_dispatch(method: str, n: int, lab: list[int], cr) -> tuple[str, list]:
+    """Case tag and label reassignments for one crossing, branching on the method in every case.
+
+    `lab` holds the base labels (alpha, or recoded alpha for smallchi); `n`
+    is the label count they occupy, so spare hull room starts at n+1.
+    """
+    e1, e2 = cr.e1, cr.e2
+    s1 = {lab[e1[0]], lab[e1[1]]}
+    s2 = {lab[e2[0]], lab[e2[1]]}
+    shared = s1 & s2
+
+    if s1 == s2:
+        p1, p2 = sorted(s1)
+        u = _reference_vertex_with(lab, e1, p1)
+        v = _reference_vertex_with(lab, e1, p2)
+        y = _reference_vertex_with(lab, e2, p1)
+        x = _reference_vertex_with(lab, e2, p2)
+        if method == "dist2":
+            return "3", [(v, n + 1), (y, n + 2)]
+        if method == "indep2n":
+            raise CollapsedCrossingPair(
+                f"crossing {e1}x{e2} has both edges colored {sorted(s1)}; "
+                "try find_noncollapsing_hom or lift_independent"
+            )
+        if method == "indep3n":
+            return "3", [(x, p2 + n), (u, p1 + 2 * n)]
+        return "3", [(y, p1 + 1), (x, p2 + 1)]  # smallchi
+
+    if len(shared) == 1:
+        s = next(iter(shared))
+        leaf1 = next(iter(s1 - shared))
+        leaf2 = next(iter(s2 - shared))
+        lo_edge, lo_leaf = (e1, leaf1) if leaf1 < leaf2 else (e2, leaf2)
+        hi_edge, hi_leaf = (e2, leaf2) if leaf1 < leaf2 else (e1, leaf1)
+        a_shared = _reference_vertex_with(lab, lo_edge, s)
+        b_shared = _reference_vertex_with(lab, hi_edge, s)
+        b_leaf = _reference_vertex_with(lab, hi_edge, hi_leaf)
+        if lo_leaf < s < hi_leaf:
+            if method == "dist2":
+                return "2a", [(a_shared, n + 1), (b_leaf, n + 2)]
+            if method in ("indep2n", "indep3n"):
+                return "2a", [(a_shared, s + n), (b_leaf, hi_leaf + n)]
+            return "2a", [(a_shared, s + 1)]  # smallchi
+        if s > hi_leaf:
+            if method == "dist2":
+                return "2b", [(b_shared, n + 1)]
+            if method in ("indep2n", "indep3n"):
+                return "2b", [(b_shared, s + n)]
+            return "2b", [(b_shared, s + 1)]  # smallchi
+        # shared value below both leaves
+        if method == "dist2":
+            return "2b", [(a_shared, n + 1)]
+        if method in ("indep2n", "indep3n"):
+            return "2b", [(a_shared, s + n)]
+        return "2b", [(b_shared, s + 1)]  # smallchi
+
+    # disjoint images: four distinct labels
+    p1, p2, p3, p4 = sorted(s1 | s2)
+    lo_pair = s1 if p1 in s1 else s2
+    if p3 in lo_pair:
+        return "1", []  # labels alternate: the images already cross
+    if method == "smallchi":
+        raise LiftInternalError("disjoint images cannot occur with at most 3 colors")
+    if p2 in lo_pair:
+        # separated: {p1,p2} then {p3,p4}
+        lo_edge = e1 if s1 == {p1, p2} else e2
+        hi_edge = e2 if lo_edge is e1 else e1
+        v = _reference_vertex_with(lab, lo_edge, p2)
+        x = _reference_vertex_with(lab, hi_edge, p3)
+        if method == "dist2":
+            return "1a", [(v, n + 1), (x, n + 2)]
+        return "1a", [(v, p2 + n), (x, p3 + n)]
+    # nested: {p1,p4} around {p2,p3}
+    inner_edge = e1 if s1 == {p2, p3} else e2
+    v = _reference_vertex_with(lab, inner_edge, p3)
+    if method == "dist2":
+        return "1b", [(v, n + 1)]
+    return "1b", [(v, p3 + n)]

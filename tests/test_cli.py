@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from geochrom import GraphFormatError, dump_graph, figure_graphs, load_graph, star_crossing
+from geochrom import (
+    CatalogStore,
+    GraphFormatError,
+    dump_graph,
+    enumerate_clique_structures,
+    figure_graphs,
+    load_graph,
+    star_crossing,
+)
+from geochrom.catalog import catalog_to_json_dict
 from geochrom.cli import main
 
 
@@ -145,6 +154,21 @@ def test_catalog_command(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "--n", "4")
     assert code == 0
     assert json.loads(out) == on_disk
+
+
+def test_catalog_command_rebuilds_a_catalog_in_format_1(capsys, tmp_path):
+    # The format error names this command as the fix, so it must build over the stale file, not load it.
+    doc = catalog_to_json_dict(enumerate_clique_structures(4))
+    del doc["format"]  # format 1 had no "format" field
+    path = tmp_path / "k4.catalog.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match="format 1"):
+        CatalogStore(tmp_path, build_missing=False).get(4)
+    code, out, _ = run(capsys, "catalog", "--n", "4", "--out", str(tmp_path))
+    assert code == 0
+    assert json.loads(out) == {"n": 4, "entries": 2, "path": str(path)}
+    assert json.loads(path.read_text())["format"] == 2
+    assert len(CatalogStore(tmp_path, build_missing=False).get(4).entries) == 2
 
 
 @pytest.mark.parametrize("n", ["1", "2", "8"])

@@ -1,12 +1,16 @@
 
+from itertools import product
+
 import pytest
 
 from geochrom import (
     ChiOutOfRange,
     CollapsedCrossingPair,
     Coloring,
+    Crossing,
     CrossingsNotIndependent,
     DistanceTooSmall,
+    GeochromError,
     GeometricGraph,
     NotProperColoring,
     chromatic_number,
@@ -22,7 +26,8 @@ from geochrom import (
     lift_small_chi,
     random_geometric_graph,
 )
-from oracles import brute_force_chromatic, brute_force_noncollapsing_exists
+from geochrom.lifts import _dispatch
+from oracles import brute_force_chromatic, brute_force_noncollapsing_exists, reference_dispatch
 
 
 def x_gadget():
@@ -37,6 +42,30 @@ def assert_report_ok(g, report):
 
 
 # --- case dispatch, one crossing at a time -----------------------------------
+
+
+def _outcome(dispatch, method, room, lab, cr):
+    try:
+        return dispatch(method, room, lab, cr)
+    except GeochromError as exc:
+        return type(exc), str(exc)
+
+
+def test_dispatch_agrees_with_the_reference_on_every_label_pattern():
+    # Two disjoint edges pair four vertices in three ways; each edge takes
+    # two different labels. smallchi reads the odd recoded labels 1..2n-1.
+    pairings = [Crossing.make((0, 1), (2, 3)), Crossing.make((0, 2), (1, 3)), Crossing.make((0, 3), (1, 2))]
+    checked = 0
+    for n in range(2, 9):
+        for method in ("dist2", "indep2n", "indep3n", "smallchi"):
+            labels, room = (range(1, 2 * n, 2), 2 * n - 1) if method == "smallchi" else (range(1, n + 1), n)
+            for cr, lab in product(pairings, product(labels, repeat=4)):
+                lab = list(lab)
+                if lab[cr.e1[0]] == lab[cr.e1[1]] or lab[cr.e2[0]] == lab[cr.e2[1]]:
+                    continue
+                assert _outcome(_dispatch, method, room, lab, cr) == _outcome(reference_dispatch, method, room, lab, cr)
+                checked += 1
+    assert checked == 76608
 
 
 def test_case3_identical_images_all_methods():

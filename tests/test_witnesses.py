@@ -3,7 +3,8 @@
 The CLI prints these colorings and maps, so a change to any search order,
 value order or tie-break shows here even when the answers stay correct.
 Each entry: chi coloring, X' coloring, (X, target canonical hex, X map),
-and find_noncollapsing_hom for chi and chi + 1 colors.
+and find_noncollapsing_hom for chi and chi + 1 colors. Two digests pin the
+same 300 random drawings: one for the solver answers, one for the lifts.
 """
 
 import hashlib
@@ -12,10 +13,18 @@ import pytest
 
 from geochrom import (
     FIGURE_TAGS,
+    ChiOutOfRange,
+    CollapsedCrossingPair,
+    CrossingsNotIndependent,
+    DistanceTooSmall,
     chromatic_number,
     figure_graphs,
     find_noncollapsing_hom,
     geochromatic_number,
+    lift_dist2,
+    lift_independent,
+    lift_independent_noncollapsing,
+    lift_small_chi,
     non_identifiable_pairs,
     pseudo_geochromatic_number,
     random_geometric_graph,
@@ -145,9 +154,40 @@ def _answer_line(g, store):
 ANSWER_DIGEST = "9f5444825695c5bc1623cdddf81c80d211df8c0a9ea7c6cefe67a88ca675e651"
 
 
-def test_answers_on_random_drawings_match_the_pinned_digest(store):
-    lines = []
+def _random_drawings():
     for i in range(300):
-        g = random_geometric_graph(8 + i % 5, (0.3, 0.4)[i // 5 % 2], min_crossing_distance=i // 10 % 3, seed=i)
-        lines.append(_answer_line(g, store))
+        yield random_geometric_graph(8 + i % 5, (0.3, 0.4)[i // 5 % 2], min_crossing_distance=i // 10 % 3, seed=i)
+
+
+def test_answers_on_random_drawings_match_the_pinned_digest(store):
+    lines = [_answer_line(g, store) for g in _random_drawings()]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ANSWER_DIGEST
+
+
+def _lift_line(g):
+    chi, coloring = chromatic_number(g)
+    # indep2n gets the non-collapsing coloring the CLI picks: chi colors, else chi + 1.
+    noncollapsing = find_noncollapsing_hom(g, chi) or find_noncollapsing_hom(g, chi + 1)
+    outcomes = []
+    for lift, alpha in ((lift_dist2, coloring), (lift_independent_noncollapsing, noncollapsing),
+                        (lift_independent, coloring), (lift_small_chi, coloring)):
+        if alpha is None:
+            outcomes.append(None)
+            continue
+        try:
+            r = lift(g, alpha)
+        except (ChiOutOfRange, CollapsedCrossingPair, CrossingsNotIndependent, DistanceTooSmall) as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        outcomes.append((r.method, r.target_size, r.beta.images, tuple((c.e1, c.e2, tag) for c, tag in r.case_log)))
+    return repr(outcomes)
+
+
+# sha256 of every lift outcome on the same 300 drawings: method, target size,
+# map and case log of each report, or the name of the refusal.
+LIFT_DIGEST = "57c346dba5cf1f0bd42622ec6392ebeb4f7fa3b94f355155483e17be9f0cd35c"
+
+
+def test_lifts_on_random_drawings_match_the_pinned_digest():
+    lines = [_lift_line(g) for g in _random_drawings()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LIFT_DIGEST
