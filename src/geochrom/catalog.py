@@ -43,15 +43,16 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import CatalogMissing, GraphFormatError, SizeUnsupported
-from .geometry import Point, regular_polygon_points
+from .geometry import regular_polygon_points
 from .graphs import (
     CrossingStructure,
     GeometricGraph,
+    _crossing_partners,
     crossing_structure,
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from .search import _backtrack, _crossing_partners
+from .search import _backtrack
 
 MAX_CATALOG_N = 7
 
@@ -115,7 +116,7 @@ class _CrossingTable:
 
     def __init__(self, s: CrossingStructure):
         self.structure = s
-        self.crossings_at = _crossing_partners(s)
+        self.crossings_at = _crossing_partners(s.n, s.crossings)
         # per_edge[u][v]: how many crossings the edge uv takes part in.
         self.per_edge = [[0] * s.n for _ in range(s.n)]
         for (a, b), (c, d) in s.crossings:
@@ -163,29 +164,33 @@ def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...
 # --- order types ------------------------------------------------------------
 
 
+XY = tuple[int, int]  # an integer point of the order-type enumeration
+
+
 @lru_cache(maxsize=None)
 def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(n), 3))
 
 
-def _orientations(pts: Sequence[Point]) -> list[list[list[int]]]:
+def _orientations(pts: Sequence[XY]) -> list[list[list[int]]]:
     """o[i][j][k]: the sign of the turn pts[i], pts[j], pts[k] (0 when two indices are equal).
 
-    This is geometry.cross_sign, inlined and computed once per index triple:
-    every extension point set of the enumeration builds one table.
+    This is geometry.orientation on (x, y) pairs, inlined and computed once
+    per index triple: every extension point set of the enumeration builds
+    one table.
     """
     n = len(pts)
     o = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, j, k in _triples(n):
-        p, q, r = pts[i], pts[j], pts[k]
-        d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+        (px, py), (qx, qy), (rx, ry) = pts[i], pts[j], pts[k]
+        d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
         s = (d > 0) - (d < 0)
         o[i][j][k] = o[j][k][i] = o[k][i][j] = s
         o[j][i][k] = o[i][k][j] = o[k][j][i] = -s
     return o
 
 
-def _order_type(pts: Sequence[Point]) -> tuple[int, ...]:
+def _order_type(pts: Sequence[XY]) -> tuple[int, ...]:
     """Canonical order type: the least chirotope over hull starts and mirror images.
 
     Seen from a hull vertex p the other points lie in a half-plane, so their
@@ -216,7 +221,7 @@ def _order_type(pts: Sequence[Point]) -> tuple[int, ...]:
     return best
 
 
-def _face_points(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
+def _face_points(pts: Sequence[XY]) -> list[tuple[int, int, int]]:
     """A point inside every face of the arrangement of the lines through two of pts.
 
     Every face has an arrangement vertex v on its boundary, and near v it is
@@ -231,7 +236,7 @@ def _face_points(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
     value and rate have opposite signs, and the nearest such line has the
     least |value| / |rate|.
     """
-    lines = [(a.y - b.y, b.x - a.x, a.x * b.y - a.y * b.x) for a, b in itertools.combinations(pts, 2)]
+    lines = [(ay - by, bx - ax, ax * by - ay * bx) for (ax, ay), (bx, by) in itertools.combinations(pts, 2)]
     through: dict[tuple[int, int, int], set[int]] = {}
     for i, j in itertools.combinations(range(len(lines)), 2):
         (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
@@ -268,21 +273,22 @@ def _face_points(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _order_types(n: int) -> tuple[tuple[Point, ...], ...]:
+def _order_types(n: int) -> tuple[tuple[XY, ...], ...]:
     """One integer point set per order type of n points, in canonical order.
 
     Each type keeps the realization with the smallest coordinates that the
     extension reached, so coordinates stay small level after level (8 bits
-    at n = 7). Raises RuntimeError unless the number of order types reached
-    is the published total for n.
+    at n = 7). Points are plain (x, y) pairs; GeometricGraph.build validates
+    the ones a witness keeps. Raises RuntimeError unless the number of order
+    types reached is the published total for n.
     """
     if n == 3:
-        return ((Point(0, 0), Point(1, 0), Point(0, 1)),)
-    found: dict[tuple[int, ...], tuple[int, tuple[Point, ...]]] = {}
+        return (((0, 0), (1, 0), (0, 1)),)
+    found: dict[tuple[int, ...], tuple[int, tuple[XY, ...]]] = {}
     for pts in _order_types(n - 1):
         for x, y, w in _face_points(pts):
-            ext = tuple(Point(p.x * w, p.y * w) for p in pts) + (Point(x, y),)
-            candidate = (max(abs(c) for p in ext for c in (p.x, p.y)), ext)
+            ext = tuple((px * w, py * w) for px, py in pts) + ((x, y),)
+            candidate = (max(abs(c) for p in ext for c in p), ext)
             key = _order_type(ext)
             found[key] = min(found.get(key, candidate), candidate)
     if len(found) != _ORDER_TYPE_COUNTS[n]:
@@ -430,8 +436,13 @@ class CatalogStore:
         path = self.path_for(n)
         if path is None or not path.exists():
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            cat = catalog_from_json_dict(json.load(fh))
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
+        cat = catalog_from_json_dict(doc)
         if cat.n != n:
             raise GraphFormatError(f"{path} holds the catalog for n={cat.n}, not n={n}")
         return cat

@@ -18,7 +18,6 @@ from pathlib import Path
 from .catalog import (
     MAX_CATALOG_N,
     CatalogStore,
-    _check_enumerable,
     catalog_to_json_dict,
     convex_clique,
     enumerate_clique_structures,
@@ -198,7 +197,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    _check_enumerable(args.n)
     cat = enumerate_clique_structures(args.n)  # always built: the fix for a stale file is this verb
     if args.out:
         store = CatalogStore(args.out)

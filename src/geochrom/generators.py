@@ -24,7 +24,6 @@ from .graphs import (
     _crossings_too_close,
     crossings_of,
     min_pairwise_crossing_distance,
-    sorted_crossings,
 )
 from .homomorphism import Coloring, VertexMap, is_geometric_hom, is_pseudo_coloring
 
@@ -223,7 +222,7 @@ def random_geometric_graph(
         if rng.random() < edge_probability
     ]
     g = GeometricGraph.build(pts, edges)
-    crossings = sorted_crossings(g)
+    crossings = sorted(crossings_of(g))
     kept = set(g.edges)
     while (conflict := _crossings_too_close(sorted(kept), crossings, min_crossing_distance)) is not None:
         gone = conflict[0].e2

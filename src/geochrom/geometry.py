@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import SharedEndpoint
@@ -34,21 +33,13 @@ class Point:
                 raise ValueError(f"coordinate {c} exceeds the +-2^30 bound")
 
 
-class Orientation(Enum):
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
+def orientation(p: Point, q: Point, r: Point) -> int:
+    """Exact turn of the ordered triple (p, q, r): 1 counterclockwise, -1 clockwise, 0 collinear.
 
-
-def cross_sign(p: Point, q: Point, r: Point) -> int:
-    """Sign of the determinant |q-p, r-p| (twice the signed triangle area)."""
+    The sign of the determinant |q-p, r-p| (twice the signed triangle area).
+    """
     d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
     return (d > 0) - (d < 0)
-
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Exact turn direction of the ordered triple (p, q, r)."""
-    return Orientation(cross_sign(p, q, r))
 
 
 def segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
@@ -61,10 +52,10 @@ def segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
     """
     if len({a1, a2, b1, b2}) != 4:
         raise SharedEndpoint("segments must have four pairwise distinct endpoints")
-    d1 = cross_sign(a1, a2, b1)
-    d2 = cross_sign(a1, a2, b2)
-    d3 = cross_sign(b1, b2, a1)
-    d4 = cross_sign(b1, b2, a2)
+    d1 = orientation(a1, a2, b1)
+    d2 = orientation(a1, a2, b2)
+    d3 = orientation(b1, b2, a1)
+    d4 = orientation(b1, b2, a2)
     return d1 * d2 < 0 and d3 * d4 < 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -96,6 +96,17 @@ def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
     return adj
 
 
+def _crossing_partners(n: int, crossings: Iterable[Crossing]) -> list[list[tuple[int, int, int]]]:
+    """For each vertex v of 0..n-1, a triple (p, c, d) for each crossing vp x cd that v lies on."""
+    at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (a, b), (c, d) in crossings:
+        at[a].append((b, c, d))
+        at[b].append((a, c, d))
+        at[c].append((d, a, b))
+        at[d].append((c, a, b))
+    return at
+
+
 class Crossing(NamedTuple):
     """An unordered pair of disjoint edges whose segments cross, lesser edge first."""
 
@@ -156,10 +167,6 @@ def crossings_of(G: GeometricGraph) -> frozenset[Crossing]:
     return G.crossings
 
 
-def sorted_crossings(G: GeometricGraph) -> list[Crossing]:
-    return sorted(crossings_of(G))
-
-
 def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | float:
     """Minimum graph-path distance between the vertex sets of two crossings.
 
@@ -190,7 +197,7 @@ def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | fl
 
 def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:
     """Minimum crossing_distance over all unordered pairs of distinct crossings."""
-    cs = sorted_crossings(G)
+    cs = sorted(crossings_of(G))
     best: int | float = math.inf
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
@@ -227,18 +234,25 @@ def _crossings_too_close(
     return None
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class CrossingStructure:
     """Coordinate-free record of a drawing: adjacency plus crossing pairs.
 
-    Equality and hashing go through the canonical form, so two structures
-    compare equal exactly when they are geometrically isomorphic.
+    Any iterables of edges and of edge pairs are accepted and stored as
+    frozensets of sorted edges and of Crossing. Equality and hashing go
+    through the canonical form, so two structures compare equal exactly when
+    they are geometrically isomorphic.
     """
 
-    __slots__ = ("n", "adjacency", "crossings", "_canonical", "_index")
+    n: int
+    adjacency: frozenset[Edge]
+    crossings: frozenset[Crossing]
+    _canonical: bytes | None = field(default=None, init=False)
 
-    def __init__(self, n: int, adjacency: Iterable[Edge], crossings: Iterable[tuple[Edge, Edge]]):
-        adj = frozenset(_norm_edge(e) for e in adjacency)
-        crs = frozenset(Crossing.make(*pair) for pair in crossings)
+    def __post_init__(self) -> None:
+        n = self.n
+        adj = frozenset(_norm_edge(e) for e in self.adjacency)
+        crs = frozenset(Crossing.make(*pair) for pair in self.crossings)
         for u, v in adj:
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -247,26 +261,20 @@ class CrossingStructure:
                 raise ValueError(f"crossing {e1}x{e2} uses a non-edge")
             if set(e1) & set(e2):
                 raise ValueError(f"crossing {e1}x{e2} is not a disjoint pair")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "crossings", crs)
-        object.__setattr__(self, "_canonical", None)
-        object.__setattr__(self, "_index", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("CrossingStructure is immutable")
 
     @property
     def canonical_form(self) -> bytes:
+        # Memoized in _canonical, not a cached_property: bench/spans.py wraps
+        # this getter and reads _canonical to time only the computations.
         if self._canonical is None:
             object.__setattr__(self, "_canonical", _canonical_bytes(self.n, self.adjacency, self.crossings))
         return self._canonical
 
-    @property
+    @cached_property
     def crossing_index(self) -> CrossingIndex:
-        if self._index is None:
-            object.__setattr__(self, "_index", _crossing_index(self.n, self.adjacency, self.crossings))
-        return self._index
+        return _crossing_index(self.n, self.adjacency, self.crossings)
 
     @property
     def hex(self) -> str:
@@ -311,21 +319,20 @@ def crossing_structure(G: GeometricGraph) -> CrossingStructure:
 
 
 def _refine_partition(
-    classes: list[int], adj: list[set[int]], incid: list[list[tuple[int, tuple[int, int]]]]
+    classes: list[int], adj: list[set[int]], partners: list[list[tuple[int, int, int]]]
 ) -> list[int]:
     """The coarsest stable refinement of an ordered colouring, as ranks 0..k-1.
 
-    incid[v] lists (partner, (a, b)) per crossing where v's edge partner is
-    `partner` and the opposite edge is {a, b}. A vertex's signature begins
-    with its class, so every class splits in place and the order of classes
-    is kept.
+    partners is _crossing_partners: (p, a, b) per crossing vp x ab at v. A
+    vertex's signature begins with its class, so every class splits in place
+    and the order of classes is kept.
     """
     count = len(set(classes))
     while True:
         sigs = []
         for v, nbrs in enumerate(adj):
             crs = []
-            for p, (a, b) in incid[v]:
+            for p, a, b in partners[v]:
                 ca, cb = classes[a], classes[b]
                 crs.append((classes[p], (ca, cb) if ca <= cb else (cb, ca)))
             crs.sort()
@@ -350,12 +357,7 @@ def _orbit(v: int, generators: list[list[int]]) -> set[int]:
 
 def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Crossing]) -> bytes:
     adj = _adj_lists(n, adjacency)
-    incid: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(n)]
-    for (a, b), (c, d) in crossings:
-        incid[a].append((b, (c, d)))
-        incid[b].append((a, (c, d)))
-        incid[c].append((d, (a, b)))
-        incid[d].append((c, (a, b)))
+    partners = _crossing_partners(n, crossings)
     edge_list = sorted(adjacency)
     # Flat exact tuples: unpacking a Crossing, a tuple subclass, in the loop
     # in serialize costs about three times as much.
@@ -377,7 +379,7 @@ def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Cr
     automorphisms: list[list[int]] = []
 
     def search(classes: list[int], chosen: list[int]) -> None:
-        classes = _refine_partition(classes, adj, incid)
+        classes = _refine_partition(classes, adj, partners)
         sizes = [0] * n
         for c in classes:
             sizes[c] += 1

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
-from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, crossings_of
+from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, _crossing_partners, crossings_of
 from .obstructions import non_identifiable_pairs
-from .search import Coloring, _as_abstract, _backtrack, _crossing_partners, chromatic_number
+from .search import Coloring, _as_abstract, _backtrack, chromatic_number
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStruc
     adj = _adj_lists(n, G.edges)
     apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # an edge's rule keeps its ends apart
     links = [[(index.neighbours, adj[v]), (apart_rows, apart[v])] for v in range(n)]
-    crossings_at = _crossing_partners(G)
+    crossings_at = _crossing_partners(n, G.crossings)
     order = sorted(range(n), key=lambda v: (-len(crossings_at[v]), v))
     images = [-1] * n
     if _backtrack(images, [full] * n, order.__getitem__, links, crossings_at, index, symmetric=False):

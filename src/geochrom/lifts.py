@@ -38,9 +38,17 @@ from .errors import (
     SharedEndpoint,
 )
 from .geometry import convex_crossing_rule
-from .graphs import Crossing, CrossingIndex, GeometricGraph, _adj_lists, _crossings_too_close, crossings_of
+from .graphs import (
+    Crossing,
+    CrossingIndex,
+    GeometricGraph,
+    _adj_lists,
+    _crossing_partners,
+    _crossings_too_close,
+    crossings_of,
+)
 from .homomorphism import VertexMap, is_geometric_hom, is_proper
-from .search import Coloring, _backtrack, _crossing_partners
+from .search import Coloring, _backtrack
 
 Mod = tuple[int, int]  # (vertex id, hull label)
 
@@ -246,7 +254,7 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
         completions[s][t][t] = full ^ 1 << s
     rule = CrossingIndex(differ, [[full] * k] * k, completions)
     adj = _adj_lists(G.n, G.edges)
-    crossings_at = _crossing_partners(G)
+    crossings_at = _crossing_partners(G.n, G.crossings)
     order = sorted(range(G.n), key=lambda v: (-(len(adj[v]) + len(crossings_at[v])), v))
     images = [-1] * G.n
     if _backtrack(images, [full] * G.n, order.__getitem__, [[(differ, adj[v])] for v in range(G.n)],

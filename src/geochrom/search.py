@@ -72,17 +72,6 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
 Links = Sequence[Sequence[tuple[Sequence[int], Sequence[int]]]]
 
 
-def _crossing_partners(g: GeometricGraph | CrossingStructure) -> list[list[tuple[int, int, int]]]:
-    """For each vertex v, a triple (p, c, d) for each crossing vp x cd that v lies on."""
-    at: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for (a, b), (c, d) in g.crossings:
-        at[a].append((b, c, d))
-        at[b].append((a, c, d))
-        at[c].append((d, a, b))
-        at[d].append((c, a, b))
-    return at
-
-
 def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], links: Links,
                crossings_at: Sequence[Sequence[tuple[int, int, int]]], rule: CrossingIndex | None,
                symmetric: bool) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -142,13 +143,13 @@ def test_order_type_key_is_invariant_and_covers_random_point_sets():
     rng = random.Random(7)
     for trial in range(400):
         n = 5 + trial % 2
-        pts = [Point(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(n)]
-        if not is_general_position(pts):
+        pts = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(n)]
+        if not is_general_position([Point(*p) for p in pts]):
             continue
         key = _order_type(pts)
         assert key in keys[n]
-        turned = [Point(3 - p.y, p.x - 7) for p in pts]
-        mirrored = [Point(-p.x, p.y) for p in pts]
+        turned = [(3 - y, x - 7) for x, y in pts]
+        mirrored = [(-x, y) for x, y in pts]
         assert _order_type(turned) == _order_type(mirrored) == _order_type(rng.sample(pts, n)) == key
 
 
@@ -160,11 +161,10 @@ def test_face_points_and_order_types_equal_the_reference_on_every_extension():
     for n in range(3, 7):
         for pts in _order_types(n):
             faces = _face_points(pts)
-            assert [(Fraction(x, w), Fraction(y, w)) for x, y, w in faces] == reference_face_points(
-                [(p.x, p.y) for p in pts])
+            assert [(Fraction(x, w), Fraction(y, w)) for x, y, w in faces] == reference_face_points(pts)
             for x, y, w in faces:
-                ext = [Point(p.x * w, p.y * w) for p in pts] + [Point(x, y)]
-                assert _order_type(ext) == reference_order_type([(p.x, p.y) for p in ext])
+                ext = [(px * w, py * w) for px, py in pts] + [(x, y)]
+                assert _order_type(ext) == reference_order_type(ext)
                 extensions += 1
     assert extensions == 12 + 64 + 268 + 3470
 
@@ -245,6 +245,17 @@ def test_store_rejects_a_catalog_saved_under_another_size(tmp_path, store):
     (tmp_path / "k5.catalog.json").write_text(json.dumps(catalog_to_json_dict(store.get(4))))
     with pytest.raises(GraphFormatError, match="n=4, not n=5"):
         CatalogStore(tmp_path, build_missing=False).get(5)
+
+
+@pytest.mark.parametrize("broken", ["truncated", "directory"])
+def test_store_names_a_catalog_file_it_cannot_read(tmp_path, broken):
+    path = tmp_path / "k4.catalog.json"
+    if broken == "directory":
+        path.mkdir()
+    else:
+        path.write_text('{"n": 4, "format": 2, "entries": [')
+    with pytest.raises(GraphFormatError, match=re.escape(str(path))):
+        CatalogStore(tmp_path, build_missing=False).get(4)
 
 
 def test_catalog_rejects_a_witness_that_is_not_the_complete_graph(store):

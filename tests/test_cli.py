@@ -199,6 +199,15 @@ def test_x_command_rejects_a_malformed_catalog(capsys, tmp_path, fig6):
     assert err.count("\n") == 1 and json.loads(err)["kind"] == "GraphFormatError"
 
 
+def test_x_command_names_a_catalog_file_that_is_not_json(capsys, tmp_path, fig6):
+    path = tmp_path / "k6.catalog.json"  # X of figure 6 is 6, and its search starts there
+    path.write_text('{"n": 6, "format": 2, "entries": [')
+    code, out, err = run(capsys, "x", fig6, "--catalog", str(tmp_path), "--no-build")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "GraphFormatError" and str(path) in doc["error"]
+
+
 def test_render_command(capsys, tmp_path, fig6):
     out_path = tmp_path / "fig6.svg"
     code, _, _ = run(capsys, "render", fig6, "-o", str(out_path))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from geochrom import (
     COORD_BOUND,
-    Orientation,
     Point,
     SharedEndpoint,
     convex_crossing_rule,
@@ -16,28 +15,35 @@ from geochrom import (
     regular_polygon_points,
     segments_cross,
 )
-from oracles import general_position, rational_segments_cross
+from oracles import general_position, orient, rational_segments_cross
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.builds(Point, coords, coords)
 
 
 def test_orientation_basic_triples():
-    assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) is Orientation.COUNTERCLOCKWISE
-    assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) is Orientation.COLLINEAR
-    assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) is Orientation.CLOCKWISE
+    assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == 1
+    assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == 0
+    assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) == -1
 
 
 @given(points, points, points)
 def test_orientation_flips_under_swaps(p, q, r):
     o = orientation(p, q, r)
-    flipped = orientation(q, p, r)
-    if o is Orientation.COLLINEAR:
-        assert flipped is Orientation.COLLINEAR
-        assert orientation(p, r, q) is Orientation.COLLINEAR
-    else:
-        assert flipped.value == -o.value
-        assert orientation(p, r, q).value == -o.value
+    assert o in (-1, 0, 1)
+    assert orientation(q, p, r) == -o
+    assert orientation(p, r, q) == -o
+
+
+# Collinear triples: r = p + k (q - p) for a small integer k.
+collinear = st.builds(lambda p, q, k: (p, q, Point(p.x + k * (q.x - p.x), p.y + k * (q.y - p.y))),
+                      points, points, st.integers(min_value=-3, max_value=3))
+
+
+@given(st.one_of(st.tuples(points, points, points), collinear))
+def test_orientation_equals_the_oracle(triple):
+    p, q, r = triple
+    assert orientation(p, q, r) == orient((p.x, p.y), (q.x, q.y), (r.x, r.y))
 
 
 def test_point_rejects_floats_and_overflow():
@@ -174,4 +180,4 @@ def test_regular_polygon_points_general_position_and_order():
             # convex and counterclockwise in label order
             for i in range(n):
                 a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-                assert orientation(a, b, c) is Orientation.COUNTERCLOCKWISE
+                assert orientation(a, b, c) == 1

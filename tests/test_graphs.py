@@ -24,7 +24,6 @@ from geochrom import (
     load_graph,
     min_pairwise_crossing_distance,
     random_geometric_graph,
-    sorted_crossings,
     star_crossing,
 )
 from geochrom.graphs import _crossings_too_close
@@ -79,20 +78,20 @@ def test_crossings_invariant_under_translation_and_scaling():
 
 def test_crossing_distance_figures():
     left = figure_graphs("figure3_left")
-    c1, c2 = sorted_crossings(left)
+    c1, c2 = sorted(crossings_of(left))
     assert crossing_distance(left, c1, c2) == 2
     assert crossing_distance(left, c1, c1) == 0
     assert min_pairwise_crossing_distance(left) == 2
 
     right = figure_graphs("figure3_right")
-    d1, d2 = sorted_crossings(right)
+    d1, d2 = sorted(crossings_of(right))
     assert crossing_distance(right, d1, d2) == 1
     assert min_pairwise_crossing_distance(right) == 1
 
 
 def test_crossing_distance_matches_bfs_oracle():
     g = figure_graphs("figure3_left")
-    c1, c2 = sorted_crossings(g)
+    c1, c2 = sorted(crossings_of(g))
     expected = graph_distance(g.n, g.edges, c1.vertices, c2.vertices)
     assert crossing_distance(g, c1, c2) == expected
     assert crossing_distance(g, c2, c1) == expected
@@ -104,7 +103,7 @@ def test_crossing_distance_infinite_across_components():
     pts = [(p.x, p.y) for p in a.points] + [(p.x, p.y + 1) for p in b.points]
     edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
     g = GeometricGraph.build(pts, edges)
-    c1, c2 = sorted_crossings(g)
+    c1, c2 = sorted(crossings_of(g))
     assert crossing_distance(g, c1, c2) == math.inf
     assert min_pairwise_crossing_distance(g) == math.inf
 
@@ -136,7 +135,7 @@ def test_linear_distance_rule_matches_pairwise_bfs(seed):
     else:
         g = random_geometric_graph(5 + seed % 8, 0.3, seed=9000 + seed)
     for k in (0, 1, 2):
-        far_enough = _crossings_too_close(g.edges, sorted_crossings(g), k) is None
+        far_enough = _crossings_too_close(g.edges, sorted(crossings_of(g)), k) is None
         assert far_enough == (min_pairwise_crossing_distance(g) >= k)
 
 
@@ -151,7 +150,7 @@ def test_crossings_memo_does_not_keep_graph_alive():
 
 def test_crossing_distance_rejects_foreign_crossing():
     g = convex_clique(4)
-    (c,) = sorted_crossings(g)
+    (c,) = sorted(crossings_of(g))
     with pytest.raises(ValueError):
         crossing_distance(g, c, Crossing.make((0, 1), (2, 3)))
 
@@ -312,9 +311,16 @@ def test_canonical_form_is_invariant_on_large_symmetric_inputs(name):
 def test_structure_validation():
     with pytest.raises(ValueError):
         # crossing uses a non-edge
-        from geochrom import CrossingStructure
-
         CrossingStructure(4, [(0, 1)], [((0, 1), (2, 3))])
+
+
+def test_structure_is_immutable():
+    s = crossing_structure(convex_clique(5))
+    form = s.canonical_form
+    for name, value in (("n", 6), ("adjacency", frozenset()), ("crossings", frozenset()), ("_canonical", b"")):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+    assert s.n == 5 and len(s.crossings) == 5 and s.canonical_form == form
 
 
 def _drawings():

@@ -6,7 +6,7 @@ PUBLIC = [
     "CliqueCatalog", "CollapsedCrossingPair", "Coloring", "Crossing", "CrossingStructure",
     "CrossingsNotIndependent", "DistanceTooSmall", "DistinctnessGraph", "FIGURE_TAGS",
     "GeochromError", "GeometricGraph", "GraphFormatError", "LiftInternalError", "LiftReport",
-    "NotProperColoring", "Orientation", "Point", "SharedEndpoint", "SizeUnsupported",
+    "NotProperColoring", "Point", "SharedEndpoint", "SizeUnsupported",
     "UnknownFigure", "VertexMap", "XResult", "chromatic_number", "convex_clique",
     "convex_crossing_rule", "crossing_distance", "crossing_structure", "crossings_of",
     "dump_graph", "enumerate_clique_structures", "figure6_coloring", "figure_graphs",
@@ -16,12 +16,12 @@ PUBLIC = [
     "lift_independent", "lift_independent_noncollapsing", "lift_small_chi", "load_graph",
     "min_pairwise_crossing_distance", "non_identifiable_pairs", "orientation",
     "pseudo_geochromatic_number", "random_geometric_graph", "regular_polygon_points",
-    "segments_cross", "separation_family", "sorted_crossings", "star_crossing",
+    "segments_cross", "separation_family", "star_crossing",
 ]
 
 
 def test_public_surface_is_pinned_and_resolves():
-    assert len(PUBLIC) == 63
+    assert len(PUBLIC) == 61
     assert sorted(geochrom.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(geochrom, name) is not None
