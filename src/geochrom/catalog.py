@@ -48,6 +48,7 @@ from .graphs import (
     CrossingStructure,
     GeometricGraph,
     _crossing_partners,
+    _read_json,
     crossing_structure,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -436,13 +437,7 @@ class CatalogStore:
         path = self.path_for(n)
         if path is None or not path.exists():
             return None
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise GraphFormatError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
-        cat = catalog_from_json_dict(doc)
+        cat = catalog_from_json_dict(_read_json(path))
         if cat.n != n:
             raise GraphFormatError(f"{path} holds the catalog for n={cat.n}, not n={n}")
         return cat

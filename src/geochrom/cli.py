@@ -39,6 +39,7 @@ from .generators import (
 )
 from .graphs import (
     GeometricGraph,
+    _read_json,
     crossings_of,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -62,16 +63,6 @@ from .obstructions import non_identifiable_pairs
 
 NEGATIVE_ERRORS = (DistanceTooSmall, CrossingsNotIndependent, CollapsedCrossingPair,
                    ChiOutOfRange)
-
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_graph(path: str) -> GeometricGraph:
@@ -201,10 +192,9 @@ def _cmd_catalog(args) -> int:
     if args.out:
         store = CatalogStore(args.out)
         store._persist(cat)
-        summary = {"n": cat.n, "entries": len(cat.entries), "path": str(store.path_for(args.n))}
-        print(json.dumps(summary, separators=(",", ":")))
+        _emit({"n": cat.n, "entries": len(cat.entries), "path": str(store.path_for(args.n))}, None)
     else:
-        print(json.dumps(catalog_to_json_dict(cat), separators=(",", ":")))
+        _emit(catalog_to_json_dict(cat), None)
     return 0
 
 

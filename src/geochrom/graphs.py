@@ -24,6 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphFormatError
@@ -457,15 +458,10 @@ def graph_from_json_dict(doc: Mapping) -> GeometricGraph:
     for e in doc["edges"]:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in e)):
             raise GraphFormatError(f"edge entry {e!r} must be a pair of ids")
-        u, v = e
-        if u == v:
-            raise GraphFormatError(f"loop edge {e!r} not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge {e!r} references a missing vertex")
         edges.append(_norm_edge(e))
-    if len(set(edges)) != len(edges):
+    if len(set(edges)) != len(edges):  # the frozenset would drop a repeat silently
         raise GraphFormatError("duplicate edges not allowed")
-    try:
+    try:  # GeometricGraph rejects loops, missing ids and points not in general position
         return GeometricGraph.build([seen[i] for i in range(n)], edges)
     except (ValueError, TypeError) as exc:
         raise GraphFormatError(str(exc)) from exc
@@ -473,6 +469,21 @@ def graph_from_json_dict(doc: Mapping) -> GeometricGraph:
 
 def dump_graph(G: GeometricGraph) -> str:
     return json.dumps(graph_to_json_dict(G), separators=(",", ":"))
+
+
+def _read_json(path: str | Path):
+    """The JSON document in the UTF-8 file at `path`: the one reader of input files.
+
+    Raises GraphFormatError naming the file when it cannot be read, is not
+    UTF-8 or is not JSON.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError alike
+        raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_graph(text: str) -> GeometricGraph:

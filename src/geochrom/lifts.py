@@ -16,10 +16,9 @@ case picks the vertices that move, each with its base label p; the method
 says where they land: dist2 on the spare labels n+1, n+2 in turn, indep2n
 and indep3n on the copy p+n, smallchi one step on, p+1. Only case 3 (indep2n
 refuses, indep3n uses p2+n and p1+2n) and smallchi's vertex in 2a and in 2b
-below both leaves depend on the method. Each reassignment is re-checked with
-the convex crossing rule and the final map is verified end to end; a failure
-there is a bug in this module, not a property of the input, and raises
-loudly.
+below both leaves depend on the method. The final map is verified once, end
+to end, with is_geometric_hom; a failure there is a bug in this module, not a
+property of the input, and raises loudly.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ from .errors import (
     DistanceTooSmall,
     LiftInternalError,
     NotProperColoring,
-    SharedEndpoint,
 )
-from .geometry import convex_crossing_rule
 from .graphs import (
     Crossing,
     CrossingIndex,
@@ -56,7 +53,6 @@ Mod = tuple[int, int]  # (vertex id, hull label)
 @dataclass(frozen=True)
 class LiftReport:
     method: str  # dist2 | indep2n | indep3n | smallchi
-    n_source: int
     target_size: int
     beta: VertexMap
     case_log: tuple[tuple[Crossing, str], ...]
@@ -173,29 +169,13 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
         tag, mods = _dispatch(method, room, base, cr)
         for v, new_label in mods:
             beta[v] = new_label
-        f1 = (beta[cr.e1[0]], beta[cr.e1[1]])
-        f2 = (beta[cr.e2[0]], beta[cr.e2[1]])
-        try:
-            crossing_ok = convex_crossing_rule(target_size, f1, f2)
-        except SharedEndpoint:
-            crossing_ok = False
-        if not crossing_ok:
-            raise LiftInternalError(
-                f"{method} case {tag} produced non-crossing images {f1} {f2}"
-            )
         log.append((cr, tag))
-
-    if method == "dist2":
-        for u, v in G.edges:
-            if beta[u] == beta[v] and beta[u] > n:
-                raise LiftInternalError("two adjacent vertices landed on one spare label")
 
     vm = VertexMap(tuple(b - 1 for b in beta), target_size)
     if not is_geometric_hom(G, convex_clique(target_size), vm):
         raise LiftInternalError(f"{method} lift failed end-to-end verification")
     return LiftReport(
         method=method,
-        n_source=n,
         target_size=target_size,
         beta=vm,
         case_log=tuple(log),

@@ -247,11 +247,13 @@ def test_store_rejects_a_catalog_saved_under_another_size(tmp_path, store):
         CatalogStore(tmp_path, build_missing=False).get(5)
 
 
-@pytest.mark.parametrize("broken", ["truncated", "directory"])
+@pytest.mark.parametrize("broken", ["truncated", "directory", "undecodable"])
 def test_store_names_a_catalog_file_it_cannot_read(tmp_path, broken):
     path = tmp_path / "k4.catalog.json"
     if broken == "directory":
         path.mkdir()
+    elif broken == "undecodable":
+        path.write_bytes(b"\xff\xfe{}")  # "{}" behind a UTF-16 byte-order mark: not UTF-8
     else:
         path.write_text('{"n": 4, "format": 2, "entries": [')
     with pytest.raises(GraphFormatError, match=re.escape(str(path))):

@@ -5,6 +5,7 @@ import pytest
 from geochrom import (
     CatalogStore,
     GraphFormatError,
+    convex_clique,
     dump_graph,
     enumerate_clique_structures,
     figure_graphs,
@@ -92,8 +93,6 @@ def test_verify_command(capsys, tmp_path):
     h_path = tmp_path / "h.json"
     m_path = tmp_path / "m.json"
     g_path.write_text(dump_graph(g))
-    from geochrom import convex_clique
-
     h_path.write_text(dump_graph(convex_clique(4)))
     m_path.write_text(json.dumps({"map": list(beta.images)}))
     code, out, _ = run(capsys, "verify", str(g_path), str(h_path), str(m_path))
@@ -105,6 +104,25 @@ def test_verify_command(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(g_path), str(h_path), str(m_path))
     assert code == 1
     assert json.loads(out) == {"graph_hom": False, "geometric_hom": False}
+
+
+@pytest.mark.parametrize("images, message", [
+    ("0123", "must be a list or an object"),
+    ({"map": [0, 1, 2, 3, 0.5, 1]}, "list of target ids"),
+    ({"map": [True, 1, 2, 3, 0, 1]}, "list of target ids"),
+    ([0, 1, 2, 3, 0], "shape does not match"),
+    ([0, 1, 2, 3, 0, 4], "shape does not match"),
+], ids=["string", "float", "bool", "short", "out-of-range"])
+def test_verify_rejects_a_map_that_does_not_fit(capsys, tmp_path, images, message):
+    g, _ = star_crossing(3)  # 6 vertices, into the convex K4
+    paths = [tmp_path / name for name in ("g.json", "h.json", "m.json")]
+    paths[0].write_text(dump_graph(g))
+    paths[1].write_text(dump_graph(convex_clique(4)))
+    paths[2].write_text(json.dumps(images))
+    code, out, err = run(capsys, "verify", *map(str, paths))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "GraphFormatError" and message in doc["error"]
 
 
 def test_bound_lower_command(capsys, fig6):
@@ -142,6 +160,19 @@ def test_lift_command(capsys, tmp_path):
     code, _, err = run(capsys, "lift", "--method", "dist2", str(path))
     assert code == 1
     assert json.loads(err)["kind"] == "DistanceTooSmall"
+
+
+def test_lift_indep2n_map_replays_through_verify(capsys, tmp_path):
+    g_path, h_path, lift_path = (tmp_path / name for name in ("g.json", "h.json", "lift.json"))
+    g_path.write_text(dump_graph(figure_graphs("figure3_right")))  # chi 2 collapses a crossing, 3 does not
+    code, _, _ = run(capsys, "lift", "--method", "indep2n", str(g_path), "-o", str(lift_path))
+    assert code == 0
+    report = json.loads(lift_path.read_text())
+    assert report["method"] == "indep2n" and report["target_size"] == 6
+    h_path.write_text(dump_graph(convex_clique(6)))
+    code, out, _ = run(capsys, "verify", str(g_path), str(h_path), str(lift_path))
+    assert code == 0
+    assert json.loads(out) == {"graph_hom": True, "geometric_hom": True}
 
 
 def test_catalog_command(capsys, tmp_path):
@@ -226,3 +257,41 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     assert json.loads(err)["kind"] == "GraphFormatError"
     code, _, err = run(capsys, "chi", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+_TRIANGLE = [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 10, "y": 0}, {"id": 2, "x": 0, "y": 10}]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": {}, "edges": []}, "'vertices' must be a list"),
+    ({"vertices": _TRIANGLE, "edges": "0-1"}, "'edges' must be a list"),
+    ({"vertices": [{"id": 0, "x": 0}], "edges": []}, "lacks id/x/y"),
+    ({"vertices": [{"id": 0, "x": 0.5, "y": 0}], "edges": []}, "must be all-integer"),
+    ({"vertices": _TRIANGLE + [{"id": 1, "x": 5, "y": 7}], "edges": []}, "duplicate vertex id 1"),
+    ({"vertices": _TRIANGLE[:2] + [{"id": 3, "x": 0, "y": 10}], "edges": []}, "exactly 0..n-1"),
+    ({"vertices": _TRIANGLE, "edges": [[0, 1, 2]]}, "must be a pair of ids"),
+    ({"vertices": _TRIANGLE, "edges": [[0, "1"]]}, "must be a pair of ids"),
+    ({"vertices": _TRIANGLE, "edges": [[0, True]]}, "must be a pair of ids"),
+    ({"vertices": _TRIANGLE, "edges": [[0, 1], [1, 0]]}, "duplicate edges"),
+    ({"vertices": _TRIANGLE, "edges": [[1, 1]]}, "distinct ids"),
+    ({"vertices": _TRIANGLE, "edges": [[0, 3]]}, "missing vertex id"),
+    ({"vertices": _TRIANGLE, "edges": [[-1, 0]]}, "missing vertex id"),
+], ids=["vertices-not-list", "edges-not-list", "vertex-without-y", "float-coordinate", "duplicate-id",
+        "ids-not-0..n-1", "edge-triple", "edge-with-string", "edge-with-bool", "duplicate-edge",
+        "loop-edge", "edge-past-n", "negative-id"])
+def test_malformed_graph_file_is_a_format_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "chi", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "GraphFormatError" and message in error["error"]
+
+
+def test_graph_file_that_is_not_utf8_is_a_format_error_naming_it(capsys, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{}")  # "{}" behind a UTF-16 byte-order mark
+    code, out, err = run(capsys, "chi", str(path))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "GraphFormatError" and str(path) in doc["error"]

@@ -2,7 +2,7 @@
 
 Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
-the ones it names.
+the ones it names. Input files are read and decoded in graphs alone.
 """
 
 import ast
@@ -84,3 +84,23 @@ def test_package_imports_form_no_cycle():
 def test_cycle_finder_reports_a_cycle():
     assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def _file_reads(tree: ast.AST) -> list[str]:
+    """The json.load, json.loads, .read_text and .read_bytes a module names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            on_json = isinstance(node.value, ast.Name) and node.value.id == "json"
+            if node.attr in ("read_text", "read_bytes") or on_json and node.attr in ("load", "loads"):
+                found.append(f"{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"from json import {a.name}" for a in node.names if a.name in ("load", "loads")]
+    return found
+
+
+def test_only_graphs_reads_input_files():
+    # graphs._read_json names the file in every GraphFormatError; a second reader would drift from it.
+    reads = {name: _file_reads(tree) for name, tree in MODULES.items()}
+    assert reads.pop("graphs")  # the scan sees the one reader
+    assert {name: found for name, found in reads.items() if found} == {}

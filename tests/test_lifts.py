@@ -12,6 +12,7 @@ from geochrom import (
     DistanceTooSmall,
     GeochromError,
     GeometricGraph,
+    LiftInternalError,
     NotProperColoring,
     chromatic_number,
     convex_clique,
@@ -275,6 +276,14 @@ def test_precondition_errors():
 
     with pytest.raises(ChiOutOfRange):
         lift_small_chi(x_gadget(), Coloring((1, 2, 3, 4), 4))
+
+
+@pytest.mark.parametrize("lift", [lift_dist2, lift_independent_noncollapsing, lift_independent, lift_small_chi])
+def test_a_lift_whose_images_do_not_cross_fails_its_verification(monkeypatch, lift):
+    # Both edges of the crossing carry labels {1, 2}: if no vertex moves, their images share ends.
+    monkeypatch.setattr("geochrom.lifts._dispatch", lambda method, n, lab, cr: ("1", []))
+    with pytest.raises(LiftInternalError, match="end-to-end verification"):
+        lift(x_gadget(), Coloring((1, 2, 1, 2), 2))
 
 
 @pytest.mark.parametrize("seed", range(25))
