@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphFormatError
-from .geometry import Point, is_general_position, segments_cross
+from .geometry import Point, is_general_position
 
 Edge = tuple[int, int]
 
@@ -70,17 +70,28 @@ class GeometricGraph:
     @cached_property
     def crossings(self) -> frozenset["Crossing"]:
         # Memoized on the instance, so it lives exactly as long as the graph.
-        out = set()
+        #
+        # One side-of-line row per edge uv: row[w] is orientation(u, v, w),
+        # the sign of (v - u) x (w - u), computed as dx*y - dy*x against its
+        # value at u. Disjoint edges cross exactly when each has its ends on
+        # opposite sides of the other's line, the four signs segments_cross
+        # reads, so E*n determinants replace four per edge pair. An edge's
+        # own ends have sign 0, so edges sharing an endpoint never pass.
+        pts = [(p.x, p.y) for p in self.points]
         es = self.sorted_edges
-        pts = self.points
-        for i in range(len(es)):
-            u1, v1 = es[i]
-            for j in range(i + 1, len(es)):
-                u2, v2 = es[j]
-                if u2 in (u1, v1) or v2 in (u1, v1):
-                    continue
-                if segments_cross(pts[u1], pts[v1], pts[u2], pts[v2]):
-                    out.add(Crossing(es[i], es[j]))
+        sides = []
+        for u, v in es:
+            (xu, yu), (xv, yv) = pts[u], pts[v]
+            dx, dy = xv - xu, yv - yu
+            at_u = dx * yu - dy * xu
+            sides.append([(d > at_u) - (d < at_u) for d in [dx * y - dy * x for x, y in pts]])
+        out = set()
+        for i, (e1, s1) in enumerate(zip(es, sides)):
+            u1, v1 = e1
+            for e2, s2 in zip(es[i + 1:], sides[i + 1:]):
+                u2, v2 = e2
+                if s1[u2] * s1[v2] < 0 and s2[u1] * s2[v1] < 0:
+                    out.add(Crossing(e1, e2))
         return frozenset(out)
 
     @cached_property

@@ -20,11 +20,20 @@ line. Two of its vertices are joined by an odd path exactly when they lie in
 one component on opposite sides (a shortest path between them is simple).
 For D, the edges crossed by a 2-path contain an odd cycle exactly when that
 union is not bipartite, which needs both of its edges crossed.
+
+D reuses the two-colorings that C computes for the two edges. A two-coloring
+of the union restricts, on each component of either bipartite graph, to that
+component's own coloring or its flip, so the union is bipartite exactly when
+the components can be flipped so that every vertex the two graphs share gets
+one color from both. Each shared vertex ties the flip of its component in
+one graph to the flip of its component in the other; the ties can be
+inconsistent only around a cycle, so the union of two bipartite graphs has an
+odd cycle only if they share at least two vertices. A parity union-find over
+the components checks the ties.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -50,30 +59,59 @@ class DistinctnessGraph:
         return chromatic_number((self.n, self.forced_pairs))[0]
 
 
-def _two_coloring(n: int, edges: set[Edge]) -> tuple[list[tuple[int, int] | None], bool]:
-    """BFS two-coloring of `edges` on vertices 0..n-1.
+def _two_coloring(edges: set[Edge]) -> dict[int, tuple[int, int]]:
+    """(component, side) for each vertex on an edge of a bipartite edge set.
 
-    Returns (component, side) for each vertex on an edge (None elsewhere) and
-    whether some edge joins two vertices of one side, i.e. an odd cycle.
+    A component is named by the vertex its search started from, which has
+    side 0.
     """
-    adj = _adj_lists(n, edges)
-    label: list[tuple[int, int] | None] = [None] * n
-    odd = False
-    for start in range(n):
-        if label[start] is not None or not adj[start]:
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    label: dict[int, tuple[int, int]] = {}
+    for start in adj:
+        if start in label:
             continue
         label[start] = (start, 0)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            side = label[v][1]
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            side = label[v][1] ^ 1
             for w in adj[v]:
-                if label[w] is None:
-                    label[w] = (start, side ^ 1)
-                    queue.append(w)
-                elif label[w][1] == side:
-                    odd = True
-    return label, odd
+                if w not in label:
+                    label[w] = (start, side)
+                    stack.append(w)
+    return label
+
+
+def _union_has_odd_cycle(c1: dict[int, tuple[int, int]], c2: dict[int, tuple[int, int]]) -> bool:
+    """Whether two bipartite graphs, given by their _two_coloring, have a non-bipartite union.
+
+    Nodes are the components, those of c2 stored as ~id; parent[x] is
+    (parent, parity), where parity 1 means x is flipped against its parent.
+    """
+    shared = c1.keys() & c2.keys()
+    if len(shared) < 2:
+        return False
+    parent: dict[int, tuple[int, int]] = {}
+
+    def find(x: int) -> tuple[int, int]:
+        parity = 0
+        while x in parent:
+            x, p = parent[x]
+            parity ^= p
+        return x, parity
+
+    for v in shared:
+        (a, side1), (b, side2) = c1[v], c2[v]
+        (ra, pa), (rb, pb) = find(a), find(~b)
+        flip = side1 ^ side2 ^ pa ^ pb  # the parity v demands between ra and rb
+        if ra != rb:
+            parent[ra] = (rb, flip)
+        elif flip:
+            return True
+    return False
 
 
 _MEMO_KEY = "_distinctness"
@@ -108,19 +146,18 @@ def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
         crossed_by.setdefault(c.e1, set()).add(c.e2)
         crossed_by.setdefault(c.e2, set()).add(c.e1)
 
-    for crossed in crossed_by.values():
-        label, _ = _two_coloring(G.n, crossed)  # bipartite by the side-of-line fact
-        on = [v for v in range(G.n) if label[v] is not None]
-        for u, v in combinations(on, 2):
+    colorings: dict[Edge, dict[int, tuple[int, int]]] = {}
+    for e, crossed in crossed_by.items():
+        label = colorings[e] = _two_coloring(crossed)  # bipartite by the side-of-line fact
+        for u, v in combinations(sorted(label), 2):
             if label[u][0] == label[v][0] and label[u][1] != label[v][1]:
                 add((u, v), "C")
 
     adj = _adj_lists(G.n, G.edges)
     for w in range(G.n):
-        for u, v in combinations(sorted(adj[w]), 2):
-            q1 = crossed_by.get((min(u, w), max(u, w)))
-            q2 = crossed_by.get((min(v, w), max(v, w)))
-            if q1 and q2 and _two_coloring(G.n, q1 | q2)[1]:
+        crossed_at = [(u, colorings[e]) for u in sorted(adj[w]) if (e := (min(u, w), max(u, w))) in colorings]
+        for (u, c1), (v, c2) in combinations(crossed_at, 2):
+            if _union_has_odd_cycle(c1, c2):
                 add((u, v), "D")
 
     return DistinctnessGraph(

@@ -160,20 +160,30 @@ def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
 
 
 def _dsatur_greedy(adj: Sequence[set[int]]) -> list[int]:
+    """DSATUR (Brelaz, Comm. ACM 22, 1979): colors 1.. in order of saturation, then degree, then id.
+
+    seen[v] has bit c set once a neighbour of v holds color c. An uncolored
+    vertex ranks by the one int sat*n^2 + deg*n + (n-1-id), kept up to date
+    as its saturation grows, and a colored one by -1, so the highest rank is
+    the vertex the (saturation, degree, -id) order picks.
+    """
     n = len(adj)
     colors = [0] * n
-    saturation: list[set[int]] = [set() for _ in range(n)]
+    seen = [0] * n
+    rank = [len(nbrs) * n + n - 1 - v for v, nbrs in enumerate(adj)]
+    n2 = n * n
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == 0),
-            key=lambda u: (len(saturation[u]), len(adj[u]), -u),
-        )
-        c = 1
-        while c in saturation[v]:
-            c += 1
+        v = max(range(n), key=rank.__getitem__)
+        m = seen[v] | 1
+        c = (~m & (m + 1)).bit_length() - 1  # the least color no neighbour holds
         colors[v] = c
+        rank[v] = -1
+        bit = 1 << c
         for w in adj[v]:
-            saturation[w].add(c)
+            if not seen[w] & bit:
+                seen[w] |= bit
+                if not colors[w]:
+                    rank[w] += n2
     return colors
 
 

@@ -212,6 +212,41 @@ def odd_path_pairs(n: int, edges, crossings) -> set:
     return found
 
 
+def odd_cycle_pairs(n: int, edges, crossings) -> set:
+    """Rule D by plain search: the ends u < v of each 2-path u-w-v whose two
+    edges' crossed sets together hold an odd cycle.
+
+    `crossings` holds ((a, b), (c, d)) edge pairs. For each 2-path, a BFS
+    two-coloring of the union of the edges crossed by uw and by vw; an edge
+    between two vertices of one color closes an odd cycle.
+    """
+    crossed = {tuple(sorted(e)): set() for e in edges}
+    for e1, e2 in crossings:
+        crossed[tuple(sorted(e1))].add(tuple(sorted(e2)))
+        crossed[tuple(sorted(e2))].add(tuple(sorted(e1)))
+    adj = _neighbours(n, edges)
+    found = set()
+    for w in range(n):
+        for u, v in itertools.combinations(sorted(adj[w]), 2):
+            union = crossed[tuple(sorted((u, w)))] | crossed[tuple(sorted((v, w)))]
+            nbrs = _neighbours(n, union)
+            color = {}
+            for start in range(n):
+                if start in color:
+                    continue
+                color[start] = 0
+                queue = deque([start])
+                while queue:
+                    x = queue.popleft()
+                    for y in nbrs[x]:
+                        if y not in color:
+                            color[y] = 1 - color[x]
+                            queue.append(y)
+                        elif color[y] == color[x]:
+                            found.add((u, v))
+    return found
+
+
 # --- reference searches -------------------------------------------------------
 #
 # The check-after-assign depth-first search that the package's search core
@@ -274,6 +309,26 @@ def _fits(images, adj, quads_at, edge_ok, cross_ok):
         return True
 
     return fits
+
+
+def reference_dsatur(adj) -> list:
+    """DSATUR greedy coloring 1.. of adjacency sets: each step colors the
+    uncolored vertex with the most distinct neighbour colors, then the most
+    neighbours, then the least id, with the least color no neighbour holds.
+    """
+    n = len(adj)
+    colors = [0] * n
+    saturation = [set() for _ in range(n)]
+    for _ in range(n):
+        v = max((u for u in range(n) if colors[u] == 0),
+                key=lambda u: (len(saturation[u]), len(adj[u]), -u))
+        c = 1
+        while c in saturation[v]:
+            c += 1
+        colors[v] = c
+        for w in adj[v]:
+            saturation[w].add(c)
+    return colors
 
 
 def reference_chromatic(n, edges, clique, greedy):

@@ -27,7 +27,7 @@ from geochrom import (
     star_crossing,
 )
 from geochrom.graphs import _crossings_too_close
-from oracles import crossing_pairs_raw, graph_distance, reference_canonical_form
+from oracles import crossing_pairs_raw, graph_distance, orient, reference_canonical_form
 
 
 def x_gadget(shift=0):
@@ -66,6 +66,29 @@ def test_figure6_crossing_set_matches_rational_oracle():
         ((0, 2), (3, 5)),
         ((1, 2), (4, 5)),
     }
+
+
+def general_position_points(rng, n, span):
+    """n random points of [-span, span]^2 with no three collinear, by the oracle's orientation."""
+    pts = []
+    while len(pts) < n:
+        q = (rng.randint(-span, span), rng.randint(-span, span))
+        if q not in pts and all(orient(a, b, q) for a, b in itertools.combinations(pts, 2)):
+            pts.append(q)
+    return pts
+
+
+@pytest.mark.parametrize("span", [8, 40, 10**6, 2**30])
+def test_drawing_crossings_match_rational_oracle(span):
+    # at 2^30, the Point bound, the determinants are products of 31-bit differences
+    rng = random.Random(f"crossings:{span}")
+    for n in range(4, 10):
+        for _ in range(3):
+            pts = general_position_points(rng, n, span)
+            complete = list(itertools.combinations(range(n), 2))
+            for edges in (complete, [e for e in complete if rng.random() < 0.4]):
+                g = GeometricGraph.build(pts, edges)
+                assert {(c.e1, c.e2) for c in crossings_of(g)} == crossing_pairs_raw(pts, edges), (pts, edges)
 
 
 def test_crossings_invariant_under_translation_and_scaling():

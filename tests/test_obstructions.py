@@ -13,7 +13,7 @@ from geochrom import (
     non_identifiable_pairs,
     random_geometric_graph,
 )
-from oracles import crossing_pairs_raw, odd_path_pairs
+from oracles import crossing_pairs_raw, odd_cycle_pairs, odd_path_pairs
 
 
 def accordion() -> GeometricGraph:
@@ -85,6 +85,17 @@ def test_rule_c_matches_unbounded_odd_path_oracle(seed):
     dg = non_identifiable_pairs(g)
     tagged = {p for p in dg.forced_pairs if "C" in dg.provenance[p]}
     assert tagged == odd_path_pairs(g.n, g.edges, crossings_of_raw(g))
+
+
+def test_rule_d_matches_odd_cycle_oracle():
+    fired = 0
+    for seed in range(40):
+        g = random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed)
+        dg = non_identifiable_pairs(g)
+        tagged = {p for p in dg.forced_pairs if "D" in dg.provenance[p]}
+        assert tagged == odd_cycle_pairs(g.n, g.edges, crossings_of_raw(g)), seed
+        fired += bool(tagged)
+    assert fired > 10
 
 
 def test_lower_bound_examples():

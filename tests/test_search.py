@@ -24,6 +24,7 @@ from geochrom.graphs import _adj_lists
 from geochrom.search import _dsatur_greedy, _greedy_clique
 from oracles import (
     reference_chromatic,
+    reference_dsatur,
     reference_geometric_hom,
     reference_maps_into,
     reference_noncollapsing,
@@ -38,17 +39,28 @@ IDS = [f"{g.n}v{len(g.edges)}e{len(crossings_of(g))}c" for g in DRAWINGS]
 
 def chromatic_reference(n, edges):
     adj = _adj_lists(n, edges)
-    return reference_chromatic(n, edges, _greedy_clique(adj), _dsatur_greedy(adj))
+    return reference_chromatic(n, edges, _greedy_clique(adj), reference_dsatur(adj))
 
 
-def test_chromatic_number_matches_reference():
-    # each drawing, its forced-pair graph (the lower bound) and its six-pair graph (X')
+def colored_graphs():
+    """Each drawing, its forced-pair graph (the lower bound) and its six-pair graph (X')."""
     for g, name in zip(DRAWINGS, IDS):
         six_pairs = {pair for c in crossings_of(g) for pair in itertools.combinations(sorted(c.vertices), 2)}
         for edges in (g.edges, non_identifiable_pairs(g).forced_pairs, g.edges | six_pairs):
             if edges:
-                k, coloring = chromatic_number((g.n, edges))
-                assert (k, coloring.colors) == chromatic_reference(g.n, edges), name
+                yield g.n, edges, name
+
+
+def test_chromatic_number_matches_reference():
+    for n, edges, name in colored_graphs():
+        k, coloring = chromatic_number((n, edges))
+        assert (k, coloring.colors) == chromatic_reference(n, edges), name
+
+
+def test_dsatur_greedy_matches_reference():
+    for n, edges, name in colored_graphs():
+        adj = _adj_lists(n, edges)
+        assert _dsatur_greedy(adj) == reference_dsatur(adj), name
 
 
 def test_find_geometric_hom_matches_reference_on_every_maximal_target(store):
