@@ -2,7 +2,7 @@
 
 Vertex maps are verified, never trusted: every solver result can be replayed
 through the verifiers here. The searches run on the core in search.py:
-chi (X' is chi of an augmented graph) and find_geometric_hom are two of its
+chi (X' is chi of rules A and B) and find_geometric_hom are two of its
 callers, and X is the least n at which find_geometric_hom succeeds into a
 cataloged K_n.
 """
@@ -90,8 +90,8 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
     """Proper on edges and 4 distinct colors on every crossing quadruple."""
     if not is_proper(G, coloring):
         return False
-    for c in crossings_of(G):
-        if len({coloring.colors[v] for v in c.vertices}) != 4:
+    for (a, b), (c, d) in crossings_of(G):
+        if len({coloring.colors[a], coloring.colors[b], coloring.colors[c], coloring.colors[d]}) != 4:
             return False
     return True
 
@@ -176,14 +176,9 @@ def pseudo_geochromatic_number(G: GeometricGraph) -> tuple[int, Coloring]:
     """Smallest n admitting a proper coloring with 4 distinct colors per crossing.
 
     The quadruple constraint is exactly six pairwise-distinctness constraints,
-    so X' is the chromatic number of the graph augmented with those pairs.
+    so X' is chi of obstruction rules A and B, read from the graph's forced-pair memo.
     """
-    extra: set[Edge] = set(G.edges)
-    for c in crossings_of(G):
-        vs = sorted(c.vertices)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                extra.add((vs[i], vs[j]))
-    n, coloring = chromatic_number((G.n, extra))
+    rules = non_identifiable_pairs(G).rules
+    n, coloring = chromatic_number((G.n, rules["A"] | rules["B"]))
     assert is_pseudo_coloring(G, coloring)
     return n, coloring

@@ -156,7 +156,7 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
         base = [2 * c - 1 for c in alpha.colors]
         room = 2 * n - 1  # recoded labels occupy odd positions 1..2n-1
 
-    crossings = sorted(crossings_of(G), key=lambda c: (min(c.vertices), c))
+    crossings = sorted(crossings_of(G))  # by least vertex: each crossing leads with its lesser sorted edge
 
     minimum, exc = (2, DistanceTooSmall) if method == "dist2" else (1, CrossingsNotIndependent)
     conflict = _crossings_too_close(G.edges, crossings, minimum)

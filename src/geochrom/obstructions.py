@@ -29,7 +29,8 @@ one color from both. Each shared vertex ties the flip of its component in
 one graph to the flip of its component in the other; the ties can be
 inconsistent only around a cycle, so the union of two bipartite graphs has an
 odd cycle only if they share at least two vertices. A parity union-find over
-the components checks the ties.
+the components checks the ties. The pairs are kept as one set per rule; their
+union and the per-pair provenance are built on first read.
 """
 
 from __future__ import annotations
@@ -46,9 +47,20 @@ from .search import chromatic_number
 
 @dataclass(frozen=True)
 class DistinctnessGraph:
+    """rules maps each letter A-D to the sorted pairs that rule forces apart;
+    forced_pairs (their union) and provenance are built on first read."""
+
     n: int
-    forced_pairs: frozenset[Edge]
-    provenance: Mapping[Edge, frozenset[str]]
+    rules: Mapping[str, frozenset[Edge]]
+
+    @cached_property
+    def forced_pairs(self) -> frozenset[Edge]:
+        return frozenset().union(*self.rules.values())
+
+    @cached_property
+    def provenance(self) -> Mapping[Edge, frozenset[str]]:
+        return MappingProxyType({pair: frozenset(rule for rule, pairs in self.rules.items() if pair in pairs)
+                                 for pair in self.forced_pairs})
 
     def lower_bound(self) -> int:
         """Chromatic number of the forced-pair graph; always <= X(G-bar). Computed once."""
@@ -118,7 +130,7 @@ _MEMO_KEY = "_distinctness"
 
 
 def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
-    """All vertex pairs rules A-D force apart, with per-pair rule provenance.
+    """All vertex pairs rules A-D force apart, one set per rule.
 
     Computed once per graph and kept in the graph's own __dict__, where
     cached_property keeps its crossings, so it lives exactly as long as the
@@ -131,40 +143,31 @@ def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
 
 
 def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
-    tags: dict[Edge, set[str]] = {}
-
-    def add(pair: Edge, tag: str) -> None:
-        tags.setdefault(pair, set()).add(tag)
-
-    for e in G.edges:
-        add(e, "A")
-
+    forced: dict[str, set[Edge]] = {"B": set(), "C": set(), "D": set()}
     crossed_by: dict[Edge, set[Edge]] = {}
-    for c in crossings_of(G):
-        for a, b in combinations(sorted(c.vertices), 2):
-            add((a, b), "B")
-        crossed_by.setdefault(c.e1, set()).add(c.e2)
-        crossed_by.setdefault(c.e2, set()).add(c.e1)
+    for e1, e2 in crossings_of(G):
+        w, x, y, z = sorted((*e1, *e2))
+        forced["B"].update(((w, x), (w, y), (w, z), (x, y), (x, z), (y, z)))
+        crossed_by.setdefault(e1, set()).add(e2)
+        crossed_by.setdefault(e2, set()).add(e1)
 
     colorings: dict[Edge, dict[int, tuple[int, int]]] = {}
     for e, crossed in crossed_by.items():
         label = colorings[e] = _two_coloring(crossed)  # bipartite by the side-of-line fact
-        for u, v in combinations(sorted(label), 2):
-            if label[u][0] == label[v][0] and label[u][1] != label[v][1]:
-                add((u, v), "C")
+        sides: dict[int, tuple[list[int], list[int]]] = {}
+        for v, (component, side) in label.items():
+            sides.setdefault(component, ([], []))[side].append(v)
+        for zeros, ones in sides.values():
+            forced["C"].update((u, v) if u < v else (v, u) for u in zeros for v in ones)
 
     adj = _adj_lists(G.n, G.edges)
     for w in range(G.n):
         crossed_at = [(u, colorings[e]) for u in sorted(adj[w]) if (e := (min(u, w), max(u, w))) in colorings]
         for (u, c1), (v, c2) in combinations(crossed_at, 2):
             if _union_has_odd_cycle(c1, c2):
-                add((u, v), "D")
+                forced["D"].add((u, v))
 
-    return DistinctnessGraph(
-        n=G.n,
-        forced_pairs=frozenset(tags),
-        provenance=MappingProxyType({pair: frozenset(ts) for pair, ts in tags.items()}),
-    )
+    return DistinctnessGraph(G.n, MappingProxyType({"A": G.edges} | {r: frozenset(ps) for r, ps in forced.items()}))
 
 
 def geochromatic_lower_bound(G: GeometricGraph) -> int:

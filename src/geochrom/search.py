@@ -21,7 +21,7 @@ catalog, obstructions and homomorphism. The callers and their rules:
   chromatic_number        DSATUR order (saturation is k minus the mask's
                           popcount), a greedy clique mapped first, edge ends
                           differ, first-fresh-color symmetry breaking (X' is
-                          chi of the graph plus every crossing's six pairs)
+                          chi of rules A and B, every edge and crossing pair)
   find_geometric_hom      decreasing crossing degree; a neighbour narrows to
                           the target neighbours of t, a forced-apart vertex
                           (rules A-D) to everything but t, crossings by the
@@ -65,7 +65,7 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
     if isinstance(g, CrossingStructure):
         return g.n, g.adjacency
     n, edges = g
-    return n, frozenset(tuple(sorted(e)) for e in edges)
+    return n, frozenset((u, v) if u < v else (v, u) for u, v in edges)
 
 
 # links[v]: pairs (rows, ws); once v maps to t, each w in ws narrows to rows[t].
@@ -153,9 +153,11 @@ def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     clique: list[int] = []
+    common = (1 << n) - 1  # bit v: v is adjacent to every clique vertex so far
     for v in order:
-        if all(v in adj[u] for u in clique):
+        if common >> v & 1:
             clique.append(v)
+            common &= sum(1 << w for w in adj[v])
     return clique
 
 
@@ -173,7 +175,7 @@ def _dsatur_greedy(adj: Sequence[set[int]]) -> list[int]:
     rank = [len(nbrs) * n + n - 1 - v for v, nbrs in enumerate(adj)]
     n2 = n * n
     for _ in range(n):
-        v = max(range(n), key=rank.__getitem__)
+        v = rank.index(max(rank))
         m = seen[v] | 1
         c = (~m & (m + 1)).bit_length() - 1  # the least color no neighbour holds
         colors[v] = c

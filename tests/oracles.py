@@ -247,6 +247,57 @@ def odd_cycle_pairs(n: int, edges, crossings) -> set:
     return found
 
 
+def _two_sides(n, pairs):
+    """(component, side) for each vertex on one of the pairs of a bipartite
+    graph, by BFS from the least unlabelled vertex."""
+    nbrs = _neighbours(n, pairs)
+    label = {}
+    for start in range(n):
+        if start in label or not nbrs[start]:
+            continue
+        label[start] = (start, 0)
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in nbrs[x]:
+                if y not in label:
+                    label[y] = (start, 1 - label[x][1])
+                    queue.append(y)
+    return label
+
+
+def reference_distinctness(n, edges, crossings) -> dict:
+    """Rules A-D tagged pair by pair: {sorted pair: frozenset of rule letters}.
+
+    The package's former builder, which kept one tag set per pair: A tags
+    each edge, B all six pairs of each crossing, C every labelled pair of one
+    component on opposite sides of an edge's crossed set, and D the pairs of
+    odd_cycle_pairs. `crossings` holds ((a, b), (c, d)) edge pairs.
+    """
+    tags = {}
+
+    def add(pair, tag):
+        tags.setdefault(pair, set()).add(tag)
+
+    for e in edges:
+        add(tuple(sorted(e)), "A")
+    crossed = {}
+    for e1, e2 in crossings:
+        e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
+        for pair in itertools.combinations(sorted(e1 + e2), 2):
+            add(pair, "B")
+        crossed.setdefault(e1, set()).add(e2)
+        crossed.setdefault(e2, set()).add(e1)
+    for pairs in crossed.values():
+        label = _two_sides(n, pairs)
+        for u, v in itertools.combinations(sorted(label), 2):
+            if label[u][0] == label[v][0] and label[u][1] != label[v][1]:
+                add((u, v), "C")
+    for pair in odd_cycle_pairs(n, edges, crossings):
+        add(pair, "D")
+    return {pair: frozenset(ts) for pair, ts in tags.items()}
+
+
 # --- reference searches -------------------------------------------------------
 #
 # The check-after-assign depth-first search that the package's search core
@@ -309,6 +360,16 @@ def _fits(images, adj, quads_at, edge_ok, cross_ok):
         return True
 
     return fits
+
+
+def reference_greedy_clique(adj) -> list:
+    """Greedy clique: vertices by decreasing degree, then id, each kept when
+    adjacent to every vertex kept before it."""
+    clique = []
+    for v in sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v)):
+        if all(v in adj[u] for u in clique):
+            clique.append(v)
+    return clique
 
 
 def reference_dsatur(adj) -> list:

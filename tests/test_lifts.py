@@ -306,3 +306,15 @@ def test_random_indep3n_lifts_verify(seed):
     assert_report_ok(g, rep)
     for v_id in range(g.n):
         assert rep.beta.images[v_id] + 1 - alpha.colors[v_id] in (0, chi, 2 * chi)
+
+
+def test_plain_crossing_order_is_least_vertex_order():
+    # _run_lift takes crossings by least vertex through plain sorted(): a crossing
+    # leads with its lesser edge, an edge with its lesser end.
+    several = 0
+    for seed in range(200):
+        g = random_geometric_graph(5 + seed % 10, 0.4, seed=5000 + seed)
+        crossings = list(crossings_of(g))
+        assert sorted(crossings) == sorted(crossings, key=lambda c: (min(c.vertices), c)), seed
+        several += len(crossings) > 1
+    assert several > 100

@@ -11,9 +11,13 @@ from geochrom import (
     figure_graphs,
     geochromatic_lower_bound,
     non_identifiable_pairs,
+    pseudo_geochromatic_number,
     random_geometric_graph,
 )
-from oracles import crossing_pairs_raw, odd_cycle_pairs, odd_path_pairs
+from oracles import crossing_pairs_raw, odd_cycle_pairs, odd_path_pairs, reference_distinctness
+from test_search import DRAWINGS
+
+SEEDED = [random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed) for seed in range(40)]
 
 
 def accordion() -> GeometricGraph:
@@ -81,7 +85,7 @@ def test_rule_c_has_no_length_cap():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_rule_c_matches_unbounded_odd_path_oracle(seed):
-    g = random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed)
+    g = SEEDED[seed]
     dg = non_identifiable_pairs(g)
     tagged = {p for p in dg.forced_pairs if "C" in dg.provenance[p]}
     assert tagged == odd_path_pairs(g.n, g.edges, crossings_of_raw(g))
@@ -89,13 +93,38 @@ def test_rule_c_matches_unbounded_odd_path_oracle(seed):
 
 def test_rule_d_matches_odd_cycle_oracle():
     fired = 0
-    for seed in range(40):
-        g = random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed)
+    for seed, g in enumerate(SEEDED):
         dg = non_identifiable_pairs(g)
         tagged = {p for p in dg.forced_pairs if "D" in dg.provenance[p]}
         assert tagged == odd_cycle_pairs(g.n, g.edges, crossings_of_raw(g)), seed
         fired += bool(tagged)
     assert fired > 10
+
+
+def test_rule_sets_match_the_tag_per_pair_reference():
+    for g in DRAWINGS + SEEDED:
+        expected = reference_distinctness(g.n, g.edges, crossings_of_raw(g))
+        dg = non_identifiable_pairs(g)
+        assert dict(dg.rules) == {rule: frozenset(p for p, ts in expected.items() if rule in ts) for rule in "ABCD"}
+        assert dg.forced_pairs == frozenset(expected)
+        assert dict(dg.provenance) == expected
+
+
+def test_provenance_is_built_only_when_read():
+    g = random_geometric_graph(10, 0.35, 0, seed=4)
+    dg = non_identifiable_pairs(g)
+    dg.lower_bound()
+    assert "provenance" not in vars(dg)
+    assert dg.provenance[next(iter(dg.rules["A"]))] >= {"A"}
+    assert "provenance" in vars(dg)
+
+
+def test_pseudo_geochromatic_number_shares_the_rule_b_set():
+    g = random_geometric_graph(10, 0.35, 0, seed=4)
+    px, _ = pseudo_geochromatic_number(g)
+    dg = vars(g)["_distinctness"]  # X' left the memo that the bound and X read
+    assert non_identifiable_pairs(g) is dg
+    assert px == chromatic_number((g.n, dg.rules["A"] | dg.rules["B"]))[0]
 
 
 def test_lower_bound_examples():
@@ -113,6 +142,8 @@ def test_forced_pairs_memo_is_reused_and_does_not_keep_graph_alive():
     assert "_chi" in vars(dg)  # the bound is kept on the pairs object
     with pytest.raises(TypeError):
         dg.provenance[(0, 1)] = frozenset()  # shared by every caller, so read-only
+    with pytest.raises(TypeError):
+        dg.rules["A"] = frozenset()
     ref = weakref.ref(g)
     del g
     gc.collect()

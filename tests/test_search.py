@@ -12,10 +12,12 @@ import itertools
 import pytest
 
 from geochrom import (
+    VertexMap,
     chromatic_number,
     crossings_of,
     find_geometric_hom,
     find_noncollapsing_hom,
+    is_graph_hom,
     non_identifiable_pairs,
     random_geometric_graph,
 )
@@ -26,6 +28,7 @@ from oracles import (
     reference_chromatic,
     reference_dsatur,
     reference_geometric_hom,
+    reference_greedy_clique,
     reference_maps_into,
     reference_noncollapsing,
 )
@@ -39,7 +42,7 @@ IDS = [f"{g.n}v{len(g.edges)}e{len(crossings_of(g))}c" for g in DRAWINGS]
 
 def chromatic_reference(n, edges):
     adj = _adj_lists(n, edges)
-    return reference_chromatic(n, edges, _greedy_clique(adj), reference_dsatur(adj))
+    return reference_chromatic(n, edges, reference_greedy_clique(adj), reference_dsatur(adj))
 
 
 def colored_graphs():
@@ -55,6 +58,20 @@ def test_chromatic_number_matches_reference():
     for n, edges, name in colored_graphs():
         k, coloring = chromatic_number((n, edges))
         assert (k, coloring.colors) == chromatic_reference(n, edges), name
+
+
+def test_reversed_pairs_read_as_sorted_pairs():
+    for n, edges, name in colored_graphs():
+        reversed_pairs = [(v, u) for u, v in edges]
+        k, coloring = chromatic_number((n, edges))
+        assert chromatic_number((n, reversed_pairs)) == (k, coloring), name
+        assert is_graph_hom((n, edges), (n, reversed_pairs), VertexMap(tuple(range(n)), n)), name
+
+
+def test_greedy_clique_matches_reference():
+    for n, edges, name in colored_graphs():
+        adj = _adj_lists(n, edges)
+        assert _greedy_clique(adj) == reference_greedy_clique(adj), name
 
 
 def test_dsatur_greedy_matches_reference():
