@@ -322,12 +322,18 @@ def crossing_structure(G: GeometricGraph) -> CrossingStructure:
 # a leaf. The set of leaves depends only on the isomorphism class, and the
 # canonical form is its least element.
 #
-# Two leaves with equal serializations differ by an automorphism. A branch is
-# skipped when the automorphisms found so far that fix every vertex chosen
-# above it map an earlier sibling onto its vertex: its subtree is the image of
-# the sibling's and holds the same leaves. So symmetric structures visit few
-# leaves (the convex K_12 visits 4), and most drawings, whose first
-# refinement already separates every vertex, visit one.
+# Two leaves with equal serializations differ by an automorphism, which fixes
+# every vertex the two paths chose in common. Two cuts use it:
+# - jump-back: the search returns at once to the deepest common ancestor of
+#   the two leaves. The automorphism maps the child of that ancestor holding
+#   the earlier leaf onto the one holding the later, so the rest of the later
+#   subtree holds the same leaves as one already explored;
+# - orbit pruning: a branch is skipped when the automorphisms found so far
+#   that fix every vertex chosen above it map an earlier sibling onto its
+#   vertex. Each node filters the automorphisms found once, as they come.
+# So symmetric structures visit few leaves (the convex K_12 visits 3, and
+# star_crossing(11) 12), and most drawings, whose first refinement already
+# separates every vertex, visit one.
 
 
 def _refine_partition(
@@ -335,10 +341,12 @@ def _refine_partition(
 ) -> list[int]:
     """The coarsest stable refinement of an ordered colouring, as ranks 0..k-1.
 
-    partners is _crossing_partners: (p, a, b) per crossing vp x ab at v. A
-    vertex's signature begins with its class, so every class splits in place
-    and the order of classes is kept.
+    partners is _crossing_partners: (p, a, b) per crossing vp x ab at v, read
+    as the int (class of p * n + lesser class) * n + greater class, which
+    orders like the triple. A vertex's signature begins with its class, so
+    every class splits in place and the order of classes is kept.
     """
+    n = len(classes)
     count = len(set(classes))
     while True:
         sigs = []
@@ -346,7 +354,7 @@ def _refine_partition(
             crs = []
             for p, a, b in partners[v]:
                 ca, cb = classes[a], classes[b]
-                crs.append((classes[p], (ca, cb) if ca <= cb else (cb, ca)))
+                crs.append((classes[p] * n + ca) * n + cb if ca <= cb else (classes[p] * n + cb) * n + ca)
             crs.sort()
             sigs.append((classes[v], len(nbrs), len(crs), tuple(sorted([classes[u] for u in nbrs])), tuple(crs)))
         rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
@@ -387,42 +395,66 @@ def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Cr
         cs.sort()
         return tuple(es), tuple(cs)
 
-    leaves: dict[tuple, list[int]] = {}
+    leaves: dict[tuple, tuple[list[int], list[int]]] = {}
     automorphisms: list[list[int]] = []
 
-    def search(classes: list[int], chosen: list[int]) -> None:
+    def search(classes: list[int], chosen: list[int]) -> int:
+        """Explore below the node reached by `chosen`; return the depth to resume at.
+
+        That is len(chosen) once the subtree is done, and the depth of the
+        common ancestor when a leaf repeats an earlier one's serialization.
+        """
+        depth = len(chosen)
         classes = _refine_partition(classes, adj, partners)
         sizes = [0] * n
         for c in classes:
             sizes[c] += 1
         target = next((c for c, size in enumerate(sizes) if size > 1), None)
         if target is None:
-            first = leaves.setdefault(serialize(classes), classes)
-            if first is not classes:
-                vertex_at = [0] * n
-                for v, pos in enumerate(first):
-                    vertex_at[pos] = v
-                automorphisms.append([vertex_at[pos] for pos in classes])
-            return
+            first, first_chosen = leaves.setdefault(serialize(classes), (classes, chosen))
+            if first is classes:
+                return depth
+            vertex_at = [0] * n
+            for v, pos in enumerate(first):
+                vertex_at[pos] = v
+            automorphisms.append([vertex_at[pos] for pos in classes])
+            return next(i for i, (u, w) in enumerate(zip(chosen, first_chosen)) if u != w)
+        fixing: list[list[int]] = []
+        seen = 0
         tried: list[int] = []
         for v in (u for u, c in enumerate(classes) if c == target):
             if tried:
-                fixing = [g for g in automorphisms if all(g[u] == u for u in chosen)]
+                fixing += [g for g in automorphisms[seen:] if all(g[u] == u for u in chosen)]
+                seen = len(automorphisms)
                 if not _orbit(v, fixing).isdisjoint(tried):
                     continue
             tried.append(v)
-            search([2 * c + (c == target and u != v) for u, c in enumerate(classes)], chosen + [v])
+            resume = search([2 * c + (c == target and u != v) for u, c in enumerate(classes)], chosen + [v])
+            if resume < depth:
+                return resume
+        return depth
 
     search([0] * n, [])
-    es, cs = min(leaves)
-    out = bytearray()
-    out += n.to_bytes(2, "big")
-    out += len(es).to_bytes(2, "big")
+    return _form_bytes(n, *min(leaves))
+
+
+def _form_bytes(n: int, es: tuple[int, ...], cs: tuple[int, ...]) -> bytes:
+    """The canonical form: n, then the count and codes of the edges, then of the crossings.
+
+    w bytes hold a vertex id: 1 up to n = 256, the width that the forms in
+    format-2 catalog files were written with. An edge code is below n^2 and a
+    crossing code below n^4, so they take 2w and 4w bytes. Both counts take
+    2w, which caps the crossings at 2^(16w) - 1: 65 535 up to n = 256. n
+    itself takes 2 bytes, or 0xFFFF and 8 bytes from n = 65 535 on.
+    """
+    w = max(1, ((n - 1).bit_length() + 7) // 8)
+    out = bytearray(n.to_bytes(2, "big") if n < 0xFFFF else b"\xff\xff" + n.to_bytes(8, "big"))
+    out += len(es).to_bytes(2 * w, "big")
     for code in es:
-        out += code.to_bytes(2, "big")
-    out += len(cs).to_bytes(2, "big")
+        out += code.to_bytes(2 * w, "big")
+    out += len(cs).to_bytes(2 * w, "big")
     for code in cs:
-        out += code.to_bytes(4, "big")
+        out += code.to_bytes(4 * w, "big")
     return bytes(out)
 
 

@@ -496,17 +496,27 @@ def reference_maps_into(n, source_crossings, target_crossings):
     return None
 
 
-# --- reference canonical form -------------------------------------------------
+# --- reference canonical forms -----------------------------------------------
 #
-# The package's former canonicalization, kept as the reference for its
-# individualization-refinement search: refine the all-zero colouring once,
-# then try every relabelling that respects the refined classes and keep the
-# least serialization, in the package's byte format. Exponential in the class
-# sizes (the convex K_8 tries 8! relabellings), so only for small inputs.
+# The package's two former canonicalizations, kept as references for its
+# individualization-refinement search.
+#
+# reference_canonical_form refines the all-zero colouring once, then tries
+# every relabelling that respects the refined classes and keeps the least
+# serialization, in the package's byte format. Exponential in the class sizes
+# (the convex K_8 tries 8! relabellings), so only for small inputs. Its forms
+# are a different labelling from the package's: compare equality relations.
+#
+# reference_ir_canonical_form is the package's search as it was before it
+# jumped back to the common ancestor on each automorphism found: it visits
+# every branch that orbit pruning leaves, refilters every automorphism and
+# recomputes the orbit at each sibling, and refines on nested tuples. Its
+# forms must equal the package's byte for byte.
 
 
-def _reference_classes(n, adj, incid):
-    classes = [0] * n
+def _reference_classes(n, adj, incid, classes=None):
+    """The coarsest stable refinement of `classes` (default all zero), as ranks 0..k-1."""
+    classes = [0] * n if classes is None else classes
     while True:
         sigs = []
         for v in range(n):
@@ -520,35 +530,87 @@ def _reference_classes(n, adj, incid):
         classes = new
 
 
-def reference_canonical_form(n: int, edges, crossings) -> bytes:
-    """Least serialization over every relabelling that keeps the refined classes in order."""
+def _canonical_inputs(n, edges, crossings):
+    """Sorted edges, crossings as pairs of sorted edges, neighbour sets and (partner, crossed edge) per vertex."""
     edges = sorted(tuple(sorted(e)) for e in edges)
-    adj = _neighbours(n, edges)
+    crossings = [(tuple(sorted(e)), tuple(sorted(f))) for e, f in crossings]
     incid = [[] for _ in range(n)]
     for (a, b), (c, d) in crossings:
         incid[a].append((b, (c, d)))
         incid[b].append((a, (c, d)))
         incid[c].append((d, (a, b)))
         incid[d].append((c, (a, b)))
-    classes = _reference_classes(n, adj, incid)
-    blocks = [[v for v in range(n) if classes[v] == c] for c in range(max(classes, default=-1) + 1)]
+    return edges, crossings, _neighbours(n, edges), incid
 
-    def code(perm, u, v):
+
+def _serialization(n, perm, edges, crossings):
+    def code(u, v):
         return min(perm[u], perm[v]) * n + max(perm[u], perm[v])
 
+    es = tuple(sorted(code(u, v) for u, v in edges))
+    cs = tuple(sorted(min(code(a, b), code(c, d)) * n * n + max(code(a, b), code(c, d))
+                      for (a, b), (c, d) in crossings))
+    return es, cs
+
+
+def _form_bytes(n, es, cs) -> bytes:
+    return b"".join([n.to_bytes(2, "big"), len(es).to_bytes(2, "big"), *(c.to_bytes(2, "big") for c in es),
+                     len(cs).to_bytes(2, "big"), *(c.to_bytes(4, "big") for c in cs)])
+
+
+def reference_canonical_form(n: int, edges, crossings) -> bytes:
+    """Least serialization over every relabelling that keeps the refined classes in order."""
+    edges, crossings, adj, incid = _canonical_inputs(n, edges, crossings)
+    classes = _reference_classes(n, adj, incid)
+    blocks = [[v for v in range(n) if classes[v] == c] for c in range(max(classes, default=-1) + 1)]
     best = None
     perm = [0] * n
     for assignment in itertools.product(*(itertools.permutations(b) for b in blocks)):
         for pos, v in enumerate(itertools.chain.from_iterable(assignment)):
             perm[v] = pos
-        es = tuple(sorted(code(perm, u, v) for u, v in edges))
-        cs = tuple(sorted(min(code(perm, a, b), code(perm, c, d)) * n * n + max(code(perm, a, b), code(perm, c, d))
-                          for (a, b), (c, d) in crossings))
-        if best is None or (es, cs) < best:
-            best = (es, cs)
-    es, cs = best
-    return b"".join([n.to_bytes(2, "big"), len(es).to_bytes(2, "big"), *(c.to_bytes(2, "big") for c in es),
-                     len(cs).to_bytes(2, "big"), *(c.to_bytes(4, "big") for c in cs)])
+        form = _serialization(n, perm, edges, crossings)
+        if best is None or form < best:
+            best = form
+    return _form_bytes(n, *best)
+
+
+def _orbit(v, generators):
+    orbit, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for g in generators:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                stack.append(g[u])
+    return orbit
+
+
+def reference_ir_canonical_form(n: int, edges, crossings) -> bytes:
+    """Least leaf of the individualization-refinement tree, pruned by orbits only (n <= 256)."""
+    edges, crossings, adj, incid = _canonical_inputs(n, edges, crossings)
+    leaves = {}
+    automorphisms = []
+
+    def search(classes, chosen):
+        classes = _reference_classes(n, adj, incid, classes)
+        target = next((c for c in range(n) if classes.count(c) > 1), None)
+        if target is None:
+            first = leaves.setdefault(_serialization(n, classes, edges, crossings), classes)
+            if first is not classes:
+                vertex_at = {pos: v for v, pos in enumerate(first)}
+                automorphisms.append([vertex_at[pos] for pos in classes])
+            return
+        tried = []
+        for v in [u for u in range(n) if classes[u] == target]:
+            if tried:
+                fixing = [g for g in automorphisms if all(g[u] == u for u in chosen)]
+                if not _orbit(v, fixing).isdisjoint(tried):
+                    continue
+            tried.append(v)
+            search([2 * c + (c == target and u != v) for u, c in enumerate(classes)], chosen + [v])
+
+    search([0] * n, [])
+    return _form_bytes(n, *min(leaves))
 
 
 # --- order types: the enumeration's former pure-predicate forms --------------

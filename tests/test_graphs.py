@@ -24,10 +24,12 @@ from geochrom import (
     load_graph,
     min_pairwise_crossing_distance,
     random_geometric_graph,
+    separation_family,
     star_crossing,
 )
-from geochrom.graphs import _crossings_too_close
-from oracles import crossing_pairs_raw, graph_distance, orient, reference_canonical_form
+from geochrom import graphs
+from geochrom.graphs import _crossings_too_close, _form_bytes
+from oracles import crossing_pairs_raw, graph_distance, orient, reference_canonical_form, reference_ir_canonical_form
 
 
 def x_gadget(shift=0):
@@ -322,13 +324,81 @@ def test_canonical_form_matches_reference_on_symmetric_structures():
     _assert_same_equality_as_reference(structures, random.Random(12))
 
 
-@pytest.mark.parametrize("name", ["convex K11", "convex K12", "star_crossing(11)"])
+def _named_drawing(name):
+    """"convex K<n>" or "star_crossing(<k>)"."""
+    if name.startswith("star"):
+        return star_crossing(int(name[len("star_crossing("):-1]))[0]
+    return convex_clique(int(name[len("convex K"):]))
+
+
+@pytest.mark.parametrize("name", ["convex K11", "convex K12", "convex K14", "star_crossing(11)", "star_crossing(13)"])
 def test_canonical_form_is_invariant_on_large_symmetric_inputs(name):
     # The exhaustive search these replaced gave up on each with RuntimeError.
-    g = star_crossing(11)[0] if name.startswith("star") else convex_clique(int(name[len("convex K"):]))
-    s = crossing_structure(g)
+    s = crossing_structure(_named_drawing(name))
     for copy in _relabelings(s, random.Random(13), copies=3):
         assert copy.canonical_form == s.canonical_form
+
+
+def _reference_ir_inputs(group, store):
+    if group == "convex K4-K14":
+        return [crossing_structure(convex_clique(n)) for n in range(4, 15)]
+    if group == "star_crossing(1..13)":
+        return [crossing_structure(star_crossing(k)[0]) for k in range(1, 14)]
+    if group == "separation_family(1..5)":
+        return [crossing_structure(separation_family(n)) for n in range(1, 6)]
+    if group == "figures":
+        return [crossing_structure(figure_graphs(tag)) for tag in FIGURE_TAGS]
+    if group == "K3-K6 catalogs":
+        return [e.structure for n in range(3, 7) for e in store.get(n).entries]
+    return [crossing_structure(random_geometric_graph(5 + i % 10, 0.2 + 0.1 * (i % 5), seed=700 + i))
+            for i in range(300)]
+
+
+@pytest.mark.parametrize("group", ["convex K4-K14", "star_crossing(1..13)", "separation_family(1..5)", "figures",
+                                   "K3-K6 catalogs", "300 random drawings"])
+def test_canonical_form_equals_the_former_search_byte_for_byte(group, store):
+    # Jump-back and incremental stabilizer filtering skip only subtrees whose
+    # leaves were already seen, and int signatures rank like the tuples, so
+    # the least leaf, the form itself, must not move.
+    for s in _reference_ir_inputs(group, store):
+        assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings), s
+
+
+@pytest.mark.parametrize("name, most", [("star_crossing(11)", 100), ("convex K12", 7)])
+def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
+    # Counts repeat exactly on every host. Without the jump back to the common
+    # ancestor, star_crossing(11) refines 288 times.
+    calls = []
+    refine = graphs._refine_partition
+    monkeypatch.setattr(graphs, "_refine_partition", lambda *args: calls.append(1) or refine(*args))
+    s = crossing_structure(_named_drawing(name))
+    assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings)
+    assert len(calls) <= most
+
+
+def test_canonical_form_of_structures_beyond_256_vertices():
+    # A vertex id no longer fits one byte, so every field after n is twice as
+    # wide: 4-byte counts and edge codes, 8-byte crossing codes.
+    path = CrossingStructure(300, [(i, i + 1) for i in range(299)], [])
+    crossed = CrossingStructure(300, path.adjacency, [((0, 1), (2, 3))])
+    assert path.canonical_form[:2] == (300).to_bytes(2, "big")
+    assert len(path.canonical_form) == 2 + 4 + 299 * 4 + 4
+    assert len(crossed.canonical_form) == len(path.canonical_form) + 8
+    for s in (path, crossed):
+        for copy in _relabelings(s, random.Random(17), copies=2):
+            assert copy.canonical_form == s.canonical_form
+    assert path != crossed
+
+
+def test_form_fields_widen_with_n():
+    # One byte per vertex id up to n = 256, two up to 65 536, three beyond;
+    # n itself is escaped once it no longer fits two bytes.
+    assert _form_bytes(256, (1,), (2,)) == bytes.fromhex("0100" "0001" "0001" "0001" "00000002")
+    assert _form_bytes(257, (1,), ()) == bytes.fromhex("0101" "00000001" "00000001" "00000000")
+    assert _form_bytes(65534, (), ()) == bytes.fromhex("fffe" "00000000" "00000000")
+    assert _form_bytes(65535, (), ()) == bytes.fromhex("ffff" "000000000000ffff" "00000000" "00000000")
+    assert _form_bytes(65537, (3,), (4,)) == bytes.fromhex(
+        "ffff" "0000000000010001" "000000000001" "000000000003" "000000000001" "000000000000000000000004")
 
 
 def test_structure_validation():
