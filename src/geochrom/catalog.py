@@ -55,15 +55,15 @@ from .graphs import (
 )
 from .search import _backtrack
 
-MAX_CATALOG_N = 7
-
 # Order types of n points in general position, a set and its mirror image
 # counted once (Aichholzer, Aurenhammer and Krasser 2002).
 _ORDER_TYPE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 16, 7: 135}
 
 # Crossing structures of straight-line K_n: distinct order types may share
-# one. A catalog with fewer, or with repeats, is incomplete.
+# one. A catalog with fewer, or with repeats, is incomplete. Its keys are the
+# sizes that can be cataloged.
 _STRUCTURE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 15, 7: 122}
+MAX_CATALOG_N = max(_STRUCTURE_COUNTS)
 
 # Version of the catalog JSON layout. Format 1, which had no "format" field,
 # recorded canonical forms from the exhaustive relabelling search that
@@ -307,7 +307,8 @@ def enumerate_clique_structures(n: int) -> CliqueCatalog:
     is complete); the witness of a structure is the K_n on the first order
     type, in canonical order, that realizes it.
     """
-    _check_enumerable(n)
+    if n not in _STRUCTURE_COUNTS:
+        raise SizeUnsupported(f"clique structure enumeration supports n in 3..{MAX_CATALOG_N}, got {n}")
     found: dict[bytes, CatalogEntry] = {}
     for pts in _order_types(n):
         witness = GeometricGraph.build(pts, itertools.combinations(range(n), 2))
@@ -316,11 +317,6 @@ def enumerate_clique_structures(n: int) -> CliqueCatalog:
     if len(found) != _STRUCTURE_COUNTS[n]:
         raise RuntimeError(f"{len(found)} crossing structures of K_{n}, not the {_STRUCTURE_COUNTS[n]} known")
     return CliqueCatalog(n=n, entries=tuple(_convex_first(n, list(found.values()))))
-
-
-def _check_enumerable(n: int) -> None:
-    if not 3 <= n <= MAX_CATALOG_N:
-        raise SizeUnsupported(f"clique structure enumeration supports n in 3..{MAX_CATALOG_N}, got {n}")
 
 
 def _convex_first(n: int, entries: list[CatalogEntry]) -> list[CatalogEntry]:
@@ -388,14 +384,6 @@ def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
     return CliqueCatalog(n=n, entries=tuple(_convex_first(n, entries)))
 
 
-def _trivial_catalog(n: int) -> CliqueCatalog:
-    if n == 1:
-        witness = GeometricGraph.build([(0, 0)], [])
-    else:
-        witness = GeometricGraph.build([(0, 0), (1, 0)], [(0, 1)])
-    return CliqueCatalog(n=n, entries=(CatalogEntry(crossing_structure(witness), witness),))
-
-
 class CatalogStore:
     """Load-or-build access to clique catalogs, one JSON file per size.
 
@@ -420,7 +408,8 @@ class CatalogStore:
         if n in self._cache:
             return self._cache[n]
         if n <= 2:
-            cat = _trivial_catalog(n)
+            witness = convex_clique(n)
+            cat = CliqueCatalog(n=n, entries=(CatalogEntry(crossing_structure(witness), witness),))
         elif n > MAX_CATALOG_N:
             raise CatalogMissing(f"catalogs are capped at n={MAX_CATALOG_N}, requested {n}")
         else:

@@ -150,8 +150,8 @@ def _cmd_verify(args) -> int:
     if len(images) != g.n or any(not 0 <= i < h.n for i in images):
         raise GraphFormatError("map shape does not match the graphs")
     f = VertexMap(tuple(images), h.n)
-    graph_ok = is_graph_hom(g, h, f)
-    geo_ok = graph_ok and is_geometric_hom(g, h, f)
+    geo_ok = is_geometric_hom(g, h, f)
+    graph_ok = geo_ok or is_graph_hom(g, h, f)
     _emit({"graph_hom": graph_ok, "geometric_hom": geo_ok}, args.output)
     return 0 if geo_ok else 1
 

@@ -334,6 +334,11 @@ def crossing_structure(G: GeometricGraph) -> CrossingStructure:
 # So symmetric structures visit few leaves (the convex K_12 visits 3, and
 # star_crossing(11) 12), and most drawings, whose first refinement already
 # separates every vertex, visit one.
+#
+# Every order of the isolated vertices gives the same leaves, so the search
+# starts with each in a class of its own, ranked ahead of all other vertices,
+# where refinement would put their one shared class, and never branches on
+# them.
 
 
 def _refine_partition(
@@ -434,7 +439,11 @@ def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Cr
                 return resume
         return depth
 
-    search([0] * n, [])
+    isolated = [v for v in range(n) if not adj[v]]
+    start = [len(isolated)] * n
+    for rank, v in enumerate(isolated):
+        start[v] = rank
+    search(start, [])
     return _form_bytes(n, *min(leaves))
 
 
@@ -443,16 +452,19 @@ def _form_bytes(n: int, es: tuple[int, ...], cs: tuple[int, ...]) -> bytes:
 
     w bytes hold a vertex id: 1 up to n = 256, the width that the forms in
     format-2 catalog files were written with. An edge code is below n^2 and a
-    crossing code below n^4, so they take 2w and 4w bytes. Both counts take
-    2w, which caps the crossings at 2^(16w) - 1: 65 535 up to n = 256. n
-    itself takes 2 bytes, or 0xFFFF and 8 bytes from n = 65 535 on.
+    crossing code below n^4, so they take 2w and 4w bytes. n takes 2 bytes,
+    or 0xFFFF and 8 bytes from n = 65 535 on. Both counts take 2w bytes; the
+    edge count, below n^2 / 2, always fits, and a crossing count that does
+    not (66 045 for the convex K_37) is written as 2w bytes of 0xFF and the
+    count in 8. The crossing codes end the form, so its length tells such a
+    count from 2^(16w) - 1 written plainly.
     """
     w = max(1, ((n - 1).bit_length() + 7) // 8)
     out = bytearray(n.to_bytes(2, "big") if n < 0xFFFF else b"\xff\xff" + n.to_bytes(8, "big"))
     out += len(es).to_bytes(2 * w, "big")
     for code in es:
         out += code.to_bytes(2 * w, "big")
-    out += len(cs).to_bytes(2 * w, "big")
+    out += len(cs).to_bytes(2 * w, "big") if len(cs) < 1 << 16 * w else b"\xff" * 2 * w + len(cs).to_bytes(8, "big")
     for code in cs:
         out += code.to_bytes(4 * w, "big")
     return bytes(out)
@@ -505,7 +517,7 @@ def graph_from_json_dict(doc: Mapping) -> GeometricGraph:
     if len(set(edges)) != len(edges):  # the frozenset would drop a repeat silently
         raise GraphFormatError("duplicate edges not allowed")
     try:  # GeometricGraph rejects loops, missing ids and points not in general position
-        return GeometricGraph.build([seen[i] for i in range(n)], edges)
+        return GeometricGraph(tuple(seen[i] for i in range(n)), frozenset(edges))
     except (ValueError, TypeError) as exc:
         raise GraphFormatError(str(exc)) from exc
 

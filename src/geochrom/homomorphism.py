@@ -65,16 +65,12 @@ def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f
     """True iff f preserves adjacency and maps every crossing onto a crossing."""
     if not is_graph_hom(G, H, f):
         return False
+    # A graph hom sends each edge onto an edge, and every target crossing is
+    # a pair of disjoint edges, so membership alone decides each crossing.
     target_crossings = H.crossings
     for c in crossings_of(G):
-        img1 = f.edge_image(c.e1)
-        img2 = f.edge_image(c.e2)
-        if img1 is None or img2 is None:
-            return False
-        if set(img1) & set(img2):
-            return False
-        pair = (img1, img2) if img1 < img2 else (img2, img1)
-        if pair not in target_crossings:
+        img1, img2 = f.edge_image(c.e1), f.edge_image(c.e2)
+        if ((img1, img2) if img1 < img2 else (img2, img1)) not in target_crossings:
             return False
     return True
 

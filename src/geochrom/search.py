@@ -194,8 +194,6 @@ def chromatic_number(G) -> tuple[int, Coloring]:
     n, edges = _as_abstract(G)
     if n == 0:
         return 0, Coloring((), 0)
-    if not edges:
-        return 1, Coloring((1,) * n, 1)
     adj = _adj_lists(n, edges)
     clique = _greedy_clique(adj)
     greedy = _dsatur_greedy(adj)

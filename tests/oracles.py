@@ -23,8 +23,27 @@ def rational_segments_cross(a1, a2, b1, b2) -> bool:
 
     Points are (x, y) int tuples. Returns True iff the unique intersection
     of the supporting lines exists and both parameters are strictly inside
-    (0, 1). Parallel and collinear configurations return False.
+    (0, 1). Parallel and collinear configurations return False. The
+    parameters are t/denom and u/denom; with denom made positive, 0 < t/denom
+    < 1 is 0 < t < denom, so the test stays on ints
+    (fraction_segments_cross is the same predicate on Fractions).
     """
+    (x1, y1), (x2, y2) = a1, a2
+    (x3, y3), (x4, y4) = b1, b2
+    rx, ry = x2 - x1, y2 - y1
+    sx, sy = x4 - x3, y4 - y3
+    denom = rx * sy - ry * sx
+    if denom == 0:
+        return False
+    t = (x3 - x1) * sy - (y3 - y1) * sx
+    u = (x3 - x1) * ry - (y3 - y1) * rx
+    if denom < 0:
+        denom, t, u = -denom, -t, -u
+    return 0 < t < denom and 0 < u < denom
+
+
+def fraction_segments_cross(a1, a2, b1, b2) -> bool:
+    """rational_segments_cross with the parameters as Fractions: the reference it must equal."""
     (x1, y1), (x2, y2) = a1, a2
     (x3, y3), (x4, y4) = b1, b2
     rx, ry = x2 - x1, y2 - y1

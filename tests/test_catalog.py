@@ -352,6 +352,11 @@ def test_store_trivial_sizes_and_missing(tmp_path):
     store = CatalogStore(tmp_path)
     assert len(store.get(1).entries) == 1
     assert len(store.get(2).entries) == 1
+    assert list(tmp_path.iterdir()) == []
+    for n, form in ((1, "000100000000"), (2, "0002000100010000")):
+        entries = CatalogStore(None).get(n).entries
+        assert [e.structure.hex for e in entries] == [form]
+        assert crossing_structure(entries[0].witness).hex == form
     with pytest.raises(CatalogMissing):
         store.get(8)
     frozen = CatalogStore(tmp_path / "empty", build_missing=False)

@@ -5,7 +5,9 @@ import pytest
 from geochrom import (
     CatalogStore,
     GraphFormatError,
+    chromatic_number,
     convex_clique,
+    crossings_of,
     dump_graph,
     enumerate_clique_structures,
     figure_graphs,
@@ -98,6 +100,15 @@ def test_verify_command(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(g_path), str(h_path), str(m_path))
     assert code == 0
     assert json.loads(out) == {"graph_hom": True, "geometric_hom": True}
+
+    # a 2-coloring onto one edge of K4 is a graph hom that sends each
+    # crossing onto that one edge: negative result, exit 1
+    chi, coloring = chromatic_number(g)
+    assert chi == 2 and crossings_of(g)
+    m_path.write_text(json.dumps([c - 1 for c in coloring.colors]))
+    code, out, _ = run(capsys, "verify", str(g_path), str(h_path), str(m_path))
+    assert code == 1
+    assert json.loads(out) == {"graph_hom": True, "geometric_hom": False}
 
     # a constant map is not a hom: negative result, exit 1
     m_path.write_text(json.dumps([0] * g.n))

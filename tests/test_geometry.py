@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from geochrom import (
     regular_polygon_points,
     segments_cross,
 )
-from oracles import general_position, orient, rational_segments_cross
+from oracles import fraction_segments_cross, general_position, orient, rational_segments_cross
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.builds(Point, coords, coords)
@@ -86,6 +88,33 @@ def test_segments_cross_matches_rational_oracle(pts):
     a1, a2, b1, b2 = pts
     expected = rational_segments_cross((a1.x, a1.y), (a2.x, a2.y), (b1.x, b1.y), (b2.x, b2.y))
     assert segments_cross(a1, a2, b1, b2) == expected
+
+
+def _quadruple_kind(a1, a2, b1, b2) -> str:
+    """How two closed segments meet, from their intersection parameters as Fractions."""
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = a1, a2, b1, b2
+    denom = (x2 - x1) * (y4 - y3) - (y2 - y1) * (x4 - x3)
+    if denom == 0:
+        return "collinear" if orient(a1, a2, b1) == orient(a1, a2, b2) == 0 else "parallel"
+    t = Fraction((x3 - x1) * (y4 - y3) - (y3 - y1) * (x4 - x3), denom)
+    u = Fraction((x3 - x1) * (y2 - y1) - (y3 - y1) * (x2 - x1), denom)
+    if not (0 <= t <= 1 and 0 <= u <= 1):
+        return "apart"
+    return "crossing" if 0 < t < 1 and 0 < u < 1 else "touching"
+
+
+def test_rational_oracle_equals_its_fraction_form():
+    # The oracle compares ints against the cleared denominator; its Fraction
+    # form is the reference. Grids of side 5 and 9 make parallel, collinear
+    # and touching quadruples common; the span 10^6 makes the products large.
+    rng = random.Random(41)
+    kinds = Counter()
+    for i in range(24_000):
+        span = (2, 4, 10**6)[i % 3]
+        quad = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(4)]
+        assert rational_segments_cross(*quad) == fraction_segments_cross(*quad), quad
+        kinds[_quadruple_kind(*quad)] += 1
+    assert min(kinds[k] for k in ("crossing", "touching", "parallel", "collinear", "apart")) >= 500, kinds
 
 
 def test_general_position_examples():

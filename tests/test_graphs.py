@@ -14,6 +14,7 @@ from geochrom import (
     GraphFormatError,
     Point,
     convex_clique,
+    convex_crossing_rule,
     crossing_distance,
     crossing_structure,
     crossings_of,
@@ -350,12 +351,18 @@ def _reference_ir_inputs(group, store):
         return [crossing_structure(figure_graphs(tag)) for tag in FIGURE_TAGS]
     if group == "K3-K6 catalogs":
         return [e.structure for n in range(3, 7) for e in store.get(n).entries]
+    if group == "one edge plus 0..12 isolated vertices":
+        return [CrossingStructure(k + 2, [(k // 2, k + 1)], []) for k in range(13)]
+    if group == "sparse drawings with isolated vertices":
+        drawings = (random_geometric_graph(6 + i % 9, 0.1 + 0.05 * (i % 4), seed=900 + i) for i in range(200))
+        return [s for s in map(crossing_structure, drawings) if len(set().union(*s.adjacency)) < s.n]
     return [crossing_structure(random_geometric_graph(5 + i % 10, 0.2 + 0.1 * (i % 5), seed=700 + i))
             for i in range(300)]
 
 
 @pytest.mark.parametrize("group", ["convex K4-K14", "star_crossing(1..13)", "separation_family(1..5)", "figures",
-                                   "K3-K6 catalogs", "300 random drawings"])
+                                   "K3-K6 catalogs", "300 random drawings", "one edge plus 0..12 isolated vertices",
+                                   "sparse drawings with isolated vertices"])
 def test_canonical_form_equals_the_former_search_byte_for_byte(group, store):
     # Jump-back and incremental stabilizer filtering skip only subtrees whose
     # leaves were already seen, and int signatures rank like the tuples, so
@@ -374,6 +381,23 @@ def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
     s = crossing_structure(_named_drawing(name))
     assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings)
     assert len(calls) <= most
+
+
+def test_isolated_vertices_are_never_branched_on(monkeypatch):
+    # Every order of the isolated vertices gives the same leaf. Searched one
+    # at a time, the 298 here took tens of thousands of refinements, and the
+    # 1000 of the edgeless structure recursed too deep.
+    calls = []
+    refine = graphs._refine_partition
+    monkeypatch.setattr(graphs, "_refine_partition", lambda *args: calls.append(1) or refine(*args))
+    one_edge = CrossingStructure(300, [(0, 299)], [])
+    assert one_edge.canonical_form == bytes.fromhex("012c" "00000001" "00015e63" "00000000")  # edge 298-299
+    assert len(calls) <= 5
+    edgeless = CrossingStructure(1000, [], [])
+    assert edgeless.canonical_form == bytes.fromhex("03e8" "00000000" "00000000")
+    for s in (one_edge, edgeless):
+        for copy in _relabelings(s, random.Random(19), copies=2):
+            assert copy.canonical_form == s.canonical_form
 
 
 def test_canonical_form_of_structures_beyond_256_vertices():
@@ -399,6 +423,26 @@ def test_form_fields_widen_with_n():
     assert _form_bytes(65535, (), ()) == bytes.fromhex("ffff" "000000000000ffff" "00000000" "00000000")
     assert _form_bytes(65537, (3,), (4,)) == bytes.fromhex(
         "ffff" "0000000000010001" "000000000001" "000000000003" "000000000001" "000000000000000000000004")
+    # A crossing count that does not fit its 2w bytes is escaped like n; one
+    # that fits keeps its bytes, all-ones included.
+    plain = _form_bytes(4, (), (1,) * 0xFFFF)
+    assert plain[:14] == bytes.fromhex("0004" "0000" "ffff" "00000001" "00000001") and len(plain) == 6 + 4 * 0xFFFF
+    assert _form_bytes(4, (), (0,) * 0x10000)[:14] == bytes.fromhex("0004" "0000" "ffff" "0000000000010000")
+    assert _form_bytes(257, (), (0,) * 0x10000)[:10] == bytes.fromhex("0101" "00000000" "00010000")
+
+
+def test_canonical_form_of_a_structure_with_more_crossings_than_two_bytes_count():
+    # The convex K_37 has C(37, 4) = 66 045 crossings on 37 vertices.
+    n = 37
+    edges = list(itertools.combinations(range(n), 2))
+    crossings = [(e, f) for e, f in itertools.combinations(edges, 2)
+                 if not set(e) & set(f) and convex_crossing_rule(n, [v + 1 for v in e], [v + 1 for v in f])]
+    s = CrossingStructure(n, edges, crossings)
+    count_at = 2 + 2 + 2 * len(edges)
+    assert s.canonical_form[count_at:count_at + 10] == b"\xff\xff" + (66_045).to_bytes(8, "big")
+    assert len(s.canonical_form) == count_at + 10 + 4 * 66_045
+    copy, = _relabelings(s, random.Random(23), copies=1)
+    assert copy.canonical_form == s.canonical_form
 
 
 def test_structure_validation():

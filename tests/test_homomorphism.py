@@ -59,6 +59,14 @@ def test_geometric_hom_needs_crossings_preserved():
     identity = VertexMap((0, 1, 2, 3), 4)
     assert is_graph_hom(k4, plane, identity)
     assert not is_geometric_hom(k4, plane, identity)
+    # The two crossing diagonals of K4, sent onto one edge of K4 or onto two
+    # edges sharing a vertex: graph homs whose crossing image is no crossing.
+    diagonals = GeometricGraph(k4.points, frozenset({(0, 2), (1, 3)}))
+    for target in (k4, crossing_structure(k4)):
+        assert is_geometric_hom(diagonals, target, identity)
+        for images in ((0, 0, 1, 1), (0, 1, 1, 2)):
+            assert is_graph_hom(diagonals, target, VertexMap(images, 4))
+            assert not is_geometric_hom(diagonals, target, VertexMap(images, 4))
 
 
 def test_vertex_map_compose_verifies_as_geometric_hom():
@@ -71,7 +79,8 @@ def test_vertex_map_compose_verifies_as_geometric_hom():
 
 
 def test_chromatic_number_examples():
-    assert chromatic_number(edgeless(5)) == (1, Coloring((1,) * 5, 1))
+    for n in range(1, 6):
+        assert chromatic_number(edgeless(n)) == chromatic_number((n, [])) == (1, Coloring((1,) * n, 1))
     assert chromatic_number(figure_graphs("figure6"))[0] == 3
     assert chromatic_number(separation_family(2))[0] == 3
     assert chromatic_number(convex_clique(5))[0] == 5
@@ -164,6 +173,9 @@ def test_geochromatic_number_rejects_bad_max_n(store):
 
 def test_geochromatic_number_small_cases(store):
     assert geochromatic_number(edgeless(4), store).n == 1
+    assert geochromatic_number(edgeless(2), store).n == 1
+    one_edge = GeometricGraph.build([(0, 0), (10, 1), (20, 5)], [(0, 2)])
+    assert geochromatic_number(one_edge, store).n == 2
     bipartite_plane = GeometricGraph.build([(0, 0), (10, 1), (20, 5)], [(0, 1), (1, 2)])
     assert geochromatic_number(bipartite_plane, store).n == 2
     triangle = GeometricGraph.build([(0, 0), (10, 0), (5, 9)], [(0, 1), (1, 2), (0, 2)])
