@@ -43,6 +43,7 @@ from .graphs import (
     crossings_of,
     graph_from_json_dict,
     graph_to_json_dict,
+    min_pairwise_crossing_distance,
 )
 from .homomorphism import (
     VertexMap,
@@ -120,16 +121,9 @@ _LIFTS = {
 def _cmd_lift(args) -> int:
     g = _load_graph(args.graph)
     chi, alpha = chromatic_number(g)
-    if args.method == "indep2n":
-        alpha = None
-        for n in (chi, chi + 1):
-            alpha = find_noncollapsing_hom(g, n)
-            if alpha is not None:
-                break
-        if alpha is None:
-            raise CollapsedCrossingPair(
-                f"no non-collapsing coloring with {chi} or {chi + 1} colors"
-            )
+    if args.method == "indep2n" and min_pairwise_crossing_distance(g) >= 1:
+        # Only where the lift's first hypothesis holds; otherwise the lift refuses alpha itself.
+        alpha = find_noncollapsing_hom(g, chi) or find_noncollapsing_hom(g, chi + 1) or alpha
     report = _LIFTS[args.method](g, alpha)
     _emit(report.to_json_dict(), args.output)
     return 0
@@ -179,10 +173,8 @@ def _cmd_gen(args) -> int:
         g = random_geometric_graph(
             args.vertices, args.prob, min_crossing_distance=args.min_dist, seed=args.seed
         )
-    elif fam in FIGURE_TAGS:
+    else:  # argparse admits only the families above and FIGURE_TAGS
         g = figure_graphs(fam)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphFormatError(f"unknown family {fam}")
     _emit(graph_to_json_dict(g), args.output)
     return 0
 

@@ -263,6 +263,8 @@ class CrossingStructure:
 
     def __post_init__(self) -> None:
         n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"n must be a non-negative int, got {n!r}")
         adj = frozenset(_norm_edge(e) for e in self.adjacency)
         crs = frozenset(Crossing.make(*pair) for pair in self.crossings)
         for u, v in adj:
@@ -522,28 +524,16 @@ def graph_from_json_dict(doc: Mapping) -> GeometricGraph:
         raise GraphFormatError(str(exc)) from exc
 
 
-def dump_graph(G: GeometricGraph) -> str:
-    return json.dumps(graph_to_json_dict(G), separators=(",", ":"))
-
-
 def _read_json(path: str | Path):
     """The JSON document in the UTF-8 file at `path`: the one reader of input files.
 
     Raises GraphFormatError naming the file when it cannot be read, is not
-    UTF-8 or is not JSON.
+    UTF-8, is not JSON or nests too deeply to decode.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError alike
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def load_graph(text: str) -> GeometricGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_dict(doc)

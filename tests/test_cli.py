@@ -8,14 +8,20 @@ from geochrom import (
     chromatic_number,
     convex_clique,
     crossings_of,
-    dump_graph,
     enumerate_clique_structures,
     figure_graphs,
-    load_graph,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    random_geometric_graph,
     star_crossing,
 )
+from geochrom import cli
 from geochrom.catalog import catalog_to_json_dict
 from geochrom.cli import main
+
+
+def dumps(g):
+    return json.dumps(graph_to_json_dict(g), separators=(",", ":"))
 
 
 def run(capsys, *argv):
@@ -27,7 +33,7 @@ def run(capsys, *argv):
 @pytest.fixture()
 def fig6(tmp_path):
     path = tmp_path / "fig6.json"
-    path.write_text(dump_graph(figure_graphs("figure6")))
+    path.write_text(dumps(figure_graphs("figure6")))
     return str(path)
 
 
@@ -69,10 +75,10 @@ def test_gen_round_trip(capsys, tmp_path):
     code, _, _ = run(capsys, "gen", "star", "--k", "4", "-o", str(out_path))
     assert code == 0
     text = out_path.read_text()
-    g = load_graph(text)
+    g = graph_from_json_dict(json.loads(text))
     assert g == star_crossing(4)[0]
     # writer is canonical: dumping again reproduces the same bytes
-    assert dump_graph(g) + "\n" == text
+    assert dumps(g) + "\n" == text
 
 
 def test_gen_deterministic_random(capsys):
@@ -94,8 +100,8 @@ def test_verify_command(capsys, tmp_path):
     g_path = tmp_path / "g.json"
     h_path = tmp_path / "h.json"
     m_path = tmp_path / "m.json"
-    g_path.write_text(dump_graph(g))
-    h_path.write_text(dump_graph(convex_clique(4)))
+    g_path.write_text(dumps(g))
+    h_path.write_text(dumps(convex_clique(4)))
     m_path.write_text(json.dumps({"map": list(beta.images)}))
     code, out, _ = run(capsys, "verify", str(g_path), str(h_path), str(m_path))
     assert code == 0
@@ -127,8 +133,8 @@ def test_verify_command(capsys, tmp_path):
 def test_verify_rejects_a_map_that_does_not_fit(capsys, tmp_path, images, message):
     g, _ = star_crossing(3)  # 6 vertices, into the convex K4
     paths = [tmp_path / name for name in ("g.json", "h.json", "m.json")]
-    paths[0].write_text(dump_graph(g))
-    paths[1].write_text(dump_graph(convex_clique(4)))
+    paths[0].write_text(dumps(g))
+    paths[1].write_text(dumps(convex_clique(4)))
     paths[2].write_text(json.dumps(images))
     code, out, err = run(capsys, "verify", *map(str, paths))
     assert code == 2 and out == ""
@@ -149,7 +155,7 @@ def test_bound_lower_reports_long_odd_path_pair(capsys, tmp_path):
     from test_obstructions import accordion
 
     path = tmp_path / "accordion.json"
-    path.write_text(dump_graph(accordion()))
+    path.write_text(dumps(accordion()))
     code, out, _ = run(capsys, "bound", "lower", str(path))
     assert code == 0
     by_pair = {tuple(p["pair"]): p["rules"] for p in json.loads(out)["pairs"]}
@@ -158,7 +164,7 @@ def test_bound_lower_reports_long_odd_path_pair(capsys, tmp_path):
 
 def test_lift_command(capsys, tmp_path):
     path = tmp_path / "f3l.json"
-    path.write_text(dump_graph(figure_graphs("figure3_left")))
+    path.write_text(dumps(figure_graphs("figure3_left")))
     code, out, _ = run(capsys, "lift", "--method", "dist2", str(path))
     assert code == 0
     doc = json.loads(out)
@@ -167,7 +173,7 @@ def test_lift_command(capsys, tmp_path):
     assert {c["case"] for c in doc["cases"]} == {"3"}
 
     # distance-1 input: hypothesis fails, negative exit
-    path.write_text(dump_graph(figure_graphs("figure3_right")))
+    path.write_text(dumps(figure_graphs("figure3_right")))
     code, _, err = run(capsys, "lift", "--method", "dist2", str(path))
     assert code == 1
     assert json.loads(err)["kind"] == "DistanceTooSmall"
@@ -175,15 +181,44 @@ def test_lift_command(capsys, tmp_path):
 
 def test_lift_indep2n_map_replays_through_verify(capsys, tmp_path):
     g_path, h_path, lift_path = (tmp_path / name for name in ("g.json", "h.json", "lift.json"))
-    g_path.write_text(dump_graph(figure_graphs("figure3_right")))  # chi 2 collapses a crossing, 3 does not
+    g_path.write_text(dumps(figure_graphs("figure3_right")))  # chi 2 collapses a crossing, 3 does not
     code, _, _ = run(capsys, "lift", "--method", "indep2n", str(g_path), "-o", str(lift_path))
     assert code == 0
-    report = json.loads(lift_path.read_text())
-    assert report["method"] == "indep2n" and report["target_size"] == 6
-    h_path.write_text(dump_graph(convex_clique(6)))
+    assert lift_path.read_text() == (
+        '{"method":"indep2n","target_size":6,"map":[1,0,0,3,2,3,1,2],"cases":'
+        '[{"crossing":[[0,5],[1,4]],"case":"2b"},{"crossing":[[2,7],[3,6]],"case":"2b"}]}\n')
+    h_path.write_text(dumps(convex_clique(6)))
     code, out, _ = run(capsys, "verify", str(g_path), str(h_path), str(lift_path))
     assert code == 0
     assert json.loads(out) == {"graph_hom": True, "geometric_hom": True}
+
+
+def test_lift_indep2n_reports_shared_vertex_crossings_without_searching(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    path.write_text(dumps(random_geometric_graph(10, 0.5, seed=2)))  # crossings share vertex 0
+    calls = []
+    search = cli.find_noncollapsing_hom
+    monkeypatch.setattr(cli, "find_noncollapsing_hom", lambda g, n: calls.append(n) or search(g, n))
+    errors = {}
+    for method in ("indep2n", "indep3n"):
+        code, out, err = run(capsys, "lift", "--method", method, str(path))
+        assert code == 1 and out == ""
+        errors[method] = json.loads(err)
+    assert errors["indep2n"] == errors["indep3n"]
+    assert errors["indep2n"]["kind"] == "CrossingsNotIndependent" and "share vertex 0" in errors["indep2n"]["error"]
+    assert calls == []
+
+
+def test_lift_indep2n_without_a_noncollapsing_coloring_is_refused_by_the_lift(capsys, tmp_path, monkeypatch):
+    # chi's 2-coloring of figure3_right collapses a crossing; with the search
+    # finding nothing, the lift itself refuses that coloring.
+    path = tmp_path / "f3r.json"
+    path.write_text(dumps(figure_graphs("figure3_right")))
+    monkeypatch.setattr(cli, "find_noncollapsing_hom", lambda g, n: None)
+    code, out, err = run(capsys, "lift", "--method", "indep2n", str(path))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "CollapsedCrossingPair" and "has both edges colored" in doc["error"]
 
 
 def test_catalog_command(capsys, tmp_path):
@@ -226,7 +261,7 @@ def test_catalog_command_accepts_only_cataloged_sizes(capsys, tmp_path, n):
 def test_coordinate_beyond_the_bound_is_a_format_error(capsys, tmp_path):
     text = '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1073741825, "y": 0}], "edges": [[0, 1]]}'
     with pytest.raises(GraphFormatError, match="exceeds the"):
-        load_graph(text)
+        graph_from_json_dict(json.loads(text))
     path = tmp_path / "far.json"
     path.write_text(text)
     code, out, err = run(capsys, "chi", str(path))
@@ -306,3 +341,16 @@ def test_graph_file_that_is_not_utf8_is_a_format_error_naming_it(capsys, tmp_pat
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["kind"] == "GraphFormatError" and str(path) in doc["error"]
+
+
+@pytest.mark.parametrize("verb", ["chi", "verify", "x"])
+def test_deeply_nested_json_file_is_a_format_error_naming_it(capsys, tmp_path, fig6, verb):
+    # X of figure 6 is 6, and its search starts at the K6 catalog
+    bad = tmp_path / {"chi": "g.json", "verify": "m.json", "x": "k6.catalog.json"}[verb]
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"chi": ["chi", bad], "verify": ["verify", fig6, fig6, bad],
+            "x": ["x", fig6, "--catalog", tmp_path, "--no-build"]}[verb]
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "GraphFormatError" and str(bad) in doc["error"]

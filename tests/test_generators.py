@@ -7,7 +7,6 @@ from geochrom import (
     chromatic_number,
     convex_clique,
     crossings_of,
-    dump_graph,
     figure6_coloring,
     figure_graphs,
     is_general_position,
@@ -96,11 +95,11 @@ def test_unknown_figure_tag():
 def test_random_graph_determinism_and_thresholds():
     a = random_geometric_graph(8, 0.3, min_crossing_distance=2, seed=7)
     b = random_geometric_graph(8, 0.3, min_crossing_distance=2, seed=7)
-    assert dump_graph(a) == dump_graph(b)
+    assert a == b
     assert min_pairwise_crossing_distance(a) >= 2
 
     c = random_geometric_graph(8, 0.3, min_crossing_distance=2, seed=8)
-    assert dump_graph(c) != dump_graph(a)
+    assert c != a
 
 
 def test_random_graph_zero_probability_is_crossing_free():
@@ -134,7 +133,7 @@ def test_random_graph_meets_rare_distance_constraints(args):
     g = random_geometric_graph(v, p, min_crossing_distance=k, seed=seed)
     assert g.n == v
     assert min_pairwise_crossing_distance(g) >= k
-    assert dump_graph(g) == dump_graph(random_geometric_graph(v, p, min_crossing_distance=k, seed=seed))
+    assert g == random_geometric_graph(v, p, min_crossing_distance=k, seed=seed)
     # only edges were deleted: the points and a subset of the edges of the free draw
     free = random_geometric_graph(v, p, seed=seed)
     assert g.points == free.points and g.edges <= free.edges

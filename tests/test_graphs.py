@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 import weakref
@@ -18,18 +19,18 @@ from geochrom import (
     crossing_distance,
     crossing_structure,
     crossings_of,
-    dump_graph,
     figure_graphs,
     find_geometric_hom,
+    graph_from_json_dict,
+    graph_to_json_dict,
     is_general_position,
-    load_graph,
     min_pairwise_crossing_distance,
     random_geometric_graph,
     separation_family,
     star_crossing,
 )
 from geochrom import graphs
-from geochrom.graphs import _crossings_too_close, _form_bytes
+from geochrom.graphs import _crossings_too_close, _form_bytes, _read_json
 from oracles import crossing_pairs_raw, graph_distance, orient, reference_canonical_form, reference_ir_canonical_form
 
 
@@ -451,6 +452,13 @@ def test_structure_validation():
         CrossingStructure(4, [(0, 1)], [((0, 1), (2, 3))])
 
 
+def test_structure_n_must_be_a_non_negative_int():
+    for n in (-2, True, 2.0):
+        with pytest.raises(ValueError, match="non-negative int"):
+            CrossingStructure(n, [], [])
+    assert CrossingStructure(0, [], []).hex == "000000000000"  # the least n still gets a form
+
+
 def test_structure_is_immutable():
     s = crossing_structure(convex_clique(5))
     form = s.canonical_form
@@ -501,18 +509,20 @@ def test_hom_search_reads_drawing_and_structure_targets_alike(store):
 
 def test_graph_json_round_trip_is_byte_identical():
     g = figure_graphs("figure1_left")
-    text = dump_graph(g)
-    again = load_graph(text)
+    text = json.dumps(graph_to_json_dict(g), separators=(",", ":"))
+    again = graph_from_json_dict(json.loads(text))
     assert again == g
-    assert dump_graph(again) == text
+    assert json.dumps(graph_to_json_dict(again), separators=(",", ":")) == text
 
 
-def test_graph_json_rejects_bad_documents():
+def test_graph_json_rejects_bad_documents(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text("not json")
+    with pytest.raises(GraphFormatError, match="invalid JSON"):
+        _read_json(path)
     with pytest.raises(GraphFormatError):
-        load_graph("not json")
+        graph_from_json_dict({"vertices": [], "edges": [[0, 1]]})
     with pytest.raises(GraphFormatError):
-        load_graph('{"vertices": [], "edges": [[0, 1]]}')
+        graph_from_json_dict({"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 1}], "edges": []})
     with pytest.raises(GraphFormatError):
-        load_graph('{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 1}], "edges": []}')
-    with pytest.raises(GraphFormatError):
-        load_graph('{"vertices": [{"id": 0, "x": 0.5, "y": 0}], "edges": []}')
+        graph_from_json_dict({"vertices": [{"id": 0, "x": 0.5, "y": 0}], "edges": []})

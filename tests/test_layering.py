@@ -102,5 +102,8 @@ def _file_reads(tree: ast.AST) -> list[str]:
 def test_only_graphs_reads_input_files():
     # graphs._read_json names the file in every GraphFormatError; a second reader would drift from it.
     reads = {name: _file_reads(tree) for name, tree in MODULES.items()}
-    assert reads.pop("graphs")  # the scan sees the one reader
+    reader = next(fn for fn in MODULES["graphs"].body if isinstance(fn, ast.FunctionDef) and fn.name == "_read_json")
+    decode = _file_reads(reader)
+    assert len(decode) == 1 and decode[0].startswith("load at")  # the scan sees the one reader
+    assert reads.pop("graphs") == decode  # and graphs decodes nowhere else
     assert {name: found for name, found in reads.items() if found} == {}

@@ -9,11 +9,11 @@ PUBLIC = [
     "NotProperColoring", "Point", "SharedEndpoint", "SizeUnsupported",
     "UnknownFigure", "VertexMap", "XResult", "chromatic_number", "convex_clique",
     "convex_crossing_rule", "crossing_distance", "crossing_structure", "crossings_of",
-    "dump_graph", "enumerate_clique_structures", "figure6_coloring", "figure_graphs",
+    "enumerate_clique_structures", "figure6_coloring", "figure_graphs",
     "find_geometric_hom", "find_noncollapsing_hom", "geochromatic_lower_bound",
     "geochromatic_number", "graph_from_json_dict", "graph_to_json_dict", "is_general_position",
     "is_geometric_hom", "is_graph_hom", "is_proper", "is_pseudo_coloring", "lift_dist2",
-    "lift_independent", "lift_independent_noncollapsing", "lift_small_chi", "load_graph",
+    "lift_independent", "lift_independent_noncollapsing", "lift_small_chi",
     "min_pairwise_crossing_distance", "non_identifiable_pairs", "orientation",
     "pseudo_geochromatic_number", "random_geometric_graph", "regular_polygon_points",
     "segments_cross", "separation_family", "star_crossing",
@@ -21,7 +21,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned_and_resolves():
-    assert len(PUBLIC) == 61
+    assert len(PUBLIC) == 59
     assert sorted(geochrom.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(geochrom, name) is not None
