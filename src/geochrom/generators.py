@@ -21,7 +21,7 @@ from .geometry import Point, is_general_position, regular_polygon_points
 from .graphs import (
     Crossing,
     GeometricGraph,
-    _crossings_too_close,
+    _crossing_gap,
     crossings_of,
     min_pairwise_crossing_distance,
 )
@@ -224,7 +224,7 @@ def random_geometric_graph(
     g = GeometricGraph.build(pts, edges)
     crossings = sorted(crossings_of(g))
     kept = set(g.edges)
-    while (conflict := _crossings_too_close(sorted(kept), crossings, min_crossing_distance)) is not None:
+    while (conflict := _crossing_gap(vertex_count, sorted(kept), crossings, min_crossing_distance)[1]) is not None:
         gone = conflict[0].e2
         kept.discard(gone)
         crossings = [c for c in crossings if gone not in c]

@@ -107,10 +107,10 @@ def regular_polygon_points(n: int) -> tuple[Point, ...]:
 
     Vertex i sits at angle 2*pi*i/n. If rounding ever breaks general
     position the radius is bumped until it holds (never triggers for the
-    sizes used here, but cheap insurance).
+    sizes used here, but cheap insurance). n = 0 gives no points, the empty K_0.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 0:
+        raise ValueError("need n >= 0")
     r = 10**6
     while True:
         pts = tuple(

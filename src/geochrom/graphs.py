@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import GraphFormatError
 from .geometry import Point, is_general_position
@@ -179,6 +178,54 @@ def crossings_of(G: GeometricGraph) -> frozenset[Crossing]:
     return G.crossings
 
 
+def _crossing_gap(
+    n: int, edges: Collection[Edge], crossings: list[Crossing], minimum: int | float = math.inf
+) -> tuple[int | float, tuple[Crossing, str] | None]:
+    """The least graph distance between two of the crossings, capped at `minimum`, and why.
+
+    One BFS runs from every crossing's vertices at once; each vertex is owned
+    by the crossing that reaches it first. Crossings sharing a vertex are at
+    0; otherwise the least distance is the least d(u) + 1 + d(w) over edges uw
+    with differently owned ends, so the BFS stops at depth (minimum - 1) / 2.
+    Returns min(distance, minimum), math.inf for no two connected crossings,
+    and, below both `minimum` and 2, the conflict (crossing, reason): the first
+    crossing, in the given order, that shares a vertex with an earlier one,
+    else the later of the two that the first edge, in the given order, joins.
+    """
+    if minimum <= 0:
+        return minimum, None
+    owner: dict[int, int] = {}
+    for idx, cr in enumerate(crossings):
+        for v in cr.vertices:
+            if v in owner:
+                return 0, (cr, f"crossings {crossings[owner[v]]} and {cr} share vertex {v}")
+            owner[v] = idx
+    if minimum <= 1:
+        return minimum, None
+    depth = dict.fromkeys(owner, 0)
+    if minimum > 2:
+        adj = _adj_lists(n, edges)
+        level, frontier = 0, list(owner)
+        while frontier and level + 1 <= (minimum - 1) / 2:
+            level += 1
+            reached = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in depth:
+                        depth[w], owner[w] = level, owner[v]
+                        reached.append(w)
+            frontier = reached
+    best: int | float = minimum
+    conflict = None
+    for u, w in edges:
+        if u in depth and w in depth and owner[u] != owner[w] and depth[u] + 1 + depth[w] < best:
+            best = depth[u] + 1 + depth[w]
+            if best == 1:
+                conflict = (crossings[max(owner[u], owner[w])],
+                            f"edge ({u},{w}) joins two different crossings (distance 1)")
+    return best, conflict
+
+
 def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | float:
     """Minimum graph-path distance between the vertex sets of two crossings.
 
@@ -189,61 +236,12 @@ def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | fl
     cs = crossings_of(G)
     if c1 not in cs or c2 not in cs:
         raise ValueError("both crossings must belong to the graph")
-    src = c1.vertices
-    dst = c2.vertices
-    if src & dst:
-        return 0
-    adj = _adj_lists(G.n, G.edges)
-    dist = {v: 0 for v in src}
-    queue = deque(src)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w in dst:
-                    return dist[w]
-                queue.append(w)
-    return math.inf
+    return _crossing_gap(G.n, G.edges, [Crossing(*c1), Crossing(*c2)])[0]
 
 
 def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:
     """Minimum crossing_distance over all unordered pairs of distinct crossings."""
-    cs = sorted(crossings_of(G))
-    best: int | float = math.inf
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            d = crossing_distance(G, cs[i], cs[j])
-            if d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
-
-
-def _crossings_too_close(
-    edges: Iterable[Edge], crossings: list[Crossing], minimum: int
-) -> tuple[Crossing, str] | None:
-    """The first crossing closer than `minimum` (0..2) to an earlier one, and why; or None.
-
-    Linear, where min_pairwise_crossing_distance runs a BFS per pair:
-    distance >= 1 is vertex-disjointness, and distance >= 2 also forbids an
-    edge between two different crossings.
-    """
-    if minimum < 1:
-        return None
-    seen: dict[int, int] = {}
-    for idx, cr in enumerate(crossings):
-        for v in cr.vertices:
-            if v in seen and seen[v] != idx:
-                return cr, f"crossings {crossings[seen[v]]} and {cr} share vertex {v}"
-            seen[v] = idx
-    if minimum >= 2:
-        for u, v in edges:
-            iu, iv = seen.get(u), seen.get(v)
-            if iu is not None and iv is not None and iu != iv:
-                return crossings[max(iu, iv)], f"edge ({u},{v}) joins two different crossings (distance 1)"
-    return None
+    return _crossing_gap(G.n, G.edges, list(crossings_of(G)))[0]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

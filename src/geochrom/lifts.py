@@ -40,8 +40,8 @@ from .graphs import (
     CrossingIndex,
     GeometricGraph,
     _adj_lists,
+    _crossing_gap,
     _crossing_partners,
-    _crossings_too_close,
     crossings_of,
 )
 from .homomorphism import VertexMap, is_geometric_hom, is_proper
@@ -159,7 +159,7 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
     crossings = sorted(crossings_of(G))  # by least vertex: each crossing leads with its lesser sorted edge
 
     minimum, exc = (2, DistanceTooSmall) if method == "dist2" else (1, CrossingsNotIndependent)
-    conflict = _crossings_too_close(G.edges, crossings, minimum)
+    conflict = _crossing_gap(G.n, G.edges, crossings, minimum)[1]
     if conflict is not None:
         raise exc(conflict[1])
 
@@ -219,9 +219,9 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
     Exhaustive backtracking (complete up to color permutation, which both
     constraints respect); None when no such coloring exists. Symmetry
     breaking never opens more colors than vertices, so the search runs over
-    min(n, G.n) of them.
+    min(n, G.n) of them. Below 3 colors, every edge lies on one color pair.
     """
-    if n < 1:
+    if n < 1 or n < 3 and G.crossings:
         return None
     k = min(n, G.n)
     full = (1 << k) - 1

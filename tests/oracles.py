@@ -94,6 +94,55 @@ def graph_distance(n: int, edges, sources, targets) -> int | float:
     return math.inf
 
 
+def reference_min_crossing_distance(n: int, edges, crossings) -> int | float:
+    """Least graph_distance over unordered pairs of crossings, each given as an edge pair."""
+    vertex_sets = [set(e1) | set(e2) for e1, e2 in crossings]
+    return min((graph_distance(n, edges, a, b) for a, b in itertools.combinations(vertex_sets, 2)),
+               default=math.inf)
+
+
+def reference_crossings_too_close(edges, crossings, minimum: int):
+    """The first crossing closer than `minimum` (0..2) to an earlier one, and why; or None.
+
+    Distance >= 1 is vertex-disjointness, and distance >= 2 also forbids an
+    edge between two different crossings. Vertices are visited in the order
+    of each crossing's `vertices`, which fixes the vertex a message names.
+    """
+    if minimum < 1:
+        return None
+    seen: dict[int, int] = {}
+    for idx, cr in enumerate(crossings):
+        for v in cr.vertices:
+            if v in seen and seen[v] != idx:
+                return cr, f"crossings {crossings[seen[v]]} and {cr} share vertex {v}"
+            seen[v] = idx
+    if minimum >= 2:
+        for u, v in edges:
+            iu, iv = seen.get(u), seen.get(v)
+            if iu is not None and iv is not None and iu != iv:
+                return crossings[max(iu, iv)], f"edge ({u},{v}) joins two different crossings (distance 1)"
+    return None
+
+
+def parabola_chain(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Points and edges of k X-gadgets on the parabola, joined in a row by 3-edge paths.
+
+    Vertex x sits at (x, x^2), so every vertex is in convex position and two
+    edges cross exactly when their ends alternate along the parabola: only
+    each gadget's (b, b+2) and (b+1, b+3). Each path joins one gadget's
+    (b+1, b+3) to the next one's (b, b+2), so neighbours in the row are at
+    distance 3 and all other pairs of crossings unconnected.
+    """
+    points = [(x, x * x) for x in range(6 * k - 2)]
+    edges = []
+    for i in range(k):
+        b = 6 * i
+        edges += [(b, b + 2), (b + 1, b + 3)]
+        if i + 1 < k:
+            edges += [(b + 3, b + 4), (b + 4, b + 5), (b + 5, b + 6)]
+    return points, edges
+
+
 def crossing_pairs_raw(points, edges) -> set:
     """Crossing set computed with the rational oracle, not the package."""
     es = sorted(tuple(sorted(e)) for e in edges)

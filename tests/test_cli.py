@@ -4,6 +4,7 @@ import pytest
 
 from geochrom import (
     CatalogStore,
+    GeometricGraph,
     GraphFormatError,
     chromatic_number,
     convex_clique,
@@ -18,6 +19,7 @@ from geochrom import (
 from geochrom import cli
 from geochrom.catalog import catalog_to_json_dict
 from geochrom.cli import main
+from oracles import parabola_chain
 
 
 def dumps(g):
@@ -219,6 +221,26 @@ def test_lift_indep2n_without_a_noncollapsing_coloring_is_refused_by_the_lift(ca
     assert code == 1 and out == ""
     doc = json.loads(err)
     assert doc["kind"] == "CollapsedCrossingPair" and "has both edges colored" in doc["error"]
+
+
+def test_lift_indep2n_on_a_long_chain_of_independent_crossings(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(dumps(GeometricGraph.build(*parabola_chain(120))))
+    code, out, _ = run(capsys, "lift", "--method", "indep2n", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["target_size"] == 6 and len(doc["cases"]) == 120
+
+
+def test_k0_is_the_empty_drawing_for_gen_and_lift(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "edges": []}')
+    code, out, _ = run(capsys, "lift", "--method", "indep3n", str(path))
+    assert (code, out) == (0, '{"method":"indep3n","target_size":0,"map":[],"cases":[]}\n')
+    code, out, _ = run(capsys, "gen", "convex", "--n", "0")
+    assert (code, out) == (0, '{"vertices":[],"edges":[]}\n')
+    code, _, err = run(capsys, "gen", "convex", "--n", "-1")
+    assert code == 2 and json.loads(err)["kind"] == "ValueError"
 
 
 def test_catalog_command(capsys, tmp_path):

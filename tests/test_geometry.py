@@ -200,6 +200,12 @@ def test_nonconvex_quadruples_have_no_crossings_small_grid():
             assert not segments_cross(pts[i], pts[j], pts[k], pts[l])
 
 
+def test_regular_polygon_points_of_k0_is_empty():
+    assert regular_polygon_points(0) == ()
+    with pytest.raises(ValueError):
+        regular_polygon_points(-1)
+
+
 def test_regular_polygon_points_general_position_and_order():
     for n in (3, 4, 5, 6, 8, 12, 24):
         pts = regular_polygon_points(n)

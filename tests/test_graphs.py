@@ -30,8 +30,17 @@ from geochrom import (
     star_crossing,
 )
 from geochrom import graphs
-from geochrom.graphs import _crossings_too_close, _form_bytes, _read_json
-from oracles import crossing_pairs_raw, graph_distance, orient, reference_canonical_form, reference_ir_canonical_form
+from geochrom.graphs import _crossing_gap, _form_bytes, _read_json
+from oracles import (
+    crossing_pairs_raw,
+    graph_distance,
+    orient,
+    parabola_chain,
+    reference_canonical_form,
+    reference_crossings_too_close,
+    reference_ir_canonical_form,
+    reference_min_crossing_distance,
+)
 
 
 def x_gadget(shift=0):
@@ -155,15 +164,33 @@ def two_crossings(seed, length, extra):
             return GeometricGraph.build(pts, edges)
 
 
+def assert_distance_matches_oracles(g):
+    crossings = sorted(crossings_of(g))
+    gap = reference_min_crossing_distance(g.n, g.edges, crossings)
+    assert min_pairwise_crossing_distance(g) == gap
+    for c1, c2 in itertools.combinations(crossings[:6], 2):
+        assert crossing_distance(g, c1, c2) == graph_distance(g.n, g.edges, c1.vertices, c2.vertices)
+    for edges in (g.edges, sorted(g.edges)):
+        for k in range(7):  # a threshold above 2 stops the BFS early
+            assert _crossing_gap(g.n, edges, crossings, k)[0] == min(gap, k)
+        for k in (0, 1, 2):
+            assert _crossing_gap(g.n, edges, crossings, k)[1] == reference_crossings_too_close(edges, crossings, k)
+
+
 @pytest.mark.parametrize("seed", range(36))
 def test_linear_distance_rule_matches_pairwise_bfs(seed):
     if seed % 2:
-        g = two_crossings(seed, (seed // 2) % 4, (seed // 8) % 3)
+        g = two_crossings(seed, (seed // 2) % 6, (seed // 12) % 3)
     else:
         g = random_geometric_graph(5 + seed % 8, 0.3, seed=9000 + seed)
-    for k in (0, 1, 2):
-        far_enough = _crossings_too_close(g.edges, sorted(crossings_of(g)), k) is None
-        assert far_enough == (min_pairwise_crossing_distance(g) >= k)
+    assert_distance_matches_oracles(g)
+
+
+def test_parabola_chain_crossings_are_at_distance_three():
+    g = GeometricGraph.build(*parabola_chain(5))
+    assert len(crossings_of(g)) == 5
+    assert min_pairwise_crossing_distance(g) == 3
+    assert_distance_matches_oracles(g)
 
 
 def test_crossings_memo_does_not_keep_graph_alive():
@@ -180,6 +207,14 @@ def test_crossing_distance_rejects_foreign_crossing():
     (c,) = sorted(crossings_of(g))
     with pytest.raises(ValueError):
         crossing_distance(g, c, Crossing.make((0, 1), (2, 3)))
+
+
+def test_crossing_distance_accepts_plain_edge_pairs():
+    (c,) = crossings_of(convex_clique(4))
+    assert crossing_distance(convex_clique(4), tuple(c), tuple(c)) == 0
+    left = figure_graphs("figure3_left")
+    c1, c2 = (tuple(c) for c in sorted(crossings_of(left)))
+    assert crossing_distance(left, c1, c2) == crossing_distance(left, c2, c1) == 2
 
 
 # --- crossing structures ----------------------------------------------------

@@ -27,8 +27,9 @@ from geochrom import (
     lift_small_chi,
     random_geometric_graph,
 )
+from geochrom import lifts
 from geochrom.lifts import _dispatch
-from oracles import brute_force_chromatic, brute_force_noncollapsing_exists, reference_dispatch
+from oracles import brute_force_chromatic, brute_force_noncollapsing_exists, parabola_chain, reference_dispatch
 
 
 def x_gadget():
@@ -246,6 +247,19 @@ def test_find_noncollapsing_hom_matches_exhaustive_oracle(seed):
             assert found.n == n and is_proper(g, found)
             assert all({found.colors[a], found.colors[b]} != {found.colors[c], found.colors[d]}
                        for (a, b), (c, d) in crossings)
+
+
+def test_find_noncollapsing_hom_refutes_two_colors_without_search(monkeypatch):
+    # Every proper 2-coloring puts every edge on {1, 2}; a search would
+    # backtrack exponentially in the 12 independent crossings.
+    g = GeometricGraph.build(*parabola_chain(12))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(lifts, "_backtrack", no_search)
+    assert find_noncollapsing_hom(g, 2) is None
+    assert find_noncollapsing_hom(g, 1) is None
 
 
 def test_find_noncollapsing_hom_trivial_bipartite():
