@@ -26,10 +26,12 @@ homomorphisms compose, so if one K_n structure maps into another, every
 drawing that maps into the first also maps into the second, and X only needs
 the structures no other structure of the same size dominates (the
 homomorphism order; Hell and Nesetril, "Graphs and Homomorphisms", 2004).
-`CliqueCatalog.maximal` is that view. A map between two K_n is a bijection,
-so it sends distinct crossings to distinct crossings: a structure can only
-map into one with strictly more crossings, and the convex K_n, whose
-C(n, 4) crossings are the most possible, is always maximal.
+`CliqueCatalog.maximal` is that view. Each dominance test is itself a
+geometric-hom search between two K_n, run by the search find_geometric_hom
+uses (search._find_hom). A map between two K_n is a bijection, so it sends
+distinct crossings to distinct crossings: a structure can only map into one
+with strictly more crossings, and the convex K_n, whose C(n, 4) crossings
+are the most possible, is always maximal.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from .search import _backtrack
+from .search import _find_hom
 
 # Order types of n points in general position, a set and its mirror image
 # counted once (Aichholzer, Aurenhammer and Krasser 2002).
@@ -113,28 +115,18 @@ class CliqueCatalog:
 
 
 class _CrossingTable:
-    """A K_n structure's per-edge crossing counts, indexed for _maps_into."""
+    """A K_n structure indexed for _maps_into: its crossings, adjacency and sorted per-edge counts."""
 
     def __init__(self, s: CrossingStructure):
         self.structure = s
         self.crossings_at = _crossing_partners(s.n, s.crossings)
-        # per_edge[u][v]: how many crossings the edge uv takes part in.
-        self.per_edge = [[0] * s.n for _ in range(s.n)]
+        self.adjacency = [[w for w in range(s.n) if w != v] for v in range(s.n)]
+        # sorted_rows[v]: how many crossings each edge at v takes part in, ascending.
+        per_edge = [[0] * s.n for _ in range(s.n)]
         for (a, b), (c, d) in s.crossings:
             for u, v in ((a, b), (b, a), (c, d), (d, c)):
-                self.per_edge[u][v] += 1
-        self.sorted_rows = [sorted(row) for row in self.per_edge]
-        # by_count[v]: the other vertices grouped by the crossing count of their edge to v.
-        self.by_count: list[dict[int, list[int]]] = [{} for _ in range(s.n)]
-        for v, row in enumerate(self.per_edge):
-            for w, count in enumerate(row):
-                if w != v:
-                    self.by_count[v].setdefault(count, []).append(w)
-        # at_least[count][t]: the vertices other than t whose edge to t is in at least
-        # count crossings; an edge of K_n crosses at most the C(n - 2, 2) edges disjoint from it.
-        self.at_least = [[sum(1 << w for w, have in enumerate(row) if have >= count and w != t)
-                          for t, row in enumerate(self.per_edge)]
-                         for count in range(comb(max(s.n - 2, 0), 2) + 1)]
+                per_edge[u][v] += 1
+        self.sorted_rows = [sorted(row) for row in per_edge]
 
 
 def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...] | None:
@@ -142,24 +134,17 @@ def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...
 
     Edges of a complete graph map onto edges under any bijection, so only the
     crossings need checking. The crossings on an edge go to distinct crossings
-    on its image, so an edge can only go to an edge with at least as many, and
-    a vertex only to one whose sorted per-edge counts dominate its own: those
-    candidates are each vertex's initial mask. The search (search._backtrack)
-    maps the vertices with fewest candidates first. Mapping v to t narrows
-    every other vertex w to the images other than t whose edge to t is in at
-    least as many crossings as vw, which keeps the map a bijection, and the
-    ends of each crossing at v as the target's crossing index allows.
+    on its image, so an edge can only go to an edge with at least as many,
+    and a vertex only to one whose sorted per-edge counts dominate its own:
+    those candidates start the search (search._find_hom, with no vertices
+    forced apart). Every pair of vertices is adjacent on both sides, so the
+    map it finds is injective, hence a bijection.
     """
-    n = len(source.per_edge)
+    n = len(source.sorted_rows)
     candidates = [sum(1 << w for w in range(n) if all(map(int.__le__, row, target.sorted_rows[w])))
                   for row in source.sorted_rows]
-    order = sorted(range(n), key=lambda v: (candidates[v].bit_count(), -sum(source.per_edge[v])))
-    links = [[(target.at_least[count], ws) for count, ws in groups.items()] for groups in source.by_count]
-    images = [-1] * n
-    if _backtrack(images, candidates, order.__getitem__, links, source.crossings_at,
-                  target.structure.crossing_index, symmetric=False):
-        return tuple(images)
-    return None
+    images = _find_hom(source.adjacency, source.crossings_at, [()] * n, target.structure.crossing_index, candidates)
+    return None if images is None else tuple(images)
 
 
 # --- order types ------------------------------------------------------------

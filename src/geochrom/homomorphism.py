@@ -2,9 +2,9 @@
 
 Vertex maps are verified, never trusted: every solver result can be replayed
 through the verifiers here. The searches run on the core in search.py:
-chi (X' is chi of rules A and B) and find_geometric_hom are two of its
-callers, and X is the least n at which find_geometric_hom succeeds into a
-cataloged K_n.
+chi (X' is chi of rules A and B) calls its backtracker, find_geometric_hom
+its geometric-hom search, which the catalog's dominance test shares, and X
+is the least n at which find_geometric_hom succeeds into a cataloged K_n.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterator
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
 from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, _crossing_partners, crossings_of
 from .obstructions import non_identifiable_pairs
-from .search import Coloring, _as_abstract, _backtrack, chromatic_number
+from .search import Coloring, _as_abstract, _find_hom, chromatic_number
 
 
 @dataclass(frozen=True)
@@ -98,30 +98,20 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
 def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStructure) -> VertexMap | None:
     """First verified geometric homomorphism G -> target, or None.
 
-    Searches source vertices in decreasing crossing-degree order, each over
-    its target vertices in ascending order. Mapping v to t narrows each
-    unmapped neighbour of v to the target neighbours of t, each vertex that
-    the obstruction rules force apart from v to the target vertices other
-    than t, and the ends of the crossings at v as the target's crossing
-    index allows: every crossing must land on a target crossing. The forced
-    pairs are computed once per graph (non_identifiable_pairs keeps them on
-    G) and the index once per target, so repeated searches share both.
+    search._find_hom over the whole target, keeping apart the vertices the
+    obstruction rules force apart. The forced pairs are computed once per
+    graph (non_identifiable_pairs keeps them on G) and the crossing index
+    once per target, so repeated searches share both.
     """
-    index = target.crossing_index
-    t_n, n = target.n, G.n
-    full = (1 << t_n) - 1
-    apart_rows = [full ^ 1 << t for t in range(t_n)]
-    adj = _adj_lists(n, G.edges)
+    n = G.n
     apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # an edge's rule keeps its ends apart
-    links = [[(index.neighbours, adj[v]), (apart_rows, apart[v])] for v in range(n)]
-    crossings_at = _crossing_partners(n, G.crossings)
-    order = sorted(range(n), key=lambda v: (-len(crossings_at[v]), v))
-    images = [-1] * n
-    if _backtrack(images, [full] * n, order.__getitem__, links, crossings_at, index, symmetric=False):
-        vm = VertexMap(tuple(images), t_n)
-        assert is_geometric_hom(G, target, vm)
-        return vm
-    return None
+    images = _find_hom(_adj_lists(n, G.edges), _crossing_partners(n, G.crossings), apart,
+                       target.crossing_index, [(1 << target.n) - 1] * n)
+    if images is None:
+        return None
+    vm = VertexMap(tuple(images), target.n)
+    assert is_geometric_hom(G, target, vm)
+    return vm
 
 
 @dataclass(frozen=True)

@@ -22,26 +22,24 @@ catalog, obstructions and homomorphism. The callers and their rules:
                           popcount), a greedy clique mapped first, edge ends
                           differ, first-fresh-color symmetry breaking (X' is
                           chi of rules A and B, every edge and crossing pair)
-  find_geometric_hom      decreasing crossing degree; a neighbour narrows to
-                          the target neighbours of t, a forced-apart vertex
-                          (rules A-D) to everything but t, crossings by the
-                          target's CrossingIndex
+  _find_hom               fewest starting images, then decreasing crossing
+                          degree; a neighbour narrows to the target
+                          neighbours of t, a forced-apart vertex to
+                          everything but t, crossings by the target's
+                          CrossingIndex; find_geometric_hom starts on the
+                          whole target with the pairs of rules A-D apart,
+                          catalog._maps_into (the dominance test between two
+                          K_n) on candidate images with none apart
   find_noncollapsing_hom  degree plus crossing degree; a neighbour narrows to
                           everything but t, and the fourth end of a crossing
                           to any value that does not put both edges on one
                           color pair; symmetry breaking
-  catalog._maps_into      the dominance test between two K_n: fewest candidate
-                          images first, the candidates as initial masks; each
-                          vertex narrows to the images other than t whose
-                          edge to t is in at least as many crossings (so the
-                          map is a bijection), crossings by the target's
-                          CrossingIndex
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .graphs import CrossingIndex, CrossingStructure, Edge, GeometricGraph, _adj_lists
 
@@ -65,7 +63,14 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
     if isinstance(g, CrossingStructure):
         return g.n, g.adjacency
     n, edges = g
-    return n, frozenset((u, v) if u < v else (v, u) for u, v in edges)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    pairs = set()
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) is not a pair of distinct vertices of 0..{n - 1}")
+        pairs.add((u, v) if u < v else (v, u))
+    return n, frozenset(pairs)
 
 
 # links[v]: pairs (rows, ws); once v maps to t, each w in ws narrows to rows[t].
@@ -144,6 +149,25 @@ def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int]
         return False
 
     return extend(0, 0)
+
+
+def _find_hom(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
+              apart: Sequence[Collection[int]], target: CrossingIndex, domains: list[int]) -> list[int] | None:
+    """The first map of 0..n-1 into target keeping edges on edges and crossings on crossings, or None.
+
+    adj and crossings_at hold the source's edges and crossings, apart[v] the
+    vertices kept off v's image, and domains[v] the images v starts from.
+    """
+    n = len(adj)
+    full = (1 << len(target.neighbours)) - 1
+    other_than = [full ^ 1 << t for t in range(len(target.neighbours))]
+    links = [[(target.neighbours, adj[v]), (other_than, apart[v])] if apart[v] else [(target.neighbours, adj[v])]
+             for v in range(n)]
+    order = sorted(range(n), key=lambda v: (domains[v].bit_count(), -len(crossings_at[v]), v))
+    images = [-1] * n
+    if _backtrack(images, domains, order.__getitem__, links, crossings_at, target, symmetric=False):
+        return images
+    return None
 
 
 # --- exact chromatic number -------------------------------------------------

@@ -190,6 +190,12 @@ def test_k7_builds_and_every_witness_realizes_its_structure(tmp_path):
     cat = CatalogStore(tmp_path).get(7)
     assert len(cat.entries) == 122
     assert len(cat.maximal) == 17 and cat.maximal[0] is cat.entries[0]
+    # the maximal view, in catalog order: its crossing counts, and a digest of its hexes
+    assert [len(e.structure.crossings) for e in cat.maximal] == [35, 15, 17, 17, 19, 21, 21, 21, 21,
+                                                                  23, 23, 23, 23, 23, 27, 27, 29]
+    maximal = " ".join(e.structure.hex for e in cat.maximal)
+    assert hashlib.sha256(maximal.encode()).hexdigest() == (
+        "e00b6355b83e8bee26edb8e6e5371e22bde3180d6a7c76a549b481cfc5fd05bf")
     for entry in cat.entries:
         pts = [(p.x, p.y) for p in entry.witness.points]
         assert crossing_pairs_raw(pts, entry.witness.edges) == entry.structure.crossings

@@ -109,8 +109,8 @@ def test_random_graph_zero_probability_is_crossing_free():
 
 
 def test_random_graph_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        random_geometric_graph(15, 0.2)
+    with pytest.raises(ValueError, match="vertex_count"):
+        random_geometric_graph(0, 0.2)
     with pytest.raises(ValueError):
         random_geometric_graph(8, 0.2, min_crossing_distance=3)
 
@@ -126,7 +126,8 @@ def test_random_graph_accepts_edge_probability_bounds():
     assert len(random_geometric_graph(6, 1.0, seed=1).edges) == 15
 
 
-@pytest.mark.parametrize("args", [(13, 0.3, 1, 9007), (12, 0.9, 1, 0), (12, 0.9, 2, 0), (14, 0.5, 2, 3)])
+@pytest.mark.parametrize("args", [(13, 0.3, 1, 9007), (12, 0.9, 1, 0), (12, 0.9, 2, 0), (14, 0.5, 2, 3),
+                                  (30, 0.5, 2, 3)])
 def test_random_graph_meets_rare_distance_constraints(args):
     # random draws of these sizes almost never meet the constraint as drawn
     v, p, k, seed = args

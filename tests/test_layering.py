@@ -107,3 +107,26 @@ def test_only_graphs_reads_input_files():
     assert len(decode) == 1 and decode[0].startswith("load at")  # the scan sees the one reader
     assert reads.pop("graphs") == decode  # and graphs decodes nowhere else
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _namers(name: str) -> set[str]:
+    """Each module.function whose body names `name`; module.<module> for a name outside any function."""
+    found = set()
+
+    def visit(node: ast.AST, module: str, owner: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = node.name
+        if isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name:
+            found.add(f"{module}.{owner or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for module, tree in MODULES.items():
+        visit(tree, module, None)
+    return found
+
+
+def test_search_core_has_its_named_callers():
+    # One backtracker, and one geometric-hom search on it that X and the catalog's dominance view share.
+    assert _namers("_backtrack") == {"search.chromatic_number", "search._find_hom", "lifts.find_noncollapsing_hom"}
+    assert _namers("_find_hom") == {"homomorphism.find_geometric_hom", "catalog._maps_into"}

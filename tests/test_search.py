@@ -68,6 +68,15 @@ def test_reversed_pairs_read_as_sorted_pairs():
         assert is_graph_hom((n, edges), (n, reversed_pairs), VertexMap(tuple(range(n)), n)), name
 
 
+@pytest.mark.parametrize("graph, named", [((2, [(0, 0)]), r"edge \(0,0\)"), ((2, [(0, 5)]), r"edge \(0,5\)"),
+                                          ((2, [(-1, 1)]), r"edge \(-1,1\)"), ((-1, []), "n must")])
+def test_malformed_abstract_graph_is_refused(graph, named):
+    with pytest.raises(ValueError, match=named):
+        chromatic_number(graph)
+    with pytest.raises(ValueError, match=named):
+        is_graph_hom(graph, (2, [(0, 1)]), VertexMap((0, 1), 2))
+
+
 def test_greedy_clique_matches_reference():
     for n, edges, name in colored_graphs():
         adj = _adj_lists(n, edges)
@@ -117,5 +126,20 @@ def test_maps_into_matches_reference_on_every_ordered_pair(n, store):
     for (a, ta), (b, tb) in itertools.product(zip(entries, tables), repeat=2):
         expected = reference_maps_into(n, a.structure.crossings, b.structure.crossings)
         assert _maps_into(ta, tb) == expected, (a.structure.hex, b.structure.hex)
+        found.add(expected is None)
+    assert found == {True, False}
+
+
+def test_maps_into_matches_reference_on_k7_dominance_tests(store):
+    # The pairs the maximal view can test: an entry and a maximal entry with more crossings.
+    cat = store.get(7)
+    tables = {id(e): _CrossingTable(e.structure) for e in cat.entries}
+    pairs = [(a, b) for a in cat.entries for b in cat.maximal
+             if len(b.structure.crossings) > len(a.structure.crossings)]
+    assert len(pairs) == 1504
+    found = set()
+    for a, b in pairs:
+        expected = reference_maps_into(7, a.structure.crossings, b.structure.crossings)
+        assert _maps_into(tables[id(a)], tables[id(b)]) == expected, (a.structure.hex, b.structure.hex)
         found.add(expected is None)
     assert found == {True, False}
