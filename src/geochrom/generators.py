@@ -222,12 +222,17 @@ def random_geometric_graph(
         if rng.random() < edge_probability
     ]
     g = GeometricGraph.build(pts, edges)
-    crossings = sorted(crossings_of(g))
-    kept = set(g.edges)
-    while (conflict := _crossing_gap(vertex_count, sorted(kept), crossings, min_crossing_distance)[1]) is not None:
+    crossings = dict.fromkeys(sorted(crossings_of(g)))  # dicts keep the sorted order through deletions
+    on_edge: dict[tuple[int, int], list[Crossing]] = {}
+    for c in crossings:
+        for e in c:
+            on_edge.setdefault(e, []).append(c)
+    kept = dict.fromkeys(sorted(g.edges))
+    while (conflict := _crossing_gap(vertex_count, kept, crossings, min_crossing_distance)[1]) is not None:
         gone = conflict[0].e2
-        kept.discard(gone)
-        crossings = [c for c in crossings if gone not in c]
+        del kept[gone]
+        for c in on_edge[gone]:
+            crossings.pop(c, None)
     if len(kept) < len(g.edges):
         g = GeometricGraph(g.points, frozenset(kept))
     return g

@@ -179,7 +179,7 @@ def crossings_of(G: GeometricGraph) -> frozenset[Crossing]:
 
 
 def _crossing_gap(
-    n: int, edges: Collection[Edge], crossings: list[Crossing], minimum: int | float = math.inf
+    n: int, edges: Collection[Edge], crossings: Iterable[Crossing], minimum: int | float = math.inf
 ) -> tuple[int | float, tuple[Crossing, str] | None]:
     """The least graph distance between two of the crossings, capped at `minimum`, and why.
 
@@ -194,12 +194,12 @@ def _crossing_gap(
     """
     if minimum <= 0:
         return minimum, None
-    owner: dict[int, int] = {}
+    owner: dict[int, tuple[int, Crossing]] = {}  # (position in the given order, crossing)
     for idx, cr in enumerate(crossings):
         for v in cr.vertices:
             if v in owner:
-                return 0, (cr, f"crossings {crossings[owner[v]]} and {cr} share vertex {v}")
-            owner[v] = idx
+                return 0, (cr, f"crossings {owner[v][1]} and {cr} share vertex {v}")
+            owner[v] = (idx, cr)
     if minimum <= 1:
         return minimum, None
     depth = dict.fromkeys(owner, 0)
@@ -221,7 +221,7 @@ def _crossing_gap(
         if u in depth and w in depth and owner[u] != owner[w] and depth[u] + 1 + depth[w] < best:
             best = depth[u] + 1 + depth[w]
             if best == 1:
-                conflict = (crossings[max(owner[u], owner[w])],
+                conflict = (max(owner[u], owner[w])[1],
                             f"edge ({u},{w}) joins two different crossings (distance 1)")
     return best, conflict
 
@@ -241,7 +241,7 @@ def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | fl
 
 def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:
     """Minimum crossing_distance over all unordered pairs of distinct crossings."""
-    return _crossing_gap(G.n, G.edges, list(crossings_of(G)))[0]
+    return _crossing_gap(G.n, G.edges, crossings_of(G))[0]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

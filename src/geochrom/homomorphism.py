@@ -2,7 +2,7 @@
 
 Vertex maps are verified, never trusted: every solver result can be replayed
 through the verifiers here. The searches run on the core in search.py:
-chi (X' is chi of rules A and B) calls its backtracker, find_geometric_hom
+chi and X' (chi of obstruction rows A and B) its chi search, find_geometric_hom
 its geometric-hom search, which the catalog's dominance test shares, and X
 is the least n at which find_geometric_hom succeeds into a cataloged K_n.
 """
@@ -99,13 +99,12 @@ def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStruc
     """First verified geometric homomorphism G -> target, or None.
 
     search._find_hom over the whole target, keeping apart the vertices the
-    obstruction rules force apart. The forced pairs are computed once per
-    graph (non_identifiable_pairs keeps them on G) and the crossing index
-    once per target, so repeated searches share both.
+    obstruction rules force apart. The lists of those vertices are built
+    once per graph (non_identifiable_pairs keeps them on G) and the crossing
+    index once per target, so repeated searches share both.
     """
     n = G.n
-    apart = _adj_lists(n, non_identifiable_pairs(G).forced_pairs - G.edges)  # an edge's rule keeps its ends apart
-    images = _find_hom(_adj_lists(n, G.edges), _crossing_partners(n, G.crossings), apart,
+    images = _find_hom(_adj_lists(n, G.edges), _crossing_partners(n, G.crossings), non_identifiable_pairs(G)._apart,
                        target.crossing_index, [(1 << target.n) - 1] * n)
     if images is None:
         return None
@@ -162,9 +161,8 @@ def pseudo_geochromatic_number(G: GeometricGraph) -> tuple[int, Coloring]:
     """Smallest n admitting a proper coloring with 4 distinct colors per crossing.
 
     The quadruple constraint is exactly six pairwise-distinctness constraints,
-    so X' is chi of obstruction rules A and B, read from the graph's forced-pair memo.
+    so X' is chi of obstruction rules A and B, kept on the graph's forced-pair memo.
     """
-    rules = non_identifiable_pairs(G).rules
-    n, coloring = chromatic_number((G.n, rules["A"] | rules["B"]))
+    n, coloring = non_identifiable_pairs(G)._pseudo
     assert is_pseudo_coloring(G, coloring)
     return n, coloring

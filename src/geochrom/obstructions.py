@@ -11,26 +11,32 @@ homomorphism:
      odd cycle.
 
 Any geometric homomorphism therefore induces a proper coloring of the graph
-on these forced pairs, so its chromatic number lower-bounds X.
+on these forced pairs, so its chromatic number lower-bounds X. Each rule is
+one int row per vertex, bit w of rows[r][v] set when r forces v and w apart;
+B ORs each crossing's four-vertex mask into its four vertices' rows.
 
 C and D rest on one side-of-line fact, so both are exact at any length: an
 edge that crosses e has one endpoint strictly on each side of e's line, so the
 edges crossed by e form a bipartite graph whose sides are the sides of that
 line. Two of its vertices are joined by an odd path exactly when they lie in
-one component on opposite sides (a shortest path between them is simple).
-For D, the edges crossed by a 2-path contain an odd cycle exactly when that
-union is not bipartite, which needs both of its edges crossed.
+one component on opposite sides (a shortest path between them is simple), so
+C ORs each component's side masks into the rows of the other side. For D, the
+edges crossed by a 2-path contain an odd cycle exactly when that union is not
+bipartite, which needs both of its edges crossed.
 
-D reuses the two-colorings that C computes for the two edges. A two-coloring
-of the union restricts, on each component of either bipartite graph, to that
-component's own coloring or its flip, so the union is bipartite exactly when
-the components can be flipped so that every vertex the two graphs share gets
-one color from both. Each shared vertex ties the flip of its component in
-one graph to the flip of its component in the other; the ties can be
-inconsistent only around a cycle, so the union of two bipartite graphs has an
-odd cycle only if they share at least two vertices. A parity union-find over
-the components checks the ties. The pairs are kept as one set per rule; their
-union and the per-pair provenance are built on first read.
+D reads the same component masks. A two-coloring of the union restricts, on
+each component of either graph, to its own coloring or its flip. Components
+of the two graphs that meet on one side must flip alike, on opposite sides
+unalike, and meeting both ways closes an odd cycle: the paths between the two
+meeting vertices, one in each component, differ in parity. So the union is
+bipartite exactly when one graph's components join the other's one by one,
+each merged with the components it meets after flipping them to agree,
+without meeting one both ways: two ANDs when each graph has one component,
+else a parity union-find over the components, not over shared vertices.
+
+The rules, their union and the per-pair provenance are views built on first
+read. X' is chi of rows A and B, and the bound, chi of all rows, is searched
+from X' up, since X' is chi of a subgraph.
 """
 
 from __future__ import annotations
@@ -41,17 +47,33 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-from .graphs import Edge, GeometricGraph, _adj_lists, crossings_of
-from .search import chromatic_number
+from .graphs import Edge, GeometricGraph, crossings_of
+from .search import Coloring, _chromatic
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
 class DistinctnessGraph:
-    """rules maps each letter A-D to the sorted pairs that rule forces apart;
+    """rows maps each letter A-D to one int per vertex, bit w of rows[r][v] set
+    when rule r forces v and w apart; rules (the sorted pairs of each row set),
     forced_pairs (their union) and provenance are built on first read."""
 
     n: int
-    rules: Mapping[str, frozenset[Edge]]
+    rows: Mapping[str, tuple[int, ...]]
+
+    @cached_property
+    def rules(self) -> Mapping[str, frozenset[Edge]]:
+        return MappingProxyType({rule: frozenset((v, w) for v, row in enumerate(rows) for w in _members(row) if v < w)
+                                 for rule, rows in self.rows.items()})
 
     @cached_property
     def forced_pairs(self) -> frozenset[Edge]:
@@ -67,61 +89,52 @@ class DistinctnessGraph:
         return self._chi
 
     @cached_property
+    def _pseudo(self) -> tuple[int, Coloring]:
+        """X' with its coloring: chi of rows A and B, every edge and crossing pair."""
+        return _chromatic([_members(a | b) for a, b in zip(self.rows["A"], self.rows["B"])], 0)
+
+    @cached_property
     def _chi(self) -> int:
-        return chromatic_number((self.n, self.forced_pairs))[0]
+        forced = [_members(a | b | c | d) for a, b, c, d in zip(*map(self.rows.__getitem__, "ABCD"))]
+        return _chromatic(forced, self._pseudo[0])[0]
+
+    @cached_property
+    def _apart(self) -> list[list[int]]:
+        """The vertices kept off each vertex's image besides its neighbours, for find_geometric_hom."""
+        return [_members((b | c | d) & ~a) for a, b, c, d in zip(*map(self.rows.__getitem__, "ABCD"))]
 
 
-def _two_coloring(edges: set[Edge]) -> dict[int, tuple[int, int]]:
-    """(component, side) for each vertex on an edge of a bipartite edge set.
+def _join(comps: list[tuple[int, int]], members: int, ones: int) -> list[tuple[int, int]] | None:
+    """comps with the component (members, side-1 members) joined in, or None for an odd cycle.
 
-    A component is named by the vertex its search started from, which has
-    side 0.
-    """
-    adj: dict[int, list[int]] = {}
+    Each component it meets is flipped to agree with it and merged, unless it
+    meets it both on one side and on opposite sides."""
+    rest = []
+    for m, s in comps:
+        if shared := m & members:
+            apart = shared & (s ^ ones)
+            if apart and apart != shared:
+                return None
+            members, ones = members | m, ones | (s ^ m if apart else s)
+        else:
+            rest.append((m, s))
+    rest.append((members, ones))
+    return rest
+
+
+def _components(edges: list[Edge]) -> list[tuple[int, int]]:
+    """(members, side-1 members) of each component of a bipartite edge set, as bitmasks."""
+    comps: list[tuple[int, int]] = []
     for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    label: dict[int, tuple[int, int]] = {}
-    for start in adj:
-        if start in label:
-            continue
-        label[start] = (start, 0)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            side = label[v][1] ^ 1
-            for w in adj[v]:
-                if w not in label:
-                    label[w] = (start, side)
-                    stack.append(w)
-    return label
+        comps = _join(comps, 1 << u | 1 << v, 1 << v)
+    return comps
 
 
-def _union_has_odd_cycle(c1: dict[int, tuple[int, int]], c2: dict[int, tuple[int, int]]) -> bool:
-    """Whether two bipartite graphs, given by their _two_coloring, have a non-bipartite union.
-
-    Nodes are the components, those of c2 stored as ~id; parent[x] is
-    (parent, parity), where parity 1 means x is flipped against its parent.
-    """
-    shared = c1.keys() & c2.keys()
-    if len(shared) < 2:
-        return False
-    parent: dict[int, tuple[int, int]] = {}
-
-    def find(x: int) -> tuple[int, int]:
-        parity = 0
-        while x in parent:
-            x, p = parent[x]
-            parity ^= p
-        return x, parity
-
-    for v in shared:
-        (a, side1), (b, side2) = c1[v], c2[v]
-        (ra, pa), (rb, pb) = find(a), find(~b)
-        flip = side1 ^ side2 ^ pa ^ pb  # the parity v demands between ra and rb
-        if ra != rb:
-            parent[ra] = (rb, flip)
-        elif flip:
+def _union_has_odd_cycle(c1: list[tuple[int, int]], c2: list[tuple[int, int]]) -> bool:
+    """Whether two bipartite graphs, given by their _components, have a non-bipartite union."""
+    for members, ones in c2:
+        c1 = _join(c1, members, ones)
+        if c1 is None:
             return True
     return False
 
@@ -130,7 +143,7 @@ _MEMO_KEY = "_distinctness"
 
 
 def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
-    """All vertex pairs rules A-D force apart, one set per rule.
+    """All vertex pairs rules A-D force apart, as one row set per rule.
 
     Computed once per graph and kept in the graph's own __dict__, where
     cached_property keeps its crossings, so it lives exactly as long as the
@@ -143,31 +156,37 @@ def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
 
 
 def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
-    forced: dict[str, set[Edge]] = {"B": set(), "C": set(), "D": set()}
-    crossed_by: dict[Edge, set[Edge]] = {}
+    n = G.n
+    a, b, c, d = [0] * n, [0] * n, [0] * n, [0] * n
+    for u, v in G.edges:
+        a[u] |= 1 << v
+        a[v] |= 1 << u
+    crossed_by: dict[Edge, list[Edge]] = {}
     for e1, e2 in crossings_of(G):
-        w, x, y, z = sorted((*e1, *e2))
-        forced["B"].update(((w, x), (w, y), (w, z), (x, y), (x, z), (y, z)))
-        crossed_by.setdefault(e1, set()).add(e2)
-        crossed_by.setdefault(e2, set()).add(e1)
+        (w, x), (y, z) = e1, e2
+        quad = 1 << w | 1 << x | 1 << y | 1 << z
+        for t in (w, x, y, z):
+            b[t] |= quad ^ 1 << t
+        crossed_by.setdefault(e1, []).append(e2)
+        crossed_by.setdefault(e2, []).append(e1)
 
-    colorings: dict[Edge, dict[int, tuple[int, int]]] = {}
-    for e, crossed in crossed_by.items():
-        label = colorings[e] = _two_coloring(crossed)  # bipartite by the side-of-line fact
-        sides: dict[int, tuple[list[int], list[int]]] = {}
-        for v, (component, side) in label.items():
-            sides.setdefault(component, ([], []))[side].append(v)
-        for zeros, ones in sides.values():
-            forced["C"].update((u, v) if u < v else (v, u) for u in zeros for v in ones)
+    at: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(n)]  # (other end, components)
+    for (u, v), crossed in crossed_by.items():
+        comps = _components(crossed)  # bipartite by the side-of-line fact
+        at[u].append((v, comps))
+        at[v].append((u, comps))
+        for members, ones in comps:
+            zeros = members ^ ones
+            for x in _members(members):
+                c[x] |= zeros if ones >> x & 1 else ones
 
-    adj = _adj_lists(G.n, G.edges)
-    for w in range(G.n):
-        crossed_at = [(u, colorings[e]) for u in sorted(adj[w]) if (e := (min(u, w), max(u, w))) in colorings]
+    for crossed_at in at:
         for (u, c1), (v, c2) in combinations(crossed_at, 2):
             if _union_has_odd_cycle(c1, c2):
-                forced["D"].add((u, v))
+                d[u] |= 1 << v
+                d[v] |= 1 << u
 
-    return DistinctnessGraph(G.n, MappingProxyType({"A": G.edges} | {r: frozenset(ps) for r, ps in forced.items()}))
+    return DistinctnessGraph(n, MappingProxyType({"A": tuple(a), "B": tuple(b), "C": tuple(c), "D": tuple(d)}))
 
 
 def geochromatic_lower_bound(G: GeometricGraph) -> int:

@@ -18,10 +18,11 @@ the surviving branches in the same order and finds the same first map as
 one that checks each value after writing it. The module sits below
 catalog, obstructions and homomorphism. The callers and their rules:
 
-  chromatic_number        DSATUR order (saturation is k minus the mask's
+  _chromatic              DSATUR order (saturation is k minus the mask's
                           popcount), a greedy clique mapped first, edge ends
-                          differ, first-fresh-color symmetry breaking (X' is
-                          chi of rules A and B, every edge and crossing pair)
+                          differ, first-fresh-color symmetry breaking, counts
+                          from a floor up: 0 for chi and X' (obstruction rows
+                          A and B), X' for the lower bound (all four rows)
   _find_hom               fewest starting images, then decreasing crossing
                           degree; a neighbour narrows to the target
                           neighbours of t, a forced-apart vertex to
@@ -173,7 +174,7 @@ def _find_hom(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tu
 # --- exact chromatic number -------------------------------------------------
 
 
-def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
+def _greedy_clique(adj: Sequence[Collection[int]]) -> list[int]:
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     clique: list[int] = []
@@ -185,7 +186,7 @@ def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
     return clique
 
 
-def _dsatur_greedy(adj: Sequence[set[int]]) -> list[int]:
+def _dsatur_greedy(adj: Sequence[Collection[int]]) -> list[int]:
     """DSATUR (Brelaz, Comm. ACM 22, 1979): colors 1.. in order of saturation, then degree, then id.
 
     seen[v] has bit c set once a neighbour of v holds color c. An uncolored
@@ -216,9 +217,14 @@ def _dsatur_greedy(adj: Sequence[set[int]]) -> list[int]:
 def chromatic_number(G) -> tuple[int, Coloring]:
     """Exact chi with a proper witness coloring using exactly chi colors."""
     n, edges = _as_abstract(G)
+    return _chromatic(_adj_lists(n, edges), 0)
+
+
+def _chromatic(adj: Sequence[Collection[int]], floor: int) -> tuple[int, Coloring]:
+    """chi and its coloring for neighbours adj; floor, a lower bound, skips counts that would fail."""
+    n = len(adj)
     if n == 0:
         return 0, Coloring((), 0)
-    adj = _adj_lists(n, edges)
     clique = _greedy_clique(adj)
     greedy = _dsatur_greedy(adj)
     ub = max(greedy)
@@ -231,7 +237,7 @@ def chromatic_number(G) -> tuple[int, Coloring]:
         return min((v for v in range(n) if images[v] < 0),
                    key=lambda v: (domains[v].bit_count(), -len(adj[v]), v))
 
-    for k in range(len(clique), ub):
+    for k in range(max(len(clique), floor), ub):
         full = (1 << k) - 1
         differ = [full ^ 1 << t for t in range(k)]
         links = [[(differ, adj[v])] for v in range(n)]

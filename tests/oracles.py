@@ -12,8 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 from geochrom.errors import CollapsedCrossingPair, LiftInternalError
 
@@ -315,7 +317,7 @@ def odd_cycle_pairs(n: int, edges, crossings) -> set:
     return found
 
 
-def _two_sides(n, pairs):
+def two_sides(n, pairs):
     """(component, side) for each vertex on one of the pairs of a bipartite
     graph, by BFS from the least unlabelled vertex."""
     nbrs = _neighbours(n, pairs)
@@ -357,13 +359,81 @@ def reference_distinctness(n, edges, crossings) -> dict:
         crossed.setdefault(e1, set()).add(e2)
         crossed.setdefault(e2, set()).add(e1)
     for pairs in crossed.values():
-        label = _two_sides(n, pairs)
+        label = two_sides(n, pairs)
         for u, v in itertools.combinations(sorted(label), 2):
             if label[u][0] == label[v][0] and label[u][1] != label[v][1]:
                 add((u, v), "C")
     for pair in odd_cycle_pairs(n, edges, crossings):
         add(pair, "D")
     return {pair: frozenset(ts) for pair, ts in tags.items()}
+
+
+def reference_union_has_odd_cycle(c1, c2) -> bool:
+    """Whether two bipartite graphs, given by their two_sides labels, have a non-bipartite union.
+
+    The package's former rule D test, tied per shared vertex: each vertex
+    both graphs hold ties the flip of its component in one to the flip of its
+    component in the other, checked by a parity union-find whose nodes are
+    the components (those of c2 stored as ~id); parent[x] is (parent,
+    parity), parity 1 meaning x is flipped against its parent.
+    """
+    shared = c1.keys() & c2.keys()
+    if len(shared) < 2:
+        return False
+    parent = {}
+
+    def find(x):
+        parity = 0
+        while x in parent:
+            x, p = parent[x]
+            parity ^= p
+        return x, parity
+
+    for v in shared:
+        (a, side1), (b, side2) = c1[v], c2[v]
+        (ra, pa), (rb, pb) = find(a), find(~b)
+        flip = side1 ^ side2 ^ pa ^ pb  # the parity v demands between ra and rb
+        if ra != rb:
+            parent[ra] = (rb, flip)
+        elif flip:
+            return True
+    return False
+
+
+class _EdgePair(NamedTuple):
+    """A crossing as a pair of sorted edges, lesser first."""
+
+    e1: tuple
+    e2: tuple
+
+    @property
+    def vertices(self):
+        return {*self.e1, *self.e2}
+
+
+def reference_random_geometric_graph(vertex_count, edge_probability, min_crossing_distance, seed):
+    """(points, kept edges) of the seeded drawing, by the generator's former deletion loop.
+
+    Draws as random_geometric_graph does: integer points in general
+    position, then one coin per vertex pair. While reference_crossings_too_close
+    names a conflict, it deletes the second edge of that crossing and rescans
+    the whole crossing list for the crossings that edge was on.
+    """
+    rng = random.Random(seed)
+    span = 10**6
+    points = []
+    while len(points) < vertex_count:
+        cand = (rng.randint(-span, span), rng.randint(-span, span))
+        if general_position(points + [cand]):
+            points.append(cand)
+    edges = [(u, v) for u, v in itertools.combinations(range(vertex_count), 2) if rng.random() < edge_probability]
+    crossings = sorted(_EdgePair(*c) for c in crossing_pairs_raw(points, edges))
+    kept = set(edges)
+    while (conflict := reference_crossings_too_close(sorted(kept), crossings, min_crossing_distance)) is not None:
+        gone = conflict[0].e2
+        kept.discard(gone)
+        crossings = [c for c in crossings if gone not in c]
+    return points, sorted(kept)
 
 
 # --- reference searches -------------------------------------------------------

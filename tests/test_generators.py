@@ -17,7 +17,7 @@ from geochrom import (
     separation_family,
     star_crossing,
 )
-from oracles import crossing_pairs_raw
+from oracles import crossing_pairs_raw, reference_random_geometric_graph
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -138,3 +138,15 @@ def test_random_graph_meets_rare_distance_constraints(args):
     # only edges were deleted: the points and a subset of the edges of the free draw
     free = random_geometric_graph(v, p, seed=seed)
     assert g.points == free.points and g.edges <= free.edges
+
+
+def test_random_graph_matches_the_rescanning_reference():
+    # Deleting through a per-edge index of the crossings keeps the draw of the former full rescan.
+    thinned = 0
+    for i, (v, p, k) in enumerate((v, p, k) for v in (8, 16, 26, 40) for p in (0.2, 0.35, 0.5) for k in (0, 1, 2)):
+        g = random_geometric_graph(v, p, min_crossing_distance=k, seed=300 + i)
+        points, edges = reference_random_geometric_graph(v, p, k, 300 + i)
+        assert [(q.x, q.y) for q in g.points] == points, (v, p, k)
+        assert sorted(g.edges) == edges, (v, p, k)
+        thinned += len(edges) < len(random_geometric_graph(v, p, seed=300 + i).edges)
+    assert thinned > 15

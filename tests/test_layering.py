@@ -127,6 +127,7 @@ def _namers(name: str) -> set[str]:
 
 
 def test_search_core_has_its_named_callers():
-    # One backtracker, and one geometric-hom search on it that X and the catalog's dominance view share.
-    assert _namers("_backtrack") == {"search.chromatic_number", "search._find_hom", "lifts.find_noncollapsing_hom"}
+    # One backtracker, and one geometric-hom search on it that X and the catalog's dominance view share;
+    # the chi search is search._chromatic, behind chromatic_number, X' and the lower bound.
+    assert _namers("_backtrack") == {"search._chromatic", "search._find_hom", "lifts.find_noncollapsing_hom"}
     assert _namers("_find_hom") == {"homomorphism.find_geometric_hom", "catalog._maps_into"}

@@ -14,10 +14,22 @@ from geochrom import (
     pseudo_geochromatic_number,
     random_geometric_graph,
 )
-from oracles import crossing_pairs_raw, odd_cycle_pairs, odd_path_pairs, reference_distinctness
-from test_search import DRAWINGS
+from geochrom import search
+from geochrom.graphs import _adj_lists
+from geochrom.obstructions import _components, _union_has_odd_cycle
+from geochrom.search import _greedy_clique
+from oracles import (
+    crossing_pairs_raw,
+    odd_cycle_pairs,
+    odd_path_pairs,
+    reference_distinctness,
+    reference_union_has_odd_cycle,
+    two_sides,
+)
+from test_search import DRAWINGS, chromatic_reference
 
 SEEDED = [random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed) for seed in range(40)]
+DENSE = [random_geometric_graph(14 + seed % 3, 0.4 + 0.05 * (seed % 3), seed=5000 + seed) for seed in range(200)]
 
 
 def accordion() -> GeometricGraph:
@@ -99,6 +111,58 @@ def test_rule_d_matches_odd_cycle_oracle():
         assert tagged == odd_cycle_pairs(g.n, g.edges, crossings_of_raw(g)), seed
         fired += bool(tagged)
     assert fired > 10
+
+
+def side_of_lowest(members, ones):
+    """A component's members and the side holding its lowest member: the same for either flip."""
+    return members, ones if ones & members & -members else members ^ ones
+
+
+def test_rule_d_component_masks_match_the_shared_vertex_test():
+    # Every pair of crossed edges at a vertex, by component masks and by the former per-vertex ties.
+    found = {True: 0, False: 0}  # odd unions, by whether each graph had one component
+    for g in SEEDED + DENSE:
+        crossed = {}
+        for e1, e2 in crossings_of_raw(g):
+            crossed.setdefault(e1, []).append(e2)
+            crossed.setdefault(e2, []).append(e1)
+        comps = {e: _components(pairs) for e, pairs in crossed.items()}
+        labels = {e: two_sides(g.n, pairs) for e, pairs in crossed.items()}
+        for e, label in labels.items():  # the masks are the reference components, split by side
+            ref = {}
+            for v, (component, side) in label.items():
+                m, s = ref.get(component, (0, 0))
+                ref[component] = (m | 1 << v, s | side << v)
+            assert {side_of_lowest(m, s) for m, s in comps[e]} == {side_of_lowest(m, s) for m, s in ref.values()}
+        for e1, e2 in itertools.combinations(crossed, 2):
+            if set(e1) & set(e2):
+                odd = _union_has_odd_cycle(comps[e1], comps[e2])
+                assert odd == reference_union_has_odd_cycle(labels[e1], labels[e2]), (e1, e2)
+                found[len(comps[e1]) == 1 == len(comps[e2])] += odd
+    assert found[True] > 50 and found[False] > 50
+
+
+def test_lower_bound_is_searched_from_x_prime(monkeypatch):
+    # X' is chi of a subgraph of the forced pairs, so the bound's search may start there.
+    tried, counts, starts_above_clique = 0, [], 0
+    search_core = search._backtrack
+
+    def counting(images, domains, *rest, **options):
+        counts.append(max(domains).bit_length())  # k: every vertex off the clique starts on all k colors
+        return search_core(images, domains, *rest, **options)
+
+    monkeypatch.setattr(search, "_backtrack", counting)
+    for g in DRAWINGS + SEEDED:
+        dg = non_identifiable_pairs(GeometricGraph(g.points, g.edges))  # no search memo from another test
+        px, pseudo = dg._pseudo
+        assert (px, pseudo.colors) == chromatic_reference(g.n, dg.rules["A"] | dg.rules["B"])
+        counts.clear()
+        bound = dg.lower_bound()
+        assert bound == chromatic_reference(g.n, dg.forced_pairs)[0]
+        assert all(k >= px for k in counts), counts
+        tried += len(counts)
+        starts_above_clique += len(_greedy_clique(_adj_lists(g.n, dg.forced_pairs))) < px
+    assert tried > 0 and starts_above_clique > 0
 
 
 def test_rule_sets_match_the_tag_per_pair_reference():
