@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd
@@ -373,8 +375,9 @@ class CatalogStore:
     """Load-or-build access to clique catalogs, one JSON file per size.
 
     Files are named k<n>.catalog.json inside `directory`. Built catalogs are
-    persisted there when a directory is configured. Sizes 1 and 2 are the
-    trivial single structures and never touch disk.
+    persisted there when a directory is configured, each through a temporary
+    file that replaces it whole. Sizes 0, 1 and 2 are the trivial single
+    structures and never touch disk.
     """
 
     def __init__(self, directory: str | Path | None = None, build_missing: bool = True):
@@ -388,7 +391,7 @@ class CatalogStore:
         return self.directory / f"k{n}.catalog.json"
 
     def get(self, n: int) -> CliqueCatalog:
-        if n < 1:
+        if n < 0:
             raise ValueError(f"no cliques of size {n}")
         if n in self._cache:
             return self._cache[n]
@@ -421,6 +424,13 @@ class CatalogStore:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(catalog_to_json_dict(cat), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # Written whole or not at all: an interrupted dump leaves no truncated file for the next load.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(catalog_to_json_dict(cat), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -24,7 +24,6 @@ property of the input, and raises loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .catalog import convex_clique
 from .errors import (
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .graphs import (
     Crossing,
-    CrossingIndex,
     GeometricGraph,
     _adj_lists,
     _crossing_gap,
@@ -45,7 +43,7 @@ from .graphs import (
     crossings_of,
 )
 from .homomorphism import VertexMap, is_geometric_hom, is_proper
-from .search import Coloring, _backtrack
+from .search import Coloring, _noncollapsing
 
 Mod = tuple[int, int]  # (vertex id, hull label)
 
@@ -221,23 +219,7 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
     breaking never opens more colors than vertices, so the search runs over
     min(n, G.n) of them. Below 3 colors, every edge lies on one color pair.
     """
-    if n < 1 or n < 3 and G.crossings:
+    if n < 0 or n < 3 and G.crossings:
         return None
-    k = min(n, G.n)
-    full = (1 << k) - 1
-    differ = [full ^ 1 << t for t in range(k)]
-    # The rule in a CrossingIndex's shape: the neighbours of K_k, no narrowing by ends, and
-    # completions[s][t][u] without the value that would put both edges on {s, t}.
-    completions = [[[full] * k for _ in range(k)] for _ in range(k)]
-    for s, t in permutations(range(k), 2):
-        completions[s][t][s] = full ^ 1 << t
-        completions[s][t][t] = full ^ 1 << s
-    rule = CrossingIndex(differ, [[full] * k] * k, completions)
-    adj = _adj_lists(G.n, G.edges)
-    crossings_at = _crossing_partners(G.n, G.crossings)
-    order = sorted(range(G.n), key=lambda v: (-(len(adj[v]) + len(crossings_at[v])), v))
-    images = [-1] * G.n
-    if _backtrack(images, [full] * G.n, order.__getitem__, [[(differ, adj[v])] for v in range(G.n)],
-                  crossings_at, rule, symmetric=True):
-        return Coloring(tuple(c + 1 for c in images), n)
-    return None
+    images = _noncollapsing(_adj_lists(G.n, G.edges), _crossing_partners(G.n, G.crossings), min(n, G.n))
+    return None if images is None else Coloring(tuple(c + 1 for c in images), n)

@@ -5,9 +5,10 @@ caller picks, trying each vertex's values in ascending order. Every unmapped
 vertex keeps an int bitmask of the values it may still take (forward
 checking; Haralick and Elliott, "Increasing tree search efficiency for
 constraint satisfaction problems", Artificial Intelligence 14, 1980).
-Mapping v to t narrows:
+Mapping v to t narrows, by the target's CrossingIndex:
 
-  - each vertex the caller links to v, to the row its rule gives for t;
+  - each neighbour of v to the target neighbours of t, and each vertex kept
+    apart from v to every value but t;
   - on a crossing vp x cd, once v and p are both mapped, c and d to the ends
     of the target edges that cross the image of vp, and once three of the
     four ends are mapped, the fourth to its exact completions.
@@ -16,30 +17,29 @@ A mask that empties backtracks at once. Narrowing removes only values that
 no completion of the current partial map can take, so the search visits
 the surviving branches in the same order and finds the same first map as
 one that checks each value after writing it. The module sits below
-catalog, obstructions and homomorphism. The callers and their rules:
+catalog, obstructions and homomorphism. The callers, their targets and
+what each adds:
 
-  _chromatic              DSATUR order (saturation is k minus the mask's
-                          popcount), a greedy clique mapped first, edge ends
-                          differ, first-fresh-color symmetry breaking, counts
-                          from a floor up: 0 for chi and X' (obstruction rows
-                          A and B), X' for the lower bound (all four rows)
-  _find_hom               fewest starting images, then decreasing crossing
-                          degree; a neighbour narrows to the target
-                          neighbours of t, a forced-apart vertex to
-                          everything but t, crossings by the target's
-                          CrossingIndex; find_geometric_hom starts on the
-                          whole target with the pairs of rules A-D apart,
-                          catalog._maps_into (the dominance test between two
-                          K_n) on candidate images with none apart
-  find_noncollapsing_hom  degree plus crossing degree; a neighbour narrows to
-                          everything but t, and the fourth end of a crossing
-                          to any value that does not put both edges on one
-                          color pair; symmetry breaking
+  _chromatic      K_k with no crossings; DSATUR order (saturation is k minus
+                  the mask's popcount), a greedy clique mapped first,
+                  first-fresh-color symmetry breaking, counts from a floor
+                  up: 0 for chi and X' (obstruction rows A and B), X' for
+                  the lower bound (all four rows)
+  _find_hom       a drawing or structure; fewest starting images, then
+                  decreasing crossing degree; find_geometric_hom starts on
+                  the whole target with the pairs of rules A-D apart,
+                  catalog._maps_into (the dominance test between two K_n) on
+                  candidate images with none apart
+  _noncollapsing  K_k with every disjoint edge pair crossing, so the ends
+                  narrow nothing and a completion bars only the value that
+                  puts both edges on one color pair; degree plus crossing
+                  degree, symmetry breaking
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Collection, Sequence
 
 from .graphs import CrossingIndex, CrossingStructure, Edge, GeometricGraph, _adj_lists
@@ -74,29 +74,23 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
     return n, frozenset(pairs)
 
 
-# links[v]: pairs (rows, ws); once v maps to t, each w in ws narrows to rows[t].
-Links = Sequence[Sequence[tuple[Sequence[int], Sequence[int]]]]
-
-
-def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], links: Links,
-               crossings_at: Sequence[Sequence[tuple[int, int, int]]], rule: CrossingIndex | None,
-               symmetric: bool) -> bool:
+def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], adj: Sequence[Collection[int]],
+               apart: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
+               target: CrossingIndex, symmetric: bool) -> bool:
     """Fill images, all -1 on entry, with values from domains[v], narrowing as the module says.
 
     pick(depth) names the vertex to map at that depth of the search, and may
     read images and domains, which hold the current state. With `symmetric`
     the values are interchangeable, so a vertex tries at most one value that
-    no vertex holds yet. `rule` supplies the crossing narrowing for the
-    triples of crossings_at (None when there are no crossings to keep).
-    Returns True with images filled, or False with images and domains as
-    given.
+    no vertex holds yet. Returns True with images filled, or False with
+    images and domains as given.
     """
     todo = len(images)
-    ends, completions = (rule.ends, rule.completions) if rule is not None else ((), ())
+    neighbours, ends, completions = target
+    full = (1 << len(neighbours)) - 1
 
     def narrow(v: int, t: int) -> bool:
-        for rows, ws in links[v]:
-            row = rows[t]
+        for row, ws in ((neighbours[t], adj[v]), (full ^ 1 << t, apart[v])):
             for w in ws:
                 if images[w] < 0:
                     m = domains[w] & row
@@ -160,13 +154,26 @@ def _find_hom(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tu
     vertices kept off v's image, and domains[v] the images v starts from.
     """
     n = len(adj)
-    full = (1 << len(target.neighbours)) - 1
-    other_than = [full ^ 1 << t for t in range(len(target.neighbours))]
-    links = [[(target.neighbours, adj[v]), (other_than, apart[v])] if apart[v] else [(target.neighbours, adj[v])]
-             for v in range(n)]
     order = sorted(range(n), key=lambda v: (domains[v].bit_count(), -len(crossings_at[v]), v))
     images = [-1] * n
-    if _backtrack(images, domains, order.__getitem__, links, crossings_at, target, symmetric=False):
+    if _backtrack(images, domains, order.__getitem__, adj, apart, crossings_at, target, symmetric=False):
+        return images
+    return None
+
+
+def _noncollapsing(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
+                   k: int) -> list[int] | None:
+    """The first proper k-coloring, up to color permutation, with no crossing's edges on one color pair, or None."""
+    n = len(adj)
+    full = (1 << k) - 1
+    completions = [[[full] * k for _ in range(k)] for _ in range(k)]
+    for s, t in permutations(range(k), 2):
+        completions[s][t][s] = full ^ 1 << t
+        completions[s][t][t] = full ^ 1 << s
+    target = CrossingIndex([full ^ 1 << t for t in range(k)], [[full] * k] * k, completions)
+    order = sorted(range(n), key=lambda v: (-(len(adj[v]) + len(crossings_at[v])), v))
+    images = [-1] * n
+    if _backtrack(images, [full] * n, order.__getitem__, adj, [()] * n, crossings_at, target, symmetric=True):
         return images
     return None
 
@@ -223,11 +230,9 @@ def chromatic_number(G) -> tuple[int, Coloring]:
 def _chromatic(adj: Sequence[Collection[int]], floor: int) -> tuple[int, Coloring]:
     """chi and its coloring for neighbours adj; floor, a lower bound, skips counts that would fail."""
     n = len(adj)
-    if n == 0:
-        return 0, Coloring((), 0)
     clique = _greedy_clique(adj)
     greedy = _dsatur_greedy(adj)
-    ub = max(greedy)
+    ub = max(greedy, default=0)
     images = [-1] * n
     domains = [0] * n
 
@@ -237,13 +242,13 @@ def _chromatic(adj: Sequence[Collection[int]], floor: int) -> tuple[int, Colorin
         return min((v for v in range(n) if images[v] < 0),
                    key=lambda v: (domains[v].bit_count(), -len(adj[v]), v))
 
+    none = [()] * n  # no vertices apart, no crossings
     for k in range(max(len(clique), floor), ub):
         full = (1 << k) - 1
-        differ = [full ^ 1 << t for t in range(k)]
-        links = [[(differ, adj[v])] for v in range(n)]
         domains[:] = [full] * n
         for i, v in enumerate(clique):
             domains[v] = 1 << i
-        if _backtrack(images, domains, pick, links, [()] * n, None, symmetric=True):
+        clique_k = CrossingIndex([full ^ 1 << t for t in range(k)], [], [])
+        if _backtrack(images, domains, pick, adj, none, none, clique_k, symmetric=True):
             return k, Coloring(tuple(c + 1 for c in images), k)
     return ub, Coloring(tuple(greedy), ub)

@@ -356,15 +356,16 @@ def test_enumeration_and_loader_check_one_structure_count_table(store, monkeypat
 
 def test_store_trivial_sizes_and_missing(tmp_path):
     store = CatalogStore(tmp_path)
-    assert len(store.get(1).entries) == 1
-    assert len(store.get(2).entries) == 1
+    assert [len(store.get(n).entries) for n in (0, 1, 2)] == [1, 1, 1]
     assert list(tmp_path.iterdir()) == []
-    for n, form in ((1, "000100000000"), (2, "0002000100010000")):
+    for n, form in ((0, "000000000000"), (1, "000100000000"), (2, "0002000100010000")):
         entries = CatalogStore(None).get(n).entries
         assert [e.structure.hex for e in entries] == [form]
         assert crossing_structure(entries[0].witness).hex == form
     with pytest.raises(CatalogMissing):
         store.get(8)
+    with pytest.raises(ValueError, match="no cliques of size -1"):
+        store.get(-1)
     frozen = CatalogStore(tmp_path / "empty", build_missing=False)
     with pytest.raises(CatalogMissing):
         frozen.get(4)
@@ -377,6 +378,22 @@ def test_store_persists_and_reloads(tmp_path):
     fresh = CatalogStore(tmp_path, build_missing=False)
     loaded = fresh.get(4)
     assert loaded.canonical_forms() == built.canonical_forms()
+
+
+def test_interrupted_persist_leaves_no_file_and_the_next_get_rebuilds(tmp_path, monkeypatch):
+    # A dump cut off half-way once left a truncated file that every later load refused.
+    def cut_off(doc, fh, **options):
+        fh.write('{"entries": [')
+        raise OSError("no space left")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog.json, "dump", cut_off)
+        with pytest.raises(OSError, match="no space left"):
+            CatalogStore(tmp_path).get(4)
+    assert list(tmp_path.iterdir()) == []
+    built = CatalogStore(tmp_path).get(4)
+    assert [p.name for p in tmp_path.iterdir()] == ["k4.catalog.json"]
+    assert CatalogStore(tmp_path, build_missing=False).get(4).canonical_forms() == built.canonical_forms()
 
 
 def test_figure1_structures_present_in_k6_catalog(store):

@@ -235,8 +235,11 @@ def test_lift_indep2n_on_a_long_chain_of_independent_crossings(capsys, tmp_path)
 def test_k0_is_the_empty_drawing_for_gen_and_lift(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"vertices": [], "edges": []}')
-    code, out, _ = run(capsys, "lift", "--method", "indep3n", str(path))
-    assert (code, out) == (0, '{"method":"indep3n","target_size":0,"map":[],"cases":[]}\n')
+    for method in ("indep3n", "indep2n"):  # 3 * chi and 2 * chi colors, chi = 0
+        code, out, _ = run(capsys, "lift", "--method", method, str(path))
+        assert (code, out) == (0, f'{{"method":"{method}","target_size":0,"map":[],"cases":[]}}\n')
+    code, out, _ = run(capsys, "x", str(path))
+    assert (code, json.loads(out)) == (0, {"x": 0, "target": {"n": 0, "canonical": "000000000000"}, "map": []})
     code, out, _ = run(capsys, "gen", "convex", "--n", "0")
     assert (code, out) == (0, '{"vertices":[],"edges":[]}\n')
     code, _, err = run(capsys, "gen", "convex", "--n", "-1")

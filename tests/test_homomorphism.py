@@ -183,6 +183,13 @@ def test_geochromatic_number_small_cases(store):
     assert geochromatic_number(convex_clique(4), store).n == 4
 
 
+def test_geochromatic_number_of_the_empty_drawing_is_zero(store):
+    # The empty map into K_0 is a geometric hom; chi, X' and the bound read 0 as well.
+    res = geochromatic_number(edgeless(0), store)
+    assert (res.n, res.target.hex, res.witness) == (0, "000000000000", VertexMap((), 0))
+    assert is_geometric_hom(edgeless(0), res.target, res.witness)
+
+
 def test_geochromatic_number_figure6(store):
     res = geochromatic_number(figure_graphs("figure6"), store, max_n=7)
     assert res is not None and res.n == 6

@@ -129,5 +129,10 @@ def _namers(name: str) -> set[str]:
 def test_search_core_has_its_named_callers():
     # One backtracker, and one geometric-hom search on it that X and the catalog's dominance view share;
     # the chi search is search._chromatic, behind chromatic_number, X' and the lower bound.
-    assert _namers("_backtrack") == {"search._chromatic", "search._find_hom", "lifts.find_noncollapsing_hom"}
+    assert _namers("_backtrack") == {"search._chromatic", "search._find_hom", "search._noncollapsing"}
     assert _namers("_find_hom") == {"homomorphism.find_geometric_hom", "catalog._maps_into"}
+
+
+def test_only_graphs_and_search_name_the_crossing_index():
+    # Every search maps into a CrossingIndex that graphs builds and search narrows by; no caller builds its rules.
+    assert {namer.split(".")[0] for namer in _namers("CrossingIndex")} == {"graphs", "search"}

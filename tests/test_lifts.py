@@ -257,9 +257,18 @@ def test_find_noncollapsing_hom_refutes_two_colors_without_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched")
 
-    monkeypatch.setattr(lifts, "_backtrack", no_search)
+    monkeypatch.setattr(lifts, "_noncollapsing", no_search)
     assert find_noncollapsing_hom(g, 2) is None
     assert find_noncollapsing_hom(g, 1) is None
+
+
+def test_find_noncollapsing_hom_with_no_colors():
+    # The empty coloring of K_0 is the witness the 2n lift turns into a map into K_0.
+    assert find_noncollapsing_hom(convex_clique(0), 0) == Coloring((), 0)
+    assert find_noncollapsing_hom(convex_clique(1), 0) is None
+    assert find_noncollapsing_hom(convex_clique(0), -1) is None
+    report = lift_independent_noncollapsing(convex_clique(0), Coloring((), 0))
+    assert (report.target_size, report.beta.images) == (0, ())
 
 
 def test_find_noncollapsing_hom_trivial_bipartite():

@@ -12,8 +12,10 @@ import itertools
 import pytest
 
 from geochrom import (
+    Coloring,
     VertexMap,
     chromatic_number,
+    convex_clique,
     crossings_of,
     find_geometric_hom,
     find_noncollapsing_hom,
@@ -58,6 +60,11 @@ def test_chromatic_number_matches_reference():
     for n, edges, name in colored_graphs():
         k, coloring = chromatic_number((n, edges))
         assert (k, coloring.colors) == chromatic_reference(n, edges), name
+
+
+def test_chromatic_number_of_the_empty_graph_is_zero():
+    assert chromatic_number((0, [])) == (0, Coloring((), 0))
+    assert chromatic_number(convex_clique(0)) == (0, Coloring((), 0))
 
 
 def test_reversed_pairs_read_as_sorted_pairs():
