@@ -4,7 +4,8 @@ Verbs: chi, x, px, lift, verify, bound, gen, catalog, render. Primary output
 is one JSON document on stdout (or written to -o); every reported number
 comes with its witness so `verify` can replay it. Exit codes: 0 success,
 1 a computation reported a negative (verify false, x unresolved, a lift
-hypothesis failed), 2 invalid input. Errors print one-line JSON on stderr.
+hypothesis failed), 2 invalid input or a file that cannot be read or written.
+Errors print one-line JSON on stderr.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except NEGATIVE_ERRORS as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 1
-    except (GeochromError, ValueError) as exc:
+    except (GeochromError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 2
 

@@ -27,17 +27,6 @@ from .graphs import (
 )
 from .homomorphism import Coloring, VertexMap, is_geometric_hom, is_pseudo_coloring
 
-FIGURE_TAGS = (
-    "figure1_left",
-    "figure1_right",
-    "figure2_left",
-    "figure2_right",
-    "figure3_left",
-    "figure3_right",
-    "figure6",
-)
-
-
 def _check(cond: bool, what: str) -> None:
     if not cond:
         raise RuntimeError(f"figure transcription broken: {what}")
@@ -136,6 +125,7 @@ _FIGURES: dict[str, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {
         [(0, 1), (1, 2), (0, 2), (3, 5), (4, 5)],
     ),
 }
+FIGURE_TAGS = tuple(_FIGURES)
 
 
 def figure6_coloring() -> Coloring:

@@ -37,26 +37,37 @@ def _norm_edge(e: Iterable[int]) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _edge_set(n: int, edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
+    """The edges as sorted pairs: the one rule for n vertices and an edge set on them.
+
+    n must be a non-negative int and each edge must join two distinct ids of
+    0..n-1; anything else raises ValueError naming the count or the edge.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a non-negative int, got {n!r}")
+    pairs = set()
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) must join two distinct ids of 0..{n - 1}")
+        pairs.add((u, v) if u < v else (v, u))
+    return frozenset(pairs)
+
+
 @dataclass(frozen=True)
 class GeometricGraph:
+    """Any iterable of edges is accepted and stored as a frozenset of sorted pairs."""
+
     points: tuple[Point, ...]
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        n = len(self.points)
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e} references a missing vertex id")
-            if u >= v:
-                raise ValueError(f"edge {e} is not a sorted pair of distinct ids")
+        object.__setattr__(self, "edges", _edge_set(len(self.points), self.edges))
         if not is_general_position(self.points):
             raise ValueError("vertex positions are not in general position")
 
     @classmethod
     def build(cls, points: Iterable[Point | tuple[int, int]], edges: Iterable[Iterable[int]]) -> "GeometricGraph":
-        pts = tuple(p if isinstance(p, Point) else Point(*p) for p in points)
-        return cls(pts, frozenset(_norm_edge(e) for e in edges))
+        return cls(tuple(p if isinstance(p, Point) else Point(*p) for p in points), edges)
 
     @property
     def n(self) -> int:
@@ -260,14 +271,8 @@ class CrossingStructure:
     _canonical: bytes | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        n = self.n
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"n must be a non-negative int, got {n!r}")
-        adj = frozenset(_norm_edge(e) for e in self.adjacency)
+        adj = _edge_set(self.n, self.adjacency)
         crs = frozenset(Crossing.make(*pair) for pair in self.crossings)
-        for u, v in adj:
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         for e1, e2 in crs:
             if e1 not in adj or e2 not in adj:
                 raise ValueError(f"crossing {e1}x{e2} uses a non-edge")
@@ -306,6 +311,16 @@ class CrossingStructure:
 
 def crossing_structure(G: GeometricGraph) -> CrossingStructure:
     return CrossingStructure(G.n, G.edges, crossings_of(G))
+
+
+def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
+    """n and the edge set of a drawing, a structure or an abstract graph given as (n, edges)."""
+    if isinstance(g, GeometricGraph):
+        return g.n, g.edges
+    if isinstance(g, CrossingStructure):
+        return g.n, g.adjacency
+    n, edges = g
+    return n, _edge_set(n, edges)
 
 
 # --- canonicalization -------------------------------------------------------
@@ -496,30 +511,30 @@ def graph_from_json_dict(doc: Mapping) -> GeometricGraph:
             vid, x, y = item["id"], item["x"], item["y"]
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"vertex entry {item!r} lacks id/x/y") from exc
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in (vid, x, y)):
-            raise GraphFormatError(f"vertex entry {item!r} must be all-integer")
+        if not isinstance(vid, int) or isinstance(vid, bool):
+            raise GraphFormatError(f"vertex entry {item!r} must have an integer id")
         if vid in seen:
             raise GraphFormatError(f"duplicate vertex id {vid}")
         try:
             seen[vid] = Point(x, y)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"vertex {vid}: {exc}") from exc
     n = len(seen)
     if set(seen) != set(range(n)):
         raise GraphFormatError("vertex ids must be exactly 0..n-1")
-    edges = []
-    if not isinstance(doc["edges"], list):
+    edges = doc["edges"]
+    if not isinstance(edges, list):
         raise GraphFormatError("'edges' must be a list")
-    for e in doc["edges"]:
+    for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in e)):
             raise GraphFormatError(f"edge entry {e!r} must be a pair of ids")
-        edges.append(_norm_edge(e))
-    if len(set(edges)) != len(edges):  # the frozenset would drop a repeat silently
-        raise GraphFormatError("duplicate edges not allowed")
     try:  # GeometricGraph rejects loops, missing ids and points not in general position
-        return GeometricGraph(tuple(seen[i] for i in range(n)), frozenset(edges))
-    except (ValueError, TypeError) as exc:
+        G = GeometricGraph(tuple(seen[i] for i in range(n)), edges)
+    except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
+    if len(G.edges) != len(edges):  # the edge set drops a repeat silently
+        raise GraphFormatError("duplicate edges not allowed")
+    return G
 
 
 def _read_json(path: str | Path):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
-from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, _crossing_partners, crossings_of
+from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, _as_abstract, _crossing_partners, crossings_of
 from .obstructions import non_identifiable_pairs
-from .search import Coloring, _as_abstract, _find_hom, chromatic_number
+from .search import Coloring, _chromatic, _find_hom
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,11 @@ def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f
     return True
 
 
+def chromatic_number(G) -> tuple[int, Coloring]:
+    """Exact chi with a proper witness coloring using exactly chi colors."""
+    return _chromatic(_adj_lists(*_as_abstract(G)), 0)
+
+
 def is_proper(G, coloring: Coloring) -> bool:
     n, edges = _as_abstract(G)
     if len(coloring.colors) != n:
@@ -109,7 +114,8 @@ def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStruc
     if images is None:
         return None
     vm = VertexMap(tuple(images), target.n)
-    assert is_geometric_hom(G, target, vm)
+    if not is_geometric_hom(G, target, vm):
+        raise RuntimeError(f"the search returned {vm.images}, which is not a geometric homomorphism")
     return vm
 
 
@@ -146,8 +152,8 @@ def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = 
     target may be a dominating structure. The forced pairs behind the bound
     are computed once per graph and reused by every search.
     """
-    if not 1 <= max_n <= MAX_CATALOG_N:
-        raise ValueError(f"max_n must be in 1..{MAX_CATALOG_N}, got {max_n}")
+    if not 0 <= max_n <= MAX_CATALOG_N:
+        raise ValueError(f"max_n must be in 0..{MAX_CATALOG_N}, got {max_n}")
     for n in range(non_identifiable_pairs(G).lower_bound(), max_n + 1):
         for entry in _targets(catalogs.get(n)):
             f = find_geometric_hom(G, entry.structure)
@@ -163,5 +169,6 @@ def pseudo_geochromatic_number(G: GeometricGraph) -> tuple[int, Coloring]:
     so X' is chi of obstruction rules A and B, kept on the graph's forced-pair memo.
     """
     n, coloring = non_identifiable_pairs(G)._pseudo
-    assert is_pseudo_coloring(G, coloring)
+    if not is_pseudo_coloring(G, coloring):
+        raise RuntimeError(f"the search returned {coloring.colors}, which is not a pseudo-coloring")
     return n, coloring

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Collection, Sequence
 
-from .graphs import CrossingIndex, CrossingStructure, Edge, GeometricGraph, _adj_lists
+from .graphs import CrossingIndex
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,6 @@ class Coloring:
         for c in self.colors:
             if not 1 <= c <= self.n:
                 raise ValueError(f"color {c} outside 1..{self.n}")
-
-
-def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
-    if isinstance(g, GeometricGraph):
-        return g.n, g.edges
-    if isinstance(g, CrossingStructure):
-        return g.n, g.adjacency
-    n, edges = g
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    pairs = set()
-    for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) is not a pair of distinct vertices of 0..{n - 1}")
-        pairs.add((u, v) if u < v else (v, u))
-    return n, frozenset(pairs)
 
 
 def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], adj: Sequence[Collection[int]],
@@ -219,12 +203,6 @@ def _dsatur_greedy(adj: Sequence[Collection[int]]) -> list[int]:
                 if not colors[w]:
                     rank[w] += n2
     return colors
-
-
-def chromatic_number(G) -> tuple[int, Coloring]:
-    """Exact chi with a proper witness coloring using exactly chi colors."""
-    n, edges = _as_abstract(G)
-    return _chromatic(_adj_lists(n, edges), 0)
 
 
 def _chromatic(adj: Sequence[Collection[int]], floor: int) -> tuple[int, Coloring]:

@@ -1,3 +1,4 @@
+import builtins
 import json
 
 import pytest
@@ -70,6 +71,28 @@ def test_x_command_unresolved_exit_code(capsys, fig6):
     code, out, _ = run(capsys, "x", fig6, "--max-n", "5", "--catalog", str(CACHE_DIR))
     assert code == 1
     assert json.loads(out) == {"status": "unresolved", "searched_to": 5}
+
+
+def test_x_command_at_max_n_zero(capsys, tmp_path):
+    empty, one = tmp_path / "empty.json", tmp_path / "one.json"
+    empty.write_text('{"vertices": [], "edges": []}')
+    one.write_text('{"vertices": [{"id": 0, "x": 0, "y": 0}], "edges": []}')
+    code, out, _ = run(capsys, "x", str(empty), "--max-n", "0")
+    assert (code, json.loads(out)) == (0, {"x": 0, "target": {"n": 0, "canonical": "000000000000"}, "map": []})
+    code, out, _ = run(capsys, "x", str(one), "--max-n", "0")
+    assert (code, json.loads(out)) == (1, {"status": "unresolved", "searched_to": 0})
+
+
+@pytest.mark.parametrize("verb", ["chi", "catalog", "x"])
+def test_write_failure_is_exit_2_with_one_line_json(capsys, tmp_path, fig6, verb):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argv = {"chi": ["chi", fig6, "-o", str(tmp_path / "missing" / "out.json")],
+            "catalog": ["catalog", "--n", "4", "--out", str(a_file)],
+            "x": ["x", fig6, "--catalog", str(a_file)]}[verb]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert issubclass(getattr(builtins, json.loads(err)["kind"]), OSError)
 
 
 def test_gen_round_trip(capsys, tmp_path):
@@ -337,16 +360,16 @@ _TRIANGLE = [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 10, "y": 0}, {"id": 2, "x
     ({"vertices": {}, "edges": []}, "'vertices' must be a list"),
     ({"vertices": _TRIANGLE, "edges": "0-1"}, "'edges' must be a list"),
     ({"vertices": [{"id": 0, "x": 0}], "edges": []}, "lacks id/x/y"),
-    ({"vertices": [{"id": 0, "x": 0.5, "y": 0}], "edges": []}, "must be all-integer"),
+    ({"vertices": [{"id": 0, "x": 0.5, "y": 0}], "edges": []}, "vertex 0: coordinates must be int, got float"),
     ({"vertices": _TRIANGLE + [{"id": 1, "x": 5, "y": 7}], "edges": []}, "duplicate vertex id 1"),
     ({"vertices": _TRIANGLE[:2] + [{"id": 3, "x": 0, "y": 10}], "edges": []}, "exactly 0..n-1"),
     ({"vertices": _TRIANGLE, "edges": [[0, 1, 2]]}, "must be a pair of ids"),
     ({"vertices": _TRIANGLE, "edges": [[0, "1"]]}, "must be a pair of ids"),
     ({"vertices": _TRIANGLE, "edges": [[0, True]]}, "must be a pair of ids"),
     ({"vertices": _TRIANGLE, "edges": [[0, 1], [1, 0]]}, "duplicate edges"),
-    ({"vertices": _TRIANGLE, "edges": [[1, 1]]}, "distinct ids"),
-    ({"vertices": _TRIANGLE, "edges": [[0, 3]]}, "missing vertex id"),
-    ({"vertices": _TRIANGLE, "edges": [[-1, 0]]}, "missing vertex id"),
+    ({"vertices": _TRIANGLE, "edges": [[1, 1]]}, "edge (1,1) must join two distinct ids of 0..2"),
+    ({"vertices": _TRIANGLE, "edges": [[0, 3]]}, "edge (0,3) must join two distinct ids of 0..2"),
+    ({"vertices": _TRIANGLE, "edges": [[-1, 0]]}, "edge (-1,0) must join two distinct ids of 0..2"),
 ], ids=["vertices-not-list", "edges-not-list", "vertex-without-y", "float-coordinate", "duplicate-id",
         "ids-not-0..n-1", "edge-triple", "edge-with-string", "edge-with-bool", "duplicate-edge",
         "loop-edge", "edge-past-n", "negative-id"])

@@ -485,6 +485,12 @@ def test_structure_validation():
     with pytest.raises(ValueError):
         # crossing uses a non-edge
         CrossingStructure(4, [(0, 1)], [((0, 1), (2, 3))])
+    with pytest.raises(ValueError, match=r"edge \(1,1\) must join two distinct ids of 0\.\.2"):
+        CrossingStructure(3, [(1, 1)], [])
+
+
+def test_drawing_stores_edges_as_sorted_pairs():
+    assert GeometricGraph((Point(0, 0), Point(10, 1)), {(1, 0)}).edges == frozenset({(0, 1)})
 
 
 def test_structure_n_must_be_a_non_negative_int():

@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -165,10 +168,17 @@ def test_find_geometric_hom_agrees_with_exhaustive_six_vertices(seed, store):
 
 
 def test_geochromatic_number_rejects_bad_max_n(store):
-    with pytest.raises(ValueError):
-        geochromatic_number(edgeless(3), store, max_n=0)
+    with pytest.raises(ValueError, match=r"max_n must be in 0\.\.7, got -1"):
+        geochromatic_number(edgeless(3), store, max_n=-1)
     with pytest.raises(ValueError):
         geochromatic_number(edgeless(3), store, max_n=8)
+
+
+def test_geochromatic_number_at_max_n_zero(store):
+    # K_0 is the only target: it takes the empty drawing and nothing with a vertex.
+    res = geochromatic_number(edgeless(0), store, max_n=0)
+    assert (res.n, res.target.hex, res.witness) == (0, "000000000000", VertexMap((), 0))
+    assert geochromatic_number(edgeless(1), store, max_n=0) is None
 
 
 def test_geochromatic_number_small_cases(store):
@@ -290,3 +300,26 @@ def test_sandwich_on_assorted_instances(store):
             assert px <= res.n
         if crossings_of(g):
             assert px >= 4
+
+
+def test_witness_checks_hold_without_asserts():
+    # python -O strips assert statements; a search that returns a non-witness must still be refused.
+    script = textwrap.dedent("""
+        import types
+        import geochrom.homomorphism as h
+        from geochrom import Coloring, convex_clique, figure_graphs
+        g = figure_graphs("figure6")
+        print(__debug__)
+        h._find_hom = lambda adj, *rest: [0] * len(adj)
+        try:
+            print(h.find_geometric_hom(g, convex_clique(6)))
+        except RuntimeError as exc:
+            print(type(exc).__name__)
+        h.non_identifiable_pairs = lambda G: types.SimpleNamespace(_pseudo=(1, Coloring((1,) * G.n, 1)))
+        try:
+            print(h.pseudo_geochromatic_number(g))
+        except RuntimeError as exc:
+            print(type(exc).__name__)
+    """)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert done.stdout.split() == ["False", "RuntimeError", "RuntimeError"], done.stderr

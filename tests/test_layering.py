@@ -110,19 +110,21 @@ def test_only_graphs_reads_input_files():
 
 
 def _namers(name: str) -> set[str]:
-    """Each module.function whose body names `name`; module.<module> for a name outside any function."""
+    """Each module.function or module.Class.method whose body names `name`; module.<module> outside any."""
     found = set()
 
-    def visit(node: ast.AST, module: str, owner: str | None) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
-            owner = node.name
+    def visit(node: ast.AST, module: str, owner: str | None, cls: str | None) -> None:
+        if isinstance(node, ast.ClassDef) and owner is None and cls is None:
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = f"{cls}.{node.name}" if cls else node.name
         if isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name:
             found.add(f"{module}.{owner or '<module>'}")
         for child in ast.iter_child_nodes(node):
-            visit(child, module, owner)
+            visit(child, module, owner, cls)
 
     for module, tree in MODULES.items():
-        visit(tree, module, None)
+        visit(tree, module, None, None)
     return found
 
 
@@ -136,3 +138,18 @@ def test_search_core_has_its_named_callers():
 def test_only_graphs_and_search_name_the_crossing_index():
     # Every search maps into a CrossingIndex that graphs builds and search narrows by; no caller builds its rules.
     assert {namer.split(".")[0] for namer in _namers("CrossingIndex")} == {"graphs", "search"}
+
+
+def test_one_rule_checks_every_edge_set():
+    # graphs._edge_set alone refuses a bad vertex count or edge, for drawings, structures and (n, edges) alike.
+    assert _namers("_edge_set") == {"graphs.GeometricGraph.__post_init__", "graphs.CrossingStructure.__post_init__",
+                                    "graphs._as_abstract"}
+
+
+def test_search_core_names_no_graph_type():
+    # The searches read a CrossingIndex and neighbour lists; which kind of graph they came from is the callers' affair.
+    from_graphs = [alias.name for node in ast.walk(MODULES["search"])
+                   if isinstance(node, ast.ImportFrom) and node.module == "graphs" for alias in node.names]
+    assert from_graphs == ["CrossingIndex"]
+    assert not {namer for name in ("GeometricGraph", "CrossingStructure") for namer in _namers(name)
+                if namer.startswith("search.")}

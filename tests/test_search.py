@@ -76,7 +76,8 @@ def test_reversed_pairs_read_as_sorted_pairs():
 
 
 @pytest.mark.parametrize("graph, named", [((2, [(0, 0)]), r"edge \(0,0\)"), ((2, [(0, 5)]), r"edge \(0,5\)"),
-                                          ((2, [(-1, 1)]), r"edge \(-1,1\)"), ((-1, []), "n must")])
+                                          ((2, [(-1, 1)]), r"edge \(-1,1\)"), ((-1, []), "n must"),
+                                          ((True, []), "n must")])
 def test_malformed_abstract_graph_is_refused(graph, named):
     with pytest.raises(ValueError, match=named):
         chromatic_number(graph)
