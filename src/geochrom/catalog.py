@@ -40,13 +40,12 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import CatalogMissing, GraphFormatError, SizeUnsupported
+from .errors import CatalogMissing, GraphFormatError, SizeUnsupported, _Record
 from .geometry import regular_polygon_points
 from .graphs import (
     CrossingStructure,
@@ -82,16 +81,24 @@ def convex_clique(n: int) -> GeometricGraph:
     return GeometricGraph.build(pts, itertools.combinations(range(n), 2))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
+    _fields = ("structure", "witness")
     structure: CrossingStructure
     witness: GeometricGraph
 
+    def __init__(self, structure: CrossingStructure, witness: GeometricGraph) -> None:
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class CliqueCatalog:
+
+class CliqueCatalog(_Record):
+    _fields = ("n", "entries")
     n: int
     entries: tuple[CatalogEntry, ...]
+
+    def __init__(self, n: int, entries: tuple[CatalogEntry, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     def canonical_forms(self) -> frozenset[bytes]:
         return frozenset(e.structure.canonical_form for e in self.entries)
@@ -376,12 +383,15 @@ class CatalogStore:
 
     Files are named k<n>.catalog.json inside `directory`. Built catalogs are
     persisted there when a directory is configured, each through a temporary
-    file that replaces it whole. Sizes 0, 1 and 2 are the trivial single
-    structures and never touch disk.
+    file that replaces it whole. A `directory` that exists but is not a
+    directory raises NotADirectoryError at once, before anything is built.
+    Sizes 0, 1 and 2 are the trivial single structures and never touch disk.
     """
 
     def __init__(self, directory: str | Path | None = None, build_missing: bool = True):
         self.directory = Path(directory) if directory is not None else None
+        if self.directory is not None and self.directory.exists() and not self.directory.is_dir():
+            raise NotADirectoryError(f"catalog path {self.directory} is not a directory")
         self.build_missing = build_missing
         self._cache: dict[int, CliqueCatalog] = {}
 

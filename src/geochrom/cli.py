@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .catalog import (
@@ -181,9 +180,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    store = CatalogStore(args.out) if args.out else None  # refuses a path that is not a directory first
     cat = enumerate_clique_structures(args.n)  # always built: the fix for a stale file is this verb
-    if args.out:
-        store = CatalogStore(args.out)
+    if store is not None:
         store._persist(cat)
         _emit({"n": cat.n, "entries": len(cat.entries), "path": str(store.path_for(args.n))}, None)
     else:
@@ -192,11 +191,16 @@ def _cmd_catalog(args) -> int:
 
 
 def _segment_intersection_point(p1, p2, q1, q2) -> tuple[float, float]:
+    """Where the lines p1p2 and q1q2 meet, each coordinate the float nearest the exact value.
+
+    The meeting point is p1 + (t / denom) (p2 - p1); both coordinates are
+    exact int ratios over denom, and int true division rounds correctly.
+    """
     rx, ry = p2.x - p1.x, p2.y - p1.y
     sx, sy = q2.x - q1.x, q2.y - q1.y
     denom = rx * sy - ry * sx
-    t = Fraction((q1.x - p1.x) * sy - (q1.y - p1.y) * sx, denom)
-    return (float(p1.x + t * rx), float(p1.y + t * ry))
+    t = (q1.x - p1.x) * sy - (q1.y - p1.y) * sx
+    return ((p1.x * denom + t * rx) / denom, (p1.y * denom + t * ry) / denom)
 
 
 def render_svg(g: GeometricGraph) -> str:

@@ -8,29 +8,62 @@ predicates being exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import SharedEndpoint
+from .errors import SharedEndpoint, _Record
 
 # Keeps 3x3 orientation determinants inside 64-bit signed range so the data
 # format stays portable to fixed-width implementations.
 COORD_BOUND = 1 << 30
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    """Immutable exact grid point."""
+class Point(_Record):
+    """Immutable exact grid point, ordered by x, then y."""
 
-    x: int
-    y: int
+    __slots__ = ("x", "y")
+    _fields = ("x", "y")
 
-    def __post_init__(self) -> None:
-        for c in (self.x, self.y):
+    def __init__(self, x: int, y: int) -> None:
+        for c in (x, y):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coordinates must be int, got {type(c).__name__}")
             if abs(c) > COORD_BOUND:
                 raise ValueError(f"coordinate {c} exceeds the +-2^30 bound")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    # Points fill every drawing's sets and sorts, so these skip _Record's field lookups.
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) < (other.x, other.y)
+        return NotImplemented
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) <= (other.x, other.y)
+        return NotImplemented
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) > (other.x, other.y)
+        return NotImplemented
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) >= (other.x, other.y)
+        return NotImplemented
+
+    def __reduce__(self):
+        # Slots hold the fields, and unpickling would set them through the refusing __setattr__.
+        return Point, (self.x, self.y)
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:

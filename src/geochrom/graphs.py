@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, _Record
 from .geometry import Point, is_general_position
 
 Edge = tuple[int, int]
@@ -53,16 +52,17 @@ def _edge_set(n: int, edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
     return frozenset(pairs)
 
 
-@dataclass(frozen=True)
-class GeometricGraph:
+class GeometricGraph(_Record):
     """Any iterable of edges is accepted and stored as a frozenset of sorted pairs."""
 
+    _fields = ("points", "edges")
     points: tuple[Point, ...]
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", _edge_set(len(self.points), self.edges))
-        if not is_general_position(self.points):
+    def __init__(self, points: tuple[Point, ...], edges: Iterable[Iterable[int]]) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "edges", _edge_set(len(points), edges))
+        if not is_general_position(points):
             raise ValueError("vertex positions are not in general position")
 
     @classmethod
@@ -255,8 +255,7 @@ def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:
     return _crossing_gap(G.n, G.edges, crossings_of(G))[0]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CrossingStructure:
+class CrossingStructure(_Record):
     """Coordinate-free record of a drawing: adjacency plus crossing pairs.
 
     Any iterables of edges and of edge pairs are accepted and stored as
@@ -268,18 +267,20 @@ class CrossingStructure:
     n: int
     adjacency: frozenset[Edge]
     crossings: frozenset[Crossing]
-    _canonical: bytes | None = field(default=None, init=False)
+    _canonical: bytes | None
 
-    def __post_init__(self) -> None:
-        adj = _edge_set(self.n, self.adjacency)
-        crs = frozenset(Crossing.make(*pair) for pair in self.crossings)
+    def __init__(self, n: int, adjacency: Iterable[Iterable[int]], crossings: Iterable) -> None:
+        adj = _edge_set(n, adjacency)
+        crs = frozenset(Crossing.make(*pair) for pair in crossings)
         for e1, e2 in crs:
             if e1 not in adj or e2 not in adj:
                 raise ValueError(f"crossing {e1}x{e2} uses a non-edge")
             if set(e1) & set(e2):
                 raise ValueError(f"crossing {e1}x{e2} is not a disjoint pair")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "crossings", crs)
+        object.__setattr__(self, "_canonical", None)
 
     @property
     def canonical_form(self) -> bytes:

@@ -9,26 +9,28 @@ is the least n at which find_geometric_hom succeeds into a cataloged K_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
+from .errors import _Record
 from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, _as_abstract, _crossing_partners, crossings_of
 from .obstructions import non_identifiable_pairs
 from .search import Coloring, _chromatic, _find_hom
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(_Record):
     """A candidate homomorphism: images[v] is the target id of source vertex v."""
 
+    _fields = ("images", "target_size")
     images: tuple[int, ...]
     target_size: int
 
-    def __post_init__(self) -> None:
-        for img in self.images:
-            if not 0 <= img < self.target_size:
-                raise ValueError(f"image {img} outside target 0..{self.target_size - 1}")
+    def __init__(self, images: tuple[int, ...], target_size: int) -> None:
+        for img in images:
+            if not 0 <= img < target_size:
+                raise ValueError(f"image {img} outside target 0..{target_size - 1}")
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "target_size", target_size)
 
     @property
     def source_size(self) -> int:
@@ -119,13 +121,18 @@ def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStruc
     return vm
 
 
-@dataclass(frozen=True)
-class XResult:
+class XResult(_Record):
     """A resolved geochromatic number with its verified witness."""
 
+    _fields = ("n", "target", "witness")
     n: int
     target: CrossingStructure
     witness: VertexMap
+
+    def __init__(self, n: int, target: CrossingStructure, witness: VertexMap) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "witness", witness)
 
 
 def _targets(cat: CliqueCatalog) -> Iterator[CatalogEntry]:

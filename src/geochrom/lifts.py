@@ -23,8 +23,6 @@ property of the input, and raises loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import convex_clique
 from .errors import (
     ChiOutOfRange,
@@ -33,6 +31,7 @@ from .errors import (
     DistanceTooSmall,
     LiftInternalError,
     NotProperColoring,
+    _Record,
 )
 from .graphs import (
     Crossing,
@@ -48,12 +47,19 @@ from .search import Coloring, _noncollapsing
 Mod = tuple[int, int]  # (vertex id, hull label)
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(_Record):
+    _fields = ("method", "target_size", "beta", "case_log")
     method: str  # dist2 | indep2n | indep3n | smallchi
     target_size: int
     beta: VertexMap
     case_log: tuple[tuple[Crossing, str], ...]
+
+    def __init__(self, method: str, target_size: int, beta: VertexMap,
+                 case_log: tuple[tuple[Crossing, str], ...]) -> None:
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "target_size", target_size)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "case_log", case_log)
 
     def to_json_dict(self) -> dict:
         return {

@@ -41,12 +41,12 @@ from X' up, since X' is chi of a subgraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
+from .errors import _Record
 from .graphs import Edge, GeometricGraph, crossings_of
 from .search import Coloring, _chromatic
 
@@ -61,14 +61,18 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class DistinctnessGraph:
+class DistinctnessGraph(_Record):
     """rows maps each letter A-D to one int per vertex, bit w of rows[r][v] set
     when rule r forces v and w apart; rules (the sorted pairs of each row set),
     forced_pairs (their union) and provenance are built on first read."""
 
+    _fields = ("n", "rows")
     n: int
     rows: Mapping[str, tuple[int, ...]]
+
+    def __init__(self, n: int, rows: Mapping[str, tuple[int, ...]]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def rules(self) -> Mapping[str, frozenset[Edge]]:

@@ -38,24 +38,26 @@ what each adds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Collection, Sequence
 
+from .errors import _Record
 from .graphs import CrossingIndex
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """A map V -> {1..n}; doubles as the alpha input of the lifting methods."""
 
+    _fields = ("colors", "n")
     colors: tuple[int, ...]
     n: int
 
-    def __post_init__(self) -> None:
-        for c in self.colors:
-            if not 1 <= c <= self.n:
-                raise ValueError(f"color {c} outside 1..{self.n}")
+    def __init__(self, colors: tuple[int, ...], n: int) -> None:
+        for c in colors:
+            if not 1 <= c <= n:
+                raise ValueError(f"color {c} outside 1..{n}")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "n", n)
 
 
 def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], adj: Sequence[Collection[int]],

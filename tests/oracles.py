@@ -58,6 +58,14 @@ def fraction_segments_cross(a1, a2, b1, b2) -> bool:
     return 0 < t < 1 and 0 < u < 1
 
 
+def fraction_intersection_point(p1, p2, q1, q2) -> tuple[float, float]:
+    """Where the lines p1p2 and q1q2 meet, as floats of the exact Fraction point: the render reference."""
+    rx, ry = p2.x - p1.x, p2.y - p1.y
+    sx, sy = q2.x - q1.x, q2.y - q1.y
+    t = Fraction((q1.x - p1.x) * sy - (q1.y - p1.y) * sx, rx * sy - ry * sx)
+    return (float(p1.x + t * rx), float(p1.y + t * ry))
+
+
 def orient(a, b, c) -> int:
     d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (d > 0) - (d < 0)

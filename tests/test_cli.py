@@ -1,12 +1,16 @@
 import builtins
 import json
+import random
 
 import pytest
 
 from geochrom import (
+    COORD_BOUND,
+    FIGURE_TAGS,
     CatalogStore,
     GeometricGraph,
     GraphFormatError,
+    Point,
     chromatic_number,
     convex_clique,
     crossings_of,
@@ -15,12 +19,13 @@ from geochrom import (
     graph_from_json_dict,
     graph_to_json_dict,
     random_geometric_graph,
+    segments_cross,
     star_crossing,
 )
-from geochrom import cli
+from geochrom import catalog, cli
 from geochrom.catalog import catalog_to_json_dict
 from geochrom.cli import main
-from oracles import parabola_chain
+from oracles import fraction_intersection_point, parabola_chain
 
 
 def dumps(g):
@@ -93,6 +98,21 @@ def test_write_failure_is_exit_2_with_one_line_json(capsys, tmp_path, fig6, verb
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert issubclass(getattr(builtins, json.loads(err)["kind"]), OSError)
+
+
+@pytest.mark.parametrize("verb", ["catalog", "x"])
+def test_catalog_path_that_is_a_file_is_refused_before_any_build(capsys, tmp_path, fig6, monkeypatch, verb):
+    a_file = tmp_path / "afile"
+    a_file.write_text("")
+    builds = []
+    for module in (cli, catalog):
+        monkeypatch.setattr(module, "enumerate_clique_structures", lambda n: builds.append(n))
+    argv = {"catalog": ["catalog", "--n", "4", "--out", str(a_file)],
+            "x": ["x", fig6, "--catalog", str(a_file)]}[verb]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": f"catalog path {a_file} is not a directory", "kind": "NotADirectoryError"}
+    assert builds == [] and a_file.read_text() == ""
 
 
 def test_gen_round_trip(capsys, tmp_path):
@@ -341,6 +361,23 @@ def test_render_command(capsys, tmp_path, fig6):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<line") == 5  # one per edge
     assert svg.count('stroke="red"') == 4  # one marker per crossing
+
+
+def test_crossing_marks_equal_the_fraction_points():
+    # Int true division rounds correctly, as float(Fraction) does, so every mark lands on the same float.
+    graphs = [figure_graphs(tag) for tag in FIGURE_TAGS]
+    graphs += [random_geometric_graph(16, 0.4, seed=seed) for seed in range(8)]
+    drawn = [[g.points[v] for v in (*e1, *e2)] for g in graphs for e1, e2 in crossings_of(g)]
+    assert len(drawn) == 1563
+    rng = random.Random(5)
+    wide = []  # coordinates up to the bound, where the quotients need rounding
+    while len(wide) < 3000:
+        quad = [Point(rng.randint(-COORD_BOUND, COORD_BOUND), rng.randint(-COORD_BOUND, COORD_BOUND))
+                for _ in range(4)]
+        if segments_cross(*quad):
+            wide.append(quad)
+    for quad in drawn + wide:
+        assert cli._segment_intersection_point(*quad) == fraction_intersection_point(*quad)
 
 
 def test_invalid_input_exit_code(capsys, tmp_path):

@@ -2,10 +2,15 @@
 
 Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
-the ones it names. Input files are read and decoded in graphs alone.
+the ones it names. Input files are read and decoded in graphs alone. A CLI
+process loads no standard module that only decorating records or exact
+fractions would need.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geochrom"
@@ -142,7 +147,7 @@ def test_only_graphs_and_search_name_the_crossing_index():
 
 def test_one_rule_checks_every_edge_set():
     # graphs._edge_set alone refuses a bad vertex count or edge, for drawings, structures and (n, edges) alike.
-    assert _namers("_edge_set") == {"graphs.GeometricGraph.__post_init__", "graphs.CrossingStructure.__post_init__",
+    assert _namers("_edge_set") == {"graphs.GeometricGraph.__init__", "graphs.CrossingStructure.__init__",
                                     "graphs._as_abstract"}
 
 
@@ -153,3 +158,12 @@ def test_search_core_names_no_graph_type():
     assert from_graphs == ["CrossingIndex"]
     assert not {namer for name in ("GeometricGraph", "CrossingStructure") for namer in _namers(name)
                 if namer.startswith("search.")}
+
+
+def test_cli_import_loads_no_dataclass_or_fraction_machinery():
+    # A fresh interpreter, since pytest itself has loaded all four; every `geochrom` process pays for what loads here.
+    unwanted = ("dataclasses", "inspect", "fractions", "decimal")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, geochrom.cli; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
