@@ -366,9 +366,17 @@ def _refine_partition(
     as the int (class of p * n + lesser class) * n + greater class, which
     orders like the triple. A vertex's signature begins with its class, so
     every class splits in place and the order of classes is kept.
+
+    A colouring with one vertex per class is stable, and a pass over it would
+    only compact its classes, so it returns as soon as it is discrete: on
+    entry, with the ranks of its classes (the search hands over classes such
+    as 2c and 2c + 1), and after the pass that separates the last vertices.
     """
     n = len(classes)
     count = len(set(classes))
+    if count == n:
+        rank = {c: r for r, c in enumerate(sorted(classes))}
+        return [rank[c] for c in classes]
     while True:
         sigs = []
         for v, nbrs in enumerate(adj):
@@ -380,7 +388,7 @@ def _refine_partition(
             sigs.append((classes[v], len(nbrs), len(crs), tuple(sorted([classes[u] for u in nbrs])), tuple(crs)))
         rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
         classes = [rank[sig] for sig in sigs]
-        if len(rank) == count:
+        if len(rank) == count or len(rank) == n:
             return classes
         count = len(rank)
 

@@ -77,7 +77,8 @@ def _vertex_with(lab: list[int], edge: tuple[int, int], value: int) -> int:
     u, v = edge
     if lab[u] == value:
         return u
-    assert lab[v] == value
+    if lab[v] != value:
+        raise LiftInternalError(f"label {value} is on neither end of edge {edge}")
     return v
 
 

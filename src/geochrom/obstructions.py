@@ -41,10 +41,9 @@ from X' up, since X' is chi of a subgraph.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from functools import cached_property
 from itertools import combinations
-from types import MappingProxyType
-from typing import Mapping
 
 from .errors import _Record
 from .graphs import Edge, GeometricGraph, crossings_of
@@ -61,10 +60,36 @@ def _members(mask: int) -> list[int]:
     return out
 
 
+class _FrozenMap(Mapping):
+    """A read-only mapping that, unlike MappingProxyType, hashes by its items and pickles."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: dict) -> None:
+        self._items = items
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._items!r})"
+
+
 class DistinctnessGraph(_Record):
     """rows maps each letter A-D to one int per vertex, bit w of rows[r][v] set
     when rule r forces v and w apart; rules (the sorted pairs of each row set),
-    forced_pairs (their union) and provenance are built on first read."""
+    forced_pairs (their union) and provenance are built on first read. rows,
+    rules and provenance are read-only mappings that hash and pickle, so the
+    record hashes by its fields and a drawing keeping it in its memo pickles."""
 
     _fields = ("n", "rows")
     n: int
@@ -76,8 +101,8 @@ class DistinctnessGraph(_Record):
 
     @cached_property
     def rules(self) -> Mapping[str, frozenset[Edge]]:
-        return MappingProxyType({rule: frozenset((v, w) for v, row in enumerate(rows) for w in _members(row) if v < w)
-                                 for rule, rows in self.rows.items()})
+        return _FrozenMap({rule: frozenset((v, w) for v, row in enumerate(rows) for w in _members(row) if v < w)
+                           for rule, rows in self.rows.items()})
 
     @cached_property
     def forced_pairs(self) -> frozenset[Edge]:
@@ -85,8 +110,8 @@ class DistinctnessGraph(_Record):
 
     @cached_property
     def provenance(self) -> Mapping[Edge, frozenset[str]]:
-        return MappingProxyType({pair: frozenset(rule for rule, pairs in self.rules.items() if pair in pairs)
-                                 for pair in self.forced_pairs})
+        return _FrozenMap({pair: frozenset(rule for rule, pairs in self.rules.items() if pair in pairs)
+                           for pair in self.forced_pairs})
 
     def lower_bound(self) -> int:
         """Chromatic number of the forced-pair graph; always <= X(G-bar). Computed once."""
@@ -190,7 +215,7 @@ def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
                 d[u] |= 1 << v
                 d[v] |= 1 << u
 
-    return DistinctnessGraph(n, MappingProxyType({"A": tuple(a), "B": tuple(b), "C": tuple(c), "D": tuple(d)}))
+    return DistinctnessGraph(n, _FrozenMap({"A": tuple(a), "B": tuple(b), "C": tuple(c), "D": tuple(d)}))
 
 
 def geochromatic_lower_bound(G: GeometricGraph) -> int:

@@ -4,7 +4,8 @@ Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
 the ones it names. Input files are read and decoded in graphs alone. A CLI
 process loads no standard module that only decorating records or exact
-fractions would need.
+fractions would need, and `import geochrom` loads every module the
+benchmark's tracer wraps.
 """
 
 import ast
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geochrom"
+SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -163,7 +165,23 @@ def test_search_core_names_no_graph_type():
 def test_cli_import_loads_no_dataclass_or_fraction_machinery():
     # A fresh interpreter, since pytest itself has loaded all four; every `geochrom` process pays for what loads here.
     unwanted = ("dataclasses", "inspect", "fractions", "decimal")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     code = f"import sys, geochrom.cli; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_package_import_loads_every_module_the_tracer_wraps():
+    # bench/spans.py's Tracer.install reads sys.modules["geochrom.<module>"] right after `import geochrom`,
+    # so a lazy __init__ would fail `bench/run.py --trace 1` with KeyError.
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"), str(SPANS))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"])
+    needed = sorted({f"geochrom.{module}" for module, _, _ in wrapped} | {"geochrom.graphs", "geochrom.catalog"})
+    assert len(needed) >= 5  # graphs, catalog, homomorphism, obstructions and lifts at least
+    code = f"import sys, geochrom; print(sorted(m for m in {needed!r} if m not in sys.modules))"
+    assert _fresh_interpreter(code).strip() == "[]"

@@ -309,6 +309,13 @@ def test_a_lift_whose_images_do_not_cross_fails_its_verification(monkeypatch, li
         lift(x_gadget(), Coloring((1, 2, 1, 2), 2))
 
 
+def test_a_label_on_neither_end_of_the_edge_is_an_internal_error():
+    # Raised, not asserted, so that python -O keeps the check.
+    assert lifts._vertex_with([1, 2, 3], (0, 2), 3) == 2
+    with pytest.raises(LiftInternalError, match="label 2 is on neither end of edge"):
+        lifts._vertex_with([1, 2, 3], (0, 2), 2)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_random_dist2_lifts_verify(seed):
     v = 4 + seed % 9

@@ -29,7 +29,9 @@ from geochrom import (
     crossing_structure,
     enumerate_clique_structures,
     figure_graphs,
+    geochromatic_lower_bound,
     non_identifiable_pairs,
+    pseudo_geochromatic_number,
 )
 
 FIG6 = figure_graphs("figure6")
@@ -98,10 +100,22 @@ def test_record_matches_its_frozen_dataclass(first, second, names):
     assert copy.copy(first) == first
 
 
-def test_hash_of_an_unhashable_field_fails_as_before():
-    dg = non_identifiable_pairs(FIG6)  # rows is a read-only mapping, which has no hash
-    with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
-        hash(dg)
+def test_a_solved_drawing_pickles_and_its_forced_pairs_hash():
+    # X', the bound and the provenance memoize read-only mappings on the drawing; they travel with it.
+    solved = figure_graphs("figure6")
+    px, bound = pseudo_geochromatic_number(solved), geochromatic_lower_bound(solved)
+    assert non_identifiable_pairs(solved).provenance
+    restored = pickle.loads(pickle.dumps(solved))
+    assert restored == solved and restored is not solved
+    assert (pseudo_geochromatic_number(restored), geochromatic_lower_bound(restored)) == (px, bound)
+    dg, again = non_identifiable_pairs(solved), non_identifiable_pairs(restored)
+    assert again == dg and again is not dg and hash(again) == hash(dg) == hash((dg.n, dg.rows))
+    assert dict(again.provenance) == dict(dg.provenance) and hash(again.provenance) == hash(dg.provenance)
+    fresh = non_identifiable_pairs(GeometricGraph(FIG6.points, FIG6.edges))
+    assert fresh == dg and hash(fresh) == hash(dg)
+    assert len({dg, again, fresh, non_identifiable_pairs(figure_graphs("figure3_left"))}) == 2
+    with pytest.raises(TypeError):
+        dg.rows["A"] = ()
 
 
 def test_point_order_and_pickling_match_the_dataclass():
@@ -117,8 +131,6 @@ def test_point_order_and_pickling_match_the_dataclass():
     assert not hasattr(Point(0, 0), "__dict__")
     restored = pickle.loads(pickle.dumps(Point(7, -8)))
     assert restored == Point(7, -8) and type(restored) is Point
-    fresh = GeometricGraph(FIG6.points, FIG6.edges)  # no memo of forced pairs, whose mapping cannot be pickled
-    assert pickle.loads(pickle.dumps(fresh)) == fresh
 
 
 def test_reprs():
