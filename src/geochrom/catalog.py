@@ -191,7 +191,9 @@ def _order_type(pts: Sequence[XY]) -> tuple[int, ...]:
     Seen from a hull vertex p the other points lie in a half-plane, so their
     orientations about p sort them by angle; sign s = -1 reads the mirror
     image. The chirotope lists s times the orientation of every triple in the
-    resulting labelling, so the minimum depends on the order type alone.
+    resulting labelling, so the minimum depends on the order type alone. In
+    that labelling every triple through p turns counterclockwise, so the first
+    C(n - 1, 2) signs read +1 for every start; only the rest are compared.
 
     Every test reads one orientation table. With total = the sum of o[p][a],
     a has (n - 2 - total) / 2 points clockwise of it about p: that is its
@@ -200,6 +202,8 @@ def _order_type(pts: Sequence[XY]) -> tuple[int, ...]:
     """
     n = len(pts)
     o = _orientations(pts)
+    through_p = (n - 1) * (n - 2) // 2  # the triples (0, b, c) come first
+    rest = _triples(n)[through_p:]
     best = None
     for p in range(n):
         totals = [sum(row) for row in o[p]]
@@ -210,10 +214,10 @@ def _order_type(pts: Sequence[XY]) -> tuple[int, ...]:
             for a, total in enumerate(totals):
                 if a != p:
                     order[1 + (n - 2 - s * total) // 2] = a
-            chirotope = tuple(s * o[order[a]][order[b]][order[c]] for a, b, c in _triples(n))
-            if best is None or chirotope < best:
-                best = chirotope
-    return best
+            signs = tuple(s * o[order[a]][order[b]][order[c]] for a, b, c in rest)
+            if best is None or signs < best:
+                best = signs
+    return (1,) * through_p + best
 
 
 def _face_points(pts: Sequence[XY]) -> list[tuple[int, int, int]]:

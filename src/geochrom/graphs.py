@@ -354,7 +354,14 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
 # Every order of the isolated vertices gives the same leaves, so the search
 # starts with each in a class of its own, ranked ahead of all other vertices,
 # where refinement would put their one shared class, and never branches on
-# them.
+# them. The others start ranked by degree and then crossing degree: that is
+# what a pass from one shared class gives them, because every neighbour and
+# crossing partner of a vertex with an edge has an edge too, so its
+# neighbour and partner multisets hold one class and differ only in size.
+#
+# A vertex alone in its class is settled: no later pass can split it, and its
+# class, the first field of every signature, already fixes its rank. A pass
+# gives it the signature (class,) and never reads its lists.
 
 
 def _refine_partition(
@@ -367,6 +374,10 @@ def _refine_partition(
     orders like the triple. A vertex's signature begins with its class, so
     every class splits in place and the order of classes is kept.
 
+    A vertex alone in its class gets the signature (class,), and its lists
+    are never read: its class alone fixes its rank, since no other vertex
+    shares it.
+
     A colouring with one vertex per class is stable, and a pass over it would
     only compact its classes, so it returns as soon as it is discrete: on
     entry, with the ranks of its classes (the search hands over classes such
@@ -378,14 +389,21 @@ def _refine_partition(
         rank = {c: r for r, c in enumerate(sorted(classes))}
         return [rank[c] for c in classes]
     while True:
+        sizes: dict[int, int] = {}
+        for c in classes:
+            sizes[c] = sizes.get(c, 0) + 1
         sigs = []
-        for v, nbrs in enumerate(adj):
+        for v, c in enumerate(classes):
+            if sizes[c] == 1:
+                sigs.append((c,))
+                continue
+            nbrs = adj[v]
             crs = []
             for p, a, b in partners[v]:
                 ca, cb = classes[a], classes[b]
                 crs.append((classes[p] * n + ca) * n + cb if ca <= cb else (classes[p] * n + cb) * n + ca)
             crs.sort()
-            sigs.append((classes[v], len(nbrs), len(crs), tuple(sorted([classes[u] for u in nbrs])), tuple(crs)))
+            sigs.append((c, len(nbrs), len(crs), tuple(sorted([classes[u] for u in nbrs])), tuple(crs)))
         rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
         classes = [rank[sig] for sig in sigs]
         if len(rank) == count or len(rank) == n:
@@ -463,10 +481,17 @@ def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Cr
                 return resume
         return depth
 
-    isolated = [v for v in range(n) if not adj[v]]
-    start = [len(isolated)] * n
-    for rank, v in enumerate(isolated):
-        start[v] = rank
+    # The start of the comment above: isolated vertices (None) alone, by id,
+    # then the rest by degree and crossing degree.
+    counts = [(len(nbrs), len(at)) if nbrs else None for nbrs, at in zip(adj, partners)]
+    rank = {c: r for r, c in enumerate(sorted(set(counts) - {None}), counts.count(None))}
+    start, isolated = [], 0
+    for c in counts:
+        if c is None:
+            start.append(isolated)
+            isolated += 1
+        else:
+            start.append(rank[c])
     search(start, [])
     return _form_bytes(n, *min(leaves))
 

@@ -660,17 +660,41 @@ def reference_maps_into(n, source_crossings, target_crossings):
 # forms must equal the package's byte for byte.
 
 
+def reference_signature_pass(n, adj, incid, classes):
+    """One refinement pass: every vertex ranked by its full signature.
+
+    That is its class, degree, crossing degree and the sorted classes of its
+    neighbours and of its crossings (partner, crossed edge), for settled and
+    unsettled vertices alike.
+    """
+    sigs = []
+    for v in range(n):
+        nbr = tuple(sorted(classes[u] for u in adj[v]))
+        crs = tuple(sorted((classes[p], tuple(sorted((classes[a], classes[b])))) for p, (a, b) in incid[v]))
+        sigs.append((classes[v], len(adj[v]), len(incid[v]), nbr, crs))
+    order = sorted(set(sigs))
+    return [order.index(s) for s in sigs]
+
+
+def reference_search_start(n: int, edges, crossings) -> list:
+    """One signature pass from the colouring that is uniform but for the isolated vertices.
+
+    Those come first, each alone and by id, as the search never branches on
+    them; every other vertex starts in one shared class.
+    """
+    _, _, adj, incid = _canonical_inputs(n, edges, crossings)
+    isolated = [v for v in range(n) if not adj[v]]
+    classes = [len(isolated)] * n
+    for rank, v in enumerate(isolated):
+        classes[v] = rank
+    return reference_signature_pass(n, adj, incid, classes)
+
+
 def _reference_classes(n, adj, incid, classes=None):
     """The coarsest stable refinement of `classes` (default all zero), as ranks 0..k-1."""
     classes = [0] * n if classes is None else classes
     while True:
-        sigs = []
-        for v in range(n):
-            nbr = tuple(sorted(classes[u] for u in adj[v]))
-            crs = tuple(sorted((classes[p], tuple(sorted((classes[a], classes[b])))) for p, (a, b) in incid[v]))
-            sigs.append((classes[v], len(adj[v]), len(incid[v]), nbr, crs))
-        order = sorted(set(sigs))
-        new = [order.index(s) for s in sigs]
+        new = reference_signature_pass(n, adj, incid, classes)
         if new == classes:
             return classes
         classes = new

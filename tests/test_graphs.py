@@ -40,6 +40,8 @@ from oracles import (
     reference_crossings_too_close,
     reference_ir_canonical_form,
     reference_min_crossing_distance,
+    reference_search_start,
+    reference_signature_pass,
 )
 
 
@@ -396,9 +398,11 @@ def _reference_ir_inputs(group, store):
             for i in range(300)]
 
 
-@pytest.mark.parametrize("group", ["convex K4-K14", "star_crossing(1..13)", "separation_family(1..5)", "figures",
-                                   "K3-K6 catalogs", "300 random drawings", "one edge plus 0..12 isolated vertices",
-                                   "sparse drawings with isolated vertices"])
+_IR_GROUPS = ["convex K4-K14", "star_crossing(1..13)", "separation_family(1..5)", "figures", "K3-K6 catalogs",
+              "300 random drawings", "one edge plus 0..12 isolated vertices", "sparse drawings with isolated vertices"]
+
+
+@pytest.mark.parametrize("group", _IR_GROUPS)
 def test_canonical_form_equals_the_former_search_byte_for_byte(group, store):
     # Jump-back and incremental stabilizer filtering skip only subtrees whose
     # leaves were already seen, and int signatures rank like the tuples, so
@@ -419,16 +423,30 @@ def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
     assert len(calls) <= most
 
 
-class _PassCounter(list):
-    """Neighbour lists that count the signature passes over them: each pass enumerates them once."""
+class _Reads(list):
+    """Lists that log the index of each entry asked for; iterating over them asks for every entry."""
 
-    def __init__(self, lists, passes: list):
+    def __init__(self, lists, log: list):
         super().__init__(lists)
-        self.passes = passes
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
 
     def __iter__(self):
-        self.passes.append(1)
+        self.log.extend(range(len(self)))
         return super().__iter__()
+
+
+def _passes(reads: list) -> int:
+    """Signature passes behind one refinement's log of partner-list reads.
+
+    A pass reads the lists of its unsettled vertices in increasing order. The
+    next pass starts below where it ended: its unsettled vertices are some of
+    the former's, at least two of them.
+    """
+    return sum(1 for i, v in enumerate(reads) if i == 0 or v <= reads[i - 1])
 
 
 def test_a_discrete_colouring_comes_back_as_its_ranks_without_a_pass():
@@ -437,22 +455,80 @@ def test_a_discrete_colouring_comes_back_as_its_ranks_without_a_pass():
     assert graphs._refine_partition([6, 0, 3], None, None) == [2, 0, 1]
     assert graphs._refine_partition([], None, None) == []
     # The pass that separates the last vertices is the last one.
-    passes = []
-    path = _PassCounter([{1}, {0, 2}, {1}], passes)
-    assert graphs._refine_partition([0, 0, 1], path, [[], [], []]) == [0, 1, 2]
-    assert len(passes) == 1
+    reads = []
+    path = [{1}, {0, 2}, {1}]
+    assert graphs._refine_partition([0, 0, 1], path, _Reads([[], [], []], reads)) == [0, 1, 2]
+    assert _passes(reads) == 1
 
 
 def test_random_drawings_refine_in_a_fixed_number_of_passes(monkeypatch):
     # Counts repeat exactly on every host. Confirming each discrete colouring
-    # with one more pass, the same forms took 983 passes.
+    # with one more pass, the same forms took 983 passes; stopping at a
+    # discrete colouring, 598, when each search began with a pass from the
+    # uniform colouring.
     structures = _reference_ir_inputs("300 random drawings", None)
-    passes = []
-    adj_lists = graphs._adj_lists
-    monkeypatch.setattr(graphs, "_adj_lists", lambda n, edges: _PassCounter(adj_lists(n, edges), passes))
+    passes = 0
+    refine = graphs._refine_partition
+
+    def counting(classes, adj, partners):
+        nonlocal passes
+        reads = []
+        result = refine(classes, adj, _Reads(partners, reads))
+        passes += _passes(reads)
+        return result
+
+    monkeypatch.setattr(graphs, "_refine_partition", counting)
     for s in structures:
         assert s.canonical_form
-    assert len(passes) == 598
+    assert passes == 316
+
+
+@pytest.mark.parametrize("group", _IR_GROUPS)
+def test_the_search_starts_where_one_pass_from_the_uniform_colouring_ends(group, store, monkeypatch):
+    # Every neighbour and crossing partner of a vertex with an edge has an
+    # edge too, so that pass ranks those vertices by degree and crossing
+    # degree alone, and the search starts from its result without making it.
+    firsts = []
+    refine = graphs._refine_partition
+    monkeypatch.setattr(graphs, "_refine_partition", lambda *args: firsts.append(args[0]) or refine(*args))
+    for s in _reference_ir_inputs(group, store):
+        firsts.clear()
+        graphs._canonical_bytes(s.n, s.adjacency, s.crossings)
+        assert firsts[0] == reference_search_start(s.n, s.adjacency, s.crossings), s
+
+
+def _unsettled_per_pass(classes, adj, partners) -> list:
+    """The vertices that share a class, at the start of each pass _refine_partition makes."""
+    incid = [[(p, (a, b)) for p, a, b in at] for at in partners]
+    out = []
+    while len(set(classes)) < len(classes):
+        out += [v for v, c in enumerate(classes) if classes.count(c) > 1]
+        refined = reference_signature_pass(len(classes), adj, incid, classes)
+        if len(set(refined)) == len(set(classes)):
+            break
+        classes = refined
+    return out
+
+
+@pytest.mark.parametrize("group", _IR_GROUPS)
+def test_a_pass_reads_no_list_of_a_vertex_alone_in_its_class(group, store, monkeypatch):
+    # Its class, the first field of every signature, already fixes its rank.
+    calls = 0
+    refine = graphs._refine_partition
+
+    def checking(classes, adj, partners):
+        nonlocal calls
+        adj_reads, partner_reads = [], []
+        result = refine(classes, _Reads(adj, adj_reads), _Reads(partners, partner_reads))
+        expected = sorted(_unsettled_per_pass(classes, adj, partners))
+        assert sorted(adj_reads) == sorted(partner_reads) == expected
+        calls += 1
+        return result
+
+    monkeypatch.setattr(graphs, "_refine_partition", checking)
+    for s in _reference_ir_inputs(group, store):
+        graphs._canonical_bytes(s.n, s.adjacency, s.crossings)
+    assert calls
 
 
 def test_isolated_vertices_are_never_branched_on(monkeypatch):
