@@ -56,7 +56,7 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from .search import _find_hom
+from .search import _complete, _find_hom
 
 # Order types of n points in general position, a set and its mirror image
 # counted once (Aichholzer, Aurenhammer and Krasser 2002).
@@ -129,7 +129,7 @@ class _CrossingTable:
     def __init__(self, s: CrossingStructure):
         self.structure = s
         self.crossings_at = _crossing_partners(s.n, s.crossings)
-        self.adjacency = [[w for w in range(s.n) if w != v] for v in range(s.n)]
+        self.adjacency = _complete(s.n).neighbours  # the rows of K_n, built once per n
         # sorted_rows[v]: how many crossings each edge at v takes part in, ascending.
         per_edge = [[0] * s.n for _ in range(s.n)]
         for (a, b), (c, d) in s.crossings:
@@ -152,7 +152,7 @@ def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...
     n = len(source.sorted_rows)
     candidates = [sum(1 << w for w in range(n) if all(map(int.__le__, row, target.sorted_rows[w])))
                   for row in source.sorted_rows]
-    images = _find_hom(source.adjacency, source.crossings_at, [()] * n, target.structure.crossing_index, candidates)
+    images = _find_hom(source.adjacency, source.crossings_at, [0] * n, target.structure.crossing_index, candidates)
     return None if images is None else tuple(images)
 
 

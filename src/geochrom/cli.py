@@ -43,7 +43,6 @@ from .graphs import (
     crossings_of,
     graph_from_json_dict,
     graph_to_json_dict,
-    min_pairwise_crossing_distance,
 )
 from .homomorphism import (
     VertexMap,
@@ -121,8 +120,9 @@ _LIFTS = {
 def _cmd_lift(args) -> int:
     g = _load_graph(args.graph)
     chi, alpha = chromatic_number(g)
-    if args.method == "indep2n" and min_pairwise_crossing_distance(g) >= 1:
-        # Only where the lift's first hypothesis holds; otherwise the lift refuses alpha itself.
+    if args.method == "indep2n" and g.crossing_gap[0] >= 1:
+        # Only where the lift's first hypothesis holds, read from the verdict the lift reuses (distance 0
+        # exactly when two crossings share a vertex); otherwise the lift refuses alpha itself.
         alpha = find_noncollapsing_hom(g, chi) or find_noncollapsing_hom(g, chi + 1) or alpha
     report = _LIFTS[args.method](g, alpha)
     _emit(report.to_json_dict(), args.output)

@@ -14,7 +14,11 @@ There is one crossing type. Both classes hold their crossings in
 `crossings`, a frozenset of Crossing: a pair of edges, lesser edge first,
 that is a plain tuple and so equals and hashes like its edge pair. Both also
 keep a `crossing_index`, built once per object the first time a search maps
-into it (see CrossingIndex).
+into it (see CrossingIndex). A drawing keeps, the same way, what the solvers
+read of it as a source: `neighbour_rows` (bit w of row v for each edge vw),
+`crossing_partners` (see _crossing_partners) and `crossing_gap`, the
+threshold-2 verdict of _crossing_gap over its sorted crossings, which decides
+the distance hypothesis of all four lifts.
 """
 
 from __future__ import annotations
@@ -108,6 +112,19 @@ class GeometricGraph(_Record):
     def crossing_index(self) -> "CrossingIndex":
         return _crossing_index(self.n, self.edges, self.crossings)
 
+    @cached_property
+    def neighbour_rows(self) -> list[int]:
+        return _adj_rows(self.n, self.edges)
+
+    @cached_property
+    def crossing_partners(self) -> list[list[tuple[int, int, int]]]:
+        return _crossing_partners(self.n, self.crossings)
+
+    @cached_property
+    def crossing_gap(self) -> tuple[int | float, tuple["Crossing", str] | None]:
+        # At threshold 2, over the sorted crossings: the verdict of every lift.
+        return _crossing_gap(self.n, self.edges, sorted(self.crossings), 2)
+
 
 def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
     """Neighbour sets of vertices 0..n-1 under an undirected edge list."""
@@ -116,6 +133,15 @@ def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def _adj_rows(n: int, edges: Iterable[Edge]) -> list[int]:
+    """Neighbour rows of vertices 0..n-1 under an undirected edge list: bit w of row v for each edge vw."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 def _crossing_partners(n: int, crossings: Iterable[Crossing]) -> list[list[tuple[int, int, int]]]:
@@ -166,10 +192,7 @@ class CrossingIndex(NamedTuple):
 
 
 def _crossing_index(n: int, adjacency: Iterable[Edge], crossings: Iterable[Crossing]) -> CrossingIndex:
-    neighbours = [0] * n
-    for u, v in adjacency:
-        neighbours[u] |= 1 << v
-        neighbours[v] |= 1 << u
+    neighbours = _adj_rows(n, adjacency)
     ends = [[0] * n for _ in range(n)]
     zeros = [0] * n
     completions = [[zeros] * n for _ in range(n)]

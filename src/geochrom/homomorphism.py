@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
 from .errors import _Record
-from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_lists, _as_abstract, _crossing_partners, crossings_of
+from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_rows, _as_abstract, crossings_of
 from .obstructions import non_identifiable_pairs
 from .search import Coloring, _chromatic, _find_hom
 
@@ -54,11 +54,12 @@ def is_graph_hom(G, H, f: VertexMap) -> bool:
     """True iff f maps every edge of G onto an edge of H (endpoints distinct)."""
     n_g, edges_g = _as_abstract(G)
     n_h, edges_h = _as_abstract(H)
-    if f.source_size != n_g or f.target_size != n_h:
+    images = f.images
+    if len(images) != n_g or f.target_size != n_h:
         return False
-    for e in edges_g:
-        img = f.edge_image(e)
-        if img is None or img not in edges_h:
+    for u, v in edges_g:
+        a, b = images[u], images[v]
+        if a == b or ((a, b) if a < b else (b, a)) not in edges_h:
             return False
     return True
 
@@ -69,32 +70,36 @@ def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f
         return False
     # A graph hom sends each edge onto an edge, and every target crossing is
     # a pair of disjoint edges, so membership alone decides each crossing.
-    target_crossings = H.crossings
-    for c in crossings_of(G):
-        img1, img2 = f.edge_image(c.e1), f.edge_image(c.e2)
-        if ((img1, img2) if img1 < img2 else (img2, img1)) not in target_crossings:
+    target_crossings, images = H.crossings, f.images
+    for (a, b), (c, d) in crossings_of(G):
+        s, t, u, x = images[a], images[b], images[c], images[d]
+        e1 = (s, t) if s < t else (t, s)
+        e2 = (u, x) if u < x else (x, u)
+        if ((e1, e2) if e1 < e2 else (e2, e1)) not in target_crossings:
             return False
     return True
 
 
 def chromatic_number(G) -> tuple[int, Coloring]:
     """Exact chi with a proper witness coloring using exactly chi colors."""
-    return _chromatic(_adj_lists(*_as_abstract(G)), 0)
+    return _chromatic(_adj_rows(*_as_abstract(G)), 0)
 
 
 def is_proper(G, coloring: Coloring) -> bool:
     n, edges = _as_abstract(G)
-    if len(coloring.colors) != n:
+    colors = coloring.colors
+    if len(colors) != n:
         return False
-    return all(coloring.colors[u] != coloring.colors[v] for u, v in edges)
+    return all(colors[u] != colors[v] for u, v in edges)
 
 
 def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
     """Proper on edges and 4 distinct colors on every crossing quadruple."""
     if not is_proper(G, coloring):
         return False
+    colors = coloring.colors
     for (a, b), (c, d) in crossings_of(G):
-        if len({coloring.colors[a], coloring.colors[b], coloring.colors[c], coloring.colors[d]}) != 4:
+        if len({colors[a], colors[b], colors[c], colors[d]}) != 4:
             return False
     return True
 
@@ -106,13 +111,13 @@ def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStruc
     """First verified geometric homomorphism G -> target, or None.
 
     search._find_hom over the whole target, keeping apart the vertices the
-    obstruction rules force apart. The lists of those vertices are built
-    once per graph (non_identifiable_pairs keeps them on G) and the crossing
-    index once per target, so repeated searches share both.
+    obstruction rules force apart. G's neighbour rows and crossing partners,
+    the rows of those vertices (non_identifiable_pairs keeps them on G) and
+    the target's crossing index are each built once per graph, so repeated
+    searches share them all.
     """
-    n = G.n
-    images = _find_hom(_adj_lists(n, G.edges), _crossing_partners(n, G.crossings), non_identifiable_pairs(G)._apart,
-                       target.crossing_index, [(1 << target.n) - 1] * n)
+    images = _find_hom(G.neighbour_rows, G.crossing_partners, non_identifiable_pairs(G)._apart,
+                       target.crossing_index, [(1 << target.n) - 1] * G.n)
     if images is None:
         return None
     vm = VertexMap(tuple(images), target.n)

@@ -33,14 +33,7 @@ from .errors import (
     NotProperColoring,
     _Record,
 )
-from .graphs import (
-    Crossing,
-    GeometricGraph,
-    _adj_lists,
-    _crossing_gap,
-    _crossing_partners,
-    crossings_of,
-)
+from .graphs import Crossing, GeometricGraph
 from .homomorphism import VertexMap, is_geometric_hom, is_proper
 from .search import Coloring, _noncollapsing
 
@@ -161,12 +154,15 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
         base = [2 * c - 1 for c in alpha.colors]
         room = 2 * n - 1  # recoded labels occupy odd positions 1..2n-1
 
-    crossings = sorted(crossings_of(G))  # by least vertex: each crossing leads with its lesser sorted edge
+    # The drawing's one threshold-2 verdict: below 2 it names a conflict, and
+    # crossings sharing a vertex, the only conflict at 0, are found first.
+    gap, conflict = G.crossing_gap
+    if method == "dist2" and conflict is not None:
+        raise DistanceTooSmall(conflict[1])
+    if gap == 0:
+        raise CrossingsNotIndependent(conflict[1])
 
-    minimum, exc = (2, DistanceTooSmall) if method == "dist2" else (1, CrossingsNotIndependent)
-    conflict = _crossing_gap(G.n, G.edges, crossings, minimum)[1]
-    if conflict is not None:
-        raise exc(conflict[1])
+    crossings = sorted(G.crossings)  # by least vertex: each crossing leads with its lesser sorted edge
 
     beta = list(base)
     log: list[tuple[Crossing, str]] = []
@@ -228,5 +224,5 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
     """
     if n < 0 or n < 3 and G.crossings:
         return None
-    images = _noncollapsing(_adj_lists(G.n, G.edges), _crossing_partners(G.n, G.crossings), min(n, G.n))
+    images = _noncollapsing(G.neighbour_rows, G.crossing_partners, min(n, G.n))
     return None if images is None else Coloring(tuple(c + 1 for c in images), n)

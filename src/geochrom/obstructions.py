@@ -120,17 +120,17 @@ class DistinctnessGraph(_Record):
     @cached_property
     def _pseudo(self) -> tuple[int, Coloring]:
         """X' with its coloring: chi of rows A and B, every edge and crossing pair."""
-        return _chromatic([_members(a | b) for a, b in zip(self.rows["A"], self.rows["B"])], 0)
+        return _chromatic([a | b for a, b in zip(self.rows["A"], self.rows["B"])], 0)
 
     @cached_property
     def _chi(self) -> int:
-        forced = [_members(a | b | c | d) for a, b, c, d in zip(*map(self.rows.__getitem__, "ABCD"))]
+        forced = [a | b | c | d for a, b, c, d in zip(*map(self.rows.__getitem__, "ABCD"))]
         return _chromatic(forced, self._pseudo[0])[0]
 
     @cached_property
-    def _apart(self) -> list[list[int]]:
-        """The vertices kept off each vertex's image besides its neighbours, for find_geometric_hom."""
-        return [_members((b | c | d) & ~a) for a, b, c, d in zip(*map(self.rows.__getitem__, "ABCD"))]
+    def _apart(self) -> list[int]:
+        """The row of vertices kept off each vertex's image besides its neighbours, for find_geometric_hom."""
+        return [(b | c | d) & ~a for a, b, c, d in zip(*map(self.rows.__getitem__, "ABCD"))]
 
 
 def _join(comps: list[tuple[int, int]], members: int, ones: int) -> list[tuple[int, int]] | None:
@@ -186,10 +186,7 @@ def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
 
 def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
     n = G.n
-    a, b, c, d = [0] * n, [0] * n, [0] * n, [0] * n
-    for u, v in G.edges:
-        a[u] |= 1 << v
-        a[v] |= 1 << u
+    b, c, d = [0] * n, [0] * n, [0] * n
     crossed_by: dict[Edge, list[Edge]] = {}
     for e1, e2 in crossings_of(G):
         (w, x), (y, z) = e1, e2
@@ -215,7 +212,8 @@ def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
                 d[u] |= 1 << v
                 d[v] |= 1 << u
 
-    return DistinctnessGraph(n, _FrozenMap({"A": tuple(a), "B": tuple(b), "C": tuple(c), "D": tuple(d)}))
+    rows = {"A": tuple(G.neighbour_rows), "B": tuple(b), "C": tuple(c), "D": tuple(d)}
+    return DistinctnessGraph(n, _FrozenMap(rows))
 
 
 def geochromatic_lower_bound(G: GeometricGraph) -> int:

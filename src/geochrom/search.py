@@ -5,10 +5,17 @@ caller picks, trying each vertex's values in ascending order. Every unmapped
 vertex keeps an int bitmask of the values it may still take (forward
 checking; Haralick and Elliott, "Increasing tree search efficiency for
 constraint satisfaction problems", Artificial Intelligence 14, 1980).
-Mapping v to t narrows, by the target's CrossingIndex:
+The source is held as int rows too: bit w of adj[v] for each edge vw, bit w
+of apart[v] for each vertex kept off v's image, with the crossings at v as
+crossing_partners triples. The search keeps the unmapped vertices as one
+mask, free, so a row narrows only its unmapped members, row & free (bitset
+search as in San Segundo, Rodriguez-Losada and Jimenez, "An exact
+bit-parallel algorithm for the maximum clique problem", Computers &
+Operations Research 38, 2011). Mapping v to t narrows, by the target's
+CrossingIndex:
 
-  - each neighbour of v to the target neighbours of t, and each vertex kept
-    apart from v to every value but t;
+  - each unmapped neighbour of v to the target neighbours of t, and each
+    unmapped vertex kept apart from v to every value but t;
   - on a crossing vp x cd, once v and p are both mapped, c and d to the ends
     of the target edges that cross the image of vp, and once three of the
     four ends are mapped, the fourth to its exact completions.
@@ -17,29 +24,39 @@ A mask that empties backtracks at once. Narrowing removes only values that
 no completion of the current partial map can take, so the search visits
 the surviving branches in the same order and finds the same first map as
 one that checks each value after writing it. The module sits below
-catalog, obstructions and homomorphism. The callers, their targets and
-what each adds:
+catalog, obstructions and homomorphism. The callers, their sources, their
+targets and what each adds:
 
-  _chromatic      K_k with no crossings; DSATUR order (saturation is k minus
-                  the mask's popcount), a greedy clique mapped first,
+  _chromatic      rows of the graph to color (a drawing's edges for chi, the
+                  forced-pair rows A|B for X' and A|B|C|D for the lower
+                  bound, read as they are), nothing apart; K_k with no
+                  crossings, built once per k (_complete). The greedy clique
+                  and DSATUR run on the rows, and when the clique or the
+                  floor already reaches the DSATUR count no search is set
+                  up. Otherwise DSATUR order (saturation is k minus the
+                  mask's popcount), the clique mapped first,
                   first-fresh-color symmetry breaking, counts from a floor
-                  up: 0 for chi and X' (obstruction rows A and B), X' for
-                  the lower bound (all four rows)
-  _find_hom       a drawing or structure; fewest starting images, then
-                  decreasing crossing degree; find_geometric_hom starts on
-                  the whole target with the pairs of rules A-D apart,
-                  catalog._maps_into (the dominance test between two K_n) on
-                  candidate images with none apart
-  _noncollapsing  K_k with every disjoint edge pair crossing, so the ends
-                  narrow nothing and a completion bars only the value that
-                  puts both edges on one color pair; degree plus crossing
-                  degree, symmetry breaking
+                  up: 0 for chi and X', X' for the lower bound
+  _find_hom       a drawing's neighbour rows and crossing partners, kept on
+                  it, or a K_n's; a drawing or structure's CrossingIndex;
+                  fewest starting images, then decreasing crossing degree;
+                  find_geometric_hom starts on the whole target with the
+                  rows (B|C|D) & ~A of rules A-D apart, catalog._maps_into
+                  (the dominance test between two K_n) on candidate images
+                  with none apart
+  _noncollapsing  a drawing's neighbour rows and crossing partners, nothing
+                  apart; K_k with every disjoint edge pair crossing, built
+                  once per k (_all_crossing), so the ends narrow nothing and
+                  a completion bars only the value that puts both edges on
+                  one color pair; degree plus crossing degree, symmetry
+                  breaking
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 from .errors import _Record
 from .graphs import CrossingIndex
@@ -60,12 +77,13 @@ class Coloring(_Record):
         object.__setattr__(self, "n", n)
 
 
-def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], adj: Sequence[Collection[int]],
-               apart: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
+def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], adj: Sequence[int],
+               apart: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
                target: CrossingIndex, symmetric: bool) -> bool:
     """Fill images, all -1 on entry, with values from domains[v], narrowing as the module says.
 
-    pick(depth) names the vertex to map at that depth of the search, and may
+    adj and apart are the source's rows, and `free` in the search the mask
+    of vertices not yet mapped. pick(depth) names the vertex to map at that depth of the search, and may
     read images and domains, which hold the current state. With `symmetric`
     the values are interchangeable, so a vertex tries at most one value that
     no vertex holds yet. Returns True with images filled, or False with
@@ -75,14 +93,16 @@ def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int]
     neighbours, ends, completions = target
     full = (1 << len(neighbours)) - 1
 
-    def narrow(v: int, t: int) -> bool:
-        for row, ws in ((neighbours[t], adj[v]), (full ^ 1 << t, apart[v])):
-            for w in ws:
-                if images[w] < 0:
-                    m = domains[w] & row
-                    if not m:
-                        return False
-                    domains[w] = m
+    def narrow(v: int, t: int, free: int) -> bool:
+        for row, ws in ((neighbours[t], adj[v] & free), (full ^ 1 << t, apart[v] & free)):
+            while ws:
+                low = ws & -ws
+                ws ^= low
+                w = low.bit_length() - 1
+                m = domains[w] & row
+                if not m:
+                    return False
+                domains[w] = m
         for p, c, d in crossings_at[v]:
             s = images[p]
             if s >= 0:  # vp is mapped onto ts
@@ -112,10 +132,11 @@ def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int]
                     domains[p] = m
         return True
 
-    def extend(depth: int, used: int) -> bool:
+    def extend(depth: int, used: int, free: int) -> bool:
         if depth == todo:
             return True
         v = pick(depth)
+        free ^= 1 << v
         options = domains[v] & ((2 << used) - 1) if symmetric else domains[v]
         saved = domains[:]
         while options:
@@ -123,21 +144,22 @@ def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int]
             options ^= low
             t = low.bit_length() - 1
             images[v] = t
-            if narrow(v, t) and extend(depth + 1, max(used, t + 1)):
+            if narrow(v, t, free) and extend(depth + 1, max(used, t + 1), free):
                 return True
             domains[:] = saved
         images[v] = -1
         return False
 
-    return extend(0, 0)
+    return extend(0, 0, (1 << todo) - 1)
 
 
-def _find_hom(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
-              apart: Sequence[Collection[int]], target: CrossingIndex, domains: list[int]) -> list[int] | None:
+def _find_hom(adj: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
+              apart: Sequence[int], target: CrossingIndex, domains: list[int]) -> list[int] | None:
     """The first map of 0..n-1 into target keeping edges on edges and crossings on crossings, or None.
 
     adj and crossings_at hold the source's edges and crossings, apart[v] the
-    vertices kept off v's image, and domains[v] the images v starts from.
+    vertices kept off v's image, as a row like adj[v], and domains[v] the
+    images v starts from.
     """
     n = len(adj)
     order = sorted(range(n), key=lambda v: (domains[v].bit_count(), -len(crossings_at[v]), v))
@@ -147,19 +169,37 @@ def _find_hom(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tu
     return None
 
 
-def _noncollapsing(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
-                   k: int) -> list[int] | None:
-    """The first proper k-coloring, up to color permutation, with no crossing's edges on one color pair, or None."""
-    n = len(adj)
+@lru_cache(maxsize=None)
+def _complete(k: int) -> CrossingIndex:
+    """K_k with no crossings, the target of the chi search; its neighbours are the rows of K_k."""
+    full = (1 << k) - 1
+    return CrossingIndex([full ^ 1 << t for t in range(k)], [], [])
+
+
+@lru_cache(maxsize=8)
+def _all_crossing(k: int) -> CrossingIndex:
+    """K_k with every disjoint edge pair crossing, the target of the non-collapsing search.
+
+    It holds k^3 masks, so only a few sizes are kept: the lifts ask for chi
+    and chi + 1 colors.
+    """
     full = (1 << k) - 1
     completions = [[[full] * k for _ in range(k)] for _ in range(k)]
     for s, t in permutations(range(k), 2):
         completions[s][t][s] = full ^ 1 << t
         completions[s][t][t] = full ^ 1 << s
-    target = CrossingIndex([full ^ 1 << t for t in range(k)], [[full] * k] * k, completions)
-    order = sorted(range(n), key=lambda v: (-(len(adj[v]) + len(crossings_at[v])), v))
+    return CrossingIndex(_complete(k).neighbours, [[full] * k] * k, completions)
+
+
+def _noncollapsing(adj: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
+                   k: int) -> list[int] | None:
+    """The first proper k-coloring, up to color permutation, with no crossing's edges on one color pair, or None."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-(adj[v].bit_count() + len(crossings_at[v])), v))
     images = [-1] * n
-    if _backtrack(images, [full] * n, order.__getitem__, adj, [()] * n, crossings_at, target, symmetric=True):
+    none = [0] * n  # no vertices apart
+    if _backtrack(images, [(1 << k) - 1] * n, order.__getitem__, adj, none, crossings_at, _all_crossing(k),
+                  symmetric=True):
         return images
     return None
 
@@ -167,68 +207,81 @@ def _noncollapsing(adj: Sequence[Collection[int]], crossings_at: Sequence[Sequen
 # --- exact chromatic number -------------------------------------------------
 
 
-def _greedy_clique(adj: Sequence[Collection[int]]) -> list[int]:
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+def _greedy_clique(adj: Sequence[int]) -> list[int]:
+    """Vertices by decreasing degree, then id, each kept when adjacent to every vertex kept before it."""
     clique: list[int] = []
-    common = (1 << n) - 1  # bit v: v is adjacent to every clique vertex so far
-    for v in order:
+    common = (1 << len(adj)) - 1  # bit v: v is adjacent to every clique vertex so far
+    for v in sorted(range(len(adj)), key=lambda v: -adj[v].bit_count()):  # stable: ties by id
         if common >> v & 1:
             clique.append(v)
-            common &= sum(1 << w for w in adj[v])
+            common &= adj[v]
+            if not common:
+                break
     return clique
 
 
-def _dsatur_greedy(adj: Sequence[Collection[int]]) -> list[int]:
+def _dsatur_greedy(adj: Sequence[int]) -> list[int]:
     """DSATUR (Brelaz, Comm. ACM 22, 1979): colors 1.. in order of saturation, then degree, then id.
 
     seen[v] has bit c set once a neighbour of v holds color c. An uncolored
     vertex ranks by the one int sat*n^2 + deg*n + (n-1-id), kept up to date
     as its saturation grows, and a colored one by -1, so the highest rank is
-    the vertex the (saturation, degree, -id) order picks.
+    the vertex the (saturation, degree, -id) order picks. Coloring v updates
+    only its uncolored neighbours, whose ranks are still read.
     """
     n = len(adj)
     colors = [0] * n
     seen = [0] * n
-    rank = [len(nbrs) * n + n - 1 - v for v, nbrs in enumerate(adj)]
+    rank = [row.bit_count() * n + n - 1 - v for v, row in enumerate(adj)]
     n2 = n * n
+    uncolored = (1 << n) - 1
     for _ in range(n):
         v = rank.index(max(rank))
         m = seen[v] | 1
         c = (~m & (m + 1)).bit_length() - 1  # the least color no neighbour holds
         colors[v] = c
         rank[v] = -1
+        uncolored ^= 1 << v
         bit = 1 << c
-        for w in adj[v]:
+        ws = adj[v] & uncolored
+        while ws:
+            low = ws & -ws
+            ws ^= low
+            w = low.bit_length() - 1
             if not seen[w] & bit:
                 seen[w] |= bit
-                if not colors[w]:
-                    rank[w] += n2
+                rank[w] += n2
     return colors
 
 
-def _chromatic(adj: Sequence[Collection[int]], floor: int) -> tuple[int, Coloring]:
-    """chi and its coloring for neighbours adj; floor, a lower bound, skips counts that would fail."""
-    n = len(adj)
-    clique = _greedy_clique(adj)
+def _chromatic(adj: Sequence[int], floor: int) -> tuple[int, Coloring]:
+    """chi and its coloring for neighbour rows adj; floor, a lower bound, skips counts that would fail.
+
+    When the clique or the floor already reaches the DSATUR count, that
+    coloring is optimal and no search is set up.
+    """
     greedy = _dsatur_greedy(adj)
     ub = max(greedy, default=0)
+    clique = _greedy_clique(adj)
+    if max(len(clique), floor) >= ub:
+        return ub, Coloring(tuple(greedy), ub)
+    n = len(adj)
+    degree = [row.bit_count() for row in adj]
     images = [-1] * n
     domains = [0] * n
 
     def pick(depth: int) -> int:
         if depth < len(clique):
             return clique[depth]
-        return min((v for v in range(n) if images[v] < 0),
-                   key=lambda v: (domains[v].bit_count(), -len(adj[v]), v))
+        return min((v for v in range(n) if images[v] < 0), key=lambda v: (domains[v].bit_count(), -degree[v], v))
 
-    none = [()] * n  # no vertices apart, no crossings
+    none = [0] * n  # no vertices apart
+    no_crossings = [()] * n
     for k in range(max(len(clique), floor), ub):
         full = (1 << k) - 1
         domains[:] = [full] * n
         for i, v in enumerate(clique):
             domains[v] = 1 << i
-        clique_k = CrossingIndex([full ^ 1 << t for t in range(k)], [], [])
-        if _backtrack(images, domains, pick, adj, none, none, clique_k, symmetric=True):
+        if _backtrack(images, domains, pick, adj, none, no_crossings, _complete(k), symmetric=True):
             return k, Coloring(tuple(c + 1 for c in images), k)
     return ub, Coloring(tuple(greedy), ub)

@@ -10,6 +10,28 @@ from geochrom import CatalogStore
 CACHE_DIR = Path(__file__).parent / ".catalog_cache"
 
 
+@pytest.fixture
+def calls_of(monkeypatch):
+    """calls_of(function) wraps a package function under every module's binding of it, and returns
+    the list that gets the arguments of each call; the wrappers go when the test ends."""
+
+    def install(function):
+        calls = []
+
+        def counting(*args, **options):
+            calls.append(args)
+            return function(*args, **options)
+
+        for name, module in list(sys.modules.items()):
+            if name == "geochrom" or name.startswith("geochrom."):
+                for key, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, key, counting)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def store() -> CatalogStore:
     """Shared catalog store backed by an on-disk cache across test runs."""

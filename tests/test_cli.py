@@ -18,11 +18,12 @@ from geochrom import (
     figure_graphs,
     graph_from_json_dict,
     graph_to_json_dict,
+    min_pairwise_crossing_distance,
     random_geometric_graph,
     segments_cross,
     star_crossing,
 )
-from geochrom import catalog, cli
+from geochrom import catalog, cli, graphs
 from geochrom.catalog import catalog_to_json_dict
 from geochrom.cli import main
 from oracles import fraction_intersection_point, parabola_chain
@@ -252,6 +253,18 @@ def test_lift_indep2n_reports_shared_vertex_crossings_without_searching(capsys, 
     assert errors["indep2n"] == errors["indep3n"]
     assert errors["indep2n"]["kind"] == "CrossingsNotIndependent" and "share vertex 0" in errors["indep2n"]["error"]
     assert calls == []
+
+
+@pytest.mark.parametrize("drawing", [figure_graphs("figure3_right"), random_geometric_graph(10, 0.5, seed=2)],
+                         ids=["independent", "shared_vertex"])
+def test_lift_indep2n_decides_crossing_distance_once(drawing, capsys, tmp_path, calls_of):
+    # The verb's independence test reads the verdict the lift reuses: no second BFS.
+    path = tmp_path / "g.json"
+    path.write_text(dumps(drawing))
+    independent = min_pairwise_crossing_distance(drawing) >= 1
+    gaps = calls_of(graphs._crossing_gap)
+    code, _, _ = run(capsys, "lift", "--method", "indep2n", str(path))
+    assert code == (0 if independent else 1) and len(gaps) == 1
 
 
 def test_lift_indep2n_without_a_noncollapsing_coloring_is_refused_by_the_lift(capsys, tmp_path, monkeypatch):

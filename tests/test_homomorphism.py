@@ -28,6 +28,7 @@ from geochrom import (
     separation_family,
     star_crossing,
 )
+import geochrom.graphs as graphs
 import geochrom.homomorphism as homomorphism
 from conftest import CACHE_DIR
 from oracles import brute_force_chromatic, brute_force_geometric_hom_exists
@@ -253,6 +254,19 @@ def test_geochromatic_number_searches_through_find_geometric_hom(store, monkeypa
     res = geochromatic_number(figure_graphs("figure1_left"), store, max_n=6)
     assert res.n == 6 and res.target != convex6 and res.target is calls[-1]
     assert convex6 in calls[:-1]
+
+
+def test_a_drawing_builds_its_source_tables_once_across_targets(store, calls_of):
+    g = figure_graphs("figure1_left")
+    g = GeometricGraph(g.points, g.edges)  # no table of it is kept yet
+    for n in range(3, 7):
+        store.get(n).maximal  # the targets and their view are ready before counting
+    tried = calls_of(homomorphism.find_geometric_hom)
+    partners = calls_of(graphs._crossing_partners)
+    rows = calls_of(graphs._adj_rows)
+    res = geochromatic_number(g, store, max_n=6)
+    assert res.n == 6 and len(tried) > 1
+    assert [args[0] for args in partners] == [g.n] and [args[0] for args in rows] == [g.n]
 
 
 def test_geochromatic_number_invariant_under_relabel_and_scale(store):

@@ -142,6 +142,14 @@ def test_search_core_has_its_named_callers():
     assert _namers("_find_hom") == {"homomorphism.find_geometric_hom", "catalog._maps_into"}
 
 
+def test_the_solve_path_reads_int_rows():
+    # Neighbour sets serve canonical refinement and the crossing-distance BFS; every search reads int rows,
+    # and the forced-pair rows are read as they are, listed only for rule C's components and the pair-set view.
+    assert _namers("_adj_lists") == {"graphs._canonical_bytes", "graphs._crossing_gap"}
+    assert _namers("_members") == {"obstructions._distinctness_graph", "obstructions.DistinctnessGraph.rules"}
+    assert _namers("_backtrack") == {"search._chromatic", "search._find_hom", "search._noncollapsing"}
+
+
 def test_only_graphs_and_search_name_the_crossing_index():
     # Every search maps into a CrossingIndex that graphs builds and search narrows by; no caller builds its rules.
     assert {namer.split(".")[0] for namer in _namers("CrossingIndex")} == {"graphs", "search"}

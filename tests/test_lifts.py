@@ -27,7 +27,7 @@ from geochrom import (
     lift_small_chi,
     random_geometric_graph,
 )
-from geochrom import lifts
+from geochrom import graphs, lifts
 from geochrom.lifts import _dispatch
 from oracles import brute_force_chromatic, brute_force_noncollapsing_exists, parabola_chain, reference_dispatch
 
@@ -348,3 +348,21 @@ def test_plain_crossing_order_is_least_vertex_order():
         assert sorted(crossings) == sorted(crossings, key=lambda c: (min(c.vertices), c)), seed
         several += len(crossings) > 1
     assert several > 100
+
+
+@pytest.mark.parametrize("tag, seed", [("figure3_right", None), (None, 2)])
+def test_the_four_lifts_share_one_crossing_gap_verdict(tag, seed, calls_of):
+    # figure3_right has independent crossings; random seed 2 has crossings sharing vertex 0, so every lift refuses.
+    g = figure_graphs(tag) if tag else random_geometric_graph(10, 0.5, seed=seed)
+    g = GeometricGraph(g.points, g.edges)  # no verdict of it is kept yet
+    gaps = calls_of(graphs._crossing_gap)
+    chi, alpha = chromatic_number(g)
+    outcomes = []
+    for lift, coloring in ((lift_dist2, alpha), (lift_independent, alpha), (lift_small_chi, alpha),
+                           (lift_independent_noncollapsing, find_noncollapsing_hom(g, chi + 1) or alpha)):
+        try:
+            outcomes.append(lift(g, coloring).method)
+        except GeochromError as exc:
+            outcomes.append(type(exc).__name__)
+    assert len(gaps) == 1
+    assert ("indep3n" in outcomes) == (tag is not None)

@@ -15,7 +15,6 @@ from geochrom import (
     random_geometric_graph,
 )
 from geochrom import search
-from geochrom.graphs import _adj_lists
 from geochrom.obstructions import _components, _union_has_odd_cycle
 from geochrom.search import _greedy_clique
 from oracles import (
@@ -26,10 +25,7 @@ from oracles import (
     reference_union_has_odd_cycle,
     two_sides,
 )
-from test_search import DRAWINGS, chromatic_reference
-
-SEEDED = [random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed) for seed in range(40)]
-DENSE = [random_geometric_graph(14 + seed % 3, 0.4 + 0.05 * (seed % 3), seed=5000 + seed) for seed in range(200)]
+from test_search import DENSE, DRAWINGS, SEEDED, chromatic_reference
 
 
 def accordion() -> GeometricGraph:
@@ -161,7 +157,8 @@ def test_lower_bound_is_searched_from_x_prime(monkeypatch):
         assert bound == chromatic_reference(g.n, dg.forced_pairs)[0]
         assert all(k >= px for k in counts), counts
         tried += len(counts)
-        starts_above_clique += len(_greedy_clique(_adj_lists(g.n, dg.forced_pairs))) < px
+        forced = [a | b | c | d for a, b, c, d in zip(*(dg.rows[r] for r in "ABCD"))]
+        starts_above_clique += len(_greedy_clique(forced)) < px
     assert tried > 0 and starts_above_clique > 0
 
 

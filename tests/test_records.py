@@ -28,8 +28,16 @@ from geochrom import (
     XResult,
     crossing_structure,
     enumerate_clique_structures,
+    GeochromError,
+    chromatic_number,
     figure_graphs,
+    find_noncollapsing_hom,
     geochromatic_lower_bound,
+    geochromatic_number,
+    lift_dist2,
+    lift_independent,
+    lift_independent_noncollapsing,
+    lift_small_chi,
     non_identifiable_pairs,
     pseudo_geochromatic_number,
 )
@@ -116,6 +124,34 @@ def test_a_solved_drawing_pickles_and_its_forced_pairs_hash():
     assert len({dg, again, fresh, non_identifiable_pairs(figure_graphs("figure3_left"))}) == 2
     with pytest.raises(TypeError):
         dg.rows["A"] = ()
+
+
+def _solve(g, store) -> list:
+    """chi, X', the bound, X, the non-collapsing coloring and the four lifts' outcomes, run on g."""
+    chi, alpha = chromatic_number(g)
+    noncollapsing = find_noncollapsing_hom(g, chi) or find_noncollapsing_hom(g, chi + 1)
+    answers = [chi, alpha, pseudo_geochromatic_number(g), geochromatic_lower_bound(g),
+               geochromatic_number(g, store, max_n=6), noncollapsing]
+    for lift, coloring in ((lift_dist2, alpha), (lift_independent, alpha), (lift_small_chi, alpha),
+                           (lift_independent_noncollapsing, noncollapsing)):
+        try:
+            answers.append(lift(g, coloring).to_json_dict())
+        except GeochromError as exc:
+            answers.append((type(exc).__name__, str(exc)))
+    return answers
+
+
+@pytest.mark.parametrize("tag", ["figure3_right", "figure6"])
+def test_a_drawing_pickles_after_every_solver_has_run_on_it(tag, store):
+    # The source tables the solvers keep on a drawing (rows, crossing partners, the crossing-gap verdict)
+    # travel with it, as the forced pairs do.
+    g = GeometricGraph(figure_graphs(tag).points, figure_graphs(tag).edges)
+    answers = _solve(g, store)
+    assert {"neighbour_rows", "crossing_partners", "crossing_gap", "_distinctness"} <= vars(g).keys()
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored == g and restored is not g and hash(restored) == hash(g)
+    assert vars(restored).keys() == vars(g).keys()
+    assert _solve(restored, store) == answers
 
 
 def test_point_order_and_pickling_match_the_dataclass():

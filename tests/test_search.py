@@ -23,9 +23,10 @@ from geochrom import (
     non_identifiable_pairs,
     random_geometric_graph,
 )
+from geochrom import search
 from geochrom.catalog import _CrossingTable, _maps_into
-from geochrom.graphs import _adj_lists
-from geochrom.search import _dsatur_greedy, _greedy_clique
+from geochrom.graphs import _adj_lists, _adj_rows
+from geochrom.search import _chromatic, _dsatur_greedy, _greedy_clique
 from oracles import (
     reference_chromatic,
     reference_dsatur,
@@ -40,6 +41,8 @@ SHAPES = [(v, p, k) for v in (6, 9, 12) for p in (0.2, 0.35, 0.5) for k in (0, 1
 DRAWINGS = [random_geometric_graph(v, p, min_crossing_distance=k, seed=100 + 3 * i + j)
             for i, (v, p, k) in enumerate(SHAPES) for j in range(3)]
 IDS = [f"{g.n}v{len(g.edges)}e{len(crossings_of(g))}c" for g in DRAWINGS]
+SEEDED = [random_geometric_graph(6 + seed % 6, 0.3 + 0.05 * (seed % 5), seed=4000 + seed) for seed in range(40)]
+DENSE = [random_geometric_graph(14 + seed % 3, 0.4 + 0.05 * (seed % 3), seed=5000 + seed) for seed in range(200)]
 
 
 def chromatic_reference(n, edges):
@@ -85,16 +88,48 @@ def test_malformed_abstract_graph_is_refused(graph, named):
         is_graph_hom(graph, (2, [(0, 1)]), VertexMap((0, 1), 2))
 
 
-def test_greedy_clique_matches_reference():
+def rows_and_lists():
+    """Each colored graph, and the all-rules graph of each SEEDED and DENSE drawing, as int rows and as sets.
+
+    The rows of the latter are the A|B|C|D rows the bound colors, and the sets
+    come from the forced pairs, so the two are read independently.
+    """
     for n, edges, name in colored_graphs():
-        adj = _adj_lists(n, edges)
-        assert _greedy_clique(adj) == reference_greedy_clique(adj), name
+        yield _adj_rows(n, edges), _adj_lists(n, edges), name
+    for i, g in enumerate(SEEDED + DENSE):
+        dg = non_identifiable_pairs(g)
+        yield [a | b | c | d for a, b, c, d in zip(*(dg.rows[r] for r in "ABCD"))], _adj_lists(g.n, dg.forced_pairs), i
+
+
+def test_greedy_clique_matches_reference():
+    for rows, adj, name in rows_and_lists():
+        assert _greedy_clique(rows) == reference_greedy_clique(adj), name
 
 
 def test_dsatur_greedy_matches_reference():
-    for n, edges, name in colored_graphs():
-        adj = _adj_lists(n, edges)
-        assert _dsatur_greedy(adj) == reference_dsatur(adj), name
+    for rows, adj, name in rows_and_lists():
+        assert _dsatur_greedy(rows) == reference_dsatur(adj), name
+
+
+def test_chromatic_sets_up_no_search_when_the_bounds_meet(monkeypatch):
+    # The clique or the floor reaching the DSATUR count proves that coloring optimal.
+    calls = []
+    core = search._backtrack
+    monkeypatch.setattr(search, "_backtrack", lambda *args, **options: calls.append(1) or core(*args, **options))
+    met = searched = 0
+    for rows, adj, name in rows_and_lists():
+        greedy = _dsatur_greedy(rows)
+        ub = max(greedy, default=0)
+        for floor in (0, ub):
+            calls.clear()
+            k, coloring = _chromatic(rows, floor)
+            if max(len(_greedy_clique(rows)), floor) >= ub:
+                assert (k, list(coloring.colors), calls) == (ub, greedy, []), name
+                met += 1
+            else:
+                assert calls, name
+                searched += 1
+    assert met > 100 and searched > 10
 
 
 def test_find_geometric_hom_matches_reference_on_every_maximal_target(store):
