@@ -350,11 +350,11 @@ def test_plain_crossing_order_is_least_vertex_order():
     assert several > 100
 
 
-@pytest.mark.parametrize("tag, seed", [("figure3_right", None), (None, 2)])
-def test_the_four_lifts_share_one_crossing_gap_verdict(tag, seed, calls_of):
-    # figure3_right has independent crossings; random seed 2 has crossings sharing vertex 0, so every lift refuses.
-    g = figure_graphs(tag) if tag else random_geometric_graph(10, 0.5, seed=seed)
-    g = GeometricGraph(g.points, g.edges)  # no verdict of it is kept yet
+@pytest.mark.parametrize("drawing, independent", [(figure_graphs("figure3_right"), True),
+                                                   (random_geometric_graph(10, 0.5, seed=2), False)],
+                         ids=["independent", "shared_vertex"])
+def test_the_four_lifts_share_one_crossing_gap_verdict(drawing, independent, calls_of):
+    g = GeometricGraph(drawing.points, drawing.edges)  # no verdict of it is kept yet
     gaps = calls_of(graphs._crossing_gap)
     chi, alpha = chromatic_number(g)
     outcomes = []
@@ -365,4 +365,4 @@ def test_the_four_lifts_share_one_crossing_gap_verdict(tag, seed, calls_of):
         except GeochromError as exc:
             outcomes.append(type(exc).__name__)
     assert len(gaps) == 1
-    assert ("indep3n" in outcomes) == (tag is not None)
+    assert ("indep3n" in outcomes) == independent
