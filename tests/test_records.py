@@ -21,15 +21,15 @@ from geochrom import (
     Crossing,
     CrossingStructure,
     DistinctnessGraph,
+    GeochromError,
     GeometricGraph,
     LiftReport,
     Point,
     VertexMap,
     XResult,
+    chromatic_number,
     crossing_structure,
     enumerate_clique_structures,
-    GeochromError,
-    chromatic_number,
     figure_graphs,
     find_noncollapsing_hom,
     geochromatic_lower_bound,
@@ -145,7 +145,8 @@ def _solve(g, store) -> list:
 def test_a_drawing_pickles_after_every_solver_has_run_on_it(tag, store):
     # The source tables the solvers keep on a drawing (rows, crossing partners, the crossing-gap verdict)
     # travel with it, as the forced pairs do.
-    g = GeometricGraph(figure_graphs(tag).points, figure_graphs(tag).edges)
+    drawing = figure_graphs(tag)
+    g = GeometricGraph(drawing.points, drawing.edges)  # no table of it is kept yet
     answers = _solve(g, store)
     assert {"neighbour_rows", "crossing_partners", "crossing_gap", "_distinctness"} <= vars(g).keys()
     restored = pickle.loads(pickle.dumps(g))
