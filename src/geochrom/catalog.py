@@ -13,13 +13,17 @@ and Krasser, "Enumerating order types for small point sets with
 applications", Order 19, 2002): starting from one triangle, one realization
 of every order type of n-1 points receives a new point in each face of the
 arrangement of the lines through two of its points, and the results are
-deduplicated by canonical order type. The number of distinct order types
-reached is then compared with the published totals (1, 2, 3, 16 and 135 for
-n = 3..7, a set and its mirror image counted once). Every type reached is
-realized and distinct from the others, so equal counts mean every order
-type, and hence every crossing structure, is in the catalog; completeness
-rests on that count, not on the extension alone. A different count raises
-instead of returning a partial catalog.
+deduplicated by canonical order type. A new point's signs against those
+lines, its orientation row, fix the one face it lies in, and a scale w > 0
+of the parent keeps every sign among the parent's points, so equal rows
+mean one face and one labelled chirotope: each face is keyed once, from the
+parent's orientation table completed by its row. The number of distinct
+order types reached is then compared with the published totals (1, 2, 3, 16
+and 135 for n = 3..7, a set and its mirror image counted once). Every type
+reached is realized and distinct from the others, so equal counts mean
+every order type, and hence every crossing structure, is in the catalog;
+completeness rests on that count, not on the extension alone. A different
+count raises instead of returning a partial catalog.
 
 The X search needs fewer targets than the catalog holds. Geometric
 homomorphisms compose, so if one K_n structure maps into another, every
@@ -171,8 +175,8 @@ def _orientations(pts: Sequence[XY]) -> list[list[list[int]]]:
     """o[i][j][k]: the sign of the turn pts[i], pts[j], pts[k] (0 when two indices are equal).
 
     This is geometry.orientation on (x, y) pairs, inlined and computed once
-    per index triple: every extension point set of the enumeration builds
-    one table.
+    per index triple: the enumeration builds one table per parent point set
+    and completes it for each face (_completed).
     """
     n = len(pts)
     o = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -185,8 +189,23 @@ def _orientations(pts: Sequence[XY]) -> list[list[list[int]]]:
     return o
 
 
-def _order_type(pts: Sequence[XY]) -> tuple[int, ...]:
-    """Canonical order type: the least chirotope over hull starts and mirror images.
+def _completed(o: list[list[list[int]]], row: Sequence[int]) -> list[list[list[int]]]:
+    """The orientation table of the points of o with one more, whose sign against pair i < j is its entry in row.
+
+    row lists o[i][j][new] for the pairs i < j in combinations order; every
+    other entry of the new table is one of o's, so nothing is recomputed.
+    """
+    m = len(o)
+    t = [[r + [0] for r in plane] + [[0] * (m + 1)] for plane in o]
+    t.append([[0] * (m + 1) for _ in range(m + 1)])
+    for (i, j), s in zip(itertools.combinations(range(m), 2), row):
+        t[i][j][m] = t[j][m][i] = t[m][i][j] = s
+        t[j][i][m] = t[i][m][j] = t[m][j][i] = -s
+    return t
+
+
+def _order_type(o: list[list[list[int]]]) -> tuple[int, ...]:
+    """Canonical order type from an orientation table o: the least chirotope over hull starts and mirror images.
 
     Seen from a hull vertex p the other points lie in a half-plane, so their
     orientations about p sort them by angle; sign s = -1 reads the mirror
@@ -200,8 +219,7 @@ def _order_type(pts: Sequence[XY]) -> tuple[int, ...]:
     place in the angular order. p is a hull vertex iff, for some a, line pa
     has all n - 2 other points on one side, i.e. |total| = n - 2.
     """
-    n = len(pts)
-    o = _orientations(pts)
+    n = len(o)
     through_p = (n - 1) * (n - 2) // 2  # the triples (0, b, c) come first
     rest = _triples(n)[through_p:]
     best = None
@@ -220,8 +238,16 @@ def _order_type(pts: Sequence[XY]) -> tuple[int, ...]:
     return (1,) * through_p + best
 
 
+def _lines(pts: Sequence[XY]) -> list[tuple[int, int, int]]:
+    """(a, b, c) of line a x + b y + c = 0 through each two of pts, in combinations order.
+
+    a x + b y + c at a point r is the orientation of pts[i], pts[j], r.
+    """
+    return [(ay - by, bx - ax, ax * by - ay * bx) for (ax, ay), (bx, by) in itertools.combinations(pts, 2)]
+
+
 def _face_points(pts: Sequence[XY]) -> list[tuple[int, int, int]]:
-    """A point inside every face of the arrangement of the lines through two of pts.
+    """A point inside every wedge of the arrangement of the lines through two of pts, so every face at least once.
 
     Every face has an arrangement vertex v on its boundary, and near v it is
     one wedge between consecutive lines through v. For each wedge, with
@@ -235,7 +261,7 @@ def _face_points(pts: Sequence[XY]) -> list[tuple[int, int, int]]:
     value and rate have opposite signs, and the nearest such line has the
     least |value| / |rate|.
     """
-    lines = [(ay - by, bx - ax, ax * by - ay * bx) for (ax, ay), (bx, by) in itertools.combinations(pts, 2)]
+    lines = _lines(pts)
     through: dict[tuple[int, int, int], set[int]] = {}
     for i, j in itertools.combinations(range(len(lines)), 2):
         (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
@@ -271,24 +297,48 @@ def _face_points(pts: Sequence[XY]) -> list[tuple[int, int, int]]:
     return out
 
 
+def _faces(pts: Sequence[XY]) -> dict[tuple[int, ...], tuple[int, tuple[XY, ...]]]:
+    """Each face of the arrangement of the lines through two of pts, by its orientation row, with its extension.
+
+    A face point (x / w, y / w) extends pts, scaled by w, by (x, y). Its row
+    lists its signs against _lines(pts): the entries o[i][j][new] of the
+    extension's orientation table. _face_points gives one point per wedge,
+    so most faces several; each face keeps the least (max |coordinate|,
+    extension).
+    """
+    lines = _lines(pts)
+    reach = max(abs(c) for p in pts for c in p)
+    faces: dict[tuple[int, ...], tuple[int, tuple[XY, ...]]] = {}
+    for x, y, w in _face_points(pts):
+        row = tuple((v > 0) - (v < 0) for v in [a * x + b * y + c * w for a, b, c in lines])
+        candidate = (max(reach * w, abs(x), abs(y)), tuple((px * w, py * w) for px, py in pts) + ((x, y),))
+        faces[row] = min(faces.get(row, candidate), candidate)
+    return faces
+
+
 @lru_cache(maxsize=None)
 def _order_types(n: int) -> tuple[tuple[XY, ...], ...]:
     """One integer point set per order type of n points, in canonical order.
 
+    Each face of a parent's arrangement is keyed once, from the parent's
+    orientation table completed by the face's row (_faces): a scale w > 0
+    keeps every sign among the parent's points, so equal rows mean one face
+    and one labelled chirotope, and the least candidate of each face is the
+    only one of its wedge points that can be the least of its order type.
     Each type keeps the realization with the smallest coordinates that the
     extension reached, so coordinates stay small level after level (8 bits
-    at n = 7). Points are plain (x, y) pairs; GeometricGraph.build validates
-    the ones a witness keeps. Raises RuntimeError unless the number of order
-    types reached is the published total for n.
+    at n = 7).
+    Points are plain (x, y) pairs; GeometricGraph.build validates the ones a
+    witness keeps. Raises RuntimeError unless the number of order types
+    reached is the published total for n.
     """
     if n == 3:
         return (((0, 0), (1, 0), (0, 1)),)
     found: dict[tuple[int, ...], tuple[int, tuple[XY, ...]]] = {}
     for pts in _order_types(n - 1):
-        for x, y, w in _face_points(pts):
-            ext = tuple((px * w, py * w) for px, py in pts) + ((x, y),)
-            candidate = (max(abs(c) for p in ext for c in p), ext)
-            key = _order_type(ext)
+        o = _orientations(pts)
+        for row, candidate in _faces(pts).items():
+            key = _order_type(_completed(o, row))
             found[key] = min(found.get(key, candidate), candidate)
     if len(found) != _ORDER_TYPE_COUNTS[n]:
         raise RuntimeError(

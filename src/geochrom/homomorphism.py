@@ -81,8 +81,12 @@ def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f
 
 
 def chromatic_number(G) -> tuple[int, Coloring]:
-    """Exact chi with a proper witness coloring using exactly chi colors."""
-    return _chromatic(_adj_rows(*_as_abstract(G)), 0)
+    """Exact chi with a proper witness coloring using exactly chi colors.
+
+    A drawing's neighbour rows are its cached ones, which rule A reads too.
+    """
+    rows = G.neighbour_rows if isinstance(G, GeometricGraph) else _adj_rows(*_as_abstract(G))
+    return _chromatic(rows, 0)
 
 
 def is_proper(G, coloring: Coloring) -> bool:

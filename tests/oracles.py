@@ -842,6 +842,29 @@ def reference_face_points(points) -> list:
     return out
 
 
+
+@functools.lru_cache(maxsize=None)
+def reference_order_types(n: int) -> tuple:
+    """One point set per order type of n points, keying every wedge point of every parent.
+
+    Each face point (x, y) of reference_face_points, with w the least common
+    denominator of its coordinates, extends the parent scaled by w by
+    (x w, y w); every extension is keyed by reference_order_type, each key
+    keeps the least (max |coordinate|, extension), and the kept extensions
+    come in key order.
+    """
+    if n == 3:
+        return (((0, 0), (1, 0), (0, 1)),)
+    found = {}
+    for pts in reference_order_types(n - 1):
+        for x, y in reference_face_points(pts):
+            w = math.lcm(x.denominator, y.denominator)
+            ext = tuple((px * w, py * w) for px, py in pts) + ((int(x * w), int(y * w)),)
+            candidate = (max(abs(c) for p in ext for c in p), ext)
+            key = reference_order_type(ext)
+            found[key] = min(found.get(key, candidate), candidate)
+    return tuple(found[key][1] for key in sorted(found))
+
 # --- lifts: the case analysis with one branch per method in every case -------
 # lifts._dispatch picks the case and the moved vertices once and then lands
 # them by the method's rule; this is the form it replaced, and both must

@@ -33,10 +33,13 @@ import geochrom.catalog as catalog
 from conftest import CACHE_DIR
 from geochrom.catalog import (
     _CrossingTable,
+    _completed,
     _face_points,
+    _faces,
     _maps_into,
     _order_type,
     _order_types,
+    _orientations,
     catalog_from_json_dict,
     catalog_to_json_dict,
 )
@@ -47,6 +50,7 @@ from oracles import (
     reference_canonical_form,
     reference_face_points,
     reference_order_type,
+    reference_order_types,
 )
 
 
@@ -138,7 +142,7 @@ def test_enumeration_matches_grid_oracle_and_committed_catalogs():
 
 
 def test_order_type_key_is_invariant_and_covers_random_point_sets():
-    keys = {n: {_order_type(pts) for pts in _order_types(n)} for n in (5, 6)}
+    keys = {n: {_order_type(_orientations(pts)) for pts in _order_types(n)} for n in (5, 6)}
     assert [len(keys[n]) for n in (5, 6)] == [3, 16]
     rng = random.Random(7)
     for trial in range(400):
@@ -146,11 +150,12 @@ def test_order_type_key_is_invariant_and_covers_random_point_sets():
         pts = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(n)]
         if not is_general_position([Point(*p) for p in pts]):
             continue
-        key = _order_type(pts)
+        key = _order_type(_orientations(pts))
         assert key in keys[n]
         turned = [(3 - y, x - 7) for x, y in pts]
         mirrored = [(-x, y) for x, y in pts]
-        assert _order_type(turned) == _order_type(mirrored) == _order_type(rng.sample(pts, n)) == key
+        assert (_order_type(_orientations(turned)) == _order_type(_orientations(mirrored))
+                == _order_type(_orientations(rng.sample(pts, n))) == key)
 
 
 def test_face_points_and_order_types_equal_the_reference_on_every_extension():
@@ -164,9 +169,37 @@ def test_face_points_and_order_types_equal_the_reference_on_every_extension():
             assert [(Fraction(x, w), Fraction(y, w)) for x, y, w in faces] == reference_face_points(pts)
             for x, y, w in faces:
                 ext = [(px * w, py * w) for px, py in pts] + [(x, y)]
-                assert _order_type(ext) == reference_order_type(ext)
+                assert _order_type(_orientations(ext)) == reference_order_type(ext)
                 extensions += 1
     assert extensions == 12 + 64 + 268 + 3470
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_order_types_equal_the_per_wedge_reference(n):
+    assert _order_types(n) == reference_order_types(n)
+
+
+def test_each_face_table_completed_from_its_parent_is_the_table_of_its_extension():
+    faces = 0
+    for n in range(3, 6):
+        for pts in _order_types(n):
+            o = _orientations(pts)
+            for row, (reach, ext) in _faces(pts).items():
+                assert _completed(o, row) == _orientations(ext)
+                assert reach == max(abs(c) for p in ext for c in p)
+                faces += 1
+    assert faces == 7 + 34 + 115
+
+
+def test_the_enumeration_keys_each_face_once(calls_of):
+    _order_types.cache_clear()  # enumerate every size afresh
+    keyed = calls_of(catalog._order_type)
+    counts = []
+    for n in range(4, 8):
+        before = len(keyed)
+        _order_types(n)
+        counts.append(len(keyed) - before)
+    assert counts == [7, 34, 115, 1276]
 
 
 # sha256 of json.dumps(catalog_to_json_dict(enumerate_clique_structures(n)), sort_keys=True):

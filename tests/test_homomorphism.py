@@ -101,6 +101,16 @@ def test_chromatic_number_matches_brute_force(seed):
     assert max(witness.colors) == n
 
 
+
+def test_chromatic_number_reads_a_drawings_cached_rows(calls_of):
+    g = figure_graphs("figure6")
+    g = GeometricGraph(g.points, g.edges)  # no table of it is kept yet
+    rows = calls_of(graphs._adj_rows)
+    assert chromatic_number(g)[0] == 3
+    assert g.neighbour_rows is g.neighbour_rows and [args[0] for args in rows] == [g.n]
+    assert chromatic_number(crossing_structure(g))[0] == chromatic_number((g.n, g.edges))[0] == 3
+    assert len(rows) == 3  # structures and (n, edges) graphs build their rows on each call
+
 def test_find_geometric_hom_identity_case():
     k4 = convex_clique(4)
     target = crossing_structure(k4)
