@@ -842,7 +842,6 @@ def reference_face_points(points) -> list:
     return out
 
 
-
 @functools.lru_cache(maxsize=None)
 def reference_order_types(n: int) -> tuple:
     """One point set per order type of n points, keying every wedge point of every parent.
@@ -864,6 +863,7 @@ def reference_order_types(n: int) -> tuple:
             key = reference_order_type(ext)
             found[key] = min(found.get(key, candidate), candidate)
     return tuple(found[key][1] for key in sorted(found))
+
 
 # --- lifts: the case analysis with one branch per method in every case -------
 # lifts._dispatch picks the case and the moved vertices once and then lands

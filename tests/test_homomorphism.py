@@ -101,7 +101,6 @@ def test_chromatic_number_matches_brute_force(seed):
     assert max(witness.colors) == n
 
 
-
 def test_chromatic_number_reads_a_drawings_cached_rows(calls_of):
     g = figure_graphs("figure6")
     g = GeometricGraph(g.points, g.edges)  # no table of it is kept yet
