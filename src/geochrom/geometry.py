@@ -8,6 +8,7 @@ predicates being exact.
 from __future__ import annotations
 
 import math
+from functools import total_ordering
 from typing import Iterable, Sequence
 
 from .errors import SharedEndpoint, _Record
@@ -17,6 +18,7 @@ from .errors import SharedEndpoint, _Record
 COORD_BOUND = 1 << 30
 
 
+@total_ordering
 class Point(_Record):
     """Immutable exact grid point, ordered by x, then y."""
 
@@ -32,7 +34,7 @@ class Point(_Record):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    # Points fill every drawing's sets and sorts, so these skip _Record's field lookups.
+    # Points fill every drawing's sets, so these skip _Record's field lookups.
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
             return self.x == other.x and self.y == other.y
@@ -44,21 +46,6 @@ class Point(_Record):
     def __lt__(self, other) -> bool:
         if other.__class__ is self.__class__:
             return (self.x, self.y) < (other.x, other.y)
-        return NotImplemented
-
-    def __le__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) <= (other.x, other.y)
-        return NotImplemented
-
-    def __gt__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) > (other.x, other.y)
-        return NotImplemented
-
-    def __ge__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) >= (other.x, other.y)
         return NotImplemented
 
     def __reduce__(self):

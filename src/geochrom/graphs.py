@@ -175,10 +175,13 @@ class Crossing(NamedTuple):
 
 
 class CrossingIndex(NamedTuple):
-    """Adjacency and crossings of a drawing or structure as bitmasks of vertex ids.
+    """Adjacency and crossings of a search target as bitmasks of vertex ids.
 
-    A search mapping into the structure reads its rules from here: where s
-    and t are adjacent,
+    A target is a drawing, a structure, or one of the K_k that search builds:
+    with no crossings for chi, and in which every two distinct edges cross
+    for the non-collapsing coloring. Each comes from _crossing_index, and a
+    search mapping into it reads its rules from here: where s and t are
+    adjacent,
       neighbours[s]       the vertices adjacent to s;
       ends[s][t]          the vertices on an edge that crosses st;
       completions[s][t]   row[u] holds each x for which st crosses ux.
@@ -191,7 +194,7 @@ class CrossingIndex(NamedTuple):
     completions: list[list[list[int]]]
 
 
-def _crossing_index(n: int, adjacency: Iterable[Edge], crossings: Iterable[Crossing]) -> CrossingIndex:
+def _crossing_index(n: int, adjacency: Iterable[Edge], crossings: Iterable[tuple[Edge, Edge]]) -> CrossingIndex:
     neighbours = _adj_rows(n, adjacency)
     ends = [[0] * n for _ in range(n)]
     zeros = [0] * n
@@ -265,12 +268,14 @@ def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | fl
 
     0 exactly when they share a vertex; math.inf when every pair of their
     vertices lies in different components. Distance is measured in the
-    abstract graph, not the plane.
+    abstract graph, not the plane. A crossing may name its edges in either
+    order and each edge either way round.
     """
+    c1, c2 = Crossing.make(*c1), Crossing.make(*c2)
     cs = crossings_of(G)
     if c1 not in cs or c2 not in cs:
         raise ValueError("both crossings must belong to the graph")
-    return _crossing_gap(G.n, G.edges, [Crossing(*c1), Crossing(*c2)])[0]
+    return _crossing_gap(G.n, G.edges, [c1, c2])[0]
 
 
 def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:

@@ -11,8 +11,9 @@ crossing_partners triples. The search keeps the unmapped vertices as one
 mask, free, so a row narrows only its unmapped members, row & free (bitset
 search as in San Segundo, Rodriguez-Losada and Jimenez, "An exact
 bit-parallel algorithm for the maximum clique problem", Computers &
-Operations Research 38, 2011). Mapping v to t narrows, by the target's
-CrossingIndex:
+Operations Research 38, 2011). Every target is one edge set plus one
+crossing set, held as the CrossingIndex that graphs._crossing_index builds
+of them. Mapping v to t narrows, by the target's CrossingIndex:
 
   - each unmapped neighbour of v to the target neighbours of t, and each
     unmapped vertex kept apart from v to every value but t;
@@ -29,12 +30,12 @@ targets and what each adds:
 
   _chromatic      rows of the graph to color (a drawing's edges for chi, the
                   forced-pair rows A|B for X' and A|B|C|D for the lower
-                  bound, read as they are), nothing apart; K_k with no
-                  crossings, built once per k (_complete). The greedy clique
-                  and DSATUR run on the rows, and when the clique or the
-                  floor already reaches the DSATUR count no search is set
-                  up. Otherwise DSATUR order (saturation is k minus the
-                  mask's popcount), the clique mapped first,
+                  bound, read as they are), nothing apart; the edges of
+                  K_k and no crossings, built once per k (_complete). The
+                  greedy clique and DSATUR run on the rows, and when the
+                  clique or the floor already reaches the DSATUR count no
+                  search is set up. Otherwise DSATUR order (saturation is
+                  k minus the mask's popcount), the clique mapped first,
                   first-fresh-color symmetry breaking, counts from a floor
                   up: 0 for chi and X', X' for the lower bound
   _find_hom       a drawing's neighbour rows and crossing partners, kept on
@@ -45,21 +46,22 @@ targets and what each adds:
                   (the dominance test between two K_n) on candidate images
                   with none apart
   _noncollapsing  a drawing's neighbour rows and crossing partners, nothing
-                  apart; K_k with every disjoint edge pair crossing, built
-                  once per k (_all_crossing), so the ends narrow nothing and
-                  a completion bars only the value that puts both edges on
-                  one color pair; degree plus crossing degree, symmetry
-                  breaking
+                  apart; K_k in which every two distinct edges cross: the
+                  edges of K_k and every pair of them, built once per k
+                  (_all_crossing). So the ends narrow nothing, and a
+                  completion bars the value that puts both edges on one
+                  color pair and the one adjacency has already removed;
+                  degree plus crossing degree, symmetry breaking
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import _Record
-from .graphs import CrossingIndex
+from .graphs import CrossingIndex, _crossing_index
 
 
 class Coloring(_Record):
@@ -172,23 +174,18 @@ def _find_hom(adj: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int
 @lru_cache(maxsize=None)
 def _complete(k: int) -> CrossingIndex:
     """K_k with no crossings, the target of the chi search; its neighbours are the rows of K_k."""
-    full = (1 << k) - 1
-    return CrossingIndex([full ^ 1 << t for t in range(k)], [], [])
+    return _crossing_index(k, combinations(range(k), 2), ())
 
 
 @lru_cache(maxsize=8)
 def _all_crossing(k: int) -> CrossingIndex:
-    """K_k with every disjoint edge pair crossing, the target of the non-collapsing search.
+    """K_k in which every two distinct edges cross, the target of the non-collapsing search.
 
     It holds k^3 masks, so only a few sizes are kept: the lifts ask for chi
     and chi + 1 colors.
     """
-    full = (1 << k) - 1
-    completions = [[[full] * k for _ in range(k)] for _ in range(k)]
-    for s, t in permutations(range(k), 2):
-        completions[s][t][s] = full ^ 1 << t
-        completions[s][t][t] = full ^ 1 << s
-    return CrossingIndex(_complete(k).neighbours, [[full] * k] * k, completions)
+    edges = list(combinations(range(k), 2))
+    return _crossing_index(k, edges, combinations(edges, 2))
 
 
 def _noncollapsing(adj: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int, int]]],

@@ -219,6 +219,16 @@ def test_crossing_distance_accepts_plain_edge_pairs():
     assert crossing_distance(left, c1, c2) == crossing_distance(left, c2, c1) == 2
 
 
+def test_crossing_distance_accepts_either_edge_order_and_direction():
+    g = figure_graphs("figure3_left")
+    a, b = sorted(crossings_of(g))
+    assert crossing_distance(g, (a.e2, a.e1), b) == 2
+    assert crossing_distance(g, (a.e1[::-1], a.e2), b) == 2
+    assert crossing_distance(g, a, (b.e2, b.e1[::-1])) == 2
+    with pytest.raises(ValueError, match="both crossings must belong to the graph"):
+        crossing_distance(g, (a.e1, b.e1), b)
+
+
 # --- crossing structures ----------------------------------------------------
 
 

@@ -116,16 +116,22 @@ def test_only_graphs_reads_input_files():
     assert {name: found for name, found in reads.items() if found} == {}
 
 
-def _namers(name: str) -> set[str]:
-    """Each module.function or module.Class.method whose body names `name`; module.<module> outside any."""
+def _namers(name: str, called: bool = False) -> set[str]:
+    """Each module.function or module.Class.method whose body names `name`; module.<module> outside any.
+
+    With `called`, only the bodies that call it.
+    """
     found = set()
+
+    def names(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
 
     def visit(node: ast.AST, module: str, owner: str | None, cls: str | None) -> None:
         if isinstance(node, ast.ClassDef) and owner is None and cls is None:
             cls = node.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
             owner = f"{cls}.{node.name}" if cls else node.name
-        if isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name:
+        if isinstance(node, ast.Call) and names(node.func) if called else names(node):
             found.add(f"{module}.{owner or '<module>'}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner, cls)
@@ -155,6 +161,14 @@ def test_only_graphs_and_search_name_the_crossing_index():
     assert {namer.split(".")[0] for namer in _namers("CrossingIndex")} == {"graphs", "search"}
 
 
+def test_one_builder_makes_every_crossing_index():
+    # A drawing's, a structure's and search's K_k targets all come from one table builder.
+    assert _namers("CrossingIndex", called=True) == {"graphs._crossing_index"}
+    assert _namers("_crossing_index", called=True) == {"graphs.GeometricGraph.crossing_index",
+                                                       "graphs.CrossingStructure.crossing_index",
+                                                       "search._complete", "search._all_crossing"}
+
+
 def test_one_rule_checks_every_edge_set():
     # graphs._edge_set alone refuses a bad vertex count or edge, for drawings, structures and (n, edges) alike.
     assert _namers("_edge_set") == {"graphs.GeometricGraph.__init__", "graphs.CrossingStructure.__init__",
@@ -162,10 +176,11 @@ def test_one_rule_checks_every_edge_set():
 
 
 def test_search_core_names_no_graph_type():
-    # The searches read a CrossingIndex and neighbour lists; which kind of graph they came from is the callers' affair.
+    # The searches read a CrossingIndex and neighbour lists, and build their own K_k targets with the one table
+    # builder; which kind of graph a source or target came from is the callers' affair.
     from_graphs = [alias.name for node in ast.walk(MODULES["search"])
                    if isinstance(node, ast.ImportFrom) and node.module == "graphs" for alias in node.names]
-    assert from_graphs == ["CrossingIndex"]
+    assert from_graphs == ["CrossingIndex", "_crossing_index"]
     assert not {namer for name in ("GeometricGraph", "CrossingStructure") for namer in _namers(name)
                 if namer.startswith("search.")}
 

@@ -271,6 +271,17 @@ def test_find_noncollapsing_hom_with_no_colors():
     assert (report.target_size, report.beta.images) == (0, ())
 
 
+def test_find_noncollapsing_hom_lets_a_crossing_share_one_color():
+    # The target is K_k in which every two distinct edges cross, so a crossing's edges may share one color;
+    # with only disjoint pairs crossing, three colors could not color this crossing's four ends.
+    g = x_gadget()
+    assert find_noncollapsing_hom(g, 2) is None
+    witness = find_noncollapsing_hom(g, 3)
+    assert witness is not None and is_proper(g, witness)
+    ((a, b), (c, d)), = crossings_of(g)
+    assert len({witness.colors[a], witness.colors[b]} & {witness.colors[c], witness.colors[d]}) == 1
+
+
 def test_find_noncollapsing_hom_trivial_bipartite():
     plane = GeometricGraph.build([(0, 0), (10, 1), (20, 5)], [(0, 1), (1, 2)])
     witness = find_noncollapsing_hom(plane, 2)
