@@ -54,13 +54,12 @@ from .geometry import regular_polygon_points
 from .graphs import (
     CrossingStructure,
     GeometricGraph,
-    _crossing_partners,
     _read_json,
     crossing_structure,
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from .search import _complete, _find_hom
+from .search import _find_hom
 
 # Order types of n points in general position, a set and its mirror image
 # counted once (Aichholzer, Aurenhammer and Krasser 2002).
@@ -116,33 +115,25 @@ class CliqueCatalog(_Record):
         crossings: an entry dominated by anything is, by transitivity,
         dominated by a maximal entry with more crossings still.
         """
-        tables = {id(e): _CrossingTable(e.structure) for e in self.entries}
+        counts = {id(e): _edge_counts(e.structure) for e in self.entries}
         kept: list[CatalogEntry] = []
         for entry in sorted(self.entries, key=lambda e: -len(e.structure.crossings)):
             size = len(entry.structure.crossings)
             if not any(len(k.structure.crossings) > size
-                       and _maps_into(tables[id(entry)], tables[id(k)]) is not None for k in kept):
+                       and _maps_into(entry.structure, k.structure, counts[id(entry)], counts[id(k)]) is not None
+                       for k in kept):
                 kept.append(entry)
         kept_ids = {id(e) for e in kept}
         return tuple(e for e in self.entries if id(e) in kept_ids)
 
 
-class _CrossingTable:
-    """A K_n structure indexed for _maps_into: its crossings, adjacency and sorted per-edge counts."""
-
-    def __init__(self, s: CrossingStructure):
-        self.structure = s
-        self.crossings_at = _crossing_partners(s.n, s.crossings)
-        self.adjacency = _complete(s.n).neighbours  # the rows of K_n, built once per n
-        # sorted_rows[v]: how many crossings each edge at v takes part in, ascending.
-        per_edge = [[0] * s.n for _ in range(s.n)]
-        for (a, b), (c, d) in s.crossings:
-            for u, v in ((a, b), (b, a), (c, d), (d, c)):
-                per_edge[u][v] += 1
-        self.sorted_rows = [sorted(row) for row in per_edge]
+def _edge_counts(s: CrossingStructure) -> list[list[int]]:
+    """Row v: how many crossings each edge vw lies on, ascending (0 for w = v): one per triple at v with partner w."""
+    return [sorted(map([w for w, _, _ in at].count, range(s.n))) for at in s.crossing_partners]
 
 
-def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...] | None:
+def _maps_into(source: CrossingStructure, target: CrossingStructure,
+               source_counts: list[list[int]], target_counts: list[list[int]]) -> tuple[int, ...] | None:
     """The first bijection that sends every crossing of one K_n onto a crossing of another, or None.
 
     Edges of a complete graph map onto edges under any bijection, so only the
@@ -153,10 +144,10 @@ def _maps_into(source: _CrossingTable, target: _CrossingTable) -> tuple[int, ...
     forced apart). Every pair of vertices is adjacent on both sides, so the
     map it finds is injective, hence a bijection.
     """
-    n = len(source.sorted_rows)
-    candidates = [sum(1 << w for w in range(n) if all(map(int.__le__, row, target.sorted_rows[w])))
-                  for row in source.sorted_rows]
-    images = _find_hom(source.adjacency, source.crossings_at, [0] * n, target.structure.crossing_index, candidates)
+    n = source.n
+    candidates = [sum(1 << w for w in range(n) if all(map(int.__le__, row, target_counts[w])))
+                  for row in source_counts]
+    images = _find_hom(source.neighbour_rows, source.crossing_partners, [0] * n, target.crossing_index, candidates)
     return None if images is None else tuple(images)
 
 

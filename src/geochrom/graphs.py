@@ -12,13 +12,13 @@ and non-crossings.
 
 There is one crossing type. Both classes hold their crossings in
 `crossings`, a frozenset of Crossing: a pair of edges, lesser edge first,
-that is a plain tuple and so equals and hashes like its edge pair. Both also
-keep a `crossing_index`, built once per object the first time a search maps
-into it (see CrossingIndex). A drawing keeps, the same way, what the solvers
-read of it as a source: `neighbour_rows` (bit w of row v for each edge vw),
-`crossing_partners` (see _crossing_partners) and `crossing_gap`, the
-threshold-2 verdict of _crossing_gap over its sorted crossings, which decides
-the distance hypothesis of all four lifts.
+that is a plain tuple and so equals and hashes like its edge pair. Both
+keep the same three search views, each built on its first read: what a
+search mapping into the object reads, `crossing_index` (see CrossingIndex),
+and what one mapping out of it reads, `neighbour_rows` (bit w of row v for
+each edge vw) and `crossing_partners` (see _crossing_partners). A drawing
+also keeps `crossing_gap`, the threshold-2 verdict of _crossing_gap over its
+sorted crossings, which decides the distance hypothesis of all four lifts.
 """
 
 from __future__ import annotations
@@ -315,12 +315,20 @@ class CrossingStructure(_Record):
         # Memoized in _canonical, not a cached_property: bench/spans.py wraps
         # this getter and reads _canonical to time only the computations.
         if self._canonical is None:
-            object.__setattr__(self, "_canonical", _canonical_bytes(self.n, self.adjacency, self.crossings))
+            object.__setattr__(self, "_canonical", _canonical_bytes(self))
         return self._canonical
 
     @cached_property
     def crossing_index(self) -> CrossingIndex:
         return _crossing_index(self.n, self.adjacency, self.crossings)
+
+    @cached_property
+    def neighbour_rows(self) -> list[int]:
+        return _adj_rows(self.n, self.adjacency)
+
+    @cached_property
+    def crossing_partners(self) -> list[list[tuple[int, int, int]]]:
+        return _crossing_partners(self.n, self.crossings)
 
     @property
     def hex(self) -> str:
@@ -450,13 +458,14 @@ def _orbit(v: int, generators: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _canonical_bytes(n: int, adjacency: frozenset[Edge], crossings: frozenset[Crossing]) -> bytes:
-    adj = _adj_lists(n, adjacency)
-    partners = _crossing_partners(n, crossings)
-    edge_list = sorted(adjacency)
+def _canonical_bytes(s: CrossingStructure) -> bytes:
+    n = s.n
+    adj = _adj_lists(n, s.adjacency)
+    partners = s.crossing_partners
+    edge_list = sorted(s.adjacency)
     # Flat exact tuples: unpacking a Crossing, a tuple subclass, in the loop
     # in serialize costs about three times as much.
-    cross_list = [(*e1, *e2) for e1, e2 in crossings]
+    cross_list = [(*e1, *e2) for e1, e2 in s.crossings]
     n2 = n * n
 
     def serialize(perm: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

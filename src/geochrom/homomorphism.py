@@ -83,9 +83,9 @@ def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f
 def chromatic_number(G) -> tuple[int, Coloring]:
     """Exact chi with a proper witness coloring using exactly chi colors.
 
-    A drawing's neighbour rows are its cached ones, which rule A reads too.
+    A drawing or structure reads its cached neighbour rows; an (n, edges) graph builds them on each call.
     """
-    rows = G.neighbour_rows if isinstance(G, GeometricGraph) else _adj_rows(*_as_abstract(G))
+    rows = G.neighbour_rows if isinstance(G, (GeometricGraph, CrossingStructure)) else _adj_rows(*_as_abstract(G))
     return _chromatic(rows, 0)
 
 

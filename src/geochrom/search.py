@@ -38,8 +38,8 @@ targets and what each adds:
                   k minus the mask's popcount), the clique mapped first,
                   first-fresh-color symmetry breaking, counts from a floor
                   up: 0 for chi and X', X' for the lower bound
-  _find_hom       a drawing's neighbour rows and crossing partners, kept on
-                  it, or a K_n's; a drawing or structure's CrossingIndex;
+  _find_hom       the neighbour rows and crossing partners kept on a drawing
+                  or a K_n structure; a drawing or structure's CrossingIndex;
                   fewest starting images, then decreasing crossing degree;
                   find_geometric_hom starts on the whole target with the
                   rows (B|C|D) & ~A of rules A-D apart, catalog._maps_into
@@ -173,7 +173,7 @@ def _find_hom(adj: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int
 
 @lru_cache(maxsize=None)
 def _complete(k: int) -> CrossingIndex:
-    """K_k with no crossings, the target of the chi search; its neighbours are the rows of K_k."""
+    """K_k with no crossings, the target of the chi search."""
     return _crossing_index(k, combinations(range(k), 2), ())
 
 

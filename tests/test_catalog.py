@@ -28,12 +28,13 @@ from geochrom import (
     graph_to_json_dict,
     is_general_position,
     is_geometric_hom,
+    random_geometric_graph,
 )
 import geochrom.catalog as catalog
 from conftest import CACHE_DIR
 from geochrom.catalog import (
-    _CrossingTable,
     _completed,
+    _edge_counts,
     _face_points,
     _faces,
     _maps_into,
@@ -117,8 +118,8 @@ def test_dominance_search_matches_brute_force_on_random_structures():
     for _ in range(300):
         source, target = (sorted(rng.sample(disjoint, rng.randint(1, 4))) for _ in range(2))
         expected = brute_force_geometric_hom_exists(5, edges, source, 5, edges, target)
-        tables = [_CrossingTable(CrossingStructure(5, edges, c)) for c in (source, target)]
-        assert (_maps_into(*tables) is not None) == expected, (source, target)
+        structures = [CrossingStructure(5, edges, c) for c in (source, target)]
+        assert (_maps_into(*structures, *map(_edge_counts, structures)) is not None) == expected, (source, target)
         answers.add(expected)
     assert answers == {True, False}
 
@@ -139,6 +140,20 @@ def test_enumeration_matches_grid_oracle_and_committed_catalogs():
     for n in range(3, 7):
         doc = json.loads((CACHE_DIR / f"k{n}.catalog.json").read_text())
         assert {bytes.fromhex(item["canonical"]) for item in doc["entries"]} == forms[n]
+
+
+def test_committed_and_fresh_catalogs_agree_on_x_and_its_target(store):
+    # The committed files keep witnesses from an earlier enumeration, so a map, which is into the witness
+    # labelling of its own catalog, may differ between the two stores; X and the target's structure may not.
+    fresh = CatalogStore(None)
+    resolved = 0
+    for seed in range(300):
+        g = random_geometric_graph(9, 0.3, 0, seed)
+        committed, built = (geochromatic_number(g, s, max_n=6) for s in (store, fresh))
+        assert (committed and (committed.n, committed.target.canonical_form)) == (
+            built and (built.n, built.target.canonical_form)), seed
+        resolved += committed is not None
+    assert resolved == 194
 
 
 def test_order_type_key_is_invariant_and_covers_random_point_sets():

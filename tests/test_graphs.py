@@ -503,7 +503,7 @@ def test_the_search_starts_where_one_pass_from_the_uniform_colouring_ends(group,
     monkeypatch.setattr(graphs, "_refine_partition", lambda *args: firsts.append(args[0]) or refine(*args))
     for s in _reference_ir_inputs(group, store):
         firsts.clear()
-        graphs._canonical_bytes(s.n, s.adjacency, s.crossings)
+        graphs._canonical_bytes(s)
         assert firsts[0] == reference_search_start(s.n, s.adjacency, s.crossings), s
 
 
@@ -537,7 +537,7 @@ def test_a_pass_reads_no_list_of_a_vertex_alone_in_its_class(group, store, monke
 
     monkeypatch.setattr(graphs, "_refine_partition", checking)
     for s in _reference_ir_inputs(group, store):
-        graphs._canonical_bytes(s.n, s.adjacency, s.crossings)
+        graphs._canonical_bytes(s)
     assert calls
 
 
@@ -645,6 +645,19 @@ def test_drawings_and_structures_hold_one_crossing_type():
     assert c == ((1, 5), (2, 4)) and hash(c) == hash(((1, 5), (2, 4)))
     assert repr(c) == "Crossing(e1=(1, 5), e2=(2, 4))"
     assert sorted([Crossing.make((0, 2), (1, 3)), c]) == [Crossing((0, 2), (1, 3)), c]
+
+
+def test_a_structure_keeps_the_source_views_of_its_drawing(calls_of):
+    drawings = list(_drawings())
+    expected = [(g.neighbour_rows, [sorted(at) for at in g.crossing_partners]) for g in drawings]
+    rows, partners = calls_of(graphs._adj_rows), calls_of(graphs._crossing_partners)
+    structures = [crossing_structure(g) for g in drawings]
+    for s, (g_rows, g_partners) in zip(structures, expected):
+        assert s.neighbour_rows is s.neighbour_rows and s.crossing_partners is s.crossing_partners
+        # Triples at a vertex follow the iteration order of a frozenset, which two equal sets need not share.
+        assert (s.neighbour_rows, [sorted(at) for at in s.crossing_partners]) == (g_rows, g_partners)
+    # each view built once per structure, on its first read
+    assert [args[0] for args in rows] == [args[0] for args in partners] == [s.n for s in structures]
 
 
 def test_structure_from_plain_pairs_holds_crossings():

@@ -107,8 +107,12 @@ def test_chromatic_number_reads_a_drawings_cached_rows(calls_of):
     rows = calls_of(graphs._adj_rows)
     assert chromatic_number(g)[0] == 3
     assert g.neighbour_rows is g.neighbour_rows and [args[0] for args in rows] == [g.n]
-    assert chromatic_number(crossing_structure(g))[0] == chromatic_number((g.n, g.edges))[0] == 3
-    assert len(rows) == 3  # structures and (n, edges) graphs build their rows on each call
+    s = crossing_structure(g)
+    for graph in (s, s, (g.n, g.edges), (g.n, g.edges)):
+        assert chromatic_number(graph)[0] == 3
+    # a structure builds its rows once, as a drawing does; an (n, edges) graph builds them on each call
+    assert s.neighbour_rows is s.neighbour_rows and [args[0] for args in rows] == [g.n] * 4
+
 
 def test_find_geometric_hom_identity_case():
     k4 = convex_clique(4)

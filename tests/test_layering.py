@@ -153,7 +153,6 @@ def test_the_solve_path_reads_int_rows():
     # and the forced-pair rows are read as they are, listed only for rule C's components and the pair-set view.
     assert _namers("_adj_lists") == {"graphs._canonical_bytes", "graphs._crossing_gap"}
     assert _namers("_members") == {"obstructions._distinctness_graph", "obstructions.DistinctnessGraph.rules"}
-    assert _namers("_backtrack") == {"search._chromatic", "search._find_hom", "search._noncollapsing"}
 
 
 def test_only_graphs_and_search_name_the_crossing_index():
@@ -167,6 +166,13 @@ def test_one_builder_makes_every_crossing_index():
     assert _namers("_crossing_index", called=True) == {"graphs.GeometricGraph.crossing_index",
                                                        "graphs.CrossingStructure.crossing_index",
                                                        "search._complete", "search._all_crossing"}
+
+
+def test_drawings_and_structures_keep_the_one_partner_list_of_each():
+    # Canonical labelling and every search read the list an object keeps; search builds its K_k targets alone.
+    assert _namers("_crossing_partners", called=True) == {"graphs.GeometricGraph.crossing_partners",
+                                                          "graphs.CrossingStructure.crossing_partners"}
+    assert _namers("_complete", called=True) == {"search._chromatic"}
 
 
 def test_one_rule_checks_every_edge_set():

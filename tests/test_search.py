@@ -24,7 +24,7 @@ from geochrom import (
     random_geometric_graph,
 )
 from geochrom import search
-from geochrom.catalog import _CrossingTable, _maps_into
+from geochrom.catalog import _edge_counts, _maps_into
 from geochrom.graphs import _adj_lists, _adj_rows
 from geochrom.search import _chromatic, _dsatur_greedy, _greedy_clique
 from oracles import (
@@ -161,14 +161,18 @@ def test_find_noncollapsing_hom_matches_reference():
     assert refuted > 50 and found_some > 50
 
 
+def maps_into(source, target):
+    """catalog._maps_into between two structures, with the per-edge counts the maximal view keeps per entry."""
+    return _maps_into(source, target, _edge_counts(source), _edge_counts(target))
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_maps_into_matches_reference_on_every_ordered_pair(n, store):
     entries = store.get(n).entries
-    tables = [_CrossingTable(e.structure) for e in entries]
     found = set()
-    for (a, ta), (b, tb) in itertools.product(zip(entries, tables), repeat=2):
+    for a, b in itertools.product(entries, repeat=2):
         expected = reference_maps_into(n, a.structure.crossings, b.structure.crossings)
-        assert _maps_into(ta, tb) == expected, (a.structure.hex, b.structure.hex)
+        assert maps_into(a.structure, b.structure) == expected, (a.structure.hex, b.structure.hex)
         found.add(expected is None)
     assert found == {True, False}
 
@@ -176,13 +180,12 @@ def test_maps_into_matches_reference_on_every_ordered_pair(n, store):
 def test_maps_into_matches_reference_on_k7_dominance_tests(store):
     # The pairs the maximal view can test: an entry and a maximal entry with more crossings.
     cat = store.get(7)
-    tables = {id(e): _CrossingTable(e.structure) for e in cat.entries}
     pairs = [(a, b) for a in cat.entries for b in cat.maximal
              if len(b.structure.crossings) > len(a.structure.crossings)]
     assert len(pairs) == 1504
     found = set()
     for a, b in pairs:
         expected = reference_maps_into(7, a.structure.crossings, b.structure.crossings)
-        assert _maps_into(tables[id(a)], tables[id(b)]) == expected, (a.structure.hex, b.structure.hex)
+        assert maps_into(a.structure, b.structure) == expected, (a.structure.hex, b.structure.hex)
         found.add(expected is None)
     assert found == {True, False}
