@@ -147,7 +147,7 @@ def _maps_into(source: CrossingStructure, target: CrossingStructure,
     n = source.n
     candidates = [sum(1 << w for w in range(n) if all(map(int.__le__, row, target_counts[w])))
                   for row in source_counts]
-    images = _find_hom(source.neighbour_rows, source.crossing_partners, [0] * n, target.crossing_index, candidates)
+    images = _find_hom(source, target, [0] * n, candidates)
     return None if images is None else tuple(images)
 
 

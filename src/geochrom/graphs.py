@@ -16,8 +16,9 @@ that is a plain tuple and so equals and hashes like its edge pair. Both
 keep the same three search views, each built on its first read: what a
 search mapping into the object reads, `crossing_index` (see CrossingIndex),
 and what one mapping out of it reads, `neighbour_rows` (bit w of row v for
-each edge vw) and `crossing_partners` (see _crossing_partners). A drawing
-also keeps `crossing_gap`, the threshold-2 verdict of _crossing_gap over its
+each edge vw) and `crossing_partners` (see _crossing_partners); the
+searches read them from the object their callers hand over. A drawing also
+keeps `crossing_gap`, the threshold-2 verdict of _crossing_gap over its
 sorted crossings, which decides the distance hypothesis of all four lifts.
 """
 

@@ -114,14 +114,12 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
 def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStructure) -> VertexMap | None:
     """First verified geometric homomorphism G -> target, or None.
 
-    search._find_hom over the whole target, keeping apart the vertices the
-    obstruction rules force apart. G's neighbour rows and crossing partners,
-    the rows of those vertices (non_identifiable_pairs keeps them on G) and
-    the target's crossing index are each built once per graph, so repeated
-    searches share them all.
+    search._find_hom from G over the whole target, keeping apart the vertices
+    the obstruction rules force apart. The search reads the views G and the
+    target keep, and non_identifiable_pairs keeps the rows of those vertices
+    on G, so each is built once per graph and repeated searches share them.
     """
-    images = _find_hom(G.neighbour_rows, G.crossing_partners, non_identifiable_pairs(G)._apart,
-                       target.crossing_index, [(1 << target.n) - 1] * G.n)
+    images = _find_hom(G, target, non_identifiable_pairs(G)._apart, [(1 << target.n) - 1] * G.n)
     if images is None:
         return None
     vm = VertexMap(tuple(images), target.n)

@@ -224,5 +224,5 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
     """
     if n < 0 or n < 3 and G.crossings:
         return None
-    images = _noncollapsing(G.neighbour_rows, G.crossing_partners, min(n, G.n))
+    images = _noncollapsing(G, min(n, G.n))
     return None if images is None else Coloring(tuple(c + 1 for c in images), n)

@@ -24,9 +24,11 @@ of them. Mapping v to t narrows, by the target's CrossingIndex:
 A mask that empties backtracks at once. Narrowing removes only values that
 no completion of the current partial map can take, so the search visits
 the surviving branches in the same order and finds the same first map as
-one that checks each value after writing it. The module sits below
-catalog, obstructions and homomorphism. The callers, their sources, their
-targets and what each adds:
+one that checks each value after writing it. `_backtrack` owns the map
+and the domains it narrows, and returns the first map or None. The module
+sits below catalog, obstructions and homomorphism. The callers, their
+sources and targets (a drawing or structure is handed over whole, and its
+search views are read here), and what each adds:
 
   _chromatic      rows of the graph to color (a drawing's edges for chi, the
                   forced-pair rows A|B for X' and A|B|C|D for the lower
@@ -38,20 +40,19 @@ targets and what each adds:
                   k minus the mask's popcount), the clique mapped first,
                   first-fresh-color symmetry breaking, counts from a floor
                   up: 0 for chi and X', X' for the lower bound
-  _find_hom       the neighbour rows and crossing partners kept on a drawing
-                  or a K_n structure; a drawing or structure's CrossingIndex;
+  _find_hom       a drawing or a K_n structure; a drawing or a structure;
                   fewest starting images, then decreasing crossing degree;
                   find_geometric_hom starts on the whole target with the
                   rows (B|C|D) & ~A of rules A-D apart, catalog._maps_into
                   (the dominance test between two K_n) on candidate images
                   with none apart
-  _noncollapsing  a drawing's neighbour rows and crossing partners, nothing
-                  apart; K_k in which every two distinct edges cross: the
-                  edges of K_k and every pair of them, built once per k
-                  (_all_crossing). So the ends narrow nothing, and a
-                  completion bars the value that puts both edges on one
-                  color pair and the one adjacency has already removed;
-                  degree plus crossing degree, symmetry breaking
+  _noncollapsing  a drawing, nothing apart; K_k in which every two distinct
+                  edges cross: the edges of K_k and every pair of them,
+                  built once per k (_all_crossing). So the ends narrow
+                  nothing, and a completion bars the value that puts both
+                  edges on one color pair and the one adjacency has
+                  already removed; degree plus crossing degree, symmetry
+                  breaking
 """
 
 from __future__ import annotations
@@ -79,19 +80,21 @@ class Coloring(_Record):
         object.__setattr__(self, "n", n)
 
 
-def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int], adj: Sequence[int],
+def _backtrack(start: Sequence[int], pick: Callable[[int, list[int], list[int]], int], adj: Sequence[int],
                apart: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
-               target: CrossingIndex, symmetric: bool) -> bool:
-    """Fill images, all -1 on entry, with values from domains[v], narrowing as the module says.
+               target: CrossingIndex, symmetric: bool) -> list[int] | None:
+    """The first map sending each vertex v into start[v], narrowing as the module says, or None.
 
-    adj and apart are the source's rows, and `free` in the search the mask
-    of vertices not yet mapped. pick(depth) names the vertex to map at that depth of the search, and may
-    read images and domains, which hold the current state. With `symmetric`
-    the values are interchangeable, so a vertex tries at most one value that
-    no vertex holds yet. Returns True with images filled, or False with
-    images and domains as given.
+    The search owns its state: the map, images (-1 while unmapped), and
+    domains, a copy of start that narrowing shrinks. adj and apart are the
+    source's rows, and `free` the mask of vertices not yet mapped.
+    pick(depth, images, domains) names the vertex to map at that depth from
+    the current state. With `symmetric` the values are interchangeable, so a
+    vertex tries at most one value that no vertex holds yet.
     """
-    todo = len(images)
+    todo = len(start)
+    images = [-1] * todo
+    domains = list(start)
     neighbours, ends, completions = target
     full = (1 << len(neighbours)) - 1
 
@@ -137,7 +140,7 @@ def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int]
     def extend(depth: int, used: int, free: int) -> bool:
         if depth == todo:
             return True
-        v = pick(depth)
+        v = pick(depth, images, domains)
         free ^= 1 << v
         options = domains[v] & ((2 << used) - 1) if symmetric else domains[v]
         saved = domains[:]
@@ -152,23 +155,20 @@ def _backtrack(images: list[int], domains: list[int], pick: Callable[[int], int]
         images[v] = -1
         return False
 
-    return extend(0, 0, (1 << todo) - 1)
+    return images if extend(0, 0, (1 << todo) - 1) else None
 
 
-def _find_hom(adj: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
-              apart: Sequence[int], target: CrossingIndex, domains: list[int]) -> list[int] | None:
-    """The first map of 0..n-1 into target keeping edges on edges and crossings on crossings, or None.
+def _find_hom(source, target, apart: Sequence[int], start: Sequence[int]) -> list[int] | None:
+    """The first map of source into target keeping edges on edges and crossings on crossings, or None.
 
-    adj and crossings_at hold the source's edges and crossings, apart[v] the
-    vertices kept off v's image, as a row like adj[v], and domains[v] the
-    images v starts from.
+    It reads the source's neighbour_rows and crossing_partners and the
+    target's crossing_index. apart[v] holds the vertices kept off v's image,
+    as a row like the neighbour rows, and start[v] the images v starts from.
     """
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (domains[v].bit_count(), -len(crossings_at[v]), v))
-    images = [-1] * n
-    if _backtrack(images, domains, order.__getitem__, adj, apart, crossings_at, target, symmetric=False):
-        return images
-    return None
+    crossings_at = source.crossing_partners
+    order = sorted(range(len(start)), key=lambda v: (start[v].bit_count(), -len(crossings_at[v]), v))
+    return _backtrack(start, lambda depth, images, domains: order[depth], source.neighbour_rows, apart, crossings_at,
+                      target.crossing_index, symmetric=False)
 
 
 @lru_cache(maxsize=None)
@@ -188,17 +188,13 @@ def _all_crossing(k: int) -> CrossingIndex:
     return _crossing_index(k, edges, combinations(edges, 2))
 
 
-def _noncollapsing(adj: Sequence[int], crossings_at: Sequence[Sequence[tuple[int, int, int]]],
-                   k: int) -> list[int] | None:
+def _noncollapsing(source, k: int) -> list[int] | None:
     """The first proper k-coloring, up to color permutation, with no crossing's edges on one color pair, or None."""
+    adj, crossings_at = source.neighbour_rows, source.crossing_partners
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-(adj[v].bit_count() + len(crossings_at[v])), v))
-    images = [-1] * n
-    none = [0] * n  # no vertices apart
-    if _backtrack(images, [(1 << k) - 1] * n, order.__getitem__, adj, none, crossings_at, _all_crossing(k),
-                  symmetric=True):
-        return images
-    return None
+    return _backtrack([(1 << k) - 1] * n, lambda depth, images, domains: order[depth], adj, [0] * n, crossings_at,
+                      _all_crossing(k), symmetric=True)  # no vertices apart
 
 
 # --- exact chromatic number -------------------------------------------------
@@ -264,10 +260,9 @@ def _chromatic(adj: Sequence[int], floor: int) -> tuple[int, Coloring]:
         return ub, Coloring(tuple(greedy), ub)
     n = len(adj)
     degree = [row.bit_count() for row in adj]
-    images = [-1] * n
-    domains = [0] * n
+    seat = {v: 1 << i for i, v in enumerate(clique)}  # the clique's vertices start on colors 0, 1, ... in turn
 
-    def pick(depth: int) -> int:
+    def pick(depth: int, images: list[int], domains: list[int]) -> int:
         if depth < len(clique):
             return clique[depth]
         return min((v for v in range(n) if images[v] < 0), key=lambda v: (domains[v].bit_count(), -degree[v], v))
@@ -275,10 +270,8 @@ def _chromatic(adj: Sequence[int], floor: int) -> tuple[int, Coloring]:
     none = [0] * n  # no vertices apart
     no_crossings = [()] * n
     for k in range(max(len(clique), floor), ub):
-        full = (1 << k) - 1
-        domains[:] = [full] * n
-        for i, v in enumerate(clique):
-            domains[v] = 1 << i
-        if _backtrack(images, domains, pick, adj, none, no_crossings, _complete(k), symmetric=True):
+        start = [seat.get(v, (1 << k) - 1) for v in range(n)]
+        images = _backtrack(start, pick, adj, none, no_crossings, _complete(k), symmetric=True)
+        if images is not None:
             return k, Coloring(tuple(c + 1 for c in images), k)
     return ub, Coloring(tuple(greedy), ub)

@@ -26,6 +26,7 @@ from geochrom import (
 from geochrom import catalog, cli, graphs
 from geochrom.catalog import catalog_to_json_dict
 from geochrom.cli import main
+from conftest import CACHE_DIR
 from oracles import fraction_intersection_point, parabola_chain
 
 
@@ -355,6 +356,22 @@ def test_x_command_rejects_a_malformed_catalog(capsys, tmp_path, fig6):
     code, out, err = run(capsys, "x", fig6, "--catalog", str(tmp_path), "--no-build", "--max-n", "6")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and json.loads(err)["kind"] == "GraphFormatError"
+
+
+def test_a_catalog_entry_that_does_not_realize_its_canonical_form_is_refused(capsys, tmp_path):
+    doc = json.loads((CACHE_DIR / "k5.catalog.json").read_text())
+    first, second = doc["entries"][:2]
+    first["canonical"], second["canonical"] = second["canonical"], first["canonical"]
+    catalogs = tmp_path / "catalogs"
+    catalogs.mkdir()
+    (catalogs / "k5.catalog.json").write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match="does not realize its recorded canonical form"):
+        CatalogStore(catalogs, build_missing=False).get(5)
+    k5 = tmp_path / "k5.json"  # its lower bound is 5, so X's search reads the K5 catalog first
+    k5.write_text(dumps(convex_clique(5)))
+    code, out, err = run(capsys, "x", str(k5), "--catalog", str(catalogs), "--no-build")
+    assert code == 2 and out == ""
+    assert "does not realize its recorded canonical form" in json.loads(err)["error"]
 
 
 def test_x_command_names_a_catalog_file_that_is_not_json(capsys, tmp_path, fig6):

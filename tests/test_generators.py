@@ -31,6 +31,13 @@ def test_star_crossing_counts_and_bundled_map(k):
         assert all((k + 1, k + 2) in c.edges() for c in cs)
 
 
+def test_families_refuse_size_zero():
+    with pytest.raises(ValueError, match="need k >= 1"):
+        star_crossing(0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        separation_family(0)
+
+
 def test_star_crossing_k1_is_convex_k4():
     g, beta = star_crossing(1)
     assert g == convex_clique(4)

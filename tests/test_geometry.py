@@ -155,6 +155,9 @@ def test_convex_crossing_rule_examples():
     assert convex_crossing_rule(4, (1, 3), (2, 4))
     assert not convex_crossing_rule(4, (1, 2), (3, 4))
     assert convex_crossing_rule(6, (1, 4), (2, 6))  # frozen from the hexagon oracle
+    assert convex_crossing_rule(4, (2, 4), (1, 3))  # the lesser-labelled edge second
+    assert convex_crossing_rule(6, (6, 2), (4, 1))
+    assert not convex_crossing_rule(4, (3, 4), (1, 2))
 
 
 def test_convex_crossing_rule_validation():

@@ -702,3 +702,8 @@ def test_graph_json_rejects_bad_documents(tmp_path):
         graph_from_json_dict({"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 1}], "edges": []})
     with pytest.raises(GraphFormatError):
         graph_from_json_dict({"vertices": [{"id": 0, "x": 0.5, "y": 0}], "edges": []})
+    # true would pass the 0..n-1 check as id 1, and "0" would fail it with a message that hides the cause.
+    for vid in ("0", True, 0.0, None):
+        doc = {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": vid, "x": 10, "y": 1}], "edges": [[0, 1]]}
+        with pytest.raises(GraphFormatError, match="must have an integer id"):
+            graph_from_json_dict(doc)

@@ -42,6 +42,9 @@ def test_is_graph_hom_basics():
     k4 = convex_clique(4)
     assert is_graph_hom(k4, k4, VertexMap((0, 1, 2, 3), 4))
     assert not is_graph_hom(k4, k4, VertexMap((0, 0, 0, 0), 4))
+    assert VertexMap((0, 0, 0, 0), 4).edge_image((0, 1)) is None  # the edge collapses
+    assert not is_graph_hom(k4, k4, VertexMap((0, 1, 2, 3, 0), 4))  # one image too many
+    assert not is_graph_hom(k4, k4, VertexMap((0, 1, 2, 3), 5))  # into a K4 said to have 5 vertices
 
 
 def test_star_bundled_map_is_graph_and_geometric_hom():
@@ -73,6 +76,17 @@ def test_geometric_hom_needs_crossings_preserved():
             assert not is_geometric_hom(diagonals, target, VertexMap(images, 4))
 
 
+def test_pseudo_coloring_refuses_an_improper_coloring_and_a_repeat_on_a_crossing():
+    k4 = convex_clique(4)
+    assert not is_proper(k4, Coloring((1, 2, 3, 4, 1), 4))  # one color too many
+    edge = GeometricGraph.build([(0, 0), (10, 1)], [(0, 1)])
+    assert not is_pseudo_coloring(edge, Coloring((1, 1), 1))  # no crossing, so only properness refuses it
+    diagonals = GeometricGraph(k4.points, frozenset({(0, 2), (1, 3)}))
+    assert is_pseudo_coloring(diagonals, Coloring((1, 2, 3, 4), 4))
+    assert is_proper(diagonals, Coloring((1, 1, 2, 2), 2))
+    assert not is_pseudo_coloring(diagonals, Coloring((1, 1, 2, 2), 2))  # proper, two colors on the crossing
+
+
 def test_vertex_map_compose_verifies_as_geometric_hom():
     g, beta = star_crossing(2)
     k4 = convex_clique(4)
@@ -80,6 +94,8 @@ def test_vertex_map_compose_verifies_as_geometric_hom():
     assert is_geometric_hom(k4, k4, rotate)
     composed = beta.compose(rotate)
     assert is_geometric_hom(g, k4, composed)
+    with pytest.raises(ValueError, match="composition size mismatch"):
+        beta.compose(VertexMap((0, 1, 2, 3, 4), 5))
 
 
 def test_chromatic_number_examples():
@@ -337,7 +353,7 @@ def test_witness_checks_hold_without_asserts():
         from geochrom import Coloring, convex_clique, figure_graphs
         g = figure_graphs("figure6")
         print(__debug__)
-        h._find_hom = lambda adj, *rest: [0] * len(adj)
+        h._find_hom = lambda source, *rest: [0] * source.n
         try:
             print(h.find_geometric_hom(g, convex_clique(6)))
         except RuntimeError as exc:

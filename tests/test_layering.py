@@ -148,6 +148,16 @@ def test_search_core_has_its_named_callers():
     assert _namers("_find_hom") == {"homomorphism.find_geometric_hom", "catalog._maps_into"}
 
 
+def test_the_searches_read_the_views_of_the_objects_handed_over():
+    # Callers hand a search a drawing or a structure; besides the searches, canonical labelling and the catalog's
+    # per-edge counts read the partner list, and chi's two row readers the neighbour rows.
+    assert _namers("crossing_index") == {"search._find_hom"}
+    assert _namers("crossing_partners") == {"search._find_hom", "search._noncollapsing", "graphs._canonical_bytes",
+                                            "catalog._edge_counts"}
+    assert _namers("neighbour_rows") == {"search._find_hom", "search._noncollapsing", "homomorphism.chromatic_number",
+                                         "obstructions._distinctness_graph"}
+
+
 def test_the_solve_path_reads_int_rows():
     # Neighbour sets serve canonical refinement and the crossing-distance BFS; every search reads int rows,
     # and the forced-pair rows are read as they are, listed only for rule C's components and the pair-set view.
@@ -182,7 +192,7 @@ def test_one_rule_checks_every_edge_set():
 
 
 def test_search_core_names_no_graph_type():
-    # The searches read a CrossingIndex and neighbour lists, and build their own K_k targets with the one table
+    # The searches read the views a source and a target keep, and build their own K_k targets with the one table
     # builder; which kind of graph a source or target came from is the callers' affair.
     from_graphs = [alias.name for node in ast.walk(MODULES["search"])
                    if isinstance(node, ast.ImportFrom) and node.module == "graphs" for alias in node.names]

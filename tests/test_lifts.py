@@ -307,6 +307,8 @@ def test_precondition_errors():
     improper = Coloring((1, 1, 2, 2), 2)
     with pytest.raises(NotProperColoring):
         lift_dist2(x_gadget(), improper)
+    with pytest.raises(ValueError, match="coloring size does not match vertex count"):
+        lift_dist2(x_gadget(), Coloring((1, 2, 1), 2))  # proper on the three vertices it names
 
     with pytest.raises(ChiOutOfRange):
         lift_small_chi(x_gadget(), Coloring((1, 2, 3, 4), 4))

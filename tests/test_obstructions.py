@@ -143,9 +143,9 @@ def test_lower_bound_is_searched_from_x_prime(monkeypatch):
     tried, counts, starts_above_clique = 0, [], 0
     search_core = search._backtrack
 
-    def counting(images, domains, *rest, **options):
+    def counting(domains, *rest, **options):
         counts.append(max(domains).bit_length())  # k: every vertex off the clique starts on all k colors
-        return search_core(images, domains, *rest, **options)
+        return search_core(domains, *rest, **options)
 
     monkeypatch.setattr(search, "_backtrack", counting)
     for g in DRAWINGS + SEEDED:
