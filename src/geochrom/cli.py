@@ -98,10 +98,13 @@ def _cmd_x(args) -> int:
     if result is None:
         _emit({"status": "unresolved", "searched_to": args.max_n}, args.output)
         return 1
+    # The map is into the labelling of the catalog entry's own witness drawing, so that drawing is printed with it.
+    entry = next(e for e in store.get(result.n).entries if e.structure is result.target)
     _emit(
         {
             "x": result.n,
-            "target": {"n": result.target.n, "canonical": result.target.hex},
+            "target": {"n": result.target.n, "canonical": result.target.hex,
+                       "witness": graph_to_json_dict(entry.witness)},
             "map": list(result.witness.images),
         },
         args.output,

@@ -28,7 +28,7 @@ import json
 import math
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GraphFormatError, _Record
 from .geometry import Point, is_general_position
@@ -127,12 +127,12 @@ class GeometricGraph(_Record):
         return _crossing_gap(self.n, self.edges, sorted(self.crossings), 2)
 
 
-def _adj_lists(n: int, edges: Iterable[Edge]) -> list[set[int]]:
-    """Neighbour sets of vertices 0..n-1 under an undirected edge list."""
-    adj: list[set[int]] = [set() for _ in range(n)]
+def _adj_lists(n: int, edges: Iterable[Edge]) -> list[list[int]]:
+    """Neighbour lists of vertices 0..n-1 under an undirected edge set."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
     return adj
 
 
@@ -375,6 +375,12 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
 # a leaf. The set of leaves depends only on the isomorphism class, and the
 # canonical form is its least element.
 #
+# A leaf is kept as its form bytes (_form_bytes), and the form is the least
+# of them. Every leaf of one structure has the same n, edge count and
+# crossing count, so the same fields at the same offsets, and each code is
+# fixed-width and big-endian: byte order is the order of the (edge codes,
+# crossing codes) tuples, and the least bytes are the least leaf.
+#
 # Two leaves with equal serializations differ by an automorphism, which fixes
 # every vertex the two paths chose in common. Two cuts use it:
 # - jump-back: the search returns at once to the deepest common ancestor of
@@ -396,29 +402,43 @@ def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
 # crossing partner of a vertex with an edge has an edge too, so its
 # neighbour and partner multisets hold one class and differ only in size.
 #
+# So every class that refinement is handed already agrees on degree and
+# crossing degree: the start ranks by both, and each later colouring only
+# splits classes. A signature therefore leaves both counts out, and is one
+# flat list: the class, the sorted neighbour classes, the sorted crossing
+# codes. Within a class the three parts have the same lengths, so the lists
+# compare as the tuples (class, degree, crossing degree, neighbours,
+# crossings) would, and vertices are ranked by sorting their ids on them.
+#
 # A vertex alone in its class is settled: no later pass can split it, and its
 # class, the first field of every signature, already fixes its rank. A pass
-# gives it the signature (class,) and never reads its lists.
+# gives it the signature [class] and never reads its lists.
 
 
 def _refine_partition(
-    classes: list[int], adj: list[set[int]], partners: list[list[tuple[int, int, int]]]
+    classes: list[int], adj: list[list[int]], partners: list[list[tuple[int, int, int]]]
 ) -> list[int]:
     """The coarsest stable refinement of an ordered colouring, as ranks 0..k-1.
 
+    The classes are below 2n, the start ranks or the 2c and 2c + 1 that the
+    search hands over, and each holds one degree and one crossing degree, so
+    a signature is the flat list [class, sorted neighbour classes, sorted
+    crossing codes] (see the comment above).
+
     partners is _crossing_partners: (p, a, b) per crossing vp x ab at v, read
     as the int (class of p * n + lesser class) * n + greater class, which
-    orders like the triple. A vertex's signature begins with its class, so
-    every class splits in place and the order of classes is kept.
+    orders like the triple while every class is below n. A vertex's
+    signature begins with its class, so every class splits in place and the
+    order of classes is kept.
 
-    A vertex alone in its class gets the signature (class,), and its lists
+    A vertex alone in its class gets the signature [class], and its lists
     are never read: its class alone fixes its rank, since no other vertex
     shares it.
 
     A colouring with one vertex per class is stable, and a pass over it would
     only compact its classes, so it returns as soon as it is discrete: on
-    entry, with the ranks of its classes (the search hands over classes such
-    as 2c and 2c + 1), and after the pass that separates the last vertices.
+    entry, with the ranks of its classes, and after the pass that separates
+    the last vertices.
     """
     n = len(classes)
     count = len(set(classes))
@@ -426,26 +446,35 @@ def _refine_partition(
         rank = {c: r for r, c in enumerate(sorted(classes))}
         return [rank[c] for c in classes]
     while True:
-        sizes: dict[int, int] = {}
+        sizes = [0] * (2 * n)
         for c in classes:
-            sizes[c] = sizes.get(c, 0) + 1
+            sizes[c] += 1
         sigs = []
         for v, c in enumerate(classes):
             if sizes[c] == 1:
-                sigs.append((c,))
+                sigs.append([c])
                 continue
-            nbrs = adj[v]
             crs = []
             for p, a, b in partners[v]:
                 ca, cb = classes[a], classes[b]
                 crs.append((classes[p] * n + ca) * n + cb if ca <= cb else (classes[p] * n + cb) * n + ca)
             crs.sort()
-            sigs.append((c, len(nbrs), len(crs), tuple(sorted([classes[u] for u in nbrs])), tuple(crs)))
-        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        classes = [rank[sig] for sig in sigs]
-        if len(rank) == count or len(rank) == n:
+            sig = [classes[u] for u in adj[v]]
+            sig.sort()
+            sig.insert(0, c)
+            sig += crs
+            sigs.append(sig)
+        classes = [0] * n
+        r = -1
+        last = None
+        for v in sorted(range(n), key=sigs.__getitem__):
+            if sigs[v] != last:
+                last = sigs[v]
+                r += 1
+            classes[v] = r
+        if r + 1 == count or r + 1 == n:
             return classes
-        count = len(rank)
+        count = r + 1
 
 
 def _orbit(v: int, generators: list[list[int]]) -> set[int]:
@@ -463,24 +492,29 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
     n = s.n
     adj = _adj_lists(n, s.adjacency)
     partners = s.crossing_partners
-    edge_list = sorted(s.adjacency)
+    edge_list = s.adjacency
     # Flat exact tuples: unpacking a Crossing, a tuple subclass, in the loop
     # in serialize costs about three times as much.
-    cross_list = [(*e1, *e2) for e1, e2 in s.crossings]
+    cross_list = [e1 + e2 for e1, e2 in s.crossings]
     n2 = n * n
 
-    def serialize(perm: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        es = sorted((perm[u] * n + perm[v]) if perm[u] < perm[v] else (perm[v] * n + perm[u])
-                    for u, v in edge_list)
+    def serialize(perm: list[int]) -> bytes:
+        es = []
+        for u, v in edge_list:
+            a, b = perm[u], perm[v]
+            es.append(a * n + b if a < b else b * n + a)
+        es.sort()
         cs = []
         for u, v, x, y in cross_list:
-            e1 = (perm[u] * n + perm[v]) if perm[u] < perm[v] else (perm[v] * n + perm[u])
-            e2 = (perm[x] * n + perm[y]) if perm[x] < perm[y] else (perm[y] * n + perm[x])
+            a, b = perm[u], perm[v]
+            c, d = perm[x], perm[y]
+            e1 = a * n + b if a < b else b * n + a
+            e2 = c * n + d if c < d else d * n + c
             cs.append(e1 * n2 + e2 if e1 < e2 else e2 * n2 + e1)
         cs.sort()
-        return tuple(es), tuple(cs)
+        return _form_bytes(n, es, cs)
 
-    leaves: dict[tuple, tuple[list[int], list[int]]] = {}
+    leaves: dict[bytes, tuple[list[int], list[int]]] = {}
     automorphisms: list[list[int]] = []
 
     def search(classes: list[int], chosen: list[int]) -> int:
@@ -491,11 +525,7 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
         """
         depth = len(chosen)
         classes = _refine_partition(classes, adj, partners)
-        sizes = [0] * n
-        for c in classes:
-            sizes[c] += 1
-        target = next((c for c, size in enumerate(sizes) if size > 1), None)
-        if target is None:
+        if max(classes, default=-1) == n - 1:  # ranks 0..n-1: one vertex per class
             first, first_chosen = leaves.setdefault(serialize(classes), (classes, chosen))
             if first is classes:
                 return depth
@@ -504,6 +534,10 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
                 vertex_at[pos] = v
             automorphisms.append([vertex_at[pos] for pos in classes])
             return next(i for i, (u, w) in enumerate(zip(chosen, first_chosen)) if u != w)
+        sizes = [0] * n
+        for c in classes:
+            sizes[c] += 1
+        target = next(c for c, size in enumerate(sizes) if size > 1)
         fixing: list[list[int]] = []
         seen = 0
         tried: list[int] = []
@@ -519,22 +553,19 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
                 return resume
         return depth
 
-    # The start of the comment above: isolated vertices (None) alone, by id,
-    # then the rest by degree and crossing degree.
-    counts = [(len(nbrs), len(at)) if nbrs else None for nbrs, at in zip(adj, partners)]
-    rank = {c: r for r, c in enumerate(sorted(set(counts) - {None}), counts.count(None))}
-    start, isolated = [], 0
-    for c in counts:
-        if c is None:
-            start.append(isolated)
-            isolated += 1
-        else:
-            start.append(rank[c])
-    search(start, [])
-    return _form_bytes(n, *min(leaves))
+    # The start of the comment above, from one int key per vertex: degree * m
+    # + crossing degree, with m above every crossing degree, so 0 exactly for
+    # the isolated vertices, which take ranks 0, 1, ... by id.
+    m = len(s.crossings) + 1
+    keys = [len(nbrs) * m + len(at) for nbrs, at in zip(adj, partners)]
+    isolated = keys.count(0)
+    rank = {k: r for r, k in enumerate(sorted(set(keys) - {0}), isolated)}
+    ids = iter(range(isolated))
+    search([rank[k] if k else next(ids) for k in keys], [])
+    return min(leaves)
 
 
-def _form_bytes(n: int, es: tuple[int, ...], cs: tuple[int, ...]) -> bytes:
+def _form_bytes(n: int, es: Sequence[int], cs: Sequence[int]) -> bytes:
     """The canonical form: n, then the count and codes of the edges, then of the crossings.
 
     w bytes hold a vertex id: 1 up to n = 256, the width that the forms in
@@ -547,14 +578,14 @@ def _form_bytes(n: int, es: tuple[int, ...], cs: tuple[int, ...]) -> bytes:
     count from 2^(16w) - 1 written plainly.
     """
     w = max(1, ((n - 1).bit_length() + 7) // 8)
-    out = bytearray(n.to_bytes(2, "big") if n < 0xFFFF else b"\xff\xff" + n.to_bytes(8, "big"))
-    out += len(es).to_bytes(2 * w, "big")
-    for code in es:
-        out += code.to_bytes(2 * w, "big")
-    out += len(cs).to_bytes(2 * w, "big") if len(cs) < 1 << 16 * w else b"\xff" * 2 * w + len(cs).to_bytes(8, "big")
-    for code in cs:
-        out += code.to_bytes(4 * w, "big")
-    return bytes(out)
+    e, c = 2 * w, 4 * w
+    return b"".join([
+        n.to_bytes(2, "big") if n < 0xFFFF else b"\xff\xff" + n.to_bytes(8, "big"),
+        len(es).to_bytes(e, "big"),
+        *[code.to_bytes(e, "big") for code in es],
+        len(cs).to_bytes(e, "big") if len(cs) < 1 << 8 * e else b"\xff" * e + len(cs).to_bytes(8, "big"),
+        *[code.to_bytes(c, "big") for code in cs],
+    ])
 
 
 # --- JSON graph format ------------------------------------------------------

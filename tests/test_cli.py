@@ -80,12 +80,32 @@ def test_x_command_unresolved_exit_code(capsys, fig6):
     assert json.loads(out) == {"status": "unresolved", "searched_to": 5}
 
 
+@pytest.mark.parametrize("source", ["committed", "fresh"])
+def test_x_prints_the_witness_drawing_its_map_replays_against(capsys, tmp_path, fig6, source):
+    # The map is into the labelling of the target entry's own witness, which differs between the committed
+    # catalogs and freshly built ones, so verify replays it against the printed drawing whichever x read.
+    catalogs = CACHE_DIR if source == "committed" else tmp_path / "fresh"
+    code, out, _ = run(capsys, "x", fig6, "--max-n", "6", "--catalog", str(catalogs))
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["x", "target", "map"] and list(doc["target"]) == ["n", "canonical", "witness"]
+    witness = graph_from_json_dict(doc["target"]["witness"])
+    assert witness.n == doc["target"]["n"] == doc["x"] == 6
+    assert graphs.crossing_structure(witness).hex == doc["target"]["canonical"]
+    target, images = tmp_path / "target.json", tmp_path / "map.json"
+    target.write_text(json.dumps(doc["target"]["witness"]))
+    images.write_text(json.dumps(doc["map"]))
+    code, out, _ = run(capsys, "verify", fig6, str(target), str(images))
+    assert (code, json.loads(out)) == (0, {"graph_hom": True, "geometric_hom": True})
+
+
 def test_x_command_at_max_n_zero(capsys, tmp_path):
     empty, one = tmp_path / "empty.json", tmp_path / "one.json"
     empty.write_text('{"vertices": [], "edges": []}')
     one.write_text('{"vertices": [{"id": 0, "x": 0, "y": 0}], "edges": []}')
     code, out, _ = run(capsys, "x", str(empty), "--max-n", "0")
-    assert (code, json.loads(out)) == (0, {"x": 0, "target": {"n": 0, "canonical": "000000000000"}, "map": []})
+    assert (code, json.loads(out)) == (0, {"x": 0, "target": {"n": 0, "canonical": "000000000000",
+                                                              "witness": {"vertices": [], "edges": []}}, "map": []})
     code, out, _ = run(capsys, "x", str(one), "--max-n", "0")
     assert (code, json.loads(out)) == (1, {"status": "unresolved", "searched_to": 0})
 
@@ -296,7 +316,8 @@ def test_k0_is_the_empty_drawing_for_gen_and_lift(capsys, tmp_path):
         code, out, _ = run(capsys, "lift", "--method", method, str(path))
         assert (code, out) == (0, f'{{"method":"{method}","target_size":0,"map":[],"cases":[]}}\n')
     code, out, _ = run(capsys, "x", str(path))
-    assert (code, json.loads(out)) == (0, {"x": 0, "target": {"n": 0, "canonical": "000000000000"}, "map": []})
+    assert (code, json.loads(out)) == (0, {"x": 0, "target": {"n": 0, "canonical": "000000000000",
+                                                              "witness": {"vertices": [], "edges": []}}, "map": []})
     code, out, _ = run(capsys, "gen", "convex", "--n", "0")
     assert (code, out) == (0, '{"vertices":[],"edges":[]}\n')
     code, _, err = run(capsys, "gen", "convex", "--n", "-1")

@@ -507,6 +507,31 @@ def test_the_search_starts_where_one_pass_from_the_uniform_colouring_ends(group,
         assert firsts[0] == reference_search_start(s.n, s.adjacency, s.crossings), s
 
 
+@pytest.mark.parametrize("group", _IR_GROUPS)
+def test_every_class_refinement_is_handed_holds_one_degree_and_one_crossing_degree(group, store, monkeypatch):
+    # The signature leaves both counts out: the search starts from the ranking by degree and crossing degree,
+    # and each later colouring only splits classes, so the counts could never split a class.
+    calls = 0
+    refine = graphs._refine_partition
+
+    def checking(classes, adj, partners):
+        nonlocal calls
+        kinds = {}
+        for v, c in enumerate(classes):
+            kinds.setdefault(c, set()).add((degree[v], crossing_degree[v]))
+        assert all(len(counts) == 1 for counts in kinds.values()), classes
+        calls += 1
+        return refine(classes, adj, partners)
+
+    structures = _reference_ir_inputs(group, store)
+    monkeypatch.setattr(graphs, "_refine_partition", checking)
+    for s in structures:
+        degree = [sum(v in e for e in s.adjacency) for v in range(s.n)]
+        crossing_degree = [sum(v in e1 or v in e2 for e1, e2 in s.crossings) for v in range(s.n)]
+        graphs._canonical_bytes(s)
+    assert calls
+
+
 def _unsettled_per_pass(classes, adj, partners) -> list:
     """The vertices that share a class, at the start of each pass _refine_partition makes."""
     incid = [[(p, (a, b)) for p, a, b in at] for at in partners]
@@ -587,6 +612,36 @@ def test_form_fields_widen_with_n():
     assert plain[:14] == bytes.fromhex("0004" "0000" "ffff" "00000001" "00000001") and len(plain) == 6 + 4 * 0xFFFF
     assert _form_bytes(4, (), (0,) * 0x10000)[:14] == bytes.fromhex("0004" "0000" "ffff" "0000000000010000")
     assert _form_bytes(257, (), (0,) * 0x10000)[:10] == bytes.fromhex("0101" "00000000" "00010000")
+
+
+def _codes(rng: random.Random, count: int, bound: int) -> tuple:
+    """`count` codes below `bound`, about half of them sharing one low byte, so they differ only above it."""
+    low = rng.randrange(min(bound, 256))
+    return tuple(rng.randrange((bound - 1 - low) // 256 + 1) << 8 | low if rng.random() < 0.5 else rng.randrange(bound)
+                 for _ in range(count))
+
+
+def _above_the_low_byte(codes: tuple, i: int, bound: int) -> tuple | None:
+    """`codes` with code i moved by 256 within 0..bound-1: the same low byte, another byte above it."""
+    c = codes[i] - 256 if codes[i] >= 256 else codes[i] + 256
+    return codes[:i] + (c,) + codes[i + 1:] if c < bound else None
+
+
+@pytest.mark.parametrize("n", [12, 300])
+def test_forms_of_equal_counts_order_like_their_code_tuples(n):
+    # The leaves of one structure share n and both counts, and the search keeps the least leaf by its bytes,
+    # so the bytes must order like the leaves' (edge codes, crossing codes) tuples.
+    rng = random.Random(n)
+    edge_codes = [_codes(rng, 5, n * n) for _ in range(3)]  # few, so that most comparisons reach the crossings
+    pairs = [(rng.choice(edge_codes), _codes(rng, 4, n ** 4)) for _ in range(60)]
+    for es, cs in pairs[:20]:
+        moved = [(es, _above_the_low_byte(cs, rng.randrange(4), n ** 4)),
+                 (_above_the_low_byte(es, rng.randrange(5), n * n), cs)]
+        pairs += [(a, b) for a, b in moved if a is not None and b is not None]
+    assert len(pairs) == (80 if n == 12 else 100)  # only a 1-byte vertex id leaves no edge code above 255
+    for a, b in itertools.combinations(pairs, 2):
+        assert (_form_bytes(n, *a) < _form_bytes(n, *b)) == (a < b), (a, b)
+        assert (_form_bytes(n, *a) == _form_bytes(n, *b)) == (a == b), (a, b)
 
 
 def test_canonical_form_of_a_structure_with_more_crossings_than_two_bytes_count():

@@ -158,8 +158,15 @@ def test_the_searches_read_the_views_of_the_objects_handed_over():
                                          "obstructions._distinctness_graph"}
 
 
+def test_one_serialization_and_one_refinement_make_every_canonical_form():
+    # Leaves are keyed by their form bytes, so a second serialization or refinement path could only drift
+    # from the forms that catalog files store.
+    assert _namers("_form_bytes", called=True) == {"graphs._canonical_bytes"}
+    assert _namers("_refine_partition", called=True) == {"graphs._canonical_bytes"}
+
+
 def test_the_solve_path_reads_int_rows():
-    # Neighbour sets serve canonical refinement and the crossing-distance BFS; every search reads int rows,
+    # Neighbour lists serve canonical refinement and the crossing-distance BFS; every search reads int rows,
     # and the forced-pair rows are read as they are, listed only for rule C's components and the pair-set view.
     assert _namers("_adj_lists") == {"graphs._canonical_bytes", "graphs._crossing_gap"}
     assert _namers("_members") == {"obstructions._distinctness_graph", "obstructions.DistinctnessGraph.rules"}
