@@ -40,7 +40,6 @@ from .generators import (
 from .graphs import (
     GeometricGraph,
     _read_json,
-    crossings_of,
     graph_from_json_dict,
     graph_to_json_dict,
 )
@@ -231,7 +230,7 @@ def render_svg(g: GeometricGraph) -> str:
             f'x2="{sx(g.points[v].x):.1f}" y2="{sy(g.points[v].y):.1f}" '
             'stroke="black" stroke-width="1.5"/>'
         )
-    for c in sorted(crossings_of(g)):
+    for c in g.sorted_crossings:
         (a, b), (cc, d) = c.e1, c.e2
         ix, iy = _segment_intersection_point(
             g.points[a], g.points[b], g.points[cc], g.points[d]

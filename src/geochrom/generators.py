@@ -212,7 +212,7 @@ def random_geometric_graph(
         if rng.random() < edge_probability
     ]
     g = GeometricGraph.build(pts, edges)
-    crossings = dict.fromkeys(sorted(crossings_of(g)))  # dicts keep the sorted order through deletions
+    crossings = dict.fromkeys(g.sorted_crossings)  # dicts keep the sorted order through deletions
     on_edge: dict[tuple[int, int], list[Crossing]] = {}
     for c in crossings:
         for e in c:

@@ -82,21 +82,24 @@ def segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
 def is_general_position(points: Sequence[Point]) -> bool:
     """True iff all points are distinct and no three are collinear.
 
-    O(n^2): the directions from each point to the later ones, reduced by
-    their gcd and signed so that opposite directions agree, repeat exactly
-    when that point is collinear with two of them.
+    O(n^2), on exact ints. With the distinct points sorted by (x, y), every
+    later point q seen from p has dx > 0, or dx = 0 and dy > 0, so p and two
+    later points are collinear exactly when their directions from p are
+    parallel, which in that half-plane means equal slopes dy/dx or both dx = 0.
+    A slope is keyed by floor(dy * 2^64 / dx), (dy << 64) // dx, and dx = 0 by
+    None, so a key repeats among p's later points exactly when p is collinear
+    with two of them, and every collinear triple is seen from its least
+    point. Equal slopes give equal keys. Distinct ones differ by at
+    least 1 / (dx1 * dx2) >= 2^-62, since COORD_BOUND keeps |dx| and |dy| at
+    most 2^31. Scaled by 2^64 they differ by at least 4, so their floors
+    differ by more than 3: no float, and no two distinct slopes share a key.
     """
-    if len(set(points)) != len(points):
+    pts = sorted({(p.x, p.y) for p in points})
+    if len(pts) != len(points):
         return False
-    for i, p in enumerate(points):
-        directions = set()
-        for q in points[i + 1:]:
-            dx, dy = q.x - p.x, q.y - p.y
-            g = math.gcd(dx, dy)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            directions.add((dx // g, dy // g))
-        if len(directions) < len(points) - i - 1:
+    for i, (px, py) in enumerate(pts):
+        keys = {((qy - py) << 64) // (qx - px) if qx != px else None for qx, qy in pts[i + 1:]}
+        if len(keys) < len(pts) - i - 1:
             return False
     return True
 

@@ -17,9 +17,13 @@ keep the same three search views, each built on its first read: what a
 search mapping into the object reads, `crossing_index` (see CrossingIndex),
 and what one mapping out of it reads, `neighbour_rows` (bit w of row v for
 each edge vw) and `crossing_partners` (see _crossing_partners); the
-searches read them from the object their callers hand over. A drawing also
-keeps `crossing_gap`, the threshold-2 verdict of _crossing_gap over its
-sorted crossings, which decides the distance hypothesis of all four lifts.
+searches read them from the object their callers hand over. A drawing
+finds its crossings in one straddle pass, which emits them in sorted
+order, and keeps that order as `sorted_crossings`, beside `sorted_edges`;
+`crossings` is its frozenset, and no caller sorts them again. A drawing
+also keeps `crossing_gap`, the threshold-2 verdict of _crossing_gap over
+its sorted crossings, which decides the distance hypothesis of all four
+lifts.
 """
 
 from __future__ import annotations
@@ -78,36 +82,61 @@ class GeometricGraph(_Record):
     def n(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def crossings(self) -> frozenset["Crossing"]:
+    def sorted_crossings(self) -> tuple["Crossing", ...]:
         # Memoized on the instance, so it lives exactly as long as the graph.
         #
-        # One side-of-line row per edge uv: row[w] is orientation(u, v, w),
-        # the sign of (v - u) x (w - u), computed as dx*y - dy*x against its
-        # value at u. Disjoint edges cross exactly when each has its ends on
-        # opposite sides of the other's line, the four signs segments_cross
-        # reads, so E*n determinants replace four per edge pair. An edge's
-        # own ends have sign 0, so edges sharing an endpoint never pass.
-        pts = [(p.x, p.y) for p in self.points]
+        # One straddle pass. inc[v] has bit i for each edge i at v, in
+        # sorted-edge order. For edge i = uv, vertex w lies strictly left or
+        # right of its line, or on it, by the sign of (v - u) x (w - u),
+        # computed as dx*y - dy*x against its value at u. The OR of inc over
+        # the vertices strictly left, ANDed with the OR over those strictly
+        # right, is the set of edges with one end on each side: the edges
+        # that straddle the line. An edge sharing an end with uv has that end
+        # on the line, so it never straddles. Disjoint edges cross exactly
+        # when each straddles the other's line, the four signs segments_cross
+        # reads, so E*n determinants and one bit test per straddling pair
+        # replace four determinants per edge pair. Walking i < j in
+        # sorted-edge order emits the crossings already sorted.
         es = self.sorted_edges
-        sides = []
+        inc = [0] * self.n
+        for i, (u, v) in enumerate(es):
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
+        points = self.points
+        ends = [(p.x, p.y, row) for p, row in zip(points, inc) if row]  # an isolated vertex adds no edge
+        straddle = []
         for u, v in es:
-            (xu, yu), (xv, yv) = pts[u], pts[v]
-            dx, dy = xv - xu, yv - yu
-            at_u = dx * yu - dy * xu
-            sides.append([(d > at_u) - (d < at_u) for d in [dx * y - dy * x for x, y in pts]])
-        out = set()
-        for i, (e1, s1) in enumerate(zip(es, sides)):
-            u1, v1 = e1
-            for e2, s2 in zip(es[i + 1:], sides[i + 1:]):
-                u2, v2 = e2
-                if s1[u2] * s1[v2] < 0 and s2[u1] * s2[v1] < 0:
-                    out.add(Crossing(e1, e2))
-        return frozenset(out)
+            pu, pv = points[u], points[v]
+            dx, dy = pv.x - pu.x, pv.y - pu.y
+            at_u = dx * pu.y - dy * pu.x
+            left = right = 0
+            for x, y, row in ends:
+                d = dx * y - dy * x
+                if d > at_u:
+                    left |= row
+                elif d < at_u:
+                    right |= row
+            straddle.append(left & right)
+        out = []
+        for i, e1 in enumerate(es):
+            later = straddle[i] >> i + 1
+            j = i
+            while later:
+                low = later & -later
+                j += low.bit_length()
+                later >>= low.bit_length()
+                if straddle[j] >> i & 1:
+                    out.append(Crossing(e1, es[j]))
+        return tuple(out)
+
+    @cached_property
+    def crossings(self) -> frozenset["Crossing"]:
+        return frozenset(self.sorted_crossings)
 
     @cached_property
     def crossing_index(self) -> "CrossingIndex":
@@ -124,7 +153,7 @@ class GeometricGraph(_Record):
     @cached_property
     def crossing_gap(self) -> tuple[int | float, tuple["Crossing", str] | None]:
         # At threshold 2, over the sorted crossings: the verdict of every lift.
-        return _crossing_gap(self.n, self.edges, sorted(self.crossings), 2)
+        return _crossing_gap(self.n, self.edges, self.sorted_crossings, 2)
 
 
 def _adj_lists(n: int, edges: Iterable[Edge]) -> list[list[int]]:
@@ -629,7 +658,8 @@ def graph_from_json_dict(doc: Mapping) -> GeometricGraph:
     if not isinstance(edges, list):
         raise GraphFormatError("'edges' must be a list")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], int) and isinstance(e[1], int)
+                and not isinstance(e[0], bool) and not isinstance(e[1], bool)):
             raise GraphFormatError(f"edge entry {e!r} must be a pair of ids")
     try:  # GeometricGraph rejects loops, missing ids and points not in general position
         G = GeometricGraph(tuple(seen[i] for i in range(n)), edges)

@@ -94,7 +94,10 @@ def is_proper(G, coloring: Coloring) -> bool:
     colors = coloring.colors
     if len(colors) != n:
         return False
-    return all(colors[u] != colors[v] for u, v in edges)
+    for u, v in edges:
+        if colors[u] == colors[v]:
+            return False
+    return True
 
 
 def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:

@@ -162,11 +162,9 @@ def _run_lift(method: str, G: GeometricGraph, alpha: Coloring) -> LiftReport:
     if gap == 0:
         raise CrossingsNotIndependent(conflict[1])
 
-    crossings = sorted(G.crossings)  # by least vertex: each crossing leads with its lesser sorted edge
-
     beta = list(base)
     log: list[tuple[Crossing, str]] = []
-    for cr in crossings:
+    for cr in G.sorted_crossings:  # by least vertex: each crossing leads with its lesser sorted edge
         tag, mods = _dispatch(method, room, base, cr)
         for v, new_label in mods:
             beta[v] = new_label

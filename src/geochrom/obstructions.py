@@ -35,8 +35,10 @@ without meeting one both ways: two ANDs when each graph has one component,
 else a parity union-find over the components, not over shared vertices.
 
 The rules, their union and the per-pair provenance are views built on first
-read. X' is chi of rows A and B, and the bound, chi of all rows, is searched
-from X' up, since X' is chi of a subgraph.
+read. X' is chi of rows A and B, and the bound, chi of all rows, is at least
+X', since X' is chi of a subgraph. So X''s coloring certifies the bound when
+it is proper on rows C and D as well, and it usually is; otherwise the search
+runs from X' up.
 """
 
 from __future__ import annotations
@@ -124,8 +126,18 @@ class DistinctnessGraph(_Record):
 
     @cached_property
     def _chi(self) -> int:
-        forced = [a | b | c | d for a, b, c, d in zip(*map(self.rows.__getitem__, "ABCD"))]
-        return _chromatic(forced, self._pseudo[0])[0]
+        # chi of all rows is at least X', chi of a subgraph of them, so X''s
+        # coloring, proper on A|B already, certifies it when proper on C|D too.
+        pseudo, coloring = self._pseudo
+        colors = coloring.colors
+        classes = [0] * (pseudo + 1)
+        for v, color in enumerate(colors):
+            classes[color] |= 1 << v
+        rows = self.rows
+        if not any((c | d) & classes[color] for c, d, color in zip(rows["C"], rows["D"], colors)):
+            return pseudo
+        forced = [a | b | c | d for a, b, c, d in zip(*map(rows.__getitem__, "ABCD"))]
+        return _chromatic(forced, pseudo)[0]
 
     @cached_property
     def _apart(self) -> list[int]:

@@ -124,16 +124,35 @@ def test_general_position_examples():
 
 
 def test_general_position_matches_triple_oracle_on_small_grids():
-    # On a 5 x 5 to 9 x 9 grid collinear triples are common, so both answers occur.
+    # On a 5 x 5 to 9 x 9 grid collinear triples are common, so both answers occur. So they do on a grid of
+    # coordinates near -2^30, 0 and 2^30, where differences reach 2^31 and distinct slopes come within 2^-62.
     rng = random.Random(5)
-    answers = set()
-    for trial in range(3000):
-        g = 5 + trial % 5
-        pts = [(rng.randrange(g), rng.randrange(g)) for _ in range(rng.randint(0, 9))]
+    near_bound = [-COORD_BOUND + d for d in range(3)] + list(range(-2, 3)) + [COORD_BOUND - d for d in range(3)]
+    answers = {False: set(), True: set()}  # by whether the grid is the one near the bound
+    for trial in range(3600):
+        values = range(5 + trial % 5) if trial < 3000 else near_bound
+        pts = [(rng.choice(values), rng.choice(values)) for _ in range(rng.randint(0, 9))]
         expected = general_position(pts)
-        assert is_general_position([Point(x, y) for x, y in pts]) == expected
-        answers.add(expected)
-    assert answers == {True, False}
+        assert is_general_position([Point(x, y) for x, y in pts]) == expected, pts
+        answers[trial >= 3000].add(expected)
+    assert answers == {False: {True, False}, True: {True, False}}
+
+
+def test_general_position_separates_slopes_2_to_the_minus_62_apart():
+    # q and r seen from p: slopes (2^31 - 1) / 2^31 and (2^31 - 2) / (2^31 - 1), which differ by
+    # 1 / (2^31 (2^31 - 1)), about 2^-62, the least gap two slopes can have under COORD_BOUND.
+    p = (-COORD_BOUND, -COORD_BOUND)
+    q = (p[0] + 2**31, p[1] + 2**31 - 1)
+    r = (p[0] + 2**31 - 1, p[1] + 2**31 - 2)
+    assert orient(p, q, r) != 0
+    assert is_general_position([Point(*a) for a in (p, q, r)])
+    # q - r = (1, 1), so r - (2^31 - 6)(1, 1) lies on line qr, near p
+    on_qr = (r[0] - (2**31 - 6), r[1] - (2**31 - 6))
+    assert orient(q, r, on_qr) == 0
+    vertical = [(COORD_BOUND, -COORD_BOUND), (COORD_BOUND, 0), (COORD_BOUND, COORD_BOUND)]
+    for pts in ([p, q, r, on_qr], vertical, [p, q, r, p]):
+        assert not general_position(pts)
+        assert not is_general_position([Point(*a) for a in pts]), pts
 
 
 def test_figure1_left_points_are_general_position():

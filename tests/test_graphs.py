@@ -106,6 +106,38 @@ def test_drawing_crossings_match_rational_oracle(span):
                 assert {(c.e1, c.e2) for c in crossings_of(g)} == crossing_pairs_raw(pts, edges), (pts, edges)
 
 
+def _awkward_drawings(rng):
+    """Seeded drawings with vertical and horizontal edges, shared endpoints and isolated vertices, n = 0 to 11."""
+    yield GeometricGraph.build([], [])
+    yield GeometricGraph.build([(3, 4)], [])
+    # a vertical and a horizontal edge crossing, a third edge sharing an end with each, and an isolated vertex
+    yield GeometricGraph.build([(0, -5), (0, 5), (-5, 1), (5, 1), (7, 9), (-9, -8)], [(0, 1), (2, 3), (1, 3), (0, 2)])
+    for n in range(2, 12):
+        for _ in range(4):
+            pts = general_position_points(rng, n, 12)
+            verticals = [(u, v) for u, v in itertools.combinations(range(n), 2) if pts[u][0] == pts[v][0]]
+            horizontals = [(u, v) for u, v in itertools.combinations(range(n), 2) if pts[u][1] == pts[v][1]]
+            edges = [e for e in itertools.combinations(range(n - 1), 2) if rng.random() < 0.5]
+            yield GeometricGraph.build(pts, edges + verticals + horizontals)  # vertex n-1 only on those
+
+
+def test_sorted_crossings_are_the_sorted_crossing_set_and_match_the_rational_oracle():
+    rng = random.Random("sorted-crossings")
+    seen = {"vertical": 0, "horizontal": 0, "shared end": 0, "isolated": 0, "crossing": 0}
+    for g in _awkward_drawings(rng):
+        pts = [(p.x, p.y) for p in g.points]
+        assert g.sorted_crossings == tuple(sorted(g.crossings))
+        assert g.crossings == crossings_of(g) == frozenset(g.sorted_crossings)
+        assert {(c.e1, c.e2) for c in g.crossings} == crossing_pairs_raw(pts, g.edges), (pts, g.edges)
+        assert all(type(c) is Crossing for c in g.sorted_crossings)
+        seen["vertical"] += any(pts[u][0] == pts[v][0] for u, v in g.edges)
+        seen["horizontal"] += any(pts[u][1] == pts[v][1] for u, v in g.edges)
+        seen["shared end"] += any(set(e) & set(f) for e, f in itertools.combinations(g.edges, 2))
+        seen["isolated"] += len(set().union(*g.edges)) < g.n
+        seen["crossing"] += bool(g.crossings)
+    assert min(seen.values()) >= 5, seen
+
+
 def test_crossings_invariant_under_translation_and_scaling():
     g = x_gadget()
     moved = GeometricGraph.build(

@@ -198,6 +198,27 @@ def test_one_rule_checks_every_edge_set():
                                     "graphs._as_abstract"}
 
 
+def _crossing_sorts(tree: ast.AST) -> list[int]:
+    """The lines of each sorted(...) of a `.crossings` attribute or of a crossings_of(...) call."""
+
+    def is_crossings(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "crossings"
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "crossings_of"
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sorted"
+            and node.args and is_crossings(node.args[0])]
+
+
+def test_the_kept_order_is_the_only_order_of_a_drawings_crossings():
+    # The straddle pass emits a drawing's crossings sorted, as sorted_crossings; a caller sorting them again
+    # would pay a sort that the drawing has already kept.
+    sample = ast.parse("sorted(crossings_of(g))\nsorted(g.crossings, key=len)\nsorted(g.edges)")
+    assert _crossing_sorts(sample) == [1, 2]  # the scan sees both forms
+    assert {name: lines for name, tree in MODULES.items() if (lines := _crossing_sorts(tree))} == {}
+
+
 def test_search_core_names_no_graph_type():
     # The searches read the views a source and a target keep, and build their own K_k targets with the one table
     # builder; which kind of graph a source or target came from is the callers' affair.

@@ -162,6 +162,22 @@ def test_lower_bound_is_searched_from_x_prime(monkeypatch):
     assert tried > 0 and starts_above_clique > 0
 
 
+def test_lower_bound_shortcut_by_the_x_prime_coloring_equals_the_search():
+    # When X''s coloring is proper on all four rows it certifies the bound; otherwise the search runs.
+    certified = searched = 0
+    for g in DRAWINGS + SEEDED + DENSE[:60]:
+        dg = non_identifiable_pairs(GeometricGraph(g.points, g.edges))  # no bound memo from another test
+        px, pseudo = dg._pseudo
+        forced = [a | b | c | d for a, b, c, d in zip(*(dg.rows[r] for r in "ABCD"))]
+        assert dg.lower_bound() == search._chromatic(forced, px)[0]
+        colors = pseudo.colors
+        if all(colors[v] != colors[w] for v, w in dg.forced_pairs):
+            certified += 1
+        else:
+            searched += 1
+    assert certified > 0 and searched > 0, (certified, searched)
+
+
 def test_rule_sets_match_the_tag_per_pair_reference():
     for g in DRAWINGS + SEEDED:
         expected = reference_distinctness(g.n, g.edges, crossings_of_raw(g))

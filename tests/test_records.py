@@ -126,6 +126,20 @@ def test_a_solved_drawing_pickles_and_its_forced_pairs_hash():
         dg.rows["A"] = ()
 
 
+def test_a_drawing_whose_sorted_crossings_were_read_pickles_compares_and_hashes_as_before():
+    g = GeometricGraph(FIG6.points, FIG6.edges)  # nothing of it is kept yet
+    fresh = GeometricGraph(FIG6.points, FIG6.edges)
+    before = hash(g)
+    order = g.sorted_crossings
+    assert "sorted_crossings" in vars(g) and "crossings" not in vars(g)
+    assert g == fresh and hash(g) == hash(fresh) == before == hash((FIG6.points, FIG6.edges))
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored == g == fresh and restored is not g and hash(restored) == before
+    assert vars(restored).keys() == vars(g).keys() and restored.sorted_crossings == order
+    assert restored.crossings == fresh.crossings == frozenset(order)
+    assert restored != figure_graphs("figure3_left")
+
+
 def _solve(g, store) -> list:
     """chi, X', the bound, X, the non-collapsing coloring and the four lifts' outcomes, run on g."""
     chi, alpha = chromatic_number(g)
