@@ -110,7 +110,7 @@ def _awkward_drawings(rng):
     """Seeded drawings with vertical and horizontal edges, shared endpoints and isolated vertices, n = 0 to 11."""
     yield GeometricGraph.build([], [])
     yield GeometricGraph.build([(3, 4)], [])
-    # a vertical and a horizontal edge crossing, a third edge sharing an end with each, and an isolated vertex
+    # a vertical and a horizontal edge crossing, two edges sharing ends with them, and two isolated vertices
     yield GeometricGraph.build([(0, -5), (0, 5), (-5, 1), (5, 1), (7, 9), (-9, -8)], [(0, 1), (2, 3), (1, 3), (0, 2)])
     for n in range(2, 12):
         for _ in range(4):
@@ -118,7 +118,8 @@ def _awkward_drawings(rng):
             verticals = [(u, v) for u, v in itertools.combinations(range(n), 2) if pts[u][0] == pts[v][0]]
             horizontals = [(u, v) for u, v in itertools.combinations(range(n), 2) if pts[u][1] == pts[v][1]]
             edges = [e for e in itertools.combinations(range(n - 1), 2) if rng.random() < 0.5]
-            yield GeometricGraph.build(pts, edges + verticals + horizontals)  # vertex n-1 only on those
+            # vertex n-1 lies only on vertical and horizontal edges, so it is often isolated
+            yield GeometricGraph.build(pts, edges + verticals + horizontals)
 
 
 def test_sorted_crossings_are_the_sorted_crossing_set_and_match_the_rational_oracle():
