@@ -55,7 +55,6 @@ from .graphs import (
     CrossingStructure,
     GeometricGraph,
     _read_json,
-    crossing_structure,
     graph_from_json_dict,
     graph_to_json_dict,
 )
@@ -85,13 +84,15 @@ def convex_clique(n: int) -> GeometricGraph:
 
 
 class CatalogEntry(_Record):
-    _fields = ("structure", "witness")
-    structure: CrossingStructure
+    _fields = ("witness",)  # its structure is the witness's own, so the two cannot disagree
     witness: GeometricGraph
 
-    def __init__(self, structure: CrossingStructure, witness: GeometricGraph) -> None:
-        object.__setattr__(self, "structure", structure)
+    def __init__(self, witness: GeometricGraph) -> None:
         object.__setattr__(self, "witness", witness)
+
+    @property
+    def structure(self) -> CrossingStructure:
+        return self.witness.structure
 
 
 class CliqueCatalog(_Record):
@@ -351,8 +352,7 @@ def enumerate_clique_structures(n: int) -> CliqueCatalog:
     found: dict[bytes, CatalogEntry] = {}
     for pts in _order_types(n):
         witness = GeometricGraph.build(pts, itertools.combinations(range(n), 2))
-        structure = crossing_structure(witness)
-        found.setdefault(structure.canonical_form, CatalogEntry(structure, witness))
+        found.setdefault(witness.structure.canonical_form, CatalogEntry(witness))
     if len(found) != _STRUCTURE_COUNTS[n]:
         raise RuntimeError(f"{len(found)} crossing structures of K_{n}, not the {_STRUCTURE_COUNTS[n]} known")
     return CliqueCatalog(n=n, entries=tuple(_convex_first(n, list(found.values()))))
@@ -412,10 +412,9 @@ def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
         witness = graph_from_json_dict(_field(item, "witness", dict))
         if witness.n != n or len(witness.edges) != comb(n, 2):
             raise GraphFormatError(f"catalog entry for n={n} is not a complete graph on {n} vertices")
-        structure = crossing_structure(witness)
-        if structure.hex != _field(item, "canonical", str):
+        if witness.structure.hex != _field(item, "canonical", str):
             raise GraphFormatError(f"catalog entry for n={n} does not realize its recorded canonical form")
-        entries.append(CatalogEntry(structure, witness))
+        entries.append(CatalogEntry(witness))
     distinct = len({e.structure.canonical_form for e in entries})
     if not distinct == len(entries) == _STRUCTURE_COUNTS[n]:
         raise GraphFormatError(f"catalog for n={n} holds {distinct} distinct structures in {len(entries)} "
@@ -451,8 +450,7 @@ class CatalogStore:
         if n in self._cache:
             return self._cache[n]
         if n <= 2:
-            witness = convex_clique(n)
-            cat = CliqueCatalog(n=n, entries=(CatalogEntry(crossing_structure(witness), witness),))
+            cat = CliqueCatalog(n=n, entries=(CatalogEntry(convex_clique(n)),))
         elif n > MAX_CATALOG_N:
             raise CatalogMissing(f"catalogs are capped at n={MAX_CATALOG_N}, requested {n}")
         else:

@@ -10,20 +10,18 @@ pairs cross. Its canonical form is a byte string that two structures share
 exactly when some relabeling preserves adjacency, non-adjacency, crossings
 and non-crossings.
 
-There is one crossing type. Both classes hold their crossings in
-`crossings`, a frozenset of Crossing: a pair of edges, lesser edge first,
-that is a plain tuple and so equals and hashes like its edge pair. Both
-keep the same three search views, each built on its first read: what a
-search mapping into the object reads, `crossing_index` (see CrossingIndex),
-and what one mapping out of it reads, `neighbour_rows` (bit w of row v for
-each edge vw) and `crossing_partners` (see _crossing_partners); the
-searches read them from the object their callers hand over. A drawing
-finds its crossings in one straddle pass, which emits them in sorted
-order, and keeps that order as `sorted_crossings`, beside `sorted_edges`;
-`crossings` is its frozenset, and no caller sorts them again. A drawing
-also keeps `crossing_gap`, the threshold-2 verdict of _crossing_gap over
-its sorted crossings, which decides the distance hypothesis of all four
-lifts.
+A drawing is its points plus one structure, `structure`, built on first
+read. Beyond its edges, a drawing keeps only geometric facts: one straddle
+pass finds its crossings in sorted order, kept as `sorted_crossings` beside
+`sorted_edges`, and `crossing_gap`, the threshold-2 verdict of _crossing_gap
+over them, decides the distance hypothesis of all four lifts. All else is the
+structure's: `crossings`, a frozenset of Crossing (a pair of edges, lesser
+edge first, a plain tuple that equals and hashes like its edge pair), and
+the search views, each built on its first read: `crossing_index` (see
+CrossingIndex) for a search mapping into it, and `neighbour_rows` (bit w of
+row v for each edge vw) and `crossing_partners` (see _crossing_partners) for
+one mapping out of it. Every solver reads the structure that _structure
+returns for a drawing, a structure or an abstract (n, edges) graph.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
+from itertools import starmap
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -38,11 +37,6 @@ from .errors import GraphFormatError, _Record
 from .geometry import Point, is_general_position
 
 Edge = tuple[int, int]
-
-
-def _norm_edge(e: Iterable[int]) -> Edge:
-    u, v = e
-    return (u, v) if u < v else (v, u)
 
 
 def _edge_set(n: int, edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
@@ -135,20 +129,12 @@ class GeometricGraph(_Record):
         return tuple(out)
 
     @cached_property
+    def structure(self) -> "CrossingStructure":
+        return CrossingStructure(self.n, self.edges, self.sorted_crossings)
+
+    @property
     def crossings(self) -> frozenset["Crossing"]:
-        return frozenset(self.sorted_crossings)
-
-    @cached_property
-    def crossing_index(self) -> "CrossingIndex":
-        return _crossing_index(self.n, self.edges, self.crossings)
-
-    @cached_property
-    def neighbour_rows(self) -> list[int]:
-        return _adj_rows(self.n, self.edges)
-
-    @cached_property
-    def crossing_partners(self) -> list[list[tuple[int, int, int]]]:
-        return _crossing_partners(self.n, self.crossings)
+        return self.structure.crossings
 
     @cached_property
     def crossing_gap(self) -> tuple[int | float, tuple["Crossing", str] | None]:
@@ -193,8 +179,11 @@ class Crossing(NamedTuple):
 
     @classmethod
     def make(cls, e1: Iterable[int], e2: Iterable[int]) -> "Crossing":
-        a, b = _norm_edge(e1), _norm_edge(e2)
-        return cls(a, b) if a < b else cls(b, a)
+        (u, v), (x, y) = e1, e2
+        a = (u, v) if u < v else (v, u)
+        b = (x, y) if x < y else (y, x)
+        # cls(a, b) without NamedTuple's Python-level __new__: every structure makes one per crossing.
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -293,24 +282,25 @@ def _crossing_gap(
     return best, conflict
 
 
-def crossing_distance(G: GeometricGraph, c1: Crossing, c2: Crossing) -> int | float:
+def crossing_distance(G: CrossingStructure, c1: Crossing, c2: Crossing) -> int | float:
     """Minimum graph-path distance between the vertex sets of two crossings.
 
     0 exactly when they share a vertex; math.inf when every pair of their
     vertices lies in different components. Distance is measured in the
-    abstract graph, not the plane. A crossing may name its edges in either
-    order and each edge either way round.
+    abstract graph, not the plane, so a drawing gives its structure's. A
+    crossing may name its edges in either order and each edge either way round.
     """
+    s = _structure(G)
     c1, c2 = Crossing.make(*c1), Crossing.make(*c2)
-    cs = crossings_of(G)
-    if c1 not in cs or c2 not in cs:
+    if c1 not in s.crossings or c2 not in s.crossings:
         raise ValueError("both crossings must belong to the graph")
-    return _crossing_gap(G.n, G.edges, [c1, c2])[0]
+    return _crossing_gap(s.n, s.adjacency, [c1, c2])[0]
 
 
-def min_pairwise_crossing_distance(G: GeometricGraph) -> int | float:
+def min_pairwise_crossing_distance(G: CrossingStructure) -> int | float:
     """Minimum crossing_distance over all unordered pairs of distinct crossings."""
-    return _crossing_gap(G.n, G.edges, crossings_of(G))[0]
+    s = _structure(G)
+    return _crossing_gap(s.n, s.adjacency, s.crossings)[0]
 
 
 class CrossingStructure(_Record):
@@ -329,11 +319,11 @@ class CrossingStructure(_Record):
 
     def __init__(self, n: int, adjacency: Iterable[Iterable[int]], crossings: Iterable) -> None:
         adj = _edge_set(n, adjacency)
-        crs = frozenset(Crossing.make(*pair) for pair in crossings)
+        crs = frozenset(starmap(Crossing.make, crossings))
         for e1, e2 in crs:
             if e1 not in adj or e2 not in adj:
                 raise ValueError(f"crossing {e1}x{e2} uses a non-edge")
-            if set(e1) & set(e2):
+            if e1[0] in e2 or e1[1] in e2:
                 raise ValueError(f"crossing {e1}x{e2} is not a disjoint pair")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", adj)
@@ -377,17 +367,18 @@ class CrossingStructure(_Record):
 
 
 def crossing_structure(G: GeometricGraph) -> CrossingStructure:
-    return CrossingStructure(G.n, G.edges, crossings_of(G))
+    """A fresh structure equal to G.structure, its canonical form not yet computed."""
+    return CrossingStructure(G.n, G.edges, G.sorted_crossings)
 
 
-def _as_abstract(g) -> tuple[int, frozenset[Edge]]:
-    """n and the edge set of a drawing, a structure or an abstract graph given as (n, edges)."""
+def _structure(g: GeometricGraph | CrossingStructure | tuple[int, Iterable[Iterable[int]]]) -> CrossingStructure:
+    """A drawing's structure, a structure itself, or an (n, edges) graph as one with no crossings: what solvers read."""
     if isinstance(g, GeometricGraph):
-        return g.n, g.edges
+        return g.structure
     if isinstance(g, CrossingStructure):
-        return g.n, g.adjacency
+        return g
     n, edges = g
-    return n, _edge_set(n, edges)
+    return CrossingStructure(n, edges, ())
 
 
 # --- canonicalization -------------------------------------------------------

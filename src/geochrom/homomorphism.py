@@ -1,10 +1,12 @@
 """Homomorphism verifiers and exact solvers for chi, X and X'.
 
 Vertex maps are verified, never trusted: every solver result can be replayed
-through the verifiers here. The searches run on the core in search.py:
-chi and X' (chi of obstruction rows A and B) its chi search, find_geometric_hom
-its geometric-hom search, which the catalog's dominance test shares, and X
-is the least n at which find_geometric_hom succeeds into a cataloged K_n.
+through the verifiers here. Each reads adjacency and crossings only, so each
+reads a crossing structure, a drawing's own for a drawing (graphs._structure).
+The searches run on the core in search.py: chi and X' (chi of obstruction
+rows A and B) its chi search, find_geometric_hom its geometric-hom search,
+which the catalog's dominance test shares, and X is the least n at which
+find_geometric_hom succeeds into a cataloged K_n.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterator
 
 from .catalog import MAX_CATALOG_N, CatalogEntry, CatalogStore, CliqueCatalog
 from .errors import _Record
-from .graphs import CrossingStructure, Edge, GeometricGraph, _adj_rows, _as_abstract, crossings_of
+from .graphs import CrossingStructure, _structure
 from .obstructions import non_identifiable_pairs
 from .search import Coloring, _chromatic, _find_hom
 
@@ -36,13 +38,6 @@ class VertexMap(_Record):
     def source_size(self) -> int:
         return len(self.images)
 
-    def edge_image(self, e: Edge) -> tuple[int, int] | None:
-        """Image of an edge as a sorted pair, or None if it collapses."""
-        a, b = self.images[e[0]], self.images[e[1]]
-        if a == b:
-            return None
-        return (a, b) if a < b else (b, a)
-
     def compose(self, outer: "VertexMap") -> "VertexMap":
         """outer after self (apply self first, then outer)."""
         if outer.source_size != self.target_size:
@@ -50,28 +45,28 @@ class VertexMap(_Record):
         return VertexMap(tuple(outer.images[i] for i in self.images), outer.target_size)
 
 
-def is_graph_hom(G, H, f: VertexMap) -> bool:
-    """True iff f maps every edge of G onto an edge of H (endpoints distinct)."""
-    n_g, edges_g = _as_abstract(G)
-    n_h, edges_h = _as_abstract(H)
+def is_graph_hom(G: CrossingStructure, H: CrossingStructure, f: VertexMap) -> bool:
+    """True iff f maps every edge of G onto an edge of H (endpoints distinct); either may be (n, edges)."""
+    G, H = _structure(G), _structure(H)
     images = f.images
-    if len(images) != n_g or f.target_size != n_h:
+    if len(images) != G.n or f.target_size != H.n:
         return False
-    for u, v in edges_g:
+    for u, v in G.adjacency:
         a, b = images[u], images[v]
-        if a == b or ((a, b) if a < b else (b, a)) not in edges_h:
+        if a == b or ((a, b) if a < b else (b, a)) not in H.adjacency:
             return False
     return True
 
 
-def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f: VertexMap) -> bool:
+def is_geometric_hom(G: CrossingStructure, H: CrossingStructure, f: VertexMap) -> bool:
     """True iff f preserves adjacency and maps every crossing onto a crossing."""
+    G, H = _structure(G), _structure(H)
     if not is_graph_hom(G, H, f):
         return False
     # A graph hom sends each edge onto an edge, and every target crossing is
     # a pair of disjoint edges, so membership alone decides each crossing.
     target_crossings, images = H.crossings, f.images
-    for (a, b), (c, d) in crossings_of(G):
+    for (a, b), (c, d) in G.crossings:
         s, t, u, x = images[a], images[b], images[c], images[d]
         e1 = (s, t) if s < t else (t, s)
         e2 = (u, x) if u < x else (x, u)
@@ -80,32 +75,32 @@ def is_geometric_hom(G: GeometricGraph, H: GeometricGraph | CrossingStructure, f
     return True
 
 
-def chromatic_number(G) -> tuple[int, Coloring]:
+def chromatic_number(G: CrossingStructure) -> tuple[int, Coloring]:
     """Exact chi with a proper witness coloring using exactly chi colors.
 
-    A drawing or structure reads its cached neighbour rows; an (n, edges) graph builds them on each call.
+    It reads the cached neighbour rows of a structure or a drawing's; an (n, edges) graph builds them on each call.
     """
-    rows = G.neighbour_rows if isinstance(G, (GeometricGraph, CrossingStructure)) else _adj_rows(*_as_abstract(G))
-    return _chromatic(rows, 0)
+    return _chromatic(_structure(G).neighbour_rows, 0)
 
 
-def is_proper(G, coloring: Coloring) -> bool:
-    n, edges = _as_abstract(G)
+def is_proper(G: CrossingStructure, coloring: Coloring) -> bool:
+    G = _structure(G)
     colors = coloring.colors
-    if len(colors) != n:
+    if len(colors) != G.n:
         return False
-    for u, v in edges:
+    for u, v in G.adjacency:
         if colors[u] == colors[v]:
             return False
     return True
 
 
-def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
+def is_pseudo_coloring(G: CrossingStructure, coloring: Coloring) -> bool:
     """Proper on edges and 4 distinct colors on every crossing quadruple."""
+    G = _structure(G)
     if not is_proper(G, coloring):
         return False
     colors = coloring.colors
-    for (a, b), (c, d) in crossings_of(G):
+    for (a, b), (c, d) in G.crossings:
         if len({colors[a], colors[b], colors[c], colors[d]}) != 4:
             return False
     return True
@@ -114,14 +109,15 @@ def is_pseudo_coloring(G: GeometricGraph, coloring: Coloring) -> bool:
 # --- geometric homomorphism search ------------------------------------------
 
 
-def find_geometric_hom(G: GeometricGraph, target: GeometricGraph | CrossingStructure) -> VertexMap | None:
+def find_geometric_hom(G: CrossingStructure, target: CrossingStructure) -> VertexMap | None:
     """First verified geometric homomorphism G -> target, or None.
 
     search._find_hom from G over the whole target, keeping apart the vertices
-    the obstruction rules force apart. The search reads the views G and the
-    target keep, and non_identifiable_pairs keeps the rows of those vertices
-    on G, so each is built once per graph and repeated searches share them.
+    the obstruction rules force apart. The search reads the views their
+    structures keep, and non_identifiable_pairs keeps the rows of those vertices
+    on G's, so each is built once per graph and repeated searches share them.
     """
+    G, target = _structure(G), _structure(target)
     images = _find_hom(G, target, non_identifiable_pairs(G)._apart, [(1 << target.n) - 1] * G.n)
     if images is None:
         return None
@@ -156,7 +152,7 @@ def _targets(cat: CliqueCatalog) -> Iterator[CatalogEntry]:
     yield from cat.maximal[1:]
 
 
-def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = MAX_CATALOG_N) -> XResult | None:
+def geochromatic_number(G: CrossingStructure, catalogs: CatalogStore, max_n: int = MAX_CATALOG_N) -> XResult | None:
     """Smallest n <= max_n with a geometric homomorphism into some K_n structure.
 
     Returns None (unresolved) when no cataloged target up to max_n admits one;
@@ -179,7 +175,7 @@ def geochromatic_number(G: GeometricGraph, catalogs: CatalogStore, max_n: int = 
     return None
 
 
-def pseudo_geochromatic_number(G: GeometricGraph) -> tuple[int, Coloring]:
+def pseudo_geochromatic_number(G: CrossingStructure) -> tuple[int, Coloring]:
     """Smallest n admitting a proper coloring with 4 distinct colors per crossing.
 
     The quadruple constraint is exactly six pairwise-distinctness constraints,

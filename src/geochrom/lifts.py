@@ -33,7 +33,7 @@ from .errors import (
     NotProperColoring,
     _Record,
 )
-from .graphs import Crossing, GeometricGraph
+from .graphs import Crossing, CrossingStructure, GeometricGraph, _structure
 from .homomorphism import VertexMap, is_geometric_hom, is_proper
 from .search import Coloring, _noncollapsing
 
@@ -212,7 +212,7 @@ def lift_small_chi(G: GeometricGraph, alpha: Coloring) -> LiftReport:
     return _run_lift("smallchi", G, alpha)
 
 
-def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
+def find_noncollapsing_hom(G: CrossingStructure, n: int) -> Coloring | None:
     """Proper n-coloring where no crossing has both edges on one color pair.
 
     Exhaustive backtracking (complete up to color permutation, which both
@@ -220,6 +220,7 @@ def find_noncollapsing_hom(G: GeometricGraph, n: int) -> Coloring | None:
     breaking never opens more colors than vertices, so the search runs over
     min(n, G.n) of them. Below 3 colors, every edge lies on one color pair.
     """
+    G = _structure(G)
     if n < 0 or n < 3 and G.crossings:
         return None
     images = _noncollapsing(G, min(n, G.n))

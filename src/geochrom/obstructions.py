@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import _Record
-from .graphs import Edge, GeometricGraph, crossings_of
+from .graphs import CrossingStructure, Edge, _structure
 from .search import Coloring, _chromatic
 
 
@@ -183,24 +183,25 @@ def _union_has_odd_cycle(c1: list[tuple[int, int]], c2: list[tuple[int, int]]) -
 _MEMO_KEY = "_distinctness"
 
 
-def non_identifiable_pairs(G: GeometricGraph) -> DistinctnessGraph:
+def non_identifiable_pairs(G: CrossingStructure) -> DistinctnessGraph:
     """All vertex pairs rules A-D force apart, as one row set per rule.
 
-    Computed once per graph and kept in the graph's own __dict__, where
-    cached_property keeps its crossings, so it lives exactly as long as the
-    graph and every caller shares one read-only result.
+    Computed once per structure and kept in its own __dict__, where
+    cached_property keeps its search views, so it lives exactly as long as
+    the structure, and a drawing and its structure share one read-only result.
     """
-    memo = vars(G)
+    s = _structure(G)
+    memo = vars(s)
     if _MEMO_KEY not in memo:
-        memo[_MEMO_KEY] = _distinctness_graph(G)
+        memo[_MEMO_KEY] = _distinctness_graph(s)
     return memo[_MEMO_KEY]
 
 
-def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
+def _distinctness_graph(G: CrossingStructure) -> DistinctnessGraph:
     n = G.n
     b, c, d = [0] * n, [0] * n, [0] * n
     crossed_by: dict[Edge, list[Edge]] = {}
-    for e1, e2 in crossings_of(G):
+    for e1, e2 in G.crossings:
         (w, x), (y, z) = e1, e2
         quad = 1 << w | 1 << x | 1 << y | 1 << z
         for t in (w, x, y, z):
@@ -228,6 +229,6 @@ def _distinctness_graph(G: GeometricGraph) -> DistinctnessGraph:
     return DistinctnessGraph(n, _FrozenMap(rows))
 
 
-def geochromatic_lower_bound(G: GeometricGraph) -> int:
+def geochromatic_lower_bound(G: CrossingStructure) -> int:
     """Chromatic number of the forced-pair graph; always <= X(G-bar)."""
     return non_identifiable_pairs(G).lower_bound()

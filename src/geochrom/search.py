@@ -27,8 +27,8 @@ the surviving branches in the same order and finds the same first map as
 one that checks each value after writing it. `_backtrack` owns the map
 and the domains it narrows, and returns the first map or None. The module
 sits below catalog, obstructions and homomorphism. The callers, their
-sources and targets (a drawing or structure is handed over whole, and its
-search views are read here), and what each adds:
+sources and targets (a structure, a drawing's own, is handed over whole,
+and its search views are read here), and what each adds:
 
   _chromatic      rows of the graph to color (a drawing's edges for chi, the
                   forced-pair rows A|B for X' and A|B|C|D for the lower
@@ -40,13 +40,13 @@ search views are read here), and what each adds:
                   k minus the mask's popcount), the clique mapped first,
                   first-fresh-color symmetry breaking, counts from a floor
                   up: 0 for chi and X', X' for the lower bound
-  _find_hom       a drawing or a K_n structure; a drawing or a structure;
+  _find_hom       a structure; a structure;
                   fewest starting images, then decreasing crossing degree;
                   find_geometric_hom starts on the whole target with the
                   rows (B|C|D) & ~A of rules A-D apart, catalog._maps_into
                   (the dominance test between two K_n) on candidate images
                   with none apart
-  _noncollapsing  a drawing, nothing apart; K_k in which every two distinct
+  _noncollapsing  a structure, nothing apart; K_k in which every two distinct
                   edges cross: the edges of K_k and every pair of them,
                   built once per k (_all_crossing). So the ends narrow
                   nothing, and a completion bars the value that puts both

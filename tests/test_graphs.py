@@ -262,6 +262,17 @@ def test_crossing_distance_accepts_either_edge_order_and_direction():
         crossing_distance(g, (a.e1, b.e1), b)
 
 
+@pytest.mark.parametrize("g", [figure_graphs("figure6"), random_geometric_graph(12, 0.3, seed=2),
+                               random_geometric_graph(30, 0.1, 2, seed=0)], ids=["figure6", "near", "far"])
+def test_a_drawing_and_its_structure_measure_the_same_crossing_distances(g):
+    # Distance is measured in the abstract graph, so a structure has the distances of its drawing.
+    s = crossing_structure(g)
+    pairs = list(itertools.combinations(g.sorted_crossings, 2))
+    distances = [crossing_distance(g, c1, c2) for c1, c2 in pairs]
+    assert distances and [crossing_distance(s, c1, c2) for c1, c2 in pairs] == distances
+    assert min_pairwise_crossing_distance(s) == min_pairwise_crossing_distance(g) == min(distances)
+
+
 # --- crossing structures ----------------------------------------------------
 
 
@@ -737,7 +748,7 @@ def test_drawings_and_structures_hold_one_crossing_type():
 
 def test_a_structure_keeps_the_source_views_of_its_drawing(calls_of):
     drawings = list(_drawings())
-    expected = [(g.neighbour_rows, [sorted(at) for at in g.crossing_partners]) for g in drawings]
+    expected = [(g.structure.neighbour_rows, [sorted(at) for at in g.structure.crossing_partners]) for g in drawings]
     rows, partners = calls_of(graphs._adj_rows), calls_of(graphs._crossing_partners)
     structures = [crossing_structure(g) for g in drawings]
     for s, (g_rows, g_partners) in zip(structures, expected):

@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 from geochrom import (
+    FIGURE_TAGS,
     CatalogStore,
     Coloring,
     GeometricGraph,
@@ -17,6 +18,7 @@ from geochrom import (
     figure6_coloring,
     figure_graphs,
     find_geometric_hom,
+    find_noncollapsing_hom,
     geochromatic_lower_bound,
     geochromatic_number,
     is_geometric_hom,
@@ -42,7 +44,8 @@ def test_is_graph_hom_basics():
     k4 = convex_clique(4)
     assert is_graph_hom(k4, k4, VertexMap((0, 1, 2, 3), 4))
     assert not is_graph_hom(k4, k4, VertexMap((0, 0, 0, 0), 4))
-    assert VertexMap((0, 0, 0, 0), 4).edge_image((0, 1)) is None  # the edge collapses
+    collapsed = VertexMap((0, 0, 0, 0), 4).images
+    assert collapsed[0] == collapsed[1]  # the edge (0, 1) collapses
     assert not is_graph_hom(k4, k4, VertexMap((0, 1, 2, 3, 0), 4))  # one image too many
     assert not is_graph_hom(k4, k4, VertexMap((0, 1, 2, 3), 5))  # into a K4 said to have 5 vertices
 
@@ -53,8 +56,8 @@ def test_star_bundled_map_is_graph_and_geometric_hom():
     assert is_graph_hom(g, k4, beta)
     assert is_geometric_hom(g, k4, beta)
     # star edges land on hull pair {1,3} (ids 0,2), the crossing edge on {2,4} (ids 1,3)
-    assert all(beta.edge_image((0, i)) == (0, 2) for i in range(1, 4))
-    assert beta.edge_image((4, 5)) == (1, 3)
+    assert all(sorted((beta.images[0], beta.images[i])) == [0, 2] for i in range(1, 4))
+    assert sorted((beta.images[4], beta.images[5])) == [1, 3]
 
 
 def test_geometric_hom_needs_crossings_preserved():
@@ -122,12 +125,30 @@ def test_chromatic_number_reads_a_drawings_cached_rows(calls_of):
     g = GeometricGraph(g.points, g.edges)  # no table of it is kept yet
     rows = calls_of(graphs._adj_rows)
     assert chromatic_number(g)[0] == 3
-    assert g.neighbour_rows is g.neighbour_rows and [args[0] for args in rows] == [g.n]
+    assert g.structure.neighbour_rows is g.structure.neighbour_rows and [args[0] for args in rows] == [g.n]
     s = crossing_structure(g)
     for graph in (s, s, (g.n, g.edges), (g.n, g.edges)):
         assert chromatic_number(graph)[0] == 3
     # a structure builds its rows once, as a drawing does; an (n, edges) graph builds them on each call
     assert s.neighbour_rows is s.neighbour_rows and [args[0] for args in rows] == [g.n] * 4
+
+
+def _answers(g, store) -> list:
+    """chi, X', the bound, X (value, target form, map) at max_n=6 and the non-collapsing colorings of g."""
+    chi, alpha = chromatic_number(g)
+    x = geochromatic_number(g, store, max_n=6)
+    return [chi, alpha, pseudo_geochromatic_number(g), geochromatic_lower_bound(g),
+            x and (x.n, x.target.canonical_form, x.witness),
+            find_noncollapsing_hom(g, chi), find_noncollapsing_hom(g, chi + 1)]
+
+
+@pytest.mark.parametrize("tag", FIGURE_TAGS)
+def test_a_drawing_and_its_structure_get_the_same_answers(tag, store):
+    # A geometric homomorphism sees adjacency and crossings only, so every solver answers a fresh structure
+    # as it answers the drawing that carries it.
+    g = figure_graphs(tag)
+    s = crossing_structure(g)
+    assert s is not g.structure and _answers(s, store) == _answers(g, store)
 
 
 def test_find_geometric_hom_identity_case():
@@ -161,7 +182,7 @@ def test_find_geometric_hom_star_beta_shape():
     assert f is not None
     assert is_geometric_hom(g, convex_clique(4), f)
     # the spokes all collapse onto one target edge, the crosser onto a crossing mate
-    spoke_images = {f.edge_image((0, i)) for i in range(1, 6)}
+    spoke_images = {tuple(sorted((f.images[0], f.images[i]))) for i in range(1, 6)}
     assert len(spoke_images) == 1
 
 

@@ -2,7 +2,8 @@
 
 Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
-the ones it names. Input files are read and decoded in graphs alone. A CLI
+the ones it names. Input files are read and decoded in graphs alone, and
+only graphs tells a drawing from a crossing structure. A CLI
 process loads no standard module that only decorating records or exact
 fractions would need, and `import geochrom` loads every module the
 benchmark's tracer wraps.
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from geochrom import crossing_structure, figure_graphs
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geochrom"
 SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
@@ -178,24 +181,49 @@ def test_only_graphs_and_search_name_the_crossing_index():
 
 
 def test_one_builder_makes_every_crossing_index():
-    # A drawing's, a structure's and search's K_k targets all come from one table builder.
+    # A structure's (a drawing's is its structure's) and search's K_k targets all come from one table builder.
     assert _namers("CrossingIndex", called=True) == {"graphs._crossing_index"}
-    assert _namers("_crossing_index", called=True) == {"graphs.GeometricGraph.crossing_index",
-                                                       "graphs.CrossingStructure.crossing_index",
+    assert _namers("_crossing_index", called=True) == {"graphs.CrossingStructure.crossing_index",
                                                        "search._complete", "search._all_crossing"}
 
 
 def test_drawings_and_structures_keep_the_one_partner_list_of_each():
-    # Canonical labelling and every search read the list an object keeps; search builds its K_k targets alone.
-    assert _namers("_crossing_partners", called=True) == {"graphs.GeometricGraph.crossing_partners",
-                                                          "graphs.CrossingStructure.crossing_partners"}
+    # Canonical labelling and every search read the list a structure keeps, a drawing's too, since a drawing
+    # hands its structure over; search builds its K_k targets alone.
+    assert _namers("_crossing_partners", called=True) == {"graphs.CrossingStructure.crossing_partners"}
     assert _namers("_complete", called=True) == {"search._chromatic"}
 
 
 def test_one_rule_checks_every_edge_set():
-    # graphs._edge_set alone refuses a bad vertex count or edge, for drawings, structures and (n, edges) alike.
-    assert _namers("_edge_set") == {"graphs.GeometricGraph.__init__", "graphs.CrossingStructure.__init__",
-                                    "graphs._as_abstract"}
+    # graphs._edge_set alone refuses a bad vertex count or edge, for drawings, structures and (n, edges) alike:
+    # graphs._structure reads an (n, edges) graph as a structure with no crossings.
+    assert _namers("_edge_set") == {"graphs.GeometricGraph.__init__", "graphs.CrossingStructure.__init__"}
+
+
+def _type_tests(tree: ast.AST) -> list[int]:
+    """The lines of each isinstance(...) whose class argument names GeometricGraph or CrossingStructure."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            and len(node.args) == 2 and any(isinstance(name, ast.Name) and name.id in ("GeometricGraph",
+                                                                                        "CrossingStructure")
+                                            for name in ast.walk(node.args[1]))]
+
+
+def test_only_graphs_tells_a_drawing_from_a_structure():
+    # Every solver reads the structure that graphs._structure returns; a second type test elsewhere would let
+    # a solver answer a drawing and its structure differently.
+    sample = ast.parse("isinstance(g, GeometricGraph)\nisinstance(g, (int, CrossingStructure))\nisinstance(g, int)")
+    assert _type_tests(sample) == [1, 2]  # the scan sees both forms
+    assert {name: lines for name, tree in MODULES.items() if name != "graphs" and (lines := _type_tests(tree))} == {}
+
+
+def test_crossing_structure_is_a_fresh_record_whose_form_is_not_yet_computed():
+    # The canon-symmetric benchmark builds its structures before the timed op and times only their forms.
+    g = figure_graphs("figure6")
+    g.structure.canonical_form
+    fresh = crossing_structure(g)
+    assert fresh is not g.structure and fresh._canonical is None
+    assert fresh == g.structure  # equal, once its own form is computed
 
 
 def _crossing_sorts(tree: ast.AST) -> list[int]:

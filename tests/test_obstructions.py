@@ -199,7 +199,7 @@ def test_provenance_is_built_only_when_read():
 def test_pseudo_geochromatic_number_shares_the_rule_b_set():
     g = random_geometric_graph(10, 0.35, 0, seed=4)
     px, _ = pseudo_geochromatic_number(g)
-    dg = vars(g)["_distinctness"]  # X' left the memo that the bound and X read
+    dg = vars(g.structure)["_distinctness"]  # X' left the memo that the bound and X read
     assert non_identifiable_pairs(g) is dg
     assert px == chromatic_number((g.n, dg.rules["A"] | dg.rules["B"]))[0]
 
@@ -214,7 +214,7 @@ def test_lower_bound_examples():
 def test_forced_pairs_memo_is_reused_and_does_not_keep_graph_alive():
     g = random_geometric_graph(10, 0.35, 0, seed=4)
     dg = non_identifiable_pairs(g)
-    assert non_identifiable_pairs(g) is dg
+    assert non_identifiable_pairs(g) is dg and non_identifiable_pairs(g.structure) is dg  # one memo, on the structure
     assert geochromatic_lower_bound(g) == dg.lower_bound() == chromatic_number((g.n, dg.forced_pairs))[0]
     assert "_chi" in vars(dg)  # the bound is kept on the pairs object
     with pytest.raises(TypeError):

@@ -62,7 +62,7 @@ def _samples():
          LiftReport("indep3n", 6, VertexMap((0, 1, 2, 3), 6), case_log),
          ("method", "target_size", "beta", "case_log")),
         (non_identifiable_pairs(FIG6), non_identifiable_pairs(other_graph), ("n", "rows")),
-        (K4.entries[0], K4.entries[1], ("structure", "witness")),
+        (K4.entries[0], K4.entries[1], ("witness",)),
         (K4, enumerate_clique_structures(5), ("n", "entries")),
     ]
 
@@ -157,15 +157,17 @@ def _solve(g, store) -> list:
 
 @pytest.mark.parametrize("tag", ["figure3_right", "figure6"])
 def test_a_drawing_pickles_after_every_solver_has_run_on_it(tag, store):
-    # The source tables the solvers keep on a drawing (rows, crossing partners, the crossing-gap verdict)
-    # travel with it, as the forced pairs do.
+    # The source tables the solvers keep on a drawing's structure (rows, crossing partners, the forced pairs)
+    # and on the drawing (the crossing-gap verdict) travel with it.
     drawing = figure_graphs(tag)
     g = GeometricGraph(drawing.points, drawing.edges)  # no table of it is kept yet
     answers = _solve(g, store)
-    assert {"neighbour_rows", "crossing_partners", "crossing_gap", "_distinctness"} <= vars(g).keys()
+    assert {"structure", "crossing_gap"} <= vars(g).keys()
+    assert {"neighbour_rows", "crossing_partners", "_distinctness"} <= vars(g.structure).keys()
     restored = pickle.loads(pickle.dumps(g))
     assert restored == g and restored is not g and hash(restored) == hash(g)
     assert vars(restored).keys() == vars(g).keys()
+    assert vars(restored.structure).keys() == vars(g.structure).keys()
     assert _solve(restored, store) == answers
 
 
