@@ -1,8 +1,9 @@
 """Exact planar primitives: orientation, proper segment crossing, convex rules.
 
-Everything here is integer arithmetic. No floats, no epsilons: crossing
+Every answer here is exact, from integer arithmetic. No epsilons: crossing
 relations are combinatorial facts and the rest of the package relies on these
-predicates being exact.
+predicates being exact. The one float, a slope in is_general_position, is
+correctly rounded and read only where it proves two slopes distinct.
 """
 
 from __future__ import annotations
@@ -86,21 +87,30 @@ def is_general_position(points: Sequence[Point]) -> bool:
     later point q seen from p has dx > 0, or dx = 0 and dy > 0, so p and two
     later points are collinear exactly when their directions from p are
     parallel, which in that half-plane means equal slopes dy/dx or both dx = 0.
-    A slope is keyed by floor(dy * 2^64 / dx), (dy << 64) // dx, and dx = 0 by
-    None, so a key repeats among p's later points exactly when p is collinear
-    with two of them, and every collinear triple is seen from its least
-    point. Equal slopes give equal keys. Distinct ones differ by at
-    least 1 / (dx1 * dx2) >= 2^-62, since COORD_BOUND keeps |dx| and |dy| at
-    most 2^31. Scaled by 2^64 they differ by at least 4, so their floors
-    differ by more than 3: no float, and no two distinct slopes share a key.
+    So a slope key, with None for dx = 0, repeats among p's later points
+    exactly when p is collinear with two of them, and every collinear triple is
+    seen from its least point.
+
+    The float dy / dx comes first. Int true division is correctly rounded, so
+    a slope, a rational, has one float, whatever dy and dx name it: equal
+    slopes give equal floats, and distinct floats are distinct slopes. So p
+    is settled when no float repeats. Distinct slopes can share a float,
+    though, so a repeat falls back to exact keys, floor(dy * 2^64 / dx),
+    (dy << 64) // dx.
+    Equal slopes give equal keys. Distinct ones differ by at least
+    1 / (dx1 * dx2) >= 2^-62, since COORD_BOUND keeps |dx| and |dy| at most
+    2^31. Scaled by 2^64 they differ by at least 4, so their floors differ by
+    more than 3: no two distinct slopes share a key.
     """
     pts = sorted({(p.x, p.y) for p in points})
     if len(pts) != len(points):
         return False
     for i, (px, py) in enumerate(pts):
-        keys = {((qy - py) << 64) // (qx - px) if qx != px else None for qx, qy in pts[i + 1:]}
-        if len(keys) < len(pts) - i - 1:
-            return False
+        later = pts[i + 1:]
+        if len({(qy - py) / (qx - px) if qx != px else None for qx, qy in later}) < len(later):
+            keys = {((qy - py) << 64) // (qx - px) if qx != px else None for qx, qy in later}
+            if len(keys) < len(later):
+                return False
     return True
 
 

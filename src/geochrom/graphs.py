@@ -14,7 +14,9 @@ A drawing is its points plus one structure, `structure`, built on first
 read. Beyond its edges, a drawing keeps only geometric facts: one straddle
 pass finds its crossings in sorted order, kept as `sorted_crossings` beside
 `sorted_edges`, and `crossing_gap`, the threshold-2 verdict of _crossing_gap
-over them, decides the distance hypothesis of all four lifts. All else is the
+over them, decides the distance hypothesis of all four lifts. The structure
+adopts the drawing's edge set and those Crossing objects, already in normal
+form, and checks each crossing as the public constructor does. All else is the
 structure's: `crossings`, a frozenset of Crossing (a pair of edges, lesser
 edge first, a plain tuple that equals and hashes like its edge pair), and
 the search views, each built on its first read: `crossing_index` (see
@@ -130,7 +132,9 @@ class GeometricGraph(_Record):
 
     @cached_property
     def structure(self) -> "CrossingStructure":
-        return CrossingStructure(self.n, self.edges, self.sorted_crossings)
+        # __init__ ran _edge_set on these edges and the straddle pass emits
+        # each crossing in Crossing's form, so the structure adopts both.
+        return CrossingStructure._adopt(self.n, self.edges, self.sorted_crossings)
 
     @property
     def crossings(self) -> frozenset["Crossing"]:
@@ -318,8 +322,19 @@ class CrossingStructure(_Record):
     _canonical: bytes | None
 
     def __init__(self, n: int, adjacency: Iterable[Iterable[int]], crossings: Iterable) -> None:
-        adj = _edge_set(n, adjacency)
-        crs = frozenset(starmap(Crossing.make, crossings))
+        self._check_and_store(n, _edge_set(n, adjacency), frozenset(starmap(Crossing.make, crossings)))
+
+    @classmethod
+    def _adopt(cls, n: int, adjacency: frozenset[Edge], crossings: Iterable[Crossing]) -> "CrossingStructure":
+        """The structure on edges that _edge_set returned for n and on Crossings, kept as they are.
+
+        Only the normalizing is skipped: every crossing is still checked.
+        """
+        s = cls.__new__(cls)
+        s._check_and_store(n, adjacency, frozenset(crossings))
+        return s
+
+    def _check_and_store(self, n: int, adj: frozenset[Edge], crs: frozenset[Crossing]) -> None:
         for e1, e2 in crs:
             if e1 not in adj or e2 not in adj:
                 raise ValueError(f"crossing {e1}x{e2} uses a non-edge")

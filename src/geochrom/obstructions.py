@@ -13,7 +13,8 @@ homomorphism:
 Any geometric homomorphism therefore induces a proper coloring of the graph
 on these forced pairs, so its chromatic number lower-bounds X. Each rule is
 one int row per vertex, bit w of rows[r][v] set when r forces v and w apart;
-B ORs each crossing's four-vertex mask into its four vertices' rows.
+B ORs into the rows of each crossed edge's two ends the other end and the
+ends of every edge crossing it, one walk over the edges crossing it.
 
 C and D rest on one side-of-line fact, so both are exact at any length: an
 edge that crosses e has one endpoint strictly on each side of e's line, so the
@@ -163,16 +164,8 @@ def _join(comps: list[tuple[int, int]], members: int, ones: int) -> list[tuple[i
     return rest
 
 
-def _components(edges: list[Edge]) -> list[tuple[int, int]]:
-    """(members, side-1 members) of each component of a bipartite edge set, as bitmasks."""
-    comps: list[tuple[int, int]] = []
-    for u, v in edges:
-        comps = _join(comps, 1 << u | 1 << v, 1 << v)
-    return comps
-
-
 def _union_has_odd_cycle(c1: list[tuple[int, int]], c2: list[tuple[int, int]]) -> bool:
-    """Whether two bipartite graphs, given by their _components, have a non-bipartite union."""
+    """Whether two bipartite graphs, given as (members, side-1 members) per component, have a non-bipartite union."""
     for members, ones in c2:
         c1 = _join(c1, members, ones)
         if c1 is None:
@@ -202,26 +195,44 @@ def _distinctness_graph(G: CrossingStructure) -> DistinctnessGraph:
     b, c, d = [0] * n, [0] * n, [0] * n
     crossed_by: dict[Edge, list[Edge]] = {}
     for e1, e2 in G.crossings:
-        (w, x), (y, z) = e1, e2
-        quad = 1 << w | 1 << x | 1 << y | 1 << z
-        for t in (w, x, y, z):
-            b[t] |= quad ^ 1 << t
         crossed_by.setdefault(e1, []).append(e2)
         crossed_by.setdefault(e2, []).append(e1)
 
     at: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(n)]  # (other end, components)
     for (u, v), crossed in crossed_by.items():
-        comps = _components(crossed)  # bipartite by the side-of-line fact
+        # One walk over the edges crossing uv: the mask of their ends, which
+        # rule B forces apart from u and v, and their components, bipartite by
+        # the side-of-line fact. An edge meeting no earlier end starts one.
+        ends = 0
+        comps: list[tuple[int, int]] = []
+        for x, y in crossed:
+            pair = 1 << x | 1 << y
+            if ends & pair:
+                comps = _join(comps, pair, 1 << y)
+            else:
+                comps.append((pair, 1 << y))
+            ends |= pair
+        b[u] |= ends | 1 << v
+        b[v] |= ends | 1 << u
         at[u].append((v, comps))
         at[v].append((u, comps))
-        for members, ones in comps:
-            zeros = members ^ ones
-            for x in _members(members):
-                c[x] |= zeros if ones >> x & 1 else ones
+        for members, ones in comps:  # rule C: each vertex apart from the other side of its component
+            for side, other in ((ones, members ^ ones), (members ^ ones, ones)):
+                while side:
+                    low = side & -side
+                    side ^= low
+                    c[low.bit_length() - 1] |= other
 
     for crossed_at in at:
         for (u, c1), (v, c2) in combinations(crossed_at, 2):
-            if _union_has_odd_cycle(c1, c2):
+            if len(c1) == 1 == len(c2):  # one component each: odd when they meet both ways
+                (m1, s1), (m2, s2) = c1[0], c2[0]
+                shared = m1 & m2
+                apart = shared & (s1 ^ s2)
+                odd = apart and apart != shared
+            else:
+                odd = _union_has_odd_cycle(c1, c2)
+            if odd:
                 d[u] |= 1 << v
                 d[v] |= 1 << u
 

@@ -35,11 +35,13 @@ and its search views are read here), and what each adds:
                   bound, read as they are), nothing apart; the edges of
                   K_k and no crossings, built once per k (_complete). The
                   greedy clique and DSATUR run on the rows, and when the
-                  clique or the floor already reaches the DSATUR count no
-                  search is set up. Otherwise DSATUR order (saturation is
-                  k minus the mask's popcount), the clique mapped first,
-                  first-fresh-color symmetry breaking, counts from a floor
-                  up: 0 for chi and X', X' for the lower bound
+                  clique, the floor or, once DSATUR uses a third color, 3
+                  already reaches the DSATUR count no search is set up.
+                  Otherwise DSATUR order (saturation is k minus the mask's
+                  popcount), the clique mapped first, first-fresh-color
+                  symmetry breaking, counts from the greatest of the
+                  three up: the floor is 0 for chi and X', X' for the
+                  lower bound
   _find_hom       a structure; a structure;
                   fewest starting images, then decreasing crossing degree;
                   find_geometric_hom starts on the whole target with the
@@ -250,13 +252,19 @@ def _dsatur_greedy(adj: Sequence[int]) -> list[int]:
 def _chromatic(adj: Sequence[int], floor: int) -> tuple[int, Coloring]:
     """chi and its coloring for neighbour rows adj; floor, a lower bound, skips counts that would fail.
 
-    When the clique or the floor already reaches the DSATUR count, that
-    coloring is optimal and no search is set up.
+    DSATUR two-colors every bipartite graph (Brelaz 1979). A vertex beside a
+    colored one outranks every other, so DSATUR finishes one component before
+    it starts the next, and each vertex it colors beside a colored one sees
+    one color, that of the other side. So a DSATUR count of 3 or more proves
+    chi >= 3. That, the clique and the floor give the least count searched,
+    and when it already reaches the DSATUR count, that coloring is optimal
+    and no search is set up.
     """
     greedy = _dsatur_greedy(adj)
     ub = max(greedy, default=0)
     clique = _greedy_clique(adj)
-    if max(len(clique), floor) >= ub:
+    least = max(len(clique), floor, min(ub, 3))
+    if least >= ub:
         return ub, Coloring(tuple(greedy), ub)
     n = len(adj)
     degree = [row.bit_count() for row in adj]
@@ -269,7 +277,7 @@ def _chromatic(adj: Sequence[int], floor: int) -> tuple[int, Coloring]:
 
     none = [0] * n  # no vertices apart
     no_crossings = [()] * n
-    for k in range(max(len(clique), floor), ub):
+    for k in range(least, ub):
         start = [seat.get(v, (1 << k) - 1) for v in range(n)]
         images = _backtrack(start, pick, adj, none, no_crossings, _complete(k), symmetric=True)
         if images is not None:

@@ -145,6 +145,8 @@ def test_general_position_separates_slopes_2_to_the_minus_62_apart():
     q = (p[0] + 2**31, p[1] + 2**31 - 1)
     r = (p[0] + 2**31 - 1, p[1] + 2**31 - 2)
     assert orient(p, q, r) != 0
+    # Their float slopes are equal, so it is the fallback to exact keys that tells them apart.
+    assert (q[1] - p[1]) / (q[0] - p[0]) == (r[1] - p[1]) / (r[0] - p[0])
     assert is_general_position([Point(*a) for a in (p, q, r)])
     # q - r = (1, 1), so r - (2^31 - 6)(1, 1) lies on line qr, near p
     on_qr = (r[0] - (2**31 - 6), r[1] - (2**31 - 6))

@@ -710,6 +710,17 @@ def test_structure_validation():
         CrossingStructure(3, [(1, 1)], [])
 
 
+def test_an_adopted_structure_still_checks_every_crossing():
+    # A drawing's structure skips only the normalizing: its crossings pass the constructor's two checks.
+    edges = frozenset({(0, 1), (0, 2), (1, 3)})
+    uses_a_non_edge = [Crossing((0, 1), (2, 3))]
+    shares_a_vertex = [Crossing((0, 2), (1, 3)), Crossing((0, 1), (1, 3))]
+    for crossings, named in ((uses_a_non_edge, "non-edge"), (shares_a_vertex, "not a disjoint pair")):
+        for build in (CrossingStructure, CrossingStructure._adopt):
+            with pytest.raises(ValueError, match=named):
+                build(4, edges, crossings)
+
+
 def test_drawing_stores_edges_as_sorted_pairs():
     assert GeometricGraph((Point(0, 0), Point(10, 1)), {(1, 0)}).edges == frozenset({(0, 1)})
 
@@ -757,6 +768,31 @@ def test_a_structure_keeps_the_source_views_of_its_drawing(calls_of):
         assert (s.neighbour_rows, [sorted(at) for at in s.crossing_partners]) == (g_rows, g_partners)
     # each view built once per structure, on its first read
     assert [args[0] for args in rows] == [args[0] for args in partners] == [s.n for s in structures]
+
+
+def _adopting_drawings():
+    """The figures, seeded drawings, the drawings on 0 and 1 points, and sparse ones with isolated vertices."""
+    yield from _drawings()
+    yield GeometricGraph((), [])
+    yield GeometricGraph((Point(3, 4),), [])
+    yield GeometricGraph.build([(0, 0), (10, 10), (0, 10), (10, 0), (5, 30), (30, 7)], [(0, 1), (2, 3)])
+    yield from (random_geometric_graph(12, 0.08, seed=seed) for seed in range(20))
+
+
+def test_a_drawing_s_structure_adopts_its_edges_and_crossings():
+    # The drawing checked its edges with _edge_set and its straddle pass emits normal Crossings, so its
+    # structure keeps those very objects and equals the one the public constructor builds from them.
+    isolated = 0
+    for g in _adopting_drawings():
+        s = g.structure
+        assert s.adjacency is g.edges
+        kept = {id(c) for c in g.sorted_crossings}
+        assert all(id(c) in kept for c in s.crossings) and len(s.crossings) == len(g.sorted_crossings)
+        built = CrossingStructure(g.n, g.edges, g.sorted_crossings)
+        assert (s.n, s.adjacency, s.crossings, s.canonical_form) == (built.n, built.adjacency, built.crossings,
+                                                                     built.canonical_form)
+        isolated += g.n > len({v for e in g.edges for v in e})
+    assert isolated > 10
 
 
 def test_structure_from_plain_pairs_holds_crossings():

@@ -170,9 +170,9 @@ def test_one_serialization_and_one_refinement_make_every_canonical_form():
 
 def test_the_solve_path_reads_int_rows():
     # Neighbour lists serve canonical refinement and the crossing-distance BFS; every search reads int rows,
-    # and the forced-pair rows are read as they are, listed only for rule C's components and the pair-set view.
+    # and the forced-pair rows are read as they are, listed only for the pair-set view.
     assert _namers("_adj_lists") == {"graphs._canonical_bytes", "graphs._crossing_gap"}
-    assert _namers("_members") == {"obstructions._distinctness_graph", "obstructions.DistinctnessGraph.rules"}
+    assert _namers("_members") == {"obstructions.DistinctnessGraph.rules"}
 
 
 def test_only_graphs_and_search_name_the_crossing_index():
@@ -198,6 +198,14 @@ def test_one_rule_checks_every_edge_set():
     # graphs._edge_set alone refuses a bad vertex count or edge, for drawings, structures and (n, edges) alike:
     # graphs._structure reads an (n, edges) graph as a structure with no crossings.
     assert _namers("_edge_set") == {"graphs.GeometricGraph.__init__", "graphs.CrossingStructure.__init__"}
+
+
+def test_only_a_drawing_adopts_its_edges_and_crossings_and_both_entries_check_alike():
+    # A drawing's edges passed _edge_set and its straddle pass emits normal Crossings; any other caller of the
+    # adopting entry would skip the normalizing on input no one normalized. Both entries run the one check loop.
+    assert _namers("_adopt", called=True) == {"graphs.GeometricGraph.structure"}
+    assert _namers("_check_and_store", called=True) == {"graphs.CrossingStructure.__init__",
+                                                        "graphs.CrossingStructure._adopt"}
 
 
 def _type_tests(tree: ast.AST) -> list[int]:

@@ -14,8 +14,8 @@ from geochrom import (
     pseudo_geochromatic_number,
     random_geometric_graph,
 )
-from geochrom import search
-from geochrom.obstructions import _components, _union_has_odd_cycle
+from geochrom import obstructions, search
+from geochrom.obstructions import _union_has_odd_cycle
 from geochrom.search import _greedy_clique
 from oracles import (
     crossing_pairs_raw,
@@ -109,28 +109,31 @@ def test_rule_d_matches_odd_cycle_oracle():
     assert fired > 10
 
 
-def side_of_lowest(members, ones):
-    """A component's members and the side holding its lowest member: the same for either flip."""
-    return members, ones if ones & members & -members else members ^ ones
+def crossed_by(g):
+    """Each crossed edge of g, by the raw oracle, with the edges crossing it."""
+    crossed = {}
+    for e1, e2 in crossings_of_raw(g):
+        crossed.setdefault(e1, []).append(e2)
+        crossed.setdefault(e2, []).append(e1)
+    return crossed
+
+
+def component_masks(label):
+    """(members, side-1 members) of each component of a bipartite graph, from its two_sides labels."""
+    masks = {}
+    for v, (component, side) in label.items():
+        m, s = masks.get(component, (0, 0))
+        masks[component] = (m | 1 << v, s | side << v)
+    return list(masks.values())
 
 
 def test_rule_d_component_masks_match_the_shared_vertex_test():
     # Every pair of crossed edges at a vertex, by component masks and by the former per-vertex ties.
     found = {True: 0, False: 0}  # odd unions, by whether each graph had one component
     for g in SEEDED + DENSE:
-        crossed = {}
-        for e1, e2 in crossings_of_raw(g):
-            crossed.setdefault(e1, []).append(e2)
-            crossed.setdefault(e2, []).append(e1)
-        comps = {e: _components(pairs) for e, pairs in crossed.items()}
-        labels = {e: two_sides(g.n, pairs) for e, pairs in crossed.items()}
-        for e, label in labels.items():  # the masks are the reference components, split by side
-            ref = {}
-            for v, (component, side) in label.items():
-                m, s = ref.get(component, (0, 0))
-                ref[component] = (m | 1 << v, s | side << v)
-            assert {side_of_lowest(m, s) for m, s in comps[e]} == {side_of_lowest(m, s) for m, s in ref.values()}
-        for e1, e2 in itertools.combinations(crossed, 2):
+        labels = {e: two_sides(g.n, pairs) for e, pairs in crossed_by(g).items()}
+        comps = {e: component_masks(label) for e, label in labels.items()}
+        for e1, e2 in itertools.combinations(labels, 2):
             if set(e1) & set(e2):
                 odd = _union_has_odd_cycle(comps[e1], comps[e2])
                 assert odd == reference_union_has_odd_cycle(labels[e1], labels[e2]), (e1, e2)
@@ -185,6 +188,27 @@ def test_rule_sets_match_the_tag_per_pair_reference():
         assert dict(dg.rules) == {rule: frozenset(p for p, ts in expected.items() if rule in ts) for rule in "ABCD"}
         assert dg.forced_pairs == frozenset(expected)
         assert dict(dg.provenance) == expected
+
+
+def test_rule_d_decides_one_component_pairs_by_two_ands_and_the_rest_by_union_find(monkeypatch):
+    # On the inputs of the tag-per-pair test above: a pair of crossed edges at a vertex reaches the union-find
+    # unless both crossed sets have one component, and each branch forces some pair apart.
+    found = []
+    union = obstructions._union_has_odd_cycle
+    monkeypatch.setattr(obstructions, "_union_has_odd_cycle", lambda c1, c2: found.append(union(c1, c2)) or found[-1])
+    one_component = odd_by_ands = reaching_union = 0
+    for g in DRAWINGS + SEEDED:
+        labels = {e: two_sides(g.n, pairs) for e, pairs in crossed_by(g).items()}
+        for e1, e2 in itertools.combinations(labels, 2):
+            if set(e1) & set(e2):
+                if len({c for c, _ in labels[e1].values()}) == 1 == len({c for c, _ in labels[e2].values()}):
+                    one_component += 1
+                    odd_by_ands += reference_union_has_odd_cycle(labels[e1], labels[e2])
+                else:
+                    reaching_union += 1
+        non_identifiable_pairs(GeometricGraph(g.points, g.edges))  # no memo from another test
+    assert len(found) == reaching_union
+    assert one_component > 100 and odd_by_ands > 10 and reaching_union > 100 and sum(found) > 10
 
 
 def test_provenance_is_built_only_when_read():

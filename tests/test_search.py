@@ -8,6 +8,7 @@ a refutation a refutation.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from geochrom.catalog import _edge_counts, _maps_into
 from geochrom.graphs import _adj_lists, _adj_rows
 from geochrom.search import _chromatic, _dsatur_greedy, _greedy_clique
 from oracles import (
+    brute_force_chromatic,
     reference_chromatic,
     reference_dsatur,
     reference_geometric_hom,
@@ -112,24 +114,83 @@ def test_dsatur_greedy_matches_reference():
 
 
 def test_chromatic_sets_up_no_search_when_the_bounds_meet(monkeypatch):
-    # The clique or the floor reaching the DSATUR count proves that coloring optimal.
+    # The clique, the floor, or 3 once DSATUR uses a third color, reaching the DSATUR count proves that coloring
+    # optimal.
     calls = []
     core = search._backtrack
     monkeypatch.setattr(search, "_backtrack", lambda *args, **options: calls.append(1) or core(*args, **options))
-    met = searched = 0
+    met = met_by_three = searched = 0
     for rows, adj, name in rows_and_lists():
         greedy = _dsatur_greedy(rows)
         ub = max(greedy, default=0)
+        clique = len(_greedy_clique(rows))
         for floor in (0, ub):
             calls.clear()
             k, coloring = _chromatic(rows, floor)
-            if max(len(_greedy_clique(rows)), floor) >= ub:
+            if max(clique, floor, min(ub, 3)) >= ub:
                 assert (k, list(coloring.colors), calls) == (ub, greedy, []), name
                 met += 1
+                met_by_three += max(clique, floor) < ub
             else:
                 assert calls, name
                 searched += 1
-    assert met > 100 and searched > 10
+    assert met > 100 and met_by_three > 10 and searched > 10
+
+
+def bipartite_rows(rng):
+    """A seeded bipartite graph as int rows: sides split at random, often sparse enough to leave isolated vertices."""
+    n = rng.randint(1, 24)
+    side = [rng.random() < 0.5 for _ in range(n)]
+    p = rng.choice((0.05, 0.1, 0.2, 0.4, 0.8))
+    return _adj_rows(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if side[u] != side[v]
+                         and rng.random() < p])
+
+
+def components(rows):
+    """The number of components of a graph given as int rows."""
+    left, count = (1 << len(rows)) - 1, 0
+    while left:
+        reached = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rows[low.bit_length() - 1] & ~reached
+            reached |= new
+            frontier |= new
+        left &= ~reached
+        count += 1
+    return count
+
+
+def test_dsatur_two_colors_every_bipartite_graph():
+    # So a third DSATUR color proves chi >= 3, and _chromatic searches no count below 3 once DSATUR used one.
+    rng = random.Random(38)
+    disconnected = isolated = edged = 0
+    for _ in range(600):
+        rows = bipartite_rows(rng)
+        assert max(_dsatur_greedy(rows)) <= 2, rows
+        disconnected += components(rows) > 1
+        isolated += 0 in rows
+        edged += any(rows)
+    assert disconnected > 100 and isolated > 100 and edged > 400
+
+
+def test_chromatic_matches_brute_force_where_dsatur_uses_three_colors_and_the_clique_two():
+    # The graphs where the cut at 3 decides: a search from 2 would have run, and would have failed.
+    rng = random.Random(39)
+    by_dsatur = {3: 0, 4: 0}
+    for _ in range(3000):
+        n = rng.randint(5, 11)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        rows = _adj_rows(n, edges)
+        ub = max(_dsatur_greedy(rows))
+        if ub < 3 or len(_greedy_clique(rows)) != 2:
+            continue
+        k, coloring = _chromatic(rows, 0)
+        assert k == brute_force_chromatic(n, edges), edges
+        assert all(coloring.colors[u] != coloring.colors[v] for u, v in edges) and max(coloring.colors) == k
+        by_dsatur[min(ub, 4)] += 1
+    assert by_dsatur[3] > 50 and by_dsatur[4] > 5, by_dsatur
 
 
 def test_find_geometric_hom_matches_reference_on_every_maximal_target(store):
