@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 from functools import cached_property, lru_cache
 from math import comb, gcd
 from pathlib import Path
@@ -478,9 +477,11 @@ class CatalogStore:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         # Written whole or not at all: an interrupted dump leaves no truncated file for the next load.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        # A plain exclusive open, unlike mkstemp's 0600, gives the file the mode the umask allows.
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        fh = open(tmp, "x", encoding="utf-8")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            with fh:
                 json.dump(catalog_to_json_dict(cat), fh, indent=2, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp, path)

@@ -44,14 +44,15 @@ Edge = tuple[int, int]
 def _edge_set(n: int, edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
     """The edges as sorted pairs: the one rule for n vertices and an edge set on them.
 
-    n must be a non-negative int and each edge must join two distinct ids of
-    0..n-1; anything else raises ValueError naming the count or the edge.
+    n must be a non-negative int and each edge must join two distinct int ids
+    of 0..n-1, bools refused; anything else raises ValueError naming the count
+    or the edge.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative int, got {n!r}")
     pairs = set()
     for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
+        if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) must join two distinct ids of 0..{n - 1}")
         pairs.add((u, v) if u < v else (v, u))
     return frozenset(pairs)

@@ -182,6 +182,8 @@ def non_identifiable_pairs(G: CrossingStructure) -> DistinctnessGraph:
     Computed once per structure and kept in its own __dict__, where
     cached_property keeps its search views, so it lives exactly as long as
     the structure, and a drawing and its structure share one read-only result.
+    Crossings that no drawing realizes, where the edges crossing one edge form
+    an odd cycle, raise ValueError naming that edge.
     """
     s = _structure(G)
     memo = vars(s)
@@ -209,6 +211,9 @@ def _distinctness_graph(G: CrossingStructure) -> DistinctnessGraph:
             pair = 1 << x | 1 << y
             if ends & pair:
                 comps = _join(comps, pair, 1 << y)
+                if comps is None:  # never on a drawing, by the side-of-line fact
+                    raise ValueError(f"the edges crossing ({u},{v}) form an odd cycle, "
+                                     "so no drawing realizes these crossings")
             else:
                 comps.append((pair, 1 << y))
             ends |= pair

@@ -34,6 +34,5 @@ def calls_of(monkeypatch):
 
 @pytest.fixture(scope="session")
 def store() -> CatalogStore:
-    """Shared catalog store backed by an on-disk cache across test runs."""
-    CACHE_DIR.mkdir(exist_ok=True)
-    return CatalogStore(CACHE_DIR)
+    """The committed K3-K7 catalogs, read and never built, so a test run writes nothing under tests/."""
+    return CatalogStore(CACHE_DIR, build_missing=False)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,7 +29,6 @@ from geochrom import (
     graph_to_json_dict,
     is_general_position,
     is_geometric_hom,
-    random_geometric_graph,
 )
 import geochrom.catalog as catalog
 from conftest import CACHE_DIR
@@ -142,20 +142,6 @@ def test_enumeration_matches_grid_oracle_and_committed_catalogs():
         assert {bytes.fromhex(item["canonical"]) for item in doc["entries"]} == forms[n]
 
 
-def test_committed_and_fresh_catalogs_agree_on_x_and_its_target(store):
-    # The committed files keep witnesses from an earlier enumeration, so a map, which is into the witness
-    # labelling of its own catalog, may differ between the two stores; X and the target's structure may not.
-    fresh = CatalogStore(None)
-    resolved = 0
-    for seed in range(300):
-        g = random_geometric_graph(9, 0.3, 0, seed)
-        committed, built = (geochromatic_number(g, s, max_n=6) for s in (store, fresh))
-        assert (committed and (committed.n, committed.target.canonical_form)) == (
-            built and (built.n, built.target.canonical_form)), seed
-        resolved += committed is not None
-    assert resolved == 194
-
-
 def test_order_type_key_is_invariant_and_covers_random_point_sets():
     keys = {n: {_order_type(_orientations(pts)) for pts in _order_types(n)} for n in (5, 6)}
     assert [len(keys[n]) for n in (5, 6)] == [3, 16]
@@ -218,7 +204,8 @@ def test_the_enumeration_keys_each_face_once(calls_of):
 
 
 # sha256 of json.dumps(catalog_to_json_dict(enumerate_clique_structures(n)), sort_keys=True):
-# which realization becomes each witness, and the entry order, are pinned with the forms.
+# which realization becomes each witness, and the entry order, are pinned with the forms. The
+# committed file is the one a store persists, so the enumeration is the one source of witnesses.
 _CATALOG_DIGESTS = {
     3: "c97bae8fb2a732510f94019e2133d18dffd64908f36884a153f44469bafaef8a",
     4: "b08f33d39b477c000d6ada8f1b0419fa42ec569d4ff1e3696b7898370fe897c9",
@@ -229,9 +216,11 @@ _CATALOG_DIGESTS = {
 
 
 @pytest.mark.parametrize("n", sorted(_CATALOG_DIGESTS))
-def test_enumerated_catalog_is_pinned(n):
-    doc = json.dumps(catalog_to_json_dict(enumerate_clique_structures(n)), sort_keys=True)
+def test_enumerated_catalog_is_pinned(n, tmp_path):
+    doc = json.dumps(catalog_to_json_dict(CatalogStore(tmp_path).get(n)), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == _CATALOG_DIGESTS[n]
+    name = f"k{n}.catalog.json"
+    assert (tmp_path / name).read_bytes() == (CACHE_DIR / name).read_bytes()
 
 
 def test_k7_builds_and_every_witness_realizes_its_structure(tmp_path):
@@ -426,6 +415,20 @@ def test_store_persists_and_reloads(tmp_path):
     fresh = CatalogStore(tmp_path, build_missing=False)
     loaded = fresh.get(4)
     assert loaded.canonical_forms() == built.canonical_forms()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002])
+def test_a_persisted_catalog_gets_the_mode_a_plain_open_gives(tmp_path, umask):
+    # mkstemp made every catalog 0600 whatever the umask, and the replace kept that mode.
+    previous = os.umask(umask)
+    try:
+        CatalogStore(tmp_path).get(3)
+        with open(tmp_path / "sibling.json", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("k3.catalog.json", "sibling.json")}
+    assert modes == {0o666 & ~umask}
 
 
 def test_interrupted_persist_leaves_no_file_and_the_next_get_rebuilds(tmp_path, monkeypatch):

@@ -62,9 +62,7 @@ def test_px_command(capsys, fig6):
 
 
 def test_x_command_resolves(capsys, fig6):
-    from conftest import CACHE_DIR  # shared on-disk catalogs
-
-    code, out, _ = run(capsys, "x", fig6, "--max-n", "7", "--catalog", str(CACHE_DIR))
+    code, out, _ = run(capsys, "x", fig6, "--max-n", "7", "--catalog", str(CACHE_DIR), "--no-build")
     assert code == 0
     doc = json.loads(out)
     assert doc["x"] == 6
@@ -73,19 +71,17 @@ def test_x_command_resolves(capsys, fig6):
 
 
 def test_x_command_unresolved_exit_code(capsys, fig6):
-    from conftest import CACHE_DIR
-
-    code, out, _ = run(capsys, "x", fig6, "--max-n", "5", "--catalog", str(CACHE_DIR))
+    code, out, _ = run(capsys, "x", fig6, "--max-n", "5", "--catalog", str(CACHE_DIR), "--no-build")
     assert code == 1
     assert json.loads(out) == {"status": "unresolved", "searched_to": 5}
 
 
 @pytest.mark.parametrize("source", ["committed", "fresh"])
 def test_x_prints_the_witness_drawing_its_map_replays_against(capsys, tmp_path, fig6, source):
-    # The map is into the labelling of the target entry's own witness, which differs between the committed
-    # catalogs and freshly built ones, so verify replays it against the printed drawing whichever x read.
-    catalogs = CACHE_DIR if source == "committed" else tmp_path / "fresh"
-    code, out, _ = run(capsys, "x", fig6, "--max-n", "6", "--catalog", str(catalogs))
+    # The map is into the labelling of the target entry's own witness, so verify replays it against the
+    # printed drawing, read from the committed catalogs or built afresh into an empty directory.
+    catalogs = [str(CACHE_DIR), "--no-build"] if source == "committed" else [str(tmp_path / "fresh")]
+    code, out, _ = run(capsys, "x", fig6, "--max-n", "6", "--catalog", *catalogs)
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["x", "target", "map"] and list(doc["target"]) == ["n", "canonical", "witness"]

@@ -5,11 +5,13 @@ import weakref
 import pytest
 
 from geochrom import (
+    CrossingStructure,
     GeometricGraph,
     chromatic_number,
     convex_clique,
     figure_graphs,
     geochromatic_lower_bound,
+    geochromatic_number,
     non_identifiable_pairs,
     pseudo_geochromatic_number,
     random_geometric_graph,
@@ -233,6 +235,16 @@ def test_lower_bound_examples():
     assert geochromatic_lower_bound(convex_clique(4)) == 4
     plane = GeometricGraph.build([(0, 0), (10, 1), (20, 5), (6, 9)], [(0, 1), (1, 2), (2, 3)])
     assert geochromatic_lower_bound(plane) == chromatic_number(plane)[0]
+
+
+def test_crossings_that_no_drawing_realizes_are_refused_naming_the_edge(store):
+    # The edges crossing one edge have one end on each side of its line, so in a drawing they never
+    # form an odd cycle; here (0,1), (1,2) and (0,2) all cross (3,4).
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    s = CrossingStructure(5, triangle + [(3, 4)], [(e, (3, 4)) for e in triangle])
+    for solve in (pseudo_geochromatic_number, geochromatic_lower_bound, lambda g: geochromatic_number(g, store, 5)):
+        with pytest.raises(ValueError, match=r"the edges crossing \(3,4\) form an odd cycle, so no drawing"):
+            solve(s)
 
 
 def test_forced_pairs_memo_is_reused_and_does_not_keep_graph_alive():

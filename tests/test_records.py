@@ -209,6 +209,13 @@ def test_validation_messages():
         GeometricGraph(points=(Point(0, 0), Point(1, 1), Point(2, 2)), edges=())
     with pytest.raises(ValueError, match=r"edge \(0,3\) must join"):  # the edges are checked first
         GeometricGraph((Point(0, 0), Point(1, 1), Point(2, 2)), [(0, 3)])
+    # an id that is not an int, bools included, is refused here, not by a later solver's TypeError
+    with pytest.raises(ValueError, match=r"edge \(0,1.5\) must join two distinct ids of 0..2"):
+        CrossingStructure(3, [(0, 1.5)], [])
+    with pytest.raises(ValueError, match=r"edge \(0,1.0\) must join"):
+        GeometricGraph.build([(0, 0), (1, 0), (0, 1)], [(0, 1.0)])
+    with pytest.raises(ValueError, match=r"edge \(True,2\) must join"):
+        CrossingStructure(3, [(True, 2)], [])
     with pytest.raises(ValueError, match="n must be a non-negative int, got True"):
         CrossingStructure(True, [], [])
     with pytest.raises(ValueError, match=r"crossing \(0, 1\)x\(2, 3\) uses a non-edge"):

@@ -5,6 +5,9 @@ value order or tie-break shows here even when the answers stay correct.
 Each entry: chi coloring, X' coloring, (X, target canonical hex, X map),
 and find_noncollapsing_hom for chi and chi + 1 colors. Two digests pin the
 same 300 random drawings: one for the solver answers, one for the lifts.
+An X map is into the labelling of its target's witness in the committed
+catalogs, which are the ones `geochrom catalog` builds, so a run without
+`--catalog` prints the same map.
 """
 
 import hashlib
@@ -47,67 +50,67 @@ PINNED = {
     "figure1_left": (
         (1, 2, 3, 4, 5, 6),
         (1, 2, 3, 4, 5, 6),
-        (6, FIGURE1_LEFT_K6, (3, 0, 1, 2, 5, 4)),
+        (6, FIGURE1_LEFT_K6, (0, 1, 2, 5, 4, 3)),
         ((6, 1, 2, 3, 4, 5), (6, 1, 2, 3, 4, 5)),
     ),
     "figure1_right": (
         (1, 2, 3, 4, 5, 6),
         (1, 2, 3, 4, 5, 6),
-        (6, CONVEX_K6, (0, 1, 3, 5, 4, 2)),
+        (6, CONVEX_K6, (0, 1, 5, 2, 3, 4)),
         ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)),
     ),
     "figure2_left": (
         (1, 2, 3, 2, 2, 1),
         (1, 2, 3, 5, 5, 4),
-        (6, CONVEX_K6, (1, 2, 5, 3, 4, 0)),
+        (6, CONVEX_K6, (1, 4, 2, 5, 3, 0)),
         ((2, 3, 1, 3, 2, 1), (1, 2, 3, 4, 3, 1)),
     ),
     "figure2_right": (
         (2, 1, 2, 1, 1, 2),
         (4, 3, 4, 3, 1, 2),
-        (4, CONVEX_K4, (2, 1, 2, 1, 0, 3)),
+        (4, CONVEX_K4, (3, 1, 3, 1, 0, 2)),
         (None, (2, 1, 2, 1, 1, 3)),
     ),
     "figure3_left": (
         (2, 1, 2, 1, 2, 1, 1, 2, 2),
         (2, 3, 4, 1, 2, 1, 2, 3, 4),
-        (4, CONVEX_K4, (0, 1, 2, 3, 1, 0, 1, 2, 3)),
+        (4, CONVEX_K4, (0, 1, 3, 2, 1, 0, 1, 3, 2)),
         (None, (2, 1, 3, 1, 2, 1, 1, 2, 3)),
     ),
     "figure3_right": (
         (2, 1, 1, 1, 2, 1, 2, 2),
         (2, 3, 1, 3, 4, 1, 2, 4),
-        (4, CONVEX_K4, (0, 1, 0, 1, 2, 3, 2, 3)),
+        (4, CONVEX_K4, (0, 1, 0, 1, 3, 2, 3, 2)),
         (None, (2, 1, 1, 1, 3, 1, 2, 3)),
     ),
     "figure6": (
         (1, 2, 3, 2, 2, 1),
         (1, 2, 3, 5, 5, 4),
-        (6, CONVEX_K6, (1, 2, 5, 3, 4, 0)),
+        (6, CONVEX_K6, (1, 4, 2, 5, 3, 0)),
         ((2, 3, 1, 3, 2, 1), (1, 2, 3, 4, 3, 1)),
     ),
     "star2": (
         (1, 2, 2, 1, 2),
         (1, 4, 4, 2, 3),
-        (4, CONVEX_K4, (0, 3, 3, 1, 2)),
+        (4, CONVEX_K4, (0, 2, 2, 1, 3)),
         (None, (1, 3, 3, 1, 2)),
     ),
     "star3": (
         (1, 2, 2, 2, 1, 2),
         (1, 4, 4, 4, 2, 3),
-        (4, CONVEX_K4, (0, 3, 3, 3, 1, 2)),
+        (4, CONVEX_K4, (0, 2, 2, 2, 1, 3)),
         (None, (1, 3, 3, 3, 1, 2)),
     ),
     "star4": (
         (1, 2, 2, 2, 2, 1, 2),
         (1, 4, 4, 4, 4, 2, 3),
-        (4, CONVEX_K4, (0, 3, 3, 3, 3, 1, 2)),
+        (4, CONVEX_K4, (0, 2, 2, 2, 2, 1, 3)),
         (None, (1, 3, 3, 3, 3, 1, 2)),
     ),
     "star5": (
         (1, 2, 2, 2, 2, 2, 1, 2),
         (1, 4, 4, 4, 4, 4, 2, 3),
-        (4, CONVEX_K4, (0, 3, 3, 3, 3, 3, 1, 2)),
+        (4, CONVEX_K4, (0, 2, 2, 2, 2, 2, 1, 3)),
         (None, (1, 3, 3, 3, 3, 3, 1, 2)),
     ),
 }
@@ -151,7 +154,7 @@ def _answer_line(g, store):
 
 # sha256 of every answer below on 300 seeded random drawings; any change to a
 # value, a witness, a search order or a tie-break changes it.
-ANSWER_DIGEST = "9f5444825695c5bc1623cdddf81c80d211df8c0a9ea7c6cefe67a88ca675e651"
+ANSWER_DIGEST = "fe46fe9535c7c94a25ee1f3348d5542eda86101316633a77bea0a459034cb60a"
 
 
 def _random_drawings():
