@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=MAX_CATALOG_N, dest="max_n")
     p.add_argument("--catalog", default=None,
                    help="directory with k<n>.catalog.json files; without it each run rebuilds "
-                        "every catalog it reaches (K3-K7 take about 0.13 s)")
+                        "every catalog it reaches (K3-K7 take about 0.09 s)")
     p.add_argument("--no-build", action="store_true", help="fail instead of building missing catalogs")
     p.set_defaults(fn=_cmd_x)
 

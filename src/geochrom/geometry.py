@@ -35,15 +35,6 @@ class Point(_Record):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    # Points fill every drawing's sets, so these skip _Record's field lookups.
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.x == other.x and self.y == other.y
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
     def __lt__(self, other) -> bool:
         if other.__class__ is self.__class__:
             return (self.x, self.y) < (other.x, other.y)

@@ -187,8 +187,7 @@ class Crossing(NamedTuple):
         (u, v), (x, y) = e1, e2
         a = (u, v) if u < v else (v, u)
         b = (x, y) if x < y else (y, x)
-        # cls(a, b) without NamedTuple's Python-level __new__: every structure makes one per crossing.
-        return tuple.__new__(cls, (a, b) if a < b else (b, a))
+        return cls(a, b) if a < b else cls(b, a)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -472,15 +471,12 @@ def _refine_partition(
     shares it.
 
     A colouring with one vertex per class is stable, and a pass over it would
-    only compact its classes, so it returns as soon as it is discrete: on
-    entry, with the ranks of its classes, and after the pass that separates
-    the last vertices.
+    only compact its classes, so it returns as soon as a pass leaves it
+    discrete. A colouring discrete on entry takes one pass that reads no list,
+    every signature being [class], and comes back as the ranks of its classes.
     """
     n = len(classes)
     count = len(set(classes))
-    if count == n:
-        rank = {c: r for r, c in enumerate(sorted(classes))}
-        return [rank[c] for c in classes]
     while True:
         sizes = [0] * (2 * n)
         for c in classes:

@@ -32,8 +32,9 @@ unalike, and meeting both ways closes an odd cycle: the paths between the two
 meeting vertices, one in each component, differ in parity. So the union is
 bipartite exactly when one graph's components join the other's one by one,
 each merged with the components it meets after flipping them to agree,
-without meeting one both ways: two ANDs when each graph has one component,
-else a parity union-find over the components, not over shared vertices.
+without meeting one both ways: a parity union-find over the components, not
+over shared vertices. The same join builds each graph's components, one
+crossing edge at a time.
 
 The rules, their union and the per-pair provenance are views built on first
 read. X' is chi of rows A and B, and the bound, chi of all rows, is at least
@@ -204,18 +205,15 @@ def _distinctness_graph(G: CrossingStructure) -> DistinctnessGraph:
     for (u, v), crossed in crossed_by.items():
         # One walk over the edges crossing uv: the mask of their ends, which
         # rule B forces apart from u and v, and their components, bipartite by
-        # the side-of-line fact. An edge meeting no earlier end starts one.
+        # the side-of-line fact. An edge meeting no earlier component starts one.
         ends = 0
         comps: list[tuple[int, int]] = []
         for x, y in crossed:
             pair = 1 << x | 1 << y
-            if ends & pair:
-                comps = _join(comps, pair, 1 << y)
-                if comps is None:  # never on a drawing, by the side-of-line fact
-                    raise ValueError(f"the edges crossing ({u},{v}) form an odd cycle, "
-                                     "so no drawing realizes these crossings")
-            else:
-                comps.append((pair, 1 << y))
+            comps = _join(comps, pair, 1 << y)
+            if comps is None:  # never on a drawing, by the side-of-line fact
+                raise ValueError(f"the edges crossing ({u},{v}) form an odd cycle, "
+                                 "so no drawing realizes these crossings")
             ends |= pair
         b[u] |= ends | 1 << v
         b[v] |= ends | 1 << u
@@ -230,14 +228,7 @@ def _distinctness_graph(G: CrossingStructure) -> DistinctnessGraph:
 
     for crossed_at in at:
         for (u, c1), (v, c2) in combinations(crossed_at, 2):
-            if len(c1) == 1 == len(c2):  # one component each: odd when they meet both ways
-                (m1, s1), (m2, s2) = c1[0], c2[0]
-                shared = m1 & m2
-                apart = shared & (s1 ^ s2)
-                odd = apart and apart != shared
-            else:
-                odd = _union_has_odd_cycle(c1, c2)
-            if odd:
+            if _union_has_odd_cycle(c1, c2):
                 d[u] |= 1 << v
                 d[v] |= 1 << u
 

@@ -503,10 +503,10 @@ def _passes(reads: list) -> int:
     return sum(1 for i, v in enumerate(reads) if i == 0 or v <= reads[i - 1])
 
 
-def test_a_discrete_colouring_comes_back_as_its_ranks_without_a_pass():
+def test_a_discrete_colouring_comes_back_as_its_ranks_in_one_pass_reading_no_list():
     # The search hands over classes such as 2c and 2c + 1, and a leaf reads its classes as a permutation.
-    # No lists to read: a signature pass would fail on None.
-    assert graphs._refine_partition([6, 0, 3], None, None) == [2, 0, 1]
+    # Every signature of a discrete colouring is [class], so its one pass reads neither list: both are None.
+    assert graphs._refine_partition([5, 0, 3], None, None) == [2, 0, 1]
     assert graphs._refine_partition([], None, None) == []
     # The pass that separates the last vertices is the last one.
     reads = []

@@ -3,7 +3,8 @@
 Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
 the ones it names. Input files are read and decoded in graphs alone, and
-only graphs tells a drawing from a crossing structure. A CLI
+only graphs tells a drawing from a crossing structure. Records compare by
+their fields, a crossing structure alone by its canonical form. A CLI
 process loads no standard module that only decorating records or exact
 fractions would need, and `import geochrom` loads every module the
 benchmark's tracer wraps.
@@ -232,6 +233,27 @@ def test_crossing_structure_is_a_fresh_record_whose_form_is_not_yet_computed():
     fresh = crossing_structure(g)
     assert fresh is not g.structure and fresh._canonical is None
     assert fresh == g.structure  # equal, once its own form is computed
+
+
+def _record_comparers(tree: ast.AST) -> dict[str, list[str]]:
+    """The __eq__ and __hash__ that each class deriving from _Record defines itself, by class."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "_Record" for b in node.bases):
+            own = [f.name for f in node.body if isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__hash__")]
+            if own:
+                found[node.name] = own
+    return found
+
+
+def test_only_a_crossing_structure_compares_otherwise_than_by_its_fields():
+    # _Record compares and hashes a record by its fields; a CrossingStructure compares by its canonical form.
+    # A copy of _Record's methods kept for speed would be one more place for the two to drift apart.
+    sample = ast.parse("class P(_Record):\n    def __eq__(self, o): pass\n    def __lt__(self, o): pass\n"
+                       "class Q(int):\n    def __hash__(self): pass")
+    assert _record_comparers(sample) == {"P": ["__eq__"]}  # the scan sees a record's own method
+    found = {name: own for tree in MODULES.values() for name, own in _record_comparers(tree).items()}
+    assert found == {"CrossingStructure": ["__eq__", "__hash__"]}
 
 
 def _crossing_sorts(tree: ast.AST) -> list[int]:
