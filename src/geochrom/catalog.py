@@ -36,6 +36,17 @@ uses (search._find_hom). A map between two K_n is a bijection, so it sends
 distinct crossings to distinct crossings: a structure can only map into one
 with strictly more crossings, and the convex K_n, whose C(n, 4) crossings
 are the most possible, is always maximal.
+
+The K3-K7 catalogs ship with the package (catalogs/k<n>.catalog.json),
+written by `geochrom catalog --n N --out DIR`; the tests pin each file byte
+for byte to the enumerator's output. A store without a directory returns
+them and builds nothing, and a store with one returns them for a file
+whose decoded document is the shipped one: each is decoded once per
+process, its witnesses are built and checked as drawings, and each form is
+read from its `canonical` field, not recomputed. Any other file gets the
+full check of catalog_from_json_dict, and a missing one is built. A
+catalog is written as the C-encoded `json.dumps(doc, sort_keys=True)` and a
+newline, in one write to a temporary file that replaces the target whole.
 """
 
 from __future__ import annotations
@@ -73,6 +84,9 @@ MAX_CATALOG_N = max(_STRUCTURE_COUNTS)
 # recorded canonical forms from the exhaustive relabelling search that
 # individualization-refinement replaced; they differ for symmetric structures.
 _CATALOG_FORMAT = 2
+
+# The K3-K7 catalogs shipped as package data: what `geochrom catalog --n N --out DIR` writes.
+_SHIPPED = Path(__file__).parent / "catalogs"
 
 
 @lru_cache(maxsize=None)
@@ -162,15 +176,18 @@ def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(n), 3))
 
 
-def _orientations(pts: Sequence[XY]) -> list[list[list[int]]]:
+def _orientations(pts: Sequence[XY], size: int | None = None) -> list[list[list[int]]]:
     """o[i][j][k]: the sign of the turn pts[i], pts[j], pts[k] (0 when two indices are equal).
 
     This is geometry.orientation on (x, y) pairs, inlined and computed once
-    per index triple: the enumeration builds one table per parent point set
-    and completes it for each face (_completed).
+    per index triple. The table has room for `size` points (len(pts) by
+    default), every entry with an index past pts left 0: the enumeration
+    builds one table per parent point set with a slot for the new point and
+    patches each face's row into it (_patched).
     """
     n = len(pts)
-    o = [[[0] * n for _ in range(n)] for _ in range(n)]
+    size = n if size is None else size
+    o = [[[0] * size for _ in range(size)] for _ in range(size)]
     for i, j, k in _triples(n):
         (px, py), (qx, qy), (rx, ry) = pts[i], pts[j], pts[k]
         d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
@@ -180,23 +197,38 @@ def _orientations(pts: Sequence[XY]) -> list[list[list[int]]]:
     return o
 
 
-def _completed(o: list[list[list[int]]], row: Sequence[int]) -> list[list[list[int]]]:
-    """The orientation table of the points of o with one more, whose sign against pair i < j is its entry in row.
+def _row_sums(o: list[list[list[int]]]) -> list[list[int]]:
+    """sums[p][a]: the sum of o[p][a], which _order_type reads."""
+    return [[sum(row) for row in plane] for plane in o]
 
-    row lists o[i][j][new] for the pairs i < j in combinations order; every
-    other entry of the new table is one of o's, so nothing is recomputed.
+
+def _patched(o: list[list[list[int]]], sums: list[list[int]], row: Sequence[int]) -> list[list[int]]:
+    """Write into o the signs of its last point against each pair i < j from row, and return the new row sums.
+
+    o is a parent's table with a slot for one more point, m = len(o) - 1,
+    and sums its row sums with that slot still 0 (_row_sums). row lists
+    o[i][j][m] for the pairs i < j < m in combinations order. Each pair sets
+    six entries of o, each in its own row, so the returned sums are sums
+    plus six adds per pair; o's other entries and sums are left as they were.
     """
-    m = len(o)
-    t = [[r + [0] for r in plane] + [[0] * (m + 1)] for plane in o]
-    t.append([[0] * (m + 1) for _ in range(m + 1)])
+    m = len(o) - 1
+    t = [r[:] for r in sums]
+    tm = t[m]
     for (i, j), s in zip(itertools.combinations(range(m), 2), row):
-        t[i][j][m] = t[j][m][i] = t[m][i][j] = s
-        t[j][i][m] = t[i][m][j] = t[m][j][i] = -s
+        o[i][j][m] = o[j][m][i] = o[m][i][j] = s
+        o[j][i][m] = o[i][m][j] = o[m][j][i] = -s
+        ti, tj = t[i], t[j]
+        ti[j] += s
+        tj[m] += s
+        tm[i] += s
+        tj[i] -= s
+        ti[m] -= s
+        tm[j] -= s
     return t
 
 
-def _order_type(o: list[list[list[int]]]) -> tuple[int, ...]:
-    """Canonical order type from an orientation table o: the least chirotope over hull starts and mirror images.
+def _order_type(o: list[list[list[int]]], sums: list[list[int]]) -> tuple[int, ...]:
+    """Canonical order type from an orientation table o and its row sums: the least chirotope over hull starts and mirror images.
 
     Seen from a hull vertex p the other points lie in a half-plane, so their
     orientations about p sort them by angle; sign s = -1 reads the mirror
@@ -205,17 +237,17 @@ def _order_type(o: list[list[list[int]]]) -> tuple[int, ...]:
     that labelling every triple through p turns counterclockwise, so the first
     C(n - 1, 2) signs read +1 for every start; only the rest are compared.
 
-    Every test reads one orientation table. With total = the sum of o[p][a],
-    a has (n - 2 - total) / 2 points clockwise of it about p: that is its
-    place in the angular order. p is a hull vertex iff, for some a, line pa
-    has all n - 2 other points on one side, i.e. |total| = n - 2.
+    Every test reads the table and sums = _row_sums(o). With total =
+    sums[p][a], a has (n - 2 - total) / 2 points clockwise of it about p:
+    that is its place in the angular order. p is a hull vertex iff, for some
+    a, line pa has all n - 2 other points on one side, i.e. |total| = n - 2.
     """
     n = len(o)
     through_p = (n - 1) * (n - 2) // 2  # the triples (0, b, c) come first
     rest = _triples(n)[through_p:]
     best = None
     for p in range(n):
-        totals = [sum(row) for row in o[p]]
+        totals = sums[p]
         if n - 2 not in map(abs, totals):
             continue  # p is not a hull vertex
         for s in (1, -1):
@@ -312,10 +344,12 @@ def _order_types(n: int) -> tuple[tuple[XY, ...], ...]:
     """One integer point set per order type of n points, in canonical order.
 
     Each face of a parent's arrangement is keyed once, from the parent's
-    orientation table completed by the face's row (_faces): a scale w > 0
-    keeps every sign among the parent's points, so equal rows mean one face
-    and one labelled chirotope, and the least candidate of each face is the
-    only one of its wedge points that can be the least of its order type.
+    orientation table patched with the face's row (_faces, _patched): a
+    scale w > 0 keeps every sign among the parent's points, so equal rows
+    mean one face and one labelled chirotope, and the least candidate of
+    each face is the only one of its wedge points that can be the least of
+    its order type. One table and one set of row sums serve every face of a
+    parent; each face rewrites only the new point's entries.
     Each type keeps the realization with the smallest coordinates that the
     extension reached, so coordinates stay small level after level (8 bits
     at n = 7).
@@ -327,9 +361,10 @@ def _order_types(n: int) -> tuple[tuple[XY, ...], ...]:
         return (((0, 0), (1, 0), (0, 1)),)
     found: dict[tuple[int, ...], tuple[int, tuple[XY, ...]]] = {}
     for pts in _order_types(n - 1):
-        o = _orientations(pts)
+        o = _orientations(pts, n)
+        sums = _row_sums(o)
         for row, candidate in _faces(pts).items():
-            key = _order_type(_completed(o, row))
+            key = _order_type(o, _patched(o, sums, row))
             found[key] = min(found.get(key, candidate), candidate)
     if len(found) != _ORDER_TYPE_COUNTS[n]:
         raise RuntimeError(
@@ -421,14 +456,50 @@ def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
     return CliqueCatalog(n=n, entries=tuple(_convex_first(n, entries)))
 
 
+@lru_cache(maxsize=None)
+def _shipped_doc(n: int) -> dict:
+    """The decoded catalog file for n shipped in the package, read once per process."""
+    return _read_json(_SHIPPED / f"k{n}.catalog.json")
+
+
+@lru_cache(maxsize=None)
+def _shipped_text(n: int) -> str:
+    """The shipped document for n as _persist encodes it, without the final newline."""
+    return json.dumps(_shipped_doc(n), sort_keys=True)
+
+
+@lru_cache(maxsize=None)
+def _shipped(n: int) -> CliqueCatalog:
+    """The shipped catalog for n, built once per process and never re-derived.
+
+    Each witness is still built and checked by GeometricGraph (ids, general
+    position), and its structure takes its form from the entry's `canonical`
+    field: the file is the enumerator's output, pinned byte for byte by the
+    tests, so its forms, its order and its count were checked when it was
+    written.
+    """
+    entries = []
+    for item in _shipped_doc(n)["entries"]:
+        witness = graph_from_json_dict(item["witness"])
+        witness.structure._set_canonical_form(bytes.fromhex(item["canonical"]))
+        entries.append(CatalogEntry(witness))
+    return CliqueCatalog(n=n, entries=tuple(entries))
+
+
 class CatalogStore:
     """Load-or-build access to clique catalogs, one JSON file per size.
 
-    Files are named k<n>.catalog.json inside `directory`. Built catalogs are
-    persisted there when a directory is configured, each through a temporary
-    file that replaces it whole. A `directory` that exists but is not a
-    directory raises NotADirectoryError at once, before anything is built.
-    Sizes 0, 1 and 2 are the trivial single structures and never touch disk.
+    Without a `directory` every size up to MAX_CATALOG_N is the catalog
+    shipped in the package, and nothing is built. With one, files are named
+    k<n>.catalog.json inside it. A file whose decoded document is the shipped
+    one (compared strictly, so 2.0 or true does not pass for an int, but
+    indentation and key order do not matter) loads as the shipped catalog;
+    any other file is checked in full by catalog_from_json_dict. A missing
+    file is built and persisted there, each through a temporary file that
+    replaces it whole, unless `build_missing` is False. A `directory` that
+    exists but is not a directory raises NotADirectoryError at once, before
+    anything is built. Sizes 0, 1 and 2 are the trivial single structures
+    and never touch disk.
     """
 
     def __init__(self, directory: str | Path | None = None, build_missing: bool = True):
@@ -464,9 +535,15 @@ class CatalogStore:
 
     def _load(self, n: int) -> CliqueCatalog | None:
         path = self.path_for(n)
-        if path is None or not path.exists():
+        if path is None:
+            return _shipped(n)
+        if not path.exists():
             return None
-        cat = catalog_from_json_dict(_read_json(path))
+        doc = _read_json(path)
+        # == alone would take 2.0 or true for an int; the shipped encoding tells them apart.
+        if doc == _shipped_doc(n) and json.dumps(doc, sort_keys=True) == _shipped_text(n):
+            return _shipped(n)
+        cat = catalog_from_json_dict(doc)
         if cat.n != n:
             raise GraphFormatError(f"{path} holds the catalog for n={cat.n}, not n={n}")
         return cat
@@ -476,14 +553,14 @@ class CatalogStore:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Written whole or not at all: an interrupted dump leaves no truncated file for the next load.
+        text = json.dumps(catalog_to_json_dict(cat), sort_keys=True) + "\n"  # the C encoder, one write
+        # Written whole or not at all: an interrupted write leaves no truncated file for the next load.
         # A plain exclusive open, unlike mkstemp's 0600, gives the file the mode the umask allows.
         tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "x", encoding="utf-8")
         try:
             with fh:
-                json.dump(catalog_to_json_dict(cat), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -353,6 +353,10 @@ class CrossingStructure(_Record):
             object.__setattr__(self, "_canonical", _canonical_bytes(self))
         return self._canonical
 
+    def _set_canonical_form(self, form: bytes) -> None:
+        """Take form as the canonical form without computing it: for a form already checked against this structure."""
+        object.__setattr__(self, "_canonical", form)
+
     @cached_property
     def crossing_index(self) -> CrossingIndex:
         return _crossing_index(self.n, self.adjacency, self.crossings)

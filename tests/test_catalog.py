@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +32,10 @@ from geochrom import (
     is_geometric_hom,
 )
 import geochrom.catalog as catalog
+import geochrom.graphs as graphs
 from conftest import CACHE_DIR
 from geochrom.catalog import (
-    _completed,
+    _SHIPPED,
     _edge_counts,
     _face_points,
     _faces,
@@ -41,6 +43,11 @@ from geochrom.catalog import (
     _order_type,
     _order_types,
     _orientations,
+    _patched,
+    _row_sums,
+    _shipped,
+    _shipped_doc,
+    _shipped_text,
     catalog_from_json_dict,
     catalog_to_json_dict,
 )
@@ -142,8 +149,14 @@ def test_enumeration_matches_grid_oracle_and_committed_catalogs():
         assert {bytes.fromhex(item["canonical"]) for item in doc["entries"]} == forms[n]
 
 
+def _key(pts):
+    """The order type of pts, from its own orientation table and that table's row sums."""
+    o = _orientations(pts)
+    return _order_type(o, _row_sums(o))
+
+
 def test_order_type_key_is_invariant_and_covers_random_point_sets():
-    keys = {n: {_order_type(_orientations(pts)) for pts in _order_types(n)} for n in (5, 6)}
+    keys = {n: {_key(pts) for pts in _order_types(n)} for n in (5, 6)}
     assert [len(keys[n]) for n in (5, 6)] == [3, 16]
     rng = random.Random(7)
     for trial in range(400):
@@ -151,12 +164,11 @@ def test_order_type_key_is_invariant_and_covers_random_point_sets():
         pts = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(n)]
         if not is_general_position([Point(*p) for p in pts]):
             continue
-        key = _order_type(_orientations(pts))
+        key = _key(pts)
         assert key in keys[n]
         turned = [(3 - y, x - 7) for x, y in pts]
         mirrored = [(-x, y) for x, y in pts]
-        assert (_order_type(_orientations(turned)) == _order_type(_orientations(mirrored))
-                == _order_type(_orientations(rng.sample(pts, n))) == key)
+        assert _key(turned) == _key(mirrored) == _key(rng.sample(pts, n)) == key
 
 
 def test_face_points_and_order_types_equal_the_reference_on_every_extension():
@@ -170,7 +182,7 @@ def test_face_points_and_order_types_equal_the_reference_on_every_extension():
             assert [(Fraction(x, w), Fraction(y, w)) for x, y, w in faces] == reference_face_points(pts)
             for x, y, w in faces:
                 ext = [(px * w, py * w) for px, py in pts] + [(x, y)]
-                assert _order_type(_orientations(ext)) == reference_order_type(ext)
+                assert _key(ext) == reference_order_type(ext)
                 extensions += 1
     assert extensions == 12 + 64 + 268 + 3470
 
@@ -180,16 +192,23 @@ def test_order_types_equal_the_per_wedge_reference(n):
     assert _order_types(n) == reference_order_types(n)
 
 
-def test_each_face_table_completed_from_its_parent_is_the_table_of_its_extension():
+def test_each_face_patched_into_its_parents_table_gets_the_table_and_row_sums_of_its_extension():
+    # One table and one set of row sums per parent serve all its faces, as in _order_types: after each
+    # face's patch they must be the extension's own, whatever face was patched in before.
     faces = 0
-    for n in range(3, 6):
+    for n in range(3, 7):
         for pts in _order_types(n):
-            o = _orientations(pts)
+            o = _orientations(pts, n + 1)
+            sums = _row_sums(o)
+            assert sums == [[sum(row) for row in plane] for plane in o]
             for row, (reach, ext) in _faces(pts).items():
-                assert _completed(o, row) == _orientations(ext)
+                patched = _patched(o, sums, row)
+                assert o == _orientations(ext)
+                assert patched == [[sum(r) for r in plane] for plane in o]
+                assert _order_type(o, patched) == reference_order_type(ext)
                 assert reach == max(abs(c) for p in ext for c in p)
                 faces += 1
-    assert faces == 7 + 34 + 115
+    assert faces == 7 + 34 + 115 + 1276
 
 
 def test_the_enumeration_keys_each_face_once(calls_of):
@@ -220,7 +239,25 @@ def test_enumerated_catalog_is_pinned(n, tmp_path):
     doc = json.dumps(catalog_to_json_dict(CatalogStore(tmp_path).get(n)), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == _CATALOG_DIGESTS[n]
     name = f"k{n}.catalog.json"
-    assert (tmp_path / name).read_bytes() == (CACHE_DIR / name).read_bytes()
+    assert (tmp_path / name).read_bytes() == (_SHIPPED / name).read_bytes() == (doc + "\n").encode()
+
+
+def test_the_committed_test_catalogs_are_the_shipped_files():
+    # The benchmark copies tests/.catalog_cache, so both copies are pinned to the enumerator's bytes.
+    names = sorted(p.name for p in _SHIPPED.iterdir())
+    assert names == [f"k{n}.catalog.json" for n in sorted(_CATALOG_DIGESTS)]
+    assert sorted(p.name for p in CACHE_DIR.iterdir()) == names
+    for name in names:
+        assert (CACHE_DIR / name).read_bytes() == (_SHIPPED / name).read_bytes()
+
+
+def test_the_package_data_glob_covers_every_shipped_catalog():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(catalog.__file__).parent
+    config = tomllib.loads((root.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["geochrom"]
+    declared = {path for pattern in globs for path in root.glob(pattern)}
+    assert sorted(declared) == sorted(_SHIPPED.iterdir())
 
 
 def test_k7_builds_and_every_witness_realizes_its_structure(tmp_path):
@@ -432,19 +469,101 @@ def test_a_persisted_catalog_gets_the_mode_a_plain_open_gives(tmp_path, umask):
 
 
 def test_interrupted_persist_leaves_no_file_and_the_next_get_rebuilds(tmp_path, monkeypatch):
-    # A dump cut off half-way once left a truncated file that every later load refused.
-    def cut_off(doc, fh, **options):
-        fh.write('{"entries": [')
-        raise OSError("no space left")
+    # A write cut off half-way once left a truncated file that every later load refused.
+    def cut_off(path, mode, **options):
+        fh = open(path, mode, **options)
+
+        class Failing:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, text):
+                fh.write(text[:len(text) // 2])
+                raise OSError("no space left")
+
+        return Failing()
 
     with monkeypatch.context() as patch:
-        patch.setattr(catalog.json, "dump", cut_off)
+        patch.setattr(catalog, "open", cut_off, raising=False)
         with pytest.raises(OSError, match="no space left"):
             CatalogStore(tmp_path).get(4)
     assert list(tmp_path.iterdir()) == []
     built = CatalogStore(tmp_path).get(4)
     assert [p.name for p in tmp_path.iterdir()] == ["k4.catalog.json"]
     assert CatalogStore(tmp_path, build_missing=False).get(4).canonical_forms() == built.canonical_forms()
+
+
+def _forget_shipped():
+    """Drop the shipped catalogs this process has decoded and built, so a test sees them read afresh."""
+    for cached in (_shipped, _shipped_text, _shipped_doc):
+        cached.cache_clear()
+
+
+def test_the_store_without_a_directory_returns_the_shipped_catalogs_and_derives_nothing(calls_of):
+    _forget_shipped()
+    forms, built = calls_of(graphs._canonical_bytes), calls_of(catalog.enumerate_clique_structures)
+    store = CatalogStore(None, build_missing=False)
+    for n in range(3, 8):
+        cat = store.get(n)
+        assert cat is _shipped(n) is CatalogStore(None).get(n)
+        doc = json.loads((_SHIPPED / f"k{n}.catalog.json").read_text())
+        assert catalog_to_json_dict(cat) == doc
+        assert [e.structure.hex for e in cat.entries] == [item["canonical"] for item in doc["entries"]]
+    assert forms == [] and built == []
+    # the forms taken from the files are the ones the witnesses have
+    for n in range(3, 6):
+        assert [crossing_structure(e.witness).hex for e in _shipped(n).entries] == \
+               [e.structure.hex for e in _shipped(n).entries]
+
+
+@pytest.mark.parametrize("layout", ["as_shipped", "reindented"])
+def test_a_directory_holding_the_shipped_documents_loads_them_without_canonicalizing(tmp_path, calls_of, layout):
+    for n in range(3, 8):
+        doc = json.loads((_SHIPPED / f"k{n}.catalog.json").read_text())
+        text = json.dumps(doc, sort_keys=True) if layout == "as_shipped" else json.dumps(doc, indent=4)
+        (tmp_path / f"k{n}.catalog.json").write_text(text)
+    _forget_shipped()
+    forms, built = calls_of(graphs._canonical_bytes), calls_of(catalog.enumerate_clique_structures)
+    store = CatalogStore(tmp_path, build_missing=False)
+    assert all(store.get(n) is _shipped(n) for n in range(3, 8))
+    assert forms == [] and built == []
+
+
+def _k5_doc():
+    return json.loads((_SHIPPED / "k5.catalog.json").read_text())
+
+
+@pytest.mark.parametrize("change", ["coordinate_scaled", "coordinate_as_float", "format_as_float",
+                                    "edge_end_as_bool", "canonical_swapped"])
+def test_a_document_that_differs_from_the_shipped_one_gets_the_full_check(tmp_path, calls_of, change):
+    doc = _k5_doc()
+    first, second = doc["entries"][0], doc["entries"][1]
+    if change == "coordinate_scaled":  # the same order type, so a valid catalog
+        for v in first["witness"]["vertices"]:
+            v["x"], v["y"] = 2 * v["x"], 2 * v["y"]
+    elif change == "coordinate_as_float":  # == takes 0.0 for 0, the full check does not
+        first["witness"]["vertices"][0]["x"] = float(first["witness"]["vertices"][0]["x"])
+    elif change == "format_as_float":
+        doc["format"] = 2.0
+    elif change == "edge_end_as_bool":
+        first["witness"]["edges"][0] = [False, True]
+    else:
+        first["canonical"], second["canonical"] = second["canonical"], first["canonical"]
+    assert doc == _k5_doc() or change in ("coordinate_scaled", "canonical_swapped")
+    (tmp_path / "k5.catalog.json").write_text(json.dumps(doc))
+    forms = calls_of(graphs._canonical_bytes)
+    store = CatalogStore(tmp_path, build_missing=False)
+    if change == "coordinate_scaled":
+        cat = store.get(5)
+        assert cat is not _shipped(5) and cat.canonical_forms() == _shipped(5).canonical_forms()
+        assert len(forms) == 3
+    else:
+        with pytest.raises(GraphFormatError):
+            store.get(5)
+        assert change != "canonical_swapped" or len(forms) >= 1
 
 
 def test_figure1_structures_present_in_k6_catalog(store):

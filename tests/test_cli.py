@@ -76,6 +76,14 @@ def test_x_command_unresolved_exit_code(capsys, fig6):
     assert json.loads(out) == {"status": "unresolved", "searched_to": 5}
 
 
+def test_x_without_a_catalog_reads_the_shipped_catalogs_and_builds_nothing(capsys, fig6, calls_of):
+    built = calls_of(catalog.enumerate_clique_structures)
+    shipped = run(capsys, "x", fig6)
+    assert built == []
+    assert shipped == run(capsys, "x", fig6, "--catalog", str(CACHE_DIR), "--no-build")
+    assert shipped[0] == 0 and json.loads(shipped[1])["x"] == 6
+
+
 @pytest.mark.parametrize("source", ["committed", "fresh"])
 def test_x_prints_the_witness_drawing_its_map_replays_against(capsys, tmp_path, fig6, source):
     # The map is into the labelling of the target entry's own witness, so verify replays it against the
