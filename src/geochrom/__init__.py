@@ -56,16 +56,10 @@ from .graphs import (
     min_pairwise_crossing_distance,
 )
 from .homomorphism import (
-    Coloring,
-    VertexMap,
     XResult,
     chromatic_number,
     find_geometric_hom,
     geochromatic_number,
-    is_geometric_hom,
-    is_graph_hom,
-    is_proper,
-    is_pseudo_coloring,
     pseudo_geochromatic_number,
 )
 from .lifts import (
@@ -80,6 +74,14 @@ from .obstructions import (
     DistinctnessGraph,
     geochromatic_lower_bound,
     non_identifiable_pairs,
+)
+from .verify import (
+    Coloring,
+    VertexMap,
+    is_geometric_hom,
+    is_graph_hom,
+    is_proper,
+    is_pseudo_coloring,
 )
 
 __version__ = "0.1.0"

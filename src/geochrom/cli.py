@@ -44,11 +44,8 @@ from .graphs import (
     graph_to_json_dict,
 )
 from .homomorphism import (
-    VertexMap,
     chromatic_number,
     geochromatic_number,
-    is_geometric_hom,
-    is_graph_hom,
     pseudo_geochromatic_number,
 )
 from .lifts import (
@@ -59,6 +56,7 @@ from .lifts import (
     lift_small_chi,
 )
 from .obstructions import non_identifiable_pairs
+from .verify import VertexMap, is_geometric_hom, is_graph_hom
 
 NEGATIVE_ERRORS = (DistanceTooSmall, CrossingsNotIndependent, CollapsedCrossingPair,
                    ChiOutOfRange)
@@ -91,6 +89,8 @@ def _cmd_px(args) -> int:
 
 
 def _cmd_x(args) -> int:
+    if args.no_build and args.catalog is None:  # the store without a directory never builds
+        raise ValueError("--no-build needs --catalog: without it the shipped catalogs are read and nothing is built")
     g = _load_graph(args.graph)
     store = CatalogStore(args.catalog, build_missing=not args.no_build)
     result = geochromatic_number(g, store, max_n=args.max_n)
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the shipped catalog, a missing one built there; without it the K3-K7 "
                         "catalogs shipped with the package are read and nothing is built")
     p.add_argument("--no-build", action="store_true",
-                   help="fail instead of building catalogs missing from --catalog")
+                   help="fail instead of building catalogs missing from --catalog; refused without --catalog")
     p.set_defaults(fn=_cmd_x)
 
     p = with_output(sub.add_parser("px", help="exact pseudo-geochromatic number"))

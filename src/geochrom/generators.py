@@ -25,7 +25,7 @@ from .graphs import (
     crossings_of,
     min_pairwise_crossing_distance,
 )
-from .homomorphism import Coloring, VertexMap, is_geometric_hom, is_pseudo_coloring
+from .verify import Coloring, VertexMap, is_geometric_hom, is_pseudo_coloring
 
 def _check(cond: bool, what: str) -> None:
     if not cond:

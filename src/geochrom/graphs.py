@@ -598,6 +598,7 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
     rank = {k: r for r, k in enumerate(sorted(set(keys) - {0}), isolated)}
     ids = iter(range(isolated))
     search([rank[k] if k else next(ids) for k in keys], [])
+    del search  # it names itself, a reference cycle that would hold its state until the cyclic collector ran
     return min(leaves)
 
 

@@ -34,8 +34,8 @@ from .errors import (
     _Record,
 )
 from .graphs import Crossing, CrossingStructure, GeometricGraph, _structure
-from .homomorphism import VertexMap, is_geometric_hom, is_proper
-from .search import Coloring, _noncollapsing
+from .search import _noncollapsing
+from .verify import Coloring, VertexMap, is_geometric_hom, is_proper
 
 Mod = tuple[int, int]  # (vertex id, hull label)
 

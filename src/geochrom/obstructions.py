@@ -51,7 +51,8 @@ from itertools import combinations
 
 from .errors import _Record
 from .graphs import CrossingStructure, Edge, _structure
-from .search import Coloring, _chromatic
+from .search import _chromatic
+from .verify import Coloring
 
 
 def _members(mask: int) -> list[int]:

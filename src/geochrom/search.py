@@ -25,8 +25,11 @@ A mask that empties backtracks at once. Narrowing removes only values that
 no completion of the current partial map can take, so the search visits
 the surviving branches in the same order and finds the same first map as
 one that checks each value after writing it. `_backtrack` owns the map
-and the domains it narrows, and returns the first map or None. The module
-sits below catalog, obstructions and homomorphism. The callers, their
+and the domains it narrows, and returns the first map or None. It runs as
+one loop over a stack of frames, one per mapped vertex, not as a call per
+vertex, so no source is too long for the interpreter's recursion limit.
+The module sits below catalog, obstructions and homomorphism, and above
+verify, whose Coloring it returns. The callers, their
 sources and targets (a structure, a drawing's own, is handed over whole,
 and its search views are read here), and what each adds:
 
@@ -63,23 +66,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .errors import _Record
 from .graphs import CrossingIndex, _crossing_index
-
-
-class Coloring(_Record):
-    """A map V -> {1..n}; doubles as the alpha input of the lifting methods."""
-
-    _fields = ("colors", "n")
-    colors: tuple[int, ...]
-    n: int
-
-    def __init__(self, colors: tuple[int, ...], n: int) -> None:
-        for c in colors:
-            if not 1 <= c <= n:
-                raise ValueError(f"color {c} outside 1..{n}")
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "n", n)
+from .verify import Coloring
 
 
 def _backtrack(start: Sequence[int], pick: Callable[[int, list[int], list[int]], int], adj: Sequence[int],
@@ -139,25 +127,33 @@ def _backtrack(start: Sequence[int], pick: Callable[[int, list[int], list[int]],
                     domains[p] = m
         return True
 
-    def extend(depth: int, used: int, free: int) -> bool:
-        if depth == todo:
-            return True
-        v = pick(depth, images, domains)
+    # One frame per mapped vertex: the vertex, the values it has left to try, the domains before it was
+    # mapped, and `used` and `free` as they were at its depth.
+    frames: list[tuple[int, int, list[int], int, int]] = []
+    used, free = 0, (1 << todo) - 1
+    while len(frames) < todo:
+        v = pick(len(frames), images, domains)
         free ^= 1 << v
         options = domains[v] & ((2 << used) - 1) if symmetric else domains[v]
         saved = domains[:]
-        while options:
-            low = options & -options
-            options ^= low
-            t = low.bit_length() - 1
-            images[v] = t
-            if narrow(v, t, free) and extend(depth + 1, max(used, t + 1), free):
-                return True
-            domains[:] = saved
-        images[v] = -1
-        return False
-
-    return images if extend(0, 0, (1 << todo) - 1) else None
+        while True:
+            if options:
+                low = options & -options
+                options ^= low
+                t = low.bit_length() - 1
+                images[v] = t
+                if narrow(v, t, free):
+                    frames.append((v, options, saved, used, free))
+                    used = max(used, t + 1)
+                    break
+                domains[:] = saved
+            else:  # every value of v failed: back to the vertex mapped before it, and its next value
+                images[v] = -1
+                if not frames:
+                    return None
+                v, options, saved, used, free = frames.pop()
+                domains[:] = saved
+    return images
 
 
 def _find_hom(source, target, apart: Sequence[int], start: Sequence[int]) -> list[int] | None:

@@ -84,6 +84,22 @@ def test_x_without_a_catalog_reads_the_shipped_catalogs_and_builds_nothing(capsy
     assert shipped[0] == 0 and json.loads(shipped[1])["x"] == 6
 
 
+def test_x_refuses_no_build_without_a_catalog(capsys, fig6):
+    # Without --catalog the shipped catalogs are read and nothing is ever built, so the flag could change nothing.
+    code, out, err = run(capsys, "x", fig6, "--no-build")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--catalog" in json.loads(err)["error"]
+
+
+def test_x_and_the_indep2n_lift_answer_on_a_path_longer_than_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(dumps(GeometricGraph([Point(i, i * i) for i in range(1200)], [(i, i + 1) for i in range(1199)])))
+    code, out, _ = run(capsys, "x", str(path))
+    assert code == 0 and json.loads(out)["x"] == 2
+    code, out, _ = run(capsys, "lift", str(path), "--method", "indep2n")
+    assert code == 0 and json.loads(out)["target_size"] == 4
+
+
 @pytest.mark.parametrize("source", ["committed", "fresh"])
 def test_x_prints_the_witness_drawing_its_map_replays_against(capsys, tmp_path, fig6, source):
     # The map is into the labelling of the target entry's own witness, so verify replays it against the

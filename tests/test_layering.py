@@ -2,12 +2,14 @@
 
 Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
-the ones it names. Input files are read and decoded in graphs alone, and
-only graphs tells a drawing from a crossing structure. Records compare by
-their fields, a crossing structure alone by its canonical form. A CLI
-process loads no standard module that only decorating records or exact
-fractions would need, and `import geochrom` loads every module the
-benchmark's tracer wraps.
+the ones it names. The witness records and the checks that replay every
+answer live in verify alone, which imports only the graph layer, and no
+function of the search core calls itself. Input files are read and decoded
+in graphs alone, and only graphs tells a drawing from a crossing structure.
+Records compare by their fields, a crossing structure alone by its
+canonical form. A CLI process loads no standard module that only decorating
+records or exact fractions would need, and `import geochrom` loads every
+module the benchmark's tracer wraps.
 """
 
 import ast
@@ -143,6 +145,46 @@ def _namers(name: str, called: bool = False) -> set[str]:
     for module, tree in MODULES.items():
         visit(tree, module, None, None)
     return found
+
+
+CHECKS = ("VertexMap", "Coloring", "is_graph_hom", "is_geometric_hom", "is_proper", "is_pseudo_coloring")
+
+
+def test_the_trust_base_imports_only_the_graph_layer():
+    # The witness records and the checks that replay every answer are written from the definitions alone:
+    # a solver, a catalog or the obstruction rules imported here would check themselves.
+    assert _import_graph()["verify"] == {"errors", "graphs"}
+
+
+def test_the_witness_records_and_checks_are_defined_once_in_the_trust_base():
+    defined = {(module, node.name) for module, tree in MODULES.items() for node in tree.body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in CHECKS}
+    assert defined == {("verify", name) for name in CHECKS}
+
+
+def test_every_module_takes_the_witness_records_and_checks_from_the_trust_base():
+    sources = {}
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and {alias.name for alias in node.names} & set(CHECKS):
+                sources.setdefault(module, set()).add(node.module)
+    assert sources == {module: {"verify"} for module in ("__init__", "search", "obstructions", "homomorphism",
+                                                          "lifts", "generators", "cli")}
+
+
+def test_no_function_in_the_search_core_calls_itself():
+    # A search recursing once per mapped vertex hits the interpreter's recursion limit on a long source, and
+    # a closure naming itself is a reference cycle left for the cyclic collector.
+    sample = ast.parse("def f(n):\n    def g():\n        return g()\n    return f(n)\ndef h():\n    return f(1)")
+    assert _self_callers(sample) == ["f", "g"]  # the scan sees a function and a closure
+    assert _self_callers(MODULES["search"]) == []
+
+
+def _self_callers(tree: ast.AST) -> list[str]:
+    """The functions, nested ones too, whose bodies call them by name."""
+    return sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name
+                          for node in ast.walk(fn)))
 
 
 def test_search_core_has_its_named_callers():

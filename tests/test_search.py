@@ -7,22 +7,32 @@ branches that hold no solution, so the first map must be the same map, and
 a refutation a refutation.
 """
 
+import gc
 import itertools
 import random
+import sys
 
 import pytest
 
 from geochrom import (
+    CatalogStore,
     Coloring,
+    GeometricGraph,
+    Point,
     VertexMap,
     chromatic_number,
     convex_clique,
+    crossing_structure,
     crossings_of,
     find_geometric_hom,
     find_noncollapsing_hom,
+    geochromatic_number,
+    is_geometric_hom,
     is_graph_hom,
+    is_proper,
     non_identifiable_pairs,
     random_geometric_graph,
+    star_crossing,
 )
 from geochrom import search
 from geochrom.catalog import _edge_counts, _maps_into
@@ -250,3 +260,28 @@ def test_maps_into_matches_reference_on_k7_dominance_tests(store):
         assert maps_into(a.structure, b.structure) == expected, (a.structure.hex, b.structure.hex)
         found.add(expected is None)
     assert found == {True, False}
+
+
+def test_every_search_maps_a_path_longer_than_the_recursion_limit():
+    # The search keeps one frame per mapped vertex on a list, so a source of any size maps in one call.
+    g = GeometricGraph([Point(i, i * i) for i in range(1200)], [(i, i + 1) for i in range(1199)])
+    assert g.n > sys.getrecursionlimit()
+    f = find_geometric_hom(g, convex_clique(2))
+    assert f is not None and is_geometric_hom(g, convex_clique(2), f)
+    coloring = find_noncollapsing_hom(g, 3)
+    assert coloring is not None and is_proper(g, coloring)
+    assert geochromatic_number(g, CatalogStore(None), max_n=2).n == 2
+
+
+def test_searches_and_canonical_labelling_leave_no_reference_cycle():
+    # What a search or a canonical form allocates is freed as it returns, not left for the cyclic collector.
+    g, _ = star_crossing(3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_geometric_hom(g, convex_clique(4)) is not None
+        assert find_noncollapsing_hom(g, 4) is not None
+        crossing_structure(convex_clique(8)).canonical_form
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
