@@ -491,15 +491,14 @@ class CatalogStore:
 
     Without a `directory` every size up to MAX_CATALOG_N is the catalog
     shipped in the package, and nothing is built. With one, files are named
-    k<n>.catalog.json inside it. A file whose decoded document is the shipped
-    one (compared strictly, so 2.0 or true does not pass for an int, but
-    indentation and key order do not matter) loads as the shipped catalog;
-    any other file is checked in full by catalog_from_json_dict. A missing
-    file is built and persisted there, each through a temporary file that
-    replaces it whole, unless `build_missing` is False. A `directory` that
-    exists but is not a directory raises NotADirectoryError at once, before
-    anything is built. Sizes 0, 1 and 2 are the trivial single structures
-    and never touch disk.
+    k<n>.catalog.json inside it. A file whose document encodes with sorted
+    keys as the shipped one (2.0 or true is not an int there, but indentation
+    and key order do not matter) loads as the shipped catalog; any other file
+    is checked in full by catalog_from_json_dict. A missing file is built and
+    persisted there, each through a temporary file that replaces it whole,
+    unless `build_missing` is False. A `directory` that exists but is not a
+    directory raises NotADirectoryError at once, before anything is built.
+    Sizes 0, 1 and 2 are the trivial single structures and never touch disk.
     """
 
     def __init__(self, directory: str | Path | None = None, build_missing: bool = True):
@@ -540,8 +539,8 @@ class CatalogStore:
         if not path.exists():
             return None
         doc = _read_json(path)
-        # == alone would take 2.0 or true for an int; the shipped encoding tells them apart.
-        if doc == _shipped_doc(n) and json.dumps(doc, sort_keys=True) == _shipped_text(n):
+        # Sorted-key encodings of NaN-free documents agree exactly when they are equal with strict types.
+        if json.dumps(doc, sort_keys=True) == _shipped_text(n):
             return _shipped(n)
         cat = catalog_from_json_dict(doc)
         if cat.n != n:

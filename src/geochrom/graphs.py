@@ -428,7 +428,8 @@ def _structure(g: GeometricGraph | CrossingStructure | tuple[int, Iterable[Itera
 #   subtree holds the same leaves as one already explored;
 # - orbit pruning: a branch is skipped when the automorphisms found so far
 #   that fix every vertex chosen above it map an earlier sibling onto its
-#   vertex. Each node filters the automorphisms found once, as they come.
+#   vertex. Each node keeps their orbits in a union-find, reading each
+#   automorphism once, and skips a sibling sharing a root with one tried.
 # So symmetric structures visit few leaves (the convex K_12 visits 3, and
 # star_crossing(11) 12), and most drawings, whose first refinement already
 # separates every vertex, visit one.
@@ -513,15 +514,10 @@ def _refine_partition(
         count = r + 1
 
 
-def _orbit(v: int, generators: list[list[int]]) -> set[int]:
-    orbit, stack = {v}, [v]
-    while stack:
-        u = stack.pop()
-        for g in generators:
-            if g[u] not in orbit:
-                orbit.add(g[u])
-                stack.append(g[u])
-    return orbit
+def _root(parent: list[int], u: int) -> int:
+    while parent[u] != u:
+        parent[u] = u = parent[parent[u]]  # path halving
+    return u
 
 
 def _canonical_bytes(s: CrossingStructure) -> bytes:
@@ -574,14 +570,18 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
         for c in classes:
             sizes[c] += 1
         target = next(c for c, size in enumerate(sizes) if size > 1)
-        fixing: list[list[int]] = []
+        orbit = list(range(n))
         seen = 0
         tried: list[int] = []
         for v in (u for u, c in enumerate(classes) if c == target):
             if tried:
-                fixing += [g for g in automorphisms[seen:] if all(g[u] == u for u in chosen)]
+                for g in automorphisms[seen:]:
+                    if all(g[u] == u for u in chosen):
+                        for u, w in enumerate(g):
+                            if u != w:
+                                orbit[_root(orbit, u)] = _root(orbit, w)
                 seen = len(automorphisms)
-                if not _orbit(v, fixing).isdisjoint(tried):
+                if _root(orbit, v) in {_root(orbit, u) for u in tried}:
                     continue
             tried.append(v)
             resume = search([2 * c + (c == target and u != v) for u, c in enumerate(classes)], chosen + [v])

@@ -388,6 +388,21 @@ def _cycles(*lengths, crossed=False):
     return CrossingStructure(start, edges, crossings)
 
 
+def _matching(m):
+    """m disjoint edges, no crossing: every vertex looks alike to refinement."""
+    return CrossingStructure(2 * m, [(2 * i, 2 * i + 1) for i in range(m)], [])
+
+
+def _disjoint_union(parts):
+    """The structures side by side, on consecutive ids."""
+    edges, crossings, start = [], [], 0
+    for s in parts:
+        edges += [(u + start, v + start) for u, v in s.adjacency]
+        crossings += [((a + start, b + start), (c + start, d + start)) for (a, b), (c, d) in s.crossings]
+        start += s.n
+    return CrossingStructure(start, edges, crossings)
+
+
 def test_canonical_form_matches_reference_on_catalog_structures(store):
     rng = random.Random(5)
     for n in (5, 6):
@@ -445,6 +460,11 @@ def _reference_ir_inputs(group, store):
         return [e.structure for n in range(3, 7) for e in store.get(n).entries]
     if group == "one edge plus 0..12 isolated vertices":
         return [CrossingStructure(k + 2, [(k // 2, k + 1)], []) for k in range(13)]
+    if group == "matchings m = 2..20, unions of 2-3 K4-K6 witnesses":
+        rng = random.Random(31)
+        witnesses = [e.structure for n in (4, 5, 6) for e in store.get(n).entries]
+        unions = (_disjoint_union([rng.choice(witnesses) for _ in range(rng.choice((2, 3)))]) for _ in range(20))
+        return [_matching(m) for m in range(2, 21)] + [next(_relabelings(u, rng, copies=1)) for u in unions]
     if group == "sparse drawings with isolated vertices":
         drawings = (random_geometric_graph(6 + i % 9, 0.1 + 0.05 * (i % 4), seed=900 + i) for i in range(200))
         return [s for s in map(crossing_structure, drawings) if len(set().union(*s.adjacency)) < s.n]
@@ -453,7 +473,8 @@ def _reference_ir_inputs(group, store):
 
 
 _IR_GROUPS = ["convex K4-K14", "star_crossing(1..13)", "separation_family(1..5)", "figures", "K3-K6 catalogs",
-              "300 random drawings", "one edge plus 0..12 isolated vertices", "sparse drawings with isolated vertices"]
+              "300 random drawings", "one edge plus 0..12 isolated vertices", "sparse drawings with isolated vertices",
+              "matchings m = 2..20, unions of 2-3 K4-K6 witnesses"]
 
 
 @pytest.mark.parametrize("group", _IR_GROUPS)
@@ -465,15 +486,21 @@ def test_canonical_form_equals_the_former_search_byte_for_byte(group, store):
         assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings), s
 
 
-@pytest.mark.parametrize("name, most", [("star_crossing(11)", 100), ("convex K12", 7)])
+@pytest.mark.parametrize("name, most", [("star_crossing(11)", 100), ("convex K12", 7), ("matching(50)", 2600)])
 def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
     # Counts repeat exactly on every host. Without the jump back to the common
-    # ancestor, star_crossing(11) refines 288 times.
+    # ancestor, star_crossing(11) refines 288 times. The matching's 2600 is the
+    # count of the search that walked each orbit afresh at every sibling.
     calls = []
     refine = graphs._refine_partition
     monkeypatch.setattr(graphs, "_refine_partition", lambda *args: calls.append(1) or refine(*args))
-    s = crossing_structure(_named_drawing(name))
-    assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings)
+    if name.startswith("matching"):
+        # The reference search takes minutes here. Each leaf puts every edge on two consecutive ids.
+        s = _matching(50)
+        assert s.canonical_form == _form_bytes(s.n, [2 * i * s.n + 2 * i + 1 for i in range(50)], [])
+    else:
+        s = crossing_structure(_named_drawing(name))
+        assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings)
     assert len(calls) <= most
 
 

@@ -4,12 +4,14 @@ Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
 the ones it names. The witness records and the checks that replay every
 answer live in verify alone, which imports only the graph layer, and no
-function of the search core calls itself. Input files are read and decoded
-in graphs alone, and only graphs tells a drawing from a crossing structure.
-Records compare by their fields, a crossing structure alone by its
-canonical form. A CLI process loads no standard module that only decorating
-records or exact fractions would need, and `import geochrom` loads every
-module the benchmark's tracer wraps.
+function of the search core calls itself. Canonical labelling keeps its
+orbits in one union-find per search node; the orbit walk that a reference
+search repeats at every sibling lives in the test oracles alone. Input files
+are read and decoded in graphs alone, and only graphs tells a drawing from a
+crossing structure. Records compare by their fields, a crossing structure
+alone by its canonical form. A CLI process loads no standard module that
+only decorating records or exact fractions would need, and `import geochrom`
+loads every module the benchmark's tracer wraps.
 """
 
 import ast
@@ -209,6 +211,19 @@ def test_one_serialization_and_one_refinement_make_every_canonical_form():
     # from the forms that catalog files store.
     assert _namers("_form_bytes", called=True) == {"graphs._canonical_bytes"}
     assert _namers("_refine_partition", called=True) == {"graphs._canonical_bytes"}
+
+
+def _defines(tree: ast.AST, name: str) -> bool:
+    return any(isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == name for fn in ast.walk(tree))
+
+
+def test_orbit_pruning_keeps_one_union_find_per_search_node():
+    # Each node joins the orbits of the automorphisms it reads once; the orbit walked afresh at every sibling
+    # stays in the oracles alone, as the reference search the forms are checked against.
+    assert _namers("_root", called=True) == {"graphs._canonical_bytes"}
+    assert [name for name, tree in MODULES.items() if _defines(tree, "_orbit")] == []
+    oracles = PACKAGE.parent.parent / "tests" / "oracles.py"
+    assert _defines(ast.parse(oracles.read_text(encoding="utf-8")), "_orbit")
 
 
 def test_the_solve_path_reads_int_rows():
