@@ -176,17 +176,16 @@ def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(n), 3))
 
 
-def _orientations(pts: Sequence[XY], size: int | None = None) -> list[list[list[int]]]:
+def _orientations(pts: Sequence[XY], size: int) -> list[list[list[int]]]:
     """o[i][j][k]: the sign of the turn pts[i], pts[j], pts[k] (0 when two indices are equal).
 
     This is geometry.orientation on (x, y) pairs, inlined and computed once
-    per index triple. The table has room for `size` points (len(pts) by
-    default), every entry with an index past pts left 0: the enumeration
-    builds one table per parent point set with a slot for the new point and
-    patches each face's row into it (_patched).
+    per index triple. The table has room for `size` points, every entry with
+    an index past pts left 0: the enumeration builds one table per parent
+    point set with a slot for the new point and patches each face's row into
+    it (_patched).
     """
     n = len(pts)
-    size = n if size is None else size
     o = [[[0] * size for _ in range(size)] for _ in range(size)]
     for i, j, k in _triples(n):
         (px, py), (qx, qy), (rx, ry) = pts[i], pts[j], pts[k]

@@ -33,7 +33,7 @@ import math
 from functools import cached_property
 from itertools import starmap
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import GraphFormatError, _Record
 from .geometry import Point, is_general_position
@@ -549,23 +549,8 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
     leaves: dict[bytes, tuple[list[int], list[int]]] = {}
     automorphisms: list[list[int]] = []
 
-    def search(classes: list[int], chosen: list[int]) -> int:
-        """Explore below the node reached by `chosen`; return the depth to resume at.
-
-        That is len(chosen) once the subtree is done, and the depth of the
-        common ancestor when a leaf repeats an earlier one's serialization.
-        """
-        depth = len(chosen)
-        classes = _refine_partition(classes, adj, partners)
-        if max(classes, default=-1) == n - 1:  # ranks 0..n-1: one vertex per class
-            first, first_chosen = leaves.setdefault(serialize(classes), (classes, chosen))
-            if first is classes:
-                return depth
-            vertex_at = [0] * n
-            for v, pos in enumerate(first):
-                vertex_at[pos] = v
-            automorphisms.append([vertex_at[pos] for pos in classes])
-            return next(i for i, (u, w) in enumerate(zip(chosen, first_chosen)) if u != w)
+    def children(classes: list[int], chosen: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+        """Each child (colouring, path) of the node reached by `chosen` not pruned by the automorphisms found so far."""
         sizes = [0] * n
         for c in classes:
             sizes[c] += 1
@@ -584,10 +569,7 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
                 if _root(orbit, v) in {_root(orbit, u) for u in tried}:
                     continue
             tried.append(v)
-            resume = search([2 * c + (c == target and u != v) for u, c in enumerate(classes)], chosen + [v])
-            if resume < depth:
-                return resume
-        return depth
+            yield [2 * c + (c == target and u != v) for u, c in enumerate(classes)], chosen + [v]
 
     # The start of the comment above, from one int key per vertex: degree * m
     # + crossing degree, with m above every crossing degree, so 0 exactly for
@@ -597,9 +579,26 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
     isolated = keys.count(0)
     rank = {k: r for r, k in enumerate(sorted(set(keys) - {0}), isolated)}
     ids = iter(range(isolated))
-    search([rank[k] if k else next(ids) for k in keys], [])
-    del search  # it names itself, a reference cycle that would hold its state until the cyclic collector ran
-    return min(leaves)
+    classes, chosen = [rank[k] if k else next(ids) for k in keys], []
+    path: list[Iterator[tuple[list[int], list[int]]]] = []  # the branching nodes above this one, the deepest last
+    while True:
+        classes = _refine_partition(classes, adj, partners)
+        if max(classes, default=-1) < n - 1:  # some class holds several vertices
+            path.append(children(classes, chosen))
+        else:
+            first, first_chosen = leaves.setdefault(serialize(classes), (classes, chosen))
+            if first is not classes:
+                vertex_at = [0] * n
+                for v, pos in enumerate(first):
+                    vertex_at[pos] = v
+                automorphisms.append([vertex_at[pos] for pos in classes])
+                # Jump back: the common ancestor, at the depth of the first vertex the two paths chose apart.
+                del path[next(i for i, (u, w) in enumerate(zip(chosen, first_chosen)) if u != w) + 1:]
+        while path and (node := next(path[-1], None)) is None:
+            path.pop()
+        if not path:
+            return min(leaves)
+        classes, chosen = node
 
 
 def _form_bytes(n: int, es: Sequence[int], cs: Sequence[int]) -> bytes:

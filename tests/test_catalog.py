@@ -151,7 +151,7 @@ def test_enumeration_matches_grid_oracle_and_committed_catalogs():
 
 def _key(pts):
     """The order type of pts, from its own orientation table and that table's row sums."""
-    o = _orientations(pts)
+    o = _orientations(pts, len(pts))
     return _order_type(o, _row_sums(o))
 
 
@@ -203,7 +203,7 @@ def test_each_face_patched_into_its_parents_table_gets_the_table_and_row_sums_of
             assert sums == [[sum(row) for row in plane] for plane in o]
             for row, (reach, ext) in _faces(pts).items():
                 patched = _patched(o, sums, row)
-                assert o == _orientations(ext)
+                assert o == _orientations(ext, len(ext))
                 assert patched == [[sum(r) for r in plane] for plane in o]
                 assert _order_type(o, patched) == reference_order_type(ext)
                 assert reach == max(abs(c) for p in ext for c in p)

@@ -1,8 +1,10 @@
 import gc
+import inspect
 import itertools
 import json
 import math
 import random
+import sys
 import weakref
 
 import pytest
@@ -393,6 +395,11 @@ def _matching(m):
     return CrossingStructure(2 * m, [(2 * i, 2 * i + 1) for i in range(m)], [])
 
 
+def _star(k):
+    """K_1,k with no crossing, centre 0: the search chooses its leaves one level each."""
+    return CrossingStructure(k + 1, [(0, i) for i in range(1, k + 1)], [])
+
+
 def _disjoint_union(parts):
     """The structures side by side, on consecutive ids."""
     edges, crossings, start = [], [], 0
@@ -465,6 +472,9 @@ def _reference_ir_inputs(group, store):
         witnesses = [e.structure for n in (4, 5, 6) for e in store.get(n).entries]
         unions = (_disjoint_union([rng.choice(witnesses) for _ in range(rng.choice((2, 3)))]) for _ in range(20))
         return [_matching(m) for m in range(2, 21)] + [next(_relabelings(u, rng, copies=1)) for u in unions]
+    if group == "paths P_2..P_40, stars K_1,2..12":
+        return [CrossingStructure(k, [(i, i + 1) for i in range(k - 1)], []) for k in range(2, 41)] + [
+            _star(k) for k in range(2, 13)]
     if group == "sparse drawings with isolated vertices":
         drawings = (random_geometric_graph(6 + i % 9, 0.1 + 0.05 * (i % 4), seed=900 + i) for i in range(200))
         return [s for s in map(crossing_structure, drawings) if len(set().union(*s.adjacency)) < s.n]
@@ -474,7 +484,7 @@ def _reference_ir_inputs(group, store):
 
 _IR_GROUPS = ["convex K4-K14", "star_crossing(1..13)", "separation_family(1..5)", "figures", "K3-K6 catalogs",
               "300 random drawings", "one edge plus 0..12 isolated vertices", "sparse drawings with isolated vertices",
-              "matchings m = 2..20, unions of 2-3 K4-K6 witnesses"]
+              "matchings m = 2..20, unions of 2-3 K4-K6 witnesses", "paths P_2..P_40, stars K_1,2..12"]
 
 
 @pytest.mark.parametrize("group", _IR_GROUPS)
@@ -486,11 +496,13 @@ def test_canonical_form_equals_the_former_search_byte_for_byte(group, store):
         assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings), s
 
 
-@pytest.mark.parametrize("name, most", [("star_crossing(11)", 100), ("convex K12", 7), ("matching(50)", 2600)])
+@pytest.mark.parametrize("name, most", [("star_crossing(11)", 100), ("convex K12", 7), ("matching(50)", 2600),
+                                        ("star K1,40", 820)])
 def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
     # Counts repeat exactly on every host. Without the jump back to the common
     # ancestor, star_crossing(11) refines 288 times. The matching's 2600 is the
-    # count of the search that walked each orbit afresh at every sibling.
+    # count of the search that walked each orbit afresh at every sibling. The
+    # star K_1,k branches k - 1 levels deep and refines k(k + 1)/2 times.
     calls = []
     refine = graphs._refine_partition
     monkeypatch.setattr(graphs, "_refine_partition", lambda *args: calls.append(1) or refine(*args))
@@ -498,6 +510,10 @@ def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
         # The reference search takes minutes here. Each leaf puts every edge on two consecutive ids.
         s = _matching(50)
         assert s.canonical_form == _form_bytes(s.n, [2 * i * s.n + 2 * i + 1 for i in range(50)], [])
+    elif name.startswith("star K"):
+        # So does this one. Each leaf puts the centre last.
+        s = _star(40)
+        assert s.canonical_form == _form_bytes(41, [i * 41 + 40 for i in range(40)], [])
     else:
         s = crossing_structure(_named_drawing(name))
         assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings)
@@ -652,6 +668,18 @@ def test_isolated_vertices_are_never_branched_on(monkeypatch):
     for s in (one_edge, edgeless):
         for copy in _relabelings(s, random.Random(19), copies=2):
             assert copy.canonical_form == s.canonical_form
+
+
+def test_a_deep_branch_stays_clear_of_the_recursion_limit():
+    # The star K_1,100 branches 99 levels deep. A search that called itself per level needed about 103 frames.
+    expected = _star(100).canonical_form
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        form = _star(100).canonical_form
+    finally:
+        sys.setrecursionlimit(limit)
+    assert form == expected
 
 
 def test_canonical_form_of_structures_beyond_256_vertices():

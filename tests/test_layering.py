@@ -4,14 +4,15 @@ Every import sits at the top of its module, and the imports between the
 package's modules form no cycle, so each module can be read and loaded after
 the ones it names. The witness records and the checks that replay every
 answer live in verify alone, which imports only the graph layer, and no
-function of the search core calls itself. Canonical labelling keeps its
-orbits in one union-find per search node; the orbit walk that a reference
-search repeats at every sibling lives in the test oracles alone. Input files
-are read and decoded in graphs alone, and only graphs tells a drawing from a
-crossing structure. Records compare by their fields, a crossing structure
-alone by its canonical form. A CLI process loads no standard module that
-only decorating records or exact fractions would need, and `import geochrom`
-loads every module the benchmark's tracer wraps.
+function calls itself but the order-type extension, whose depth the catalog
+size bounds. Canonical labelling keeps its orbits in one union-find per
+search node; the orbit walk that a reference search repeats at every sibling
+lives in the test oracles alone. Input files are read and decoded in graphs
+alone, and only graphs tells a drawing from a crossing structure. Records
+compare by their fields, a crossing structure alone by its canonical form. A
+CLI process loads no standard module that only decorating records or exact
+fractions would need, and `import geochrom` loads every module the
+benchmark's tracer wraps.
 """
 
 import ast
@@ -174,12 +175,13 @@ def test_every_module_takes_the_witness_records_and_checks_from_the_trust_base()
                                                           "lifts", "generators", "cli")}
 
 
-def test_no_function_in_the_search_core_calls_itself():
-    # A search recursing once per mapped vertex hits the interpreter's recursion limit on a long source, and
-    # a closure naming itself is a reference cycle left for the cyclic collector.
+def test_no_function_calls_itself_but_the_bounded_order_type_extension():
+    # A search recursing once per mapped vertex or branching level hits the interpreter's recursion limit on a
+    # large input, and a closure naming itself is a reference cycle left for the cyclic collector. The order
+    # types of n points extend those of n - 1, one level per point, and n stops at MAX_CATALOG_N.
     sample = ast.parse("def f(n):\n    def g():\n        return g()\n    return f(n)\ndef h():\n    return f(1)")
     assert _self_callers(sample) == ["f", "g"]  # the scan sees a function and a closure
-    assert _self_callers(MODULES["search"]) == []
+    assert [f"{name}.{fn}" for name, tree in MODULES.items() for fn in _self_callers(tree)] == ["catalog._order_types"]
 
 
 def _self_callers(tree: ast.AST) -> list[str]:
