@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .catalog import convex_clique
 from .errors import UnknownFigure
-from .geometry import Point, is_general_position, regular_polygon_points
+from .geometry import Point, _distinct_slopes, is_general_position, regular_polygon_points
 from .graphs import (
     Crossing,
     GeometricGraph,
@@ -201,11 +201,14 @@ def random_geometric_graph(
         raise ValueError("min_crossing_distance must be 0, 1 or 2")
     rng = random.Random(seed)
     span = 10**6
-    pts: list[Point] = []
-    while len(pts) < vertex_count:
-        cand = Point(rng.randint(-span, span), rng.randint(-span, span))
-        if is_general_position(pts + [cand]):
-            pts.append(cand)
+    # The kept points are in general position, so a candidate keeps them so
+    # when it is new and no two of them are collinear with it: O(n) each.
+    kept_xy: list[tuple[int, int]] = []
+    while len(kept_xy) < vertex_count:
+        cand = rng.randint(-span, span), rng.randint(-span, span)
+        if cand not in kept_xy and _distinct_slopes(*cand, kept_xy):
+            kept_xy.append(cand)
+    pts = [Point(x, y) for x, y in kept_xy]
     edges = [
         (u, v)
         for u, v in combinations(range(vertex_count), 2)

@@ -2,7 +2,7 @@
 
 Every answer here is exact, from integer arithmetic. No epsilons: crossing
 relations are combinatorial facts and the rest of the package relies on these
-predicates being exact. The one float, a slope in is_general_position, is
+predicates being exact. The one float, a slope in _distinct_slopes, is
 correctly rounded and read only where it proves two slopes distinct.
 """
 
@@ -74,13 +74,25 @@ def segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
 def is_general_position(points: Sequence[Point]) -> bool:
     """True iff all points are distinct and no three are collinear.
 
-    O(n^2), on exact ints. With the distinct points sorted by (x, y), every
-    later point q seen from p has dx > 0, or dx = 0 and dy > 0, so p and two
-    later points are collinear exactly when their directions from p are
-    parallel, which in that half-plane means equal slopes dy/dx or both dx = 0.
-    So a slope key, with None for dx = 0, repeats among p's later points
-    exactly when p is collinear with two of them, and every collinear triple is
-    seen from its least point.
+    O(n^2), on exact ints. With the distinct points sorted by (x, y), each
+    point and two later ones are collinear exactly when _distinct_slopes
+    finds a repeat among the slopes to its later points, so every collinear
+    triple is seen from its least point.
+    """
+    pts = sorted({(p.x, p.y) for p in points})
+    if len(pts) != len(points):
+        return False
+    return all(_distinct_slopes(px, py, pts[i + 1:]) for i, (px, py) in enumerate(pts))
+
+
+def _distinct_slopes(px: int, py: int, others: Sequence[tuple[int, int]]) -> bool:
+    """True iff no two of the points `others`, none of them (px, py), are collinear with (px, py).
+
+    Two of them are collinear with p exactly when their directions from p are
+    parallel, that is when their slopes dy/dx from p are equal or both dx = 0.
+    A direction and its reverse have one slope, so the points may lie on any
+    side of p. So a slope key, with None for dx = 0, repeats exactly when p is
+    collinear with two of them.
 
     The float dy / dx comes first. Int true division is correctly rounded, so
     a slope, a rational, has one float, whatever dy and dx name it: equal
@@ -89,20 +101,13 @@ def is_general_position(points: Sequence[Point]) -> bool:
     though, so a repeat falls back to exact keys, floor(dy * 2^64 / dx),
     (dy << 64) // dx.
     Equal slopes give equal keys. Distinct ones differ by at least
-    1 / (dx1 * dx2) >= 2^-62, since COORD_BOUND keeps |dx| and |dy| at most
+    1 / |dx1 * dx2| >= 2^-62, since COORD_BOUND keeps |dx| and |dy| at most
     2^31. Scaled by 2^64 they differ by at least 4, so their floors differ by
     more than 3: no two distinct slopes share a key.
     """
-    pts = sorted({(p.x, p.y) for p in points})
-    if len(pts) != len(points):
-        return False
-    for i, (px, py) in enumerate(pts):
-        later = pts[i + 1:]
-        if len({(qy - py) / (qx - px) if qx != px else None for qx, qy in later}) < len(later):
-            keys = {((qy - py) << 64) // (qx - px) if qx != px else None for qx, qy in later}
-            if len(keys) < len(later):
-                return False
-    return True
+    if len({(qy - py) / (qx - px) if qx != px else None for qx, qy in others}) == len(others):
+        return True
+    return len({((qy - py) << 64) // (qx - px) if qx != px else None for qx, qy in others}) == len(others)
 
 
 def convex_crossing_rule(n: int, e1: Iterable[int], e2: Iterable[int]) -> bool:

@@ -430,9 +430,21 @@ def _structure(g: GeometricGraph | CrossingStructure | tuple[int, Iterable[Itera
 #   that fix every vertex chosen above it map an earlier sibling onto its
 #   vertex. Each node keeps their orbits in a union-find, reading each
 #   automorphism once, and skips a sibling sharing a root with one tried.
+#
+# A third cut needs no leaf: twins. Two vertices u and v of the class a node
+# branches on are twins when they have the same neighbours and the same
+# crossing partner list. Equal neighbour sets make them non-adjacent. Equal
+# partner lists rule out a crossing of an edge at u with an edge at v, as it
+# would show in v's list as a crossing of two edges at v, which a structure
+# refuses. So swapping u and v alone is an automorphism, which fixes every
+# chosen vertex and maps v's subtree onto u's, and the node joins each set of
+# twins in its union-find before its first child. Only that class is scanned,
+# and only at a node that branches: neighbour sets first, partner lists
+# within a repeat.
 # So symmetric structures visit few leaves (the convex K_12 visits 3, and
-# star_crossing(11) 12), and most drawings, whose first refinement already
-# separates every vertex, visit one.
+# star_crossing(11) 2), the star K_1,k refines k times, not k(k + 1)/2, and
+# most drawings, whose first refinement already separates every vertex,
+# visit one.
 #
 # Every order of the isolated vertices gives the same leaves, so the search
 # starts with each in a class of its own, ranked ahead of all other vertices,
@@ -550,15 +562,28 @@ def _canonical_bytes(s: CrossingStructure) -> bytes:
     automorphisms: list[list[int]] = []
 
     def children(classes: list[int], chosen: list[int]) -> Iterator[tuple[list[int], list[int]]]:
-        """Each child (colouring, path) of the node reached by `chosen` not pruned by the automorphisms found so far."""
+        """Each child (colouring, path) of the node reached by `chosen` that neither twins nor automorphisms prune."""
         sizes = [0] * n
         for c in classes:
             sizes[c] += 1
         target = next(c for c, size in enumerate(sizes) if size > 1)
+        members = [u for u, c in enumerate(classes) if c == target]
         orbit = list(range(n))
+        # Twins share one orbit from the start (see the comment above).
+        by_neighbours: dict[tuple[int, ...], list[int]] = {}
+        for u in members:
+            by_neighbours.setdefault(tuple(sorted(adj[u])), []).append(u)
+        for same in by_neighbours.values():
+            if len(same) > 1:
+                by_partners: dict[tuple[tuple[int, int, int], ...], list[int]] = {}
+                for u in same:
+                    by_partners.setdefault(tuple(sorted(partners[u])), []).append(u)
+                for twins in by_partners.values():
+                    for u in twins[1:]:
+                        orbit[u] = twins[0]
         seen = 0
         tried: list[int] = []
-        for v in (u for u, c in enumerate(classes) if c == target):
+        for v in members:
             if tried:
                 for g in automorphisms[seen:]:
                     if all(g[u] == u for u in chosen):

@@ -423,16 +423,20 @@ def reference_random_geometric_graph(vertex_count, edge_probability, min_crossin
     """(points, kept edges) of the seeded drawing, by the generator's former deletion loop.
 
     Draws as random_geometric_graph does: integer points in general
-    position, then one coin per vertex pair. While reference_crossings_too_close
-    names a conflict, it deletes the second edge of that crossing and rescans
-    the whole crossing list for the crossings that edge was on.
+    position, then one coin per vertex pair. A candidate point is kept when
+    it is new and no two kept points are collinear with it, checked pair by
+    pair with orient: cubic in the point count, as the generator's loop was
+    before it compared slopes from the candidate. While
+    reference_crossings_too_close names a conflict, it deletes the second
+    edge of that crossing and rescans the whole crossing list for the
+    crossings that edge was on.
     """
     rng = random.Random(seed)
     span = 10**6
     points = []
     while len(points) < vertex_count:
         cand = (rng.randint(-span, span), rng.randint(-span, span))
-        if general_position(points + [cand]):
+        if cand not in points and all(orient(a, b, cand) != 0 for a, b in itertools.combinations(points, 2)):
             points.append(cand)
     edges = [(u, v) for u, v in itertools.combinations(range(vertex_count), 2) if rng.random() < edge_probability]
     crossings = sorted(_EdgePair(*c) for c in crossing_pairs_raw(points, edges))

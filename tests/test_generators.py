@@ -148,9 +148,12 @@ def test_random_graph_meets_rare_distance_constraints(args):
 
 
 def test_random_graph_matches_the_rescanning_reference():
-    # Deleting through a per-edge index of the crossings keeps the draw of the former full rescan.
+    # Deleting through a per-edge index of the crossings keeps the draw of the former full rescan, and checking
+    # each candidate point by its slopes to the kept points, O(n) a candidate, keeps the points of the cubic loop.
     thinned = 0
-    for i, (v, p, k) in enumerate((v, p, k) for v in (8, 16, 26, 40) for p in (0.2, 0.35, 0.5) for k in (0, 1, 2)):
+    cases = [(v, p, k) for v in (8, 16, 26, 40) for p in (0.2, 0.35, 0.5) for k in (0, 1, 2)]
+    cases += [(v, p, k) for v, p in ((60, 0.05), (120, 0.01), (200, 0.004)) for k in (0, 1, 2)]
+    for i, (v, p, k) in enumerate(cases):
         g = random_geometric_graph(v, p, min_crossing_distance=k, seed=300 + i)
         points, edges = reference_random_geometric_graph(v, p, k, 300 + i)
         assert [(q.x, q.y) for q in g.points] == points, (v, p, k)

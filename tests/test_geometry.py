@@ -17,6 +17,7 @@ from geochrom import (
     regular_polygon_points,
     segments_cross,
 )
+from geochrom.geometry import _distinct_slopes
 from oracles import fraction_segments_cross, general_position, orient, rational_segments_cross
 
 coords = st.integers(min_value=-1000, max_value=1000)
@@ -155,6 +156,26 @@ def test_general_position_separates_slopes_2_to_the_minus_62_apart():
     for pts in ([p, q, r, on_qr], vertical, [p, q, r, p]):
         assert not general_position(pts)
         assert not is_general_position([Point(*a) for a in pts]), pts
+
+
+def test_distinct_slopes_sees_points_on_every_side():
+    # The generator asks it about a candidate and the kept points, which lie in every direction from it, so a
+    # direction and its reverse must share a key. Checked against orient on grids where collinear triples are
+    # common, the near-bound one included.
+    rng = random.Random(8)
+    near_bound = [-COORD_BOUND + d for d in range(3)] + list(range(-2, 3)) + [COORD_BOUND - d for d in range(3)]
+    answers = set()
+    for trial in range(3000):
+        values = range(-3, 4) if trial < 2500 else near_bound
+        p = (rng.choice(values), rng.choice(values))
+        others = list({(rng.choice(values), rng.choice(values)) for _ in range(rng.randint(0, 6))} - {p})
+        expected = all(orient(p, q, r) != 0 for q, r in itertools.combinations(others, 2))
+        assert _distinct_slopes(*p, others) == expected, (p, others)
+        answers.add(expected)
+    assert answers == {True, False}
+    assert not _distinct_slopes(0, 0, [(1, 1), (-2, -2)])
+    assert not _distinct_slopes(0, 0, [(0, 1), (0, -3)])
+    assert _distinct_slopes(0, 0, [(1, 2), (-1, 2), (2, -1)])
 
 
 def test_figure1_left_points_are_general_position():

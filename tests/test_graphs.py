@@ -475,6 +475,8 @@ def _reference_ir_inputs(group, store):
     if group == "paths P_2..P_40, stars K_1,2..12":
         return [CrossingStructure(k, [(i, i + 1) for i in range(k - 1)], []) for k in range(2, 41)] + [
             _star(k) for k in range(2, 13)]
+    if group == "twins: K_2,k, K_3,k, double stars, relabelled star_crossing(2..9) and unions, near twins":
+        return _twin_rich_inputs()
     if group == "sparse drawings with isolated vertices":
         drawings = (random_geometric_graph(6 + i % 9, 0.1 + 0.05 * (i % 4), seed=900 + i) for i in range(200))
         return [s for s in map(crossing_structure, drawings) if len(set().union(*s.adjacency)) < s.n]
@@ -482,9 +484,33 @@ def _reference_ir_inputs(group, store):
             for i in range(300)]
 
 
+def _twin_rich_inputs():
+    """Structures whose branching classes hold twins: equal neighbours, and equal crossing partners or not."""
+    rng = random.Random(48)
+    bipartite = [CrossingStructure(a + k, [(u, a + v) for u in range(a) for v in range(k)], [])
+                 for a in (2, 3) for k in range(1, 7)]
+    # Two centres, joined or not, with a and b pendant leaves.
+    double_stars = [CrossingStructure(2 + a + b, [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+                                      + [(0, 1)] * joined, [])
+                    for a, b in ((1, 1), (2, 2), (2, 3), (3, 5), (4, 4)) for joined in (0, 1)]
+    stars = [crossing_structure(star_crossing(k)[0]) for k in range(2, 10)]
+    unions = [_disjoint_union(rng.sample(stars, 2)) for _ in range(6)]
+    relabelled = [next(_relabelings(s, rng, copies=1)) for s in stars + unions]
+    near_twins = [
+        # Leaves 1 and 2 share their partner list; leaf 3 shares their centre but crosses nothing.
+        CrossingStructure(6, [(0, 1), (0, 2), (0, 3), (4, 5)], [((0, 1), (4, 5)), ((0, 2), (4, 5))]),
+        # 2, 3 and 4 share neighbours and crossing degree but no partner list: joined on neighbours alone, their
+        # orbit would skip the branch that holds the least leaf.
+        CrossingStructure(6, [(0, 2), (0, 3), (0, 4), (0, 5), (2, 5), (3, 5), (4, 5)],
+                          [((0, 2), (3, 5)), ((0, 4), (2, 5)), ((0, 4), (3, 5))]),
+    ]
+    return bipartite + double_stars + relabelled + near_twins
+
+
 _IR_GROUPS = ["convex K4-K14", "star_crossing(1..13)", "separation_family(1..5)", "figures", "K3-K6 catalogs",
               "300 random drawings", "one edge plus 0..12 isolated vertices", "sparse drawings with isolated vertices",
-              "matchings m = 2..20, unions of 2-3 K4-K6 witnesses", "paths P_2..P_40, stars K_1,2..12"]
+              "matchings m = 2..20, unions of 2-3 K4-K6 witnesses", "paths P_2..P_40, stars K_1,2..12",
+              "twins: K_2,k, K_3,k, double stars, relabelled star_crossing(2..9) and unions, near twins"]
 
 
 @pytest.mark.parametrize("group", _IR_GROUPS)
@@ -496,13 +522,15 @@ def test_canonical_form_equals_the_former_search_byte_for_byte(group, store):
         assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings), s
 
 
-@pytest.mark.parametrize("name, most", [("star_crossing(11)", 100), ("convex K12", 7), ("matching(50)", 2600),
-                                        ("star K1,40", 820)])
+@pytest.mark.parametrize("name, most", [("star_crossing(11)", 13), ("convex K12", 7), ("matching(50)", 2600),
+                                        ("star K1,40", 40), ("star K1,400", 400)])
 def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
     # Counts repeat exactly on every host. Without the jump back to the common
-    # ancestor, star_crossing(11) refines 288 times. The matching's 2600 is the
-    # count of the search that walked each orbit afresh at every sibling. The
-    # star K_1,k branches k - 1 levels deep and refines k(k + 1)/2 times.
+    # ancestor, star_crossing(11) refines 288 times, and 78 without the twins
+    # cut. The matching's 2600 is the count of the search that walked each
+    # orbit afresh at every sibling. The star K_1,k branches k - 1 levels deep
+    # and refines k times: its leaves are twins, so each level tries one of
+    # them. Tried one by one, they took k(k + 1)/2 refinements.
     calls = []
     refine = graphs._refine_partition
     monkeypatch.setattr(graphs, "_refine_partition", lambda *args: calls.append(1) or refine(*args))
@@ -512,8 +540,9 @@ def test_symmetric_inputs_refine_few_times(name, most, monkeypatch):
         assert s.canonical_form == _form_bytes(s.n, [2 * i * s.n + 2 * i + 1 for i in range(50)], [])
     elif name.startswith("star K"):
         # So does this one. Each leaf puts the centre last.
-        s = _star(40)
-        assert s.canonical_form == _form_bytes(41, [i * 41 + 40 for i in range(40)], [])
+        k = int(name[len("star K1,"):])
+        s = _star(k)
+        assert s.canonical_form == _form_bytes(k + 1, [i * (k + 1) + k for i in range(k)], [])
     else:
         s = crossing_structure(_named_drawing(name))
         assert s.canonical_form == reference_ir_canonical_form(s.n, s.adjacency, s.crossings)
@@ -562,7 +591,8 @@ def test_random_drawings_refine_in_a_fixed_number_of_passes(monkeypatch):
     # Counts repeat exactly on every host. Confirming each discrete colouring
     # with one more pass, the same forms took 983 passes; stopping at a
     # discrete colouring, 598, when each search began with a pass from the
-    # uniform colouring.
+    # uniform colouring; 316 when each twin was branched on, before the
+    # twins cut skipped their subtrees.
     structures = _reference_ir_inputs("300 random drawings", None)
     passes = 0
     refine = graphs._refine_partition
@@ -577,7 +607,7 @@ def test_random_drawings_refine_in_a_fixed_number_of_passes(monkeypatch):
     monkeypatch.setattr(graphs, "_refine_partition", counting)
     for s in structures:
         assert s.canonical_form
-    assert passes == 316
+    assert passes == 310
 
 
 @pytest.mark.parametrize("group", _IR_GROUPS)

@@ -7,12 +7,13 @@ answer live in verify alone, which imports only the graph layer, and no
 function calls itself but the order-type extension, whose depth the catalog
 size bounds. Canonical labelling keeps its orbits in one union-find per
 search node; the orbit walk that a reference search repeats at every sibling
-lives in the test oracles alone. Input files are read and decoded in graphs
-alone, and only graphs tells a drawing from a crossing structure. Records
-compare by their fields, a crossing structure alone by its canonical form. A
-CLI process loads no standard module that only decorating records or exact
-fractions would need, and `import geochrom` loads every module the
-benchmark's tracer wraps.
+lives in the test oracles alone. One slope rule decides general position,
+for a drawing and for the random generator's candidates alike. Input files
+are read and decoded in graphs alone, and only graphs tells a drawing from a
+crossing structure. Records compare by their fields, a crossing structure
+alone by its canonical form. A CLI process loads no standard module that
+only decorating records or exact fractions would need, and `import geochrom`
+loads every module the benchmark's tracer wraps.
 """
 
 import ast
@@ -226,6 +227,13 @@ def test_orbit_pruning_keeps_one_union_find_per_search_node():
     assert [name for name, tree in MODULES.items() if _defines(tree, "_orbit")] == []
     oracles = PACKAGE.parent.parent / "tests" / "oracles.py"
     assert _defines(ast.parse(oracles.read_text(encoding="utf-8")), "_orbit")
+
+
+def test_one_slope_rule_decides_general_position():
+    # A drawing's check and the random generator's candidate check both read the slopes from a point, so general
+    # position stays one rule.
+    assert _namers("_distinct_slopes", called=True) == {"geometry.is_general_position",
+                                                       "generators.random_geometric_graph"}
 
 
 def test_the_solve_path_reads_int_rows():
