@@ -39,14 +39,15 @@ are the most possible, is always maximal.
 
 The K3-K7 catalogs ship with the package (catalogs/k<n>.catalog.json),
 written by `geochrom catalog --n N --out DIR`; the tests pin each file byte
-for byte to the enumerator's output. A store without a directory returns
-them and builds nothing, and a store with one returns them for a file
-whose decoded document is the shipped one: each is decoded once per
-process, its witnesses are built and checked as drawings, and each form is
-read from its `canonical` field, not recomputed. Any other file gets the
-full check of catalog_from_json_dict, and a missing one is built. A
-catalog is written as the C-encoded `json.dumps(doc, sort_keys=True)` and a
-newline, in one write to a temporary file that replaces the target whole.
+for byte to the enumerator's output, so each was proved complete by the
+count check when it was written. They are the only documents a catalog is
+read from: each is decoded once per process, its witnesses are built and
+checked as drawings, and each form is read from its `canonical` field, not
+recomputed. A store without a directory returns them and builds nothing. A
+store with one returns them for a file whose decoded document is the
+shipped one, refuses any other file, and builds a missing one. A catalog is
+written as the C-encoded `json.dumps(doc, sort_keys=True)` and a newline, in
+one write to a temporary file that replaces the target whole.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import os
 from functools import cached_property, lru_cache
 from math import comb, gcd
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import CatalogMissing, GraphFormatError, SizeUnsupported, _Record
 from .geometry import regular_polygon_points
@@ -414,47 +415,6 @@ def catalog_to_json_dict(cat: CliqueCatalog) -> dict:
     }
 
 
-def _field(doc, key: str, kind: type):
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise GraphFormatError(f"catalog JSON needs a {kind.__name__} '{key}'")
-    return value
-
-
-def catalog_from_json_dict(doc: Mapping) -> CliqueCatalog:
-    """A complete catalog from its JSON form, each entry checked against its witness.
-
-    Raises GraphFormatError unless `n` is an int in 3..MAX_CATALOG_N,
-    `format` is the int _CATALOG_FORMAT (the message for an older file names
-    the command that rebuilds it) and `entries` a list of objects whose
-    `witness` is the complete graph on n vertices and whose `canonical` is
-    the hex of that witness's crossing structure, with every K_n structure
-    there exactly once. Each entry is realized by its own witness, so
-    distinct forms in the known number (_STRUCTURE_COUNTS) prove the
-    catalog complete.
-    """
-    n = _field(doc, "n", int)
-    if n not in _STRUCTURE_COUNTS:
-        raise GraphFormatError(f"catalog JSON has n={n}; catalogs exist for n in 3..{MAX_CATALOG_N}")
-    version = doc.get("format", 1)
-    if type(version) is not int or version != _CATALOG_FORMAT:
-        raise GraphFormatError(f"catalog JSON for n={n} is in format {version!r}, not {_CATALOG_FORMAT}, and its "
-                               f"canonical forms are stale; rebuild it with `geochrom catalog --n {n} --out DIR`")
-    entries = []
-    for item in _field(doc, "entries", list):
-        witness = graph_from_json_dict(_field(item, "witness", dict))
-        if witness.n != n or len(witness.edges) != comb(n, 2):
-            raise GraphFormatError(f"catalog entry for n={n} is not a complete graph on {n} vertices")
-        if witness.structure.hex != _field(item, "canonical", str):
-            raise GraphFormatError(f"catalog entry for n={n} does not realize its recorded canonical form")
-        entries.append(CatalogEntry(witness))
-    distinct = len({e.structure.canonical_form for e in entries})
-    if not distinct == len(entries) == _STRUCTURE_COUNTS[n]:
-        raise GraphFormatError(f"catalog for n={n} holds {distinct} distinct structures in {len(entries)} "
-                               f"entries, not the {_STRUCTURE_COUNTS[n]} structures of K_{n}")
-    return CliqueCatalog(n=n, entries=tuple(_convex_first(n, entries)))
-
-
 @lru_cache(maxsize=None)
 def _shipped_doc(n: int) -> dict:
     """The decoded catalog file for n shipped in the package, read once per process."""
@@ -490,14 +450,16 @@ class CatalogStore:
 
     Without a `directory` every size up to MAX_CATALOG_N is the catalog
     shipped in the package, and nothing is built. With one, files are named
-    k<n>.catalog.json inside it. A file whose document encodes with sorted
-    keys as the shipped one (2.0 or true is not an int there, but indentation
-    and key order do not matter) loads as the shipped catalog; any other file
-    is checked in full by catalog_from_json_dict. A missing file is built and
-    persisted there, each through a temporary file that replaces it whole,
-    unless `build_missing` is False. A `directory` that exists but is not a
-    directory raises NotADirectoryError at once, before anything is built.
-    Sizes 0, 1 and 2 are the trivial single structures and never touch disk.
+    k<n>.catalog.json inside it. A file loads only as the shipped catalog: its
+    document must encode with sorted keys as the shipped one (2.0 or true is
+    not an int there, but indentation and key order do not matter), and any
+    other file raises GraphFormatError naming it and the command that
+    rebuilds it. A missing file is built and persisted there, each through a
+    temporary file that replaces it whole, unless `build_missing` is False.
+    A `directory` that exists but is not a directory raises
+    NotADirectoryError at once, before anything is built. Sizes 0, 1 and 2
+    are the trivial single structures and never touch disk; a size that is
+    not a non-negative int raises ValueError.
     """
 
     def __init__(self, directory: str | Path | None = None, build_missing: bool = True):
@@ -513,8 +475,8 @@ class CatalogStore:
         return self.directory / f"k{n}.catalog.json"
 
     def get(self, n: int) -> CliqueCatalog:
-        if n < 0:
-            raise ValueError(f"no cliques of size {n}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"n must be a non-negative int, got {n!r}")
         if n in self._cache:
             return self._cache[n]
         if n <= 2:
@@ -537,14 +499,11 @@ class CatalogStore:
             return _shipped(n)
         if not path.exists():
             return None
-        doc = _read_json(path)
         # Sorted-key encodings of NaN-free documents agree exactly when they are equal with strict types.
-        if json.dumps(doc, sort_keys=True) == _shipped_text(n):
-            return _shipped(n)
-        cat = catalog_from_json_dict(doc)
-        if cat.n != n:
-            raise GraphFormatError(f"{path} holds the catalog for n={cat.n}, not n={n}")
-        return cat
+        if json.dumps(_read_json(path), sort_keys=True) != _shipped_text(n):
+            raise GraphFormatError(f"{path} is not the K{n} catalog this version ships; "
+                                   f"rebuild it with `geochrom catalog --n {n} --out DIR`")
+        return _shipped(n)
 
     def _persist(self, cat: CliqueCatalog) -> None:
         path = self.path_for(cat.n)

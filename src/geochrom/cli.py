@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=MAX_CATALOG_N, dest="max_n")
     p.add_argument("--catalog", default=None,
-                   help="directory with k<n>.catalog.json files, each checked in full unless it is "
-                        "the shipped catalog, a missing one built there; without it the K3-K7 "
+                   help="directory with k<n>.catalog.json files, each refused unless it is the "
+                        "shipped catalog, a missing one built there; without it the K3-K7 "
                         "catalogs shipped with the package are read and nothing is built")
     p.add_argument("--no-build", action="store_true",
                    help="fail instead of building catalogs missing from --catalog; refused without --catalog")

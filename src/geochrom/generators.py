@@ -22,10 +22,10 @@ from .graphs import (
     Crossing,
     GeometricGraph,
     _crossing_gap,
-    crossings_of,
     min_pairwise_crossing_distance,
 )
 from .verify import Coloring, VertexMap, is_geometric_hom, is_pseudo_coloring
+
 
 def _check(cond: bool, what: str) -> None:
     if not cond:
@@ -62,7 +62,7 @@ def star_crossing(k: int) -> tuple[GeometricGraph, VertexMap]:
     edges = [(0, i) for i in range(1, k + 1)] + [(k + 1, k + 2)]
     g = GeometricGraph.build(pts, edges)
     want = {Crossing.make((0, i), (k + 1, k + 2)) for i in range(1, k + 1)}
-    _check(crossings_of(g) == frozenset(want), f"star_crossing({k}) crossing set")
+    _check(g.crossings == frozenset(want), f"star_crossing({k}) crossing set")
     images = [0] + [2] * k + [1, 3]
     beta = VertexMap(tuple(images), 4)
     _check(is_geometric_hom(g, convex_clique(4), beta), f"star_crossing({k}) bundled map")
@@ -83,8 +83,8 @@ def separation_family(n: int) -> GeometricGraph:
     pts = regular_polygon_points(3 * m)
     edges = [(0, m), (0, 2 * m), (m, 2 * m)]
     for i in range(2, m):
-        edges.append(tuple(sorted((i - 1, m + i - 1))))
-        edges.append(tuple(sorted((i - 1, 2 * m + i - 1))))
+        edges.append((i - 1, m + i - 1))
+        edges.append((i - 1, 2 * m + i - 1))
     return GeometricGraph.build(pts, edges)
 
 
@@ -145,7 +145,7 @@ def figure_graphs(which: str) -> GeometricGraph:
 
 
 def _vertex_has_all_edges_crossed(g: GeometricGraph) -> bool:
-    crossed = set().union(*crossings_of(g))
+    crossed = set().union(*g.crossings)
     for v in range(g.n):
         incident = [e for e in g.edges if v in e]
         if incident and all(e in crossed for e in incident):
@@ -154,12 +154,12 @@ def _vertex_has_all_edges_crossed(g: GeometricGraph) -> bool:
 
 
 def _validate_figure(which: str, g: GeometricGraph) -> None:
-    cs = crossings_of(g)
+    cs = g.crossings
     if which == "figure1_left":
         _check(_vertex_has_all_edges_crossed(g), "left K6 needs an all-crossed vertex")
     elif which == "figure1_right":
         _check(not _vertex_has_all_edges_crossed(g), "right K6 must have no all-crossed vertex")
-        _check(len(cs) > len(crossings_of(figure_graphs("figure1_left"))),
+        _check(len(cs) > len(figure_graphs("figure1_left").crossings),
                "right K6 must out-cross the left one")
     elif which in ("figure2_left", "figure6"):
         # the 2-path {3,5},{4,5} must cross all three triangle edges

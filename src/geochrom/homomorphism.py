@@ -92,8 +92,8 @@ def geochromatic_number(G: CrossingStructure, catalogs: CatalogStore, max_n: int
     target may be a dominating structure. The forced pairs behind the bound
     are computed once per graph and reused by every search.
     """
-    if not 0 <= max_n <= MAX_CATALOG_N:
-        raise ValueError(f"max_n must be in 0..{MAX_CATALOG_N}, got {max_n}")
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or not 0 <= max_n <= MAX_CATALOG_N:
+        raise ValueError(f"max_n must be an int in 0..{MAX_CATALOG_N}, got {max_n!r}")
     for n in range(non_identifiable_pairs(G).lower_bound(), max_n + 1):
         for entry in _targets(catalogs.get(n)):
             f = find_geometric_hom(G, entry.structure)

@@ -5,9 +5,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from geochrom import CatalogStore
+from geochrom import CatalogStore, catalog
 
 CACHE_DIR = Path(__file__).parent / ".catalog_cache"
+
+
+def forget_shipped():
+    """Drop the shipped catalogs this process has decoded and built, so a test sees them read afresh."""
+    for cached in (catalog._shipped, catalog._shipped_text, catalog._shipped_doc):
+        cached.cache_clear()
 
 
 @pytest.fixture

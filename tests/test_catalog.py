@@ -33,7 +33,7 @@ from geochrom import (
 )
 import geochrom.catalog as catalog
 import geochrom.graphs as graphs
-from conftest import CACHE_DIR
+from conftest import CACHE_DIR, forget_shipped
 from geochrom.catalog import (
     _SHIPPED,
     _edge_counts,
@@ -46,11 +46,9 @@ from geochrom.catalog import (
     _patched,
     _row_sums,
     _shipped,
-    _shipped_doc,
-    _shipped_text,
-    catalog_from_json_dict,
     catalog_to_json_dict,
 )
+from geochrom.cli import main
 from oracles import (
     brute_force_geometric_hom_exists,
     crossing_pairs_raw,
@@ -313,18 +311,38 @@ def test_k5_count_and_projection_spot_check(store):
             assert crossing_structure(sub).canonical_form in cat4_forms
 
 
-def test_catalog_json_round_trip(store):
+def _refused(directory, n, doc, capsys=None):
+    """Write doc as the K_n file of directory and check that a store that builds nothing refuses it by name.
+
+    With capsys, `geochrom x` on the convex K_n must refuse it too, exit 2: the drawing's lower bound is n, so
+    its search reads that file first.
+    """
+    directory.mkdir(exist_ok=True)
+    path = directory / f"k{n}.catalog.json"
+    path.write_text(json.dumps(doc))
+    message = f"{path} is not the K{n} catalog this version ships; rebuild it with `geochrom catalog --n {n} --out DIR`"
+    with pytest.raises(GraphFormatError, match=re.escape(message)):
+        CatalogStore(directory, build_missing=False).get(n)
+    if capsys is not None:
+        drawing = directory.parent / f"convex{n}.json"
+        drawing.write_text(json.dumps(graph_to_json_dict(convex_clique(n))))
+        capsys.readouterr()
+        code = main(["x", str(drawing), "--catalog", str(directory), "--no-build"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": message, "kind": "GraphFormatError"}
+
+
+def test_catalog_json_round_trip(tmp_path, store):
     cat = store.get(4)
-    doc = catalog_to_json_dict(cat)
-    again = catalog_from_json_dict(json.loads(json.dumps(doc)))
+    (tmp_path / "k4.catalog.json").write_text(json.dumps(catalog_to_json_dict(cat)))
+    again = CatalogStore(tmp_path, build_missing=False).get(4)
     assert again.n == cat.n
     assert again.canonical_forms() == cat.canonical_forms()
 
 
-def test_store_rejects_a_catalog_saved_under_another_size(tmp_path, store):
-    (tmp_path / "k5.catalog.json").write_text(json.dumps(catalog_to_json_dict(store.get(4))))
-    with pytest.raises(GraphFormatError, match="n=4, not n=5"):
-        CatalogStore(tmp_path, build_missing=False).get(5)
+def test_store_rejects_a_catalog_saved_under_another_size(tmp_path, store, capsys):
+    _refused(tmp_path / "catalogs", 5, catalog_to_json_dict(store.get(4)), capsys)
 
 
 @pytest.mark.parametrize("broken", ["truncated", "directory", "undecodable"])
@@ -340,25 +358,25 @@ def test_store_names_a_catalog_file_it_cannot_read(tmp_path, broken):
         CatalogStore(tmp_path, build_missing=False).get(4)
 
 
-def test_catalog_rejects_a_witness_that_is_not_the_complete_graph(store):
+def test_catalog_rejects_a_witness_that_is_not_the_complete_graph(tmp_path, store):
     doc = catalog_to_json_dict(store.get(5))
     k5 = convex_clique(5)
     for witness in (GeometricGraph.build(k5.points, sorted(k5.edges)[1:]), convex_clique(4)):
         entry = {"witness": graph_to_json_dict(witness), "canonical": crossing_structure(witness).hex}
-        with pytest.raises(GraphFormatError, match="not a complete graph on 5 vertices"):
-            catalog_from_json_dict(dict(doc, entries=doc["entries"] + [entry]))
+        _refused(tmp_path, 5, dict(doc, entries=doc["entries"] + [entry]))
 
 
-# The complete K4 catalog (convex entry first): each document below breaks
-# one field of it, so each fails for its own reason, not for being incomplete
-# or for being in an older format.
+# The complete K4 catalog (convex entry first), which loads as the shipped
+# one: each document below breaks one field of it, and only that field, so
+# none is refused for being incomplete or for being in an older format alone.
 _K4_DOC = catalog_to_json_dict(enumerate_clique_structures(4))
 _K4_ENTRY, _K4_OTHER = _K4_DOC["entries"]
 _FORMAT = _K4_DOC["format"]
 
 
-def test_the_k4_document_the_field_cases_break_loads():
-    assert len(catalog_from_json_dict(_K4_DOC).entries) == 2
+def test_the_k4_document_the_field_cases_break_loads(tmp_path):
+    (tmp_path / "k4.catalog.json").write_text(json.dumps(_K4_DOC))
+    assert CatalogStore(tmp_path, build_missing=False).get(4) is _shipped(4)
 
 
 @pytest.mark.parametrize("doc", [
@@ -375,23 +393,18 @@ def test_the_k4_document_the_field_cases_break_loads():
     {"format": _FORMAT, "entries": [_K4_ENTRY, _K4_OTHER]},
     [4, [_K4_ENTRY, _K4_OTHER]],
 ])
-def test_catalog_rejects_missing_or_ill_typed_fields(doc):
-    with pytest.raises(GraphFormatError):
-        catalog_from_json_dict(doc)
+def test_catalog_rejects_missing_or_ill_typed_fields(tmp_path, capsys, doc):
+    _refused(tmp_path / "catalogs", 4, doc, capsys)
 
 
 @pytest.mark.parametrize("version", [None, 1, "2", 2.0, 3])
-def test_catalog_in_another_format_names_the_command_that_rebuilds_it(tmp_path, version):
+def test_catalog_in_another_format_names_the_command_that_rebuilds_it(tmp_path, capsys, version):
     # Format 1 had no "format" field. The K4 canonical forms did not change,
-    # so this document differs from a loadable one in its format alone.
+    # so this document differs from the shipped one in its format alone.
     doc = {"n": 4, "entries": [_K4_ENTRY, _K4_OTHER]}
     if version is not None:
         doc["format"] = version
-    with pytest.raises(GraphFormatError, match="rebuild it with `geochrom catalog --n 4 --out DIR`"):
-        catalog_from_json_dict(doc)
-    (tmp_path / "k4.catalog.json").write_text(json.dumps(doc))
-    with pytest.raises(GraphFormatError, match="geochrom catalog --n 4"):
-        CatalogStore(tmp_path, build_missing=False).get(4)
+    _refused(tmp_path / "catalogs", 4, doc, capsys)
 
 
 @pytest.mark.parametrize("damage", ["convex_entry_duplicated", "convex_entry_deleted", "entry_repeated_all_kept"])
@@ -406,26 +419,17 @@ def test_store_rejects_an_incomplete_k6_catalog(tmp_path, store, damage):
         "convex_entry_deleted": entries[1:],
         "entry_repeated_all_kept": [*entries, entries[0]],
     }[damage]
-    (tmp_path / "k6.catalog.json").write_text(json.dumps(dict(doc, entries=damaged)))
-    with pytest.raises(GraphFormatError, match="not the 15 structures of K_6"):
+    path = tmp_path / "k6.catalog.json"
+    path.write_text(json.dumps(dict(doc, entries=damaged)))
+    with pytest.raises(GraphFormatError, match=re.escape(f"{path} is not the K6 catalog this version ships")):
         geochromatic_number(convex_clique(6), CatalogStore(tmp_path, build_missing=False), max_n=6)
 
 
-def test_catalog_rejects_sizes_without_a_structure_count(store):
-    for n in (1, 2):
-        with pytest.raises(GraphFormatError, match="catalogs exist for n in 3..7"):
-            catalog_from_json_dict(catalog_to_json_dict(store.get(n)))
-    with pytest.raises(GraphFormatError, match="catalogs exist for n in 3..7"):
-        catalog_from_json_dict({"n": 8, "entries": []})
-
-
-def test_enumeration_and_loader_check_one_structure_count_table(store, monkeypatch):
-    doc = catalog_to_json_dict(store.get(4))
+def test_enumeration_and_loader_check_one_structure_count_table(monkeypatch):
+    # The enumerator alone checks the count: a store reads no catalog but the shipped ones it wrote.
     monkeypatch.setitem(catalog._STRUCTURE_COUNTS, 4, 3)
     with pytest.raises(RuntimeError, match="2 crossing structures of K_4, not the 3 known"):
         enumerate_clique_structures(4)
-    with pytest.raises(GraphFormatError, match="2 distinct structures in 2 entries, not the 3"):
-        catalog_from_json_dict(doc)
 
 
 def test_store_trivial_sizes_and_missing(tmp_path):
@@ -438,8 +442,9 @@ def test_store_trivial_sizes_and_missing(tmp_path):
         assert crossing_structure(entries[0].witness).hex == form
     with pytest.raises(CatalogMissing):
         store.get(8)
-    with pytest.raises(ValueError, match="no cliques of size -1"):
-        store.get(-1)
+    for n in (-1, True, 4.0, "4"):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative int, got {n!r}")):
+            store.get(n)
     frozen = CatalogStore(tmp_path / "empty", build_missing=False)
     with pytest.raises(CatalogMissing):
         frozen.get(4)
@@ -496,14 +501,8 @@ def test_interrupted_persist_leaves_no_file_and_the_next_get_rebuilds(tmp_path, 
     assert CatalogStore(tmp_path, build_missing=False).get(4).canonical_forms() == built.canonical_forms()
 
 
-def _forget_shipped():
-    """Drop the shipped catalogs this process has decoded and built, so a test sees them read afresh."""
-    for cached in (_shipped, _shipped_text, _shipped_doc):
-        cached.cache_clear()
-
-
 def test_the_store_without_a_directory_returns_the_shipped_catalogs_and_derives_nothing(calls_of):
-    _forget_shipped()
+    forget_shipped()
     forms, built = calls_of(graphs._canonical_bytes), calls_of(catalog.enumerate_clique_structures)
     store = CatalogStore(None, build_missing=False)
     for n in range(3, 8):
@@ -525,7 +524,7 @@ def test_a_directory_holding_the_shipped_documents_loads_them_without_canonicali
         doc = json.loads((_SHIPPED / f"k{n}.catalog.json").read_text())
         text = json.dumps(doc, sort_keys=True) if layout == "as_shipped" else json.dumps(doc, indent=4)
         (tmp_path / f"k{n}.catalog.json").write_text(text)
-    _forget_shipped()
+    forget_shipped()
     forms, built = calls_of(graphs._canonical_bytes), calls_of(catalog.enumerate_clique_structures)
     store = CatalogStore(tmp_path, build_missing=False)
     assert all(store.get(n) is _shipped(n) for n in range(3, 8))
@@ -539,6 +538,8 @@ def _k5_doc():
 @pytest.mark.parametrize("change", ["coordinate_scaled", "coordinate_as_float", "format_as_float",
                                     "edge_end_as_bool", "canonical_swapped"])
 def test_a_document_that_differs_from_the_shipped_one_gets_the_full_check(tmp_path, calls_of, change):
+    # The full check is the comparison with the shipped document: every change below, the valid scaled
+    # catalog too, is refused without a canonical form computed.
     doc = _k5_doc()
     first, second = doc["entries"][0], doc["entries"][1]
     if change == "coordinate_scaled":  # the same order type, so a valid catalog
@@ -553,17 +554,9 @@ def test_a_document_that_differs_from_the_shipped_one_gets_the_full_check(tmp_pa
     else:
         first["canonical"], second["canonical"] = second["canonical"], first["canonical"]
     assert doc == _k5_doc() or change in ("coordinate_scaled", "canonical_swapped")
-    (tmp_path / "k5.catalog.json").write_text(json.dumps(doc))
     forms = calls_of(graphs._canonical_bytes)
-    store = CatalogStore(tmp_path, build_missing=False)
-    if change == "coordinate_scaled":
-        cat = store.get(5)
-        assert cat is not _shipped(5) and cat.canonical_forms() == _shipped(5).canonical_forms()
-        assert len(forms) == 3
-    else:
-        with pytest.raises(GraphFormatError):
-            store.get(5)
-        assert change != "canonical_swapped" or len(forms) >= 1
+    _refused(tmp_path, 5, doc)
+    assert forms == []
 
 
 def test_figure1_structures_present_in_k6_catalog(store):

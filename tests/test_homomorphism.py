@@ -1,4 +1,5 @@
 import itertools
+import re
 import subprocess
 import sys
 import textwrap
@@ -32,7 +33,7 @@ from geochrom import (
 )
 import geochrom.graphs as graphs
 import geochrom.homomorphism as homomorphism
-from conftest import CACHE_DIR
+from conftest import CACHE_DIR, forget_shipped
 from oracles import brute_force_chromatic, brute_force_geometric_hom_exists
 
 
@@ -219,10 +220,9 @@ def test_find_geometric_hom_agrees_with_exhaustive_six_vertices(seed, store):
 
 
 def test_geochromatic_number_rejects_bad_max_n(store):
-    with pytest.raises(ValueError, match=r"max_n must be in 0\.\.7, got -1"):
-        geochromatic_number(edgeless(3), store, max_n=-1)
-    with pytest.raises(ValueError):
-        geochromatic_number(edgeless(3), store, max_n=8)
+    for max_n in (-1, 8, 6.0, True, "6", None):
+        with pytest.raises(ValueError, match=re.escape(f"max_n must be an int in 0..7, got {max_n!r}")):
+            geochromatic_number(edgeless(3), store, max_n=max_n)
 
 
 def test_geochromatic_number_at_max_n_zero(store):
@@ -283,6 +283,7 @@ def test_geochromatic_number_over_maximal_targets_matches_every_entry(store):
 
 
 def test_convex_target_is_tried_before_the_maximal_view_is_computed(store):
+    forget_shipped()  # an earlier test's maximal view would be on this process's shipped K5
     fresh = CatalogStore(CACHE_DIR, build_missing=False)
     res = geochromatic_number(convex_clique(5), fresh, max_n=5)
     assert res.n == 5 and res.target == crossing_structure(convex_clique(5))

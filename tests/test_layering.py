@@ -229,6 +229,14 @@ def test_orbit_pruning_keeps_one_union_find_per_search_node():
     assert _defines(ast.parse(oracles.read_text(encoding="utf-8")), "_orbit")
 
 
+def test_a_catalog_is_built_from_a_document_only_as_the_shipped_one():
+    # Each shipped catalog was proved complete when the enumerator wrote it; a second reader would need its
+    # own proof for every document it let through.
+    assert {namer for namer in _namers("graph_from_json_dict", called=True)
+            if namer.startswith("catalog.")} == {"catalog._shipped"}
+    assert [name for name, tree in MODULES.items() if _defines(tree, "catalog_from_json_dict")] == []
+
+
 def test_one_slope_rule_decides_general_position():
     # A drawing's check and the random generator's candidate check both read the slopes from a point, so general
     # position stays one rule.
